@@ -1,7 +1,8 @@
 """Command-line interface: enumerate, verify, chern, emit.
 
-Exit codes: 0 success, 1 verification failure or engine error, 2 usage error
-(argparse).  All table output is byte-deterministic UTF-8 with LF newlines.
+Exit codes: 0 success, 1 verification failure, engine error or unreadable
+file, 2 usage error (argparse).  All table output is byte-deterministic UTF-8
+with LF newlines.
 """
 
 from __future__ import annotations
@@ -255,7 +256,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     config = _resolve(parser, parser.parse_args(argv))
     try:
         return _RUNNERS[config.command](config)
-    except FanoEngineError as exc:
+    except (FanoEngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

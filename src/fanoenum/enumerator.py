@@ -18,7 +18,6 @@ then labelled with the row id of the embedded classification table it matches.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -200,17 +199,18 @@ def _pair_record(
         form = form.transposed((2, 1))
         minus_k = DivisorClass((minus_k.coords[1], minus_k.coords[0]))
     kx3 = triple_product(form, minus_k, minus_k, minus_k)
-    record = SolutionRecord(
+    rays = (ray_a, ray_b)
+    return SolutionRecord(
         rho=2,
-        rays=(ray_a, ray_b),
+        rays=rays,
         form=form,
         minus_k=minus_k,
         kx3=kx3,
         genus=genus,
+        table_id=_table_id(2, kx3, rays),
         descriptions=descriptions,
         char_note=char_note,
     )
-    return _with_table_id(record)
 
 
 def _ray_payload(ray_type_value: str, degB, d2, deg_delta) -> tuple:
@@ -220,16 +220,6 @@ def _ray_payload(ray_type_value: str, degB, d2, deg_delta) -> tuple:
         0 if d2 is None else d2,
         -1 if deg_delta is None else deg_delta,
     )
-
-
-def _record_key(record: SolutionRecord) -> tuple:
-    payload = tuple(
-        sorted(
-            _ray_payload(spec.ray_type.value, spec.degB, spec.d2, spec.deg_delta)
-            for spec in record.rays
-        )
-    )
-    return (record.rho, record.kx3, payload)
 
 
 _ID_CACHE: dict[str, dict[tuple, str]] = {}
@@ -259,11 +249,15 @@ def _id_index() -> dict[tuple, str]:
     return index
 
 
-def _with_table_id(record: SolutionRecord) -> SolutionRecord:
-    table_id = _id_index().get(_record_key(record), "")
-    if table_id:
-        return dataclasses.replace(record, table_id=table_id)
-    return record
+def _table_id(rho: int, kx3: int, rays: tuple[RaySpec, ...]) -> str:
+    """The id of the table row with this rank, cube and per-ray degree data."""
+    payload = tuple(
+        sorted(
+            _ray_payload(spec.ray_type.value, spec.degB, spec.d2, spec.deg_delta)
+            for spec in rays
+        )
+    )
+    return _id_index().get((rho, kx3, payload), "")
 
 
 def _genus_or_none(kx3: int, ky3: int, r: int, degB: int) -> Optional[int]:
@@ -689,16 +683,16 @@ def solve_rho3_CCC() -> tuple[SolutionRecord, ...]:
             if d == 2
             else "P^1 x P^1 x P^1"
         )
+        rays = (ray, ray, ray)
         records.append(
-            _with_table_id(
-                SolutionRecord(
-                    rho=3,
-                    rays=(ray, ray, ray),
-                    form=form,
-                    minus_k=minus_k,
-                    kx3=kx3,
-                    descriptions=(text,),
-                )
+            SolutionRecord(
+                rho=3,
+                rays=rays,
+                form=form,
+                minus_k=minus_k,
+                kx3=kx3,
+                table_id=_table_id(3, kx3, rays),
+                descriptions=(text,),
             )
         )
     return tuple(records)
@@ -720,16 +714,16 @@ def solve_rho3_CE() -> tuple[SolutionRecord, ...]:
     bundle_form = TrilinearForm.from_nonzero(
         3, {(1, 1, 1): 2, (1, 1, 2): 1, (1, 1, 3): 1, (1, 2, 3): 1}
     )
+    bundle_rays = (RaySpec(RayType.C2, delta_bidegree=(0, 0)), RaySpec(RayType.E1))
     records.append(
-        _with_table_id(
-            SolutionRecord(
-                rho=3,
-                rays=(RaySpec(RayType.C2, delta_bidegree=(0, 0)), RaySpec(RayType.E1)),
-                form=bundle_form,
-                minus_k=DivisorClass((2, 1, 1)),
-                kx3=bundle_kx3,
-                descriptions=("P(O + O(1,1)) over P^1 x P^1",),
-            )
+        SolutionRecord(
+            rho=3,
+            rays=bundle_rays,
+            form=bundle_form,
+            minus_k=DivisorClass((2, 1, 1)),
+            kx3=bundle_kx3,
+            table_id=_table_id(3, bundle_kx3, bundle_rays),
+            descriptions=("P(O + O(1,1)) over P^1 x P^1",),
         )
     )
 
@@ -747,19 +741,16 @@ def solve_rho3_CE() -> tuple[SolutionRecord, ...]:
     divisor_form = TrilinearForm.from_nonzero(
         3, {(1, 1, 1): 2, (1, 1, 2): -1, (1, 1, 3): -2, (1, 2, 3): 2}
     )
+    divisor_rays = (RaySpec(RayType.C1, delta_bidegree=(2, 5)), RaySpec(RayType.E1))
     records.append(
-        _with_table_id(
-            SolutionRecord(
-                rho=3,
-                rays=(
-                    RaySpec(RayType.C1, delta_bidegree=(2, 5)),
-                    RaySpec(RayType.E1),
-                ),
-                form=divisor_form,
-                minus_k=DivisorClass((1, 2, 1)),
-                kx3=divisor_kx3,
-                descriptions=("a divisor in P(O + O(-1,-1)^2) over P^1 x P^1",),
-            )
+        SolutionRecord(
+            rho=3,
+            rays=divisor_rays,
+            form=divisor_form,
+            minus_k=DivisorClass((1, 2, 1)),
+            kx3=divisor_kx3,
+            table_id=_table_id(3, divisor_kx3, divisor_rays),
+            descriptions=("a divisor in P(O + O(-1,-1)^2) over P^1 x P^1",),
         )
     )
     return tuple(records)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import ConstraintError, DimensionMismatchError
 
@@ -61,6 +61,12 @@ class DivisorClass:
 
     def __rmul__(self, n: int) -> "DivisorClass":
         return DivisorClass(tuple(n * a for a in self.coords))
+
+
+# Every ordered index triple over 1..3 -> its sorted form, the key of a form entry.
+_SORTED_KEY = {
+    key: tuple(sorted(key)) for key in itertools.product(range(1, 4), repeat=3)
+}
 
 
 def _multiset_keys(rho: int) -> list[tuple[int, int, int]]:
@@ -128,7 +134,7 @@ class TrilinearForm:
 
     def value(self, i: int, j: int, k: int) -> int:
         """The form on basis vectors e_i, e_j, e_k (any index order)."""
-        return self.entries[tuple(sorted((i, j, k)))]
+        return self.entries[_SORTED_KEY[i, j, k]]
 
     def transposed(self, permutation: tuple[int, ...]) -> "TrilinearForm":
         """The same form in a permuted basis; ``permutation[new-1] = old``."""

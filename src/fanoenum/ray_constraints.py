@@ -18,7 +18,6 @@ always form a basis of the Picard lattice (index 1).
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union

@@ -10,9 +10,12 @@ normalization that forgets case and punctuation.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import os
+import re
+import types
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -45,6 +48,8 @@ class TableRow:
     ``ray_types`` holds type tags ("C1" .. "E5", with "E34" for E3/E4) in
     canonical order; ``invariants`` maps a field name to a per-ray tuple
     aligned with ``ray_types``, with None where the field does not apply.
+    Rows parsed from JSON carry a read-only ``invariants`` mapping, because
+    the parsed truth is shared by every caller.
     """
 
     table_id: str
@@ -110,27 +115,54 @@ def truth_source() -> str:
     return os.environ.get("FANO_GROUND_TRUTH", "<packaged>")
 
 
+def _parse_row(item) -> TableRow:
+    return TableRow(
+        table_id=str(item["table_id"]),
+        rho=int(item["rho"]),
+        kx3=int(item["kx3"]),
+        primitive=bool(item["primitive"]),
+        ray_types=tuple(str(t) for t in item["ray_types"]),
+        invariants=types.MappingProxyType(
+            {str(k): _freeze(v) for k, v in item.get("invariants", {}).items()}
+        ),
+        descriptions=tuple(str(d) for d in item.get("descriptions", ())),
+    )
+
+
 def parse_rows(data: bytes) -> tuple[TableRow, ...]:
-    """Parse the JSON row-array format back into TableRow objects."""
-    raw = json.loads(data.decode("utf-8"))
+    """Parse the JSON row-array format back into TableRow objects.
+
+    Malformed input raises :class:`ConstraintError`, naming the offending row.
+    """
+    try:
+        raw = json.loads(data.decode("utf-8"))
+    except ValueError as exc:
+        raise ConstraintError(f"ground truth is not UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise ConstraintError("ground truth must be a JSON array of row objects")
     rows = []
-    for item in raw:
-        rows.append(
-            TableRow(
-                table_id=str(item["table_id"]),
-                rho=int(item["rho"]),
-                kx3=int(item["kx3"]),
-                primitive=bool(item["primitive"]),
-                ray_types=tuple(str(t) for t in item["ray_types"]),
-                invariants={
-                    str(k): _freeze(v) for k, v in item.get("invariants", {}).items()
-                },
-                descriptions=tuple(str(d) for d in item.get("descriptions", ())),
-            )
-        )
+    for index, item in enumerate(raw):
+        try:
+            rows.append(_parse_row(item))
+        except KeyError as exc:
+            raise ConstraintError(
+                f"ground truth row {index} lacks the field {exc}"
+            ) from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConstraintError(
+                f"ground truth row {index} is malformed: {exc}"
+            ) from exc
     return tuple(rows)
+
+
+@functools.lru_cache(maxsize=1)
+def _parse_truth(payload: bytes) -> tuple[TableRow, ...]:
+    """parse_rows of the last payload seen, keyed on its bytes.
+
+    Keying on content rather than on the path means a rewritten truth file is
+    always seen; one entry means the cache cannot grow.
+    """
+    return parse_rows(payload)
 
 
 def _load_all_rows() -> tuple[TableRow, ...]:
@@ -141,7 +173,7 @@ def _load_all_rows() -> tuple[TableRow, ...]:
         payload = (
             resources.files("fanoenum").joinpath("data/ground_truth.json").read_bytes()
         )
-    return parse_rows(payload)
+    return _parse_truth(payload)
 
 
 def ground_truth(rho: int, primitive_only: bool = False) -> tuple[TableRow, ...]:
@@ -175,9 +207,12 @@ def record_to_row(record) -> TableRow:
     )
 
 
+# In a str pattern \W is exactly "not isalnum() and not '_'".
+_NOT_ALNUM = re.compile(r"[\W_]+")
+
+
 def _normalize_description(text: str) -> str:
-    cleaned = "".join(ch if ch.isalnum() else " " for ch in text.lower())
-    return " ".join(cleaned.split())
+    return _NOT_ALNUM.sub(" ", text.lower()).strip()
 
 
 def _normalized_multiset(descriptions: Iterable[str]) -> tuple[str, ...]:

@@ -120,3 +120,46 @@ def test_module_invocation():
     lines = [line for line in proc.stdout.splitlines() if line]
     assert len(lines) == 2 + 4  # header, separator, four families
     assert lines[0] == "| no. | (-K)^3 | description | extremal rays |"
+
+
+def _assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def _rows_without_table_id():
+    rows = json.loads(emit(ground_truth(2), "json"))
+    del rows[3]["table_id"]
+    return json.dumps(rows)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, lambda: "not json", _rows_without_table_id],
+    ids=["missing", "not-json", "row-without-table-id"],
+)
+def test_bad_truth_file_is_one_error_line(tmp_path, monkeypatch, capsys, content):
+    path = tmp_path / "truth.json"
+    if content is not None:
+        path.write_text(content())
+    monkeypatch.setenv("FANO_GROUND_TRUTH", str(path))
+    assert run(["verify", "--rho", "2"]) == 1
+    _assert_one_error_line(capsys)
+
+
+def test_bad_truth_row_is_named(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "truth.json"
+    path.write_text(_rows_without_table_id())
+    monkeypatch.setenv("FANO_GROUND_TRUTH", str(path))
+    assert run(["emit"]) == 1
+    assert capsys.readouterr().err == (
+        "error: ground truth row 3 lacks the field 'table_id'\n"
+    )
+
+
+def test_emit_into_missing_directory_is_an_error(tmp_path, capsys):
+    target = tmp_path / "absent" / "table.json"
+    assert run(["emit", "--out", str(target)]) == 1
+    _assert_one_error_line(capsys)

@@ -4,11 +4,14 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
+from fanoenum import table_oracle
 from fanoenum.enumerator import enumerate_all
 from fanoenum.errors import ConstraintError, UnsupportedScopeError
 from fanoenum.table_oracle import (
     TableRow,
+    _normalize_description,
     diff,
     emit,
     ground_truth,
@@ -171,3 +174,54 @@ def test_truth_source_override(tmp_path, monkeypatch):
     assert doctored[0].kx3 == 6
     report = diff(computed_rows(), doctored)
     assert not report.is_empty
+
+
+def test_truth_rows_are_read_only():
+    first = ground_truth(2)
+    with pytest.raises(TypeError):
+        first[0].invariants["degB"] = (1, 1)
+    assert ground_truth(2) == first
+
+
+def _write_truth(path, kx3_delta=0):
+    rows = json.loads(emit(ground_truth(2) + ground_truth(3), "json"))
+    rows[0]["kx3"] += kx3_delta
+    path.write_text(json.dumps(rows))
+
+
+def test_truth_is_parsed_once_per_payload(tmp_path, monkeypatch):
+    path = tmp_path / "truth.json"
+    _write_truth(path)
+    monkeypatch.setenv("FANO_GROUND_TRUTH", str(path))
+    table_oracle._parse_truth.cache_clear()
+    calls = []
+    real_parse = table_oracle.parse_rows
+
+    def counting_parse(data):
+        calls.append(data)
+        return real_parse(data)
+
+    monkeypatch.setattr(table_oracle, "parse_rows", counting_parse)
+    assert len(ground_truth(2)) == 36
+    assert len(ground_truth(2, True)) == 9
+    assert len(ground_truth(3, True)) == 4
+    assert len(calls) == 1
+
+
+def test_rewritten_truth_file_is_seen(tmp_path, monkeypatch):
+    path = tmp_path / "truth.json"
+    _write_truth(path)
+    monkeypatch.setenv("FANO_GROUND_TRUTH", str(path))
+    assert ground_truth(2)[0].kx3 == 4
+    _write_truth(path, kx3_delta=2)
+    assert ground_truth(2)[0].kx3 == 6
+
+
+def _reference_normalize(text):
+    cleaned = "".join(ch if ch.isalnum() else " " for ch in text.lower())
+    return " ".join(cleaned.split())
+
+
+@given(st.text())
+def test_normalize_description_matches_the_isalnum_reference(text):
+    assert _normalize_description(text) == _reference_normalize(text)
