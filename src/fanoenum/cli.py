@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -29,22 +28,7 @@ from .errors import FanoEngineError
 from .ray_constraints import RayType
 from .table_oracle import diff, emit, ground_truth, record_to_row
 
-__all__ = ["CliConfig", "build_parser", "run", "main"]
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved invocation: one subcommand plus its effective options."""
-
-    command: str
-    rho: Optional[int] = None
-    primitive_only: bool = False
-    pair: Optional[tuple[str, ...]] = None
-    fmt: str = "markdown"
-    source: str = "truth"
-    out: Optional[str] = None
-    formula: Optional[str] = None
-    values: tuple[int, ...] = ()
+__all__ = ["build_parser", "run", "main"]
 
 
 def _chern_p1_bundle(c1_sq: int, c2: int, ky_sq: int) -> int:
@@ -119,34 +103,40 @@ def build_parser() -> argparse.ArgumentParser:
         choices=_EMIT_CHOICES,
         default="markdown",
     )
+    p_enum.set_defaults(handler=_run_enumerate)
 
     p_verify = sub.add_parser(
         "verify", help="diff computed families against the embedded table"
     )
     p_verify.add_argument("--rho", type=int, choices=(2, 3))
+    p_verify.set_defaults(handler=_run_verify)
 
     p_chern = sub.add_parser("chern", help="evaluate one Chern-class formula")
     p_chern.add_argument("formula", choices=sorted(_CHERN_FORMULAS))
     p_chern.add_argument("values", type=int, nargs="+")
+    p_chern.set_defaults(handler=_run_chern)
 
     p_emit = sub.add_parser("emit", help="export a table to a file or stdout")
     p_emit.add_argument("--rho", type=int, choices=(2, 3), default=2)
     p_emit.add_argument("--format", dest="fmt", choices=_EMIT_CHOICES, default="json")
     p_emit.add_argument("--source", choices=("truth", "computed"), default="truth")
     p_emit.add_argument("--out", help="output path (default: stdout)")
+    p_emit.set_defaults(handler=_run_emit)
     return parser
 
 
 _EMIT_CHOICES = ("markdown", "json", "csv")
 
 
-def _parse_pair(parser: argparse.ArgumentParser, text: str) -> tuple[str, ...]:
+def _parse_pair(parser: argparse.ArgumentParser, text: str, rho: int) -> tuple[str, ...]:
     try:
         tags = tuple(RayType.parse(token).value for token in text.split(","))
     except FanoEngineError as exc:
         parser.error(str(exc))
     if len(tags) < 2:
         parser.error("--pair needs at least two comma-separated ray types")
+    if len(tags) > rho:
+        parser.error(f"--pair takes at most {rho} ray types at rank {rho}")
     return tuple(sorted(tags))
 
 
@@ -167,18 +157,18 @@ def _write_payload(payload: bytes, out: Optional[str]) -> None:
     sys.stdout.buffer.flush()
 
 
-def _run_enumerate(config: CliConfig) -> int:
-    primitive_only = config.primitive_only or config.rho == 3
-    rows = _computed_rows(config.rho, primitive_only)
-    if config.pair is not None:
-        rows = tuple(r for r in rows if tuple(sorted(r.ray_types)) == config.pair)
-    _write_payload(emit(rows, config.fmt), None)
+def _run_enumerate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    pair = _parse_pair(parser, args.pair, args.rho) if args.pair else None
+    rows = _computed_rows(args.rho, args.primitive or args.rho == 3)
+    if pair is not None:
+        rows = tuple(r for r in rows if tuple(sorted(r.ray_types)) == pair)
+    _write_payload(emit(rows, args.fmt), None)
     return 0
 
 
-def _run_verify(config: CliConfig) -> int:
+def _run_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     status = 0
-    rhos = (config.rho,) if config.rho else (2, 3)
+    rhos = (args.rho,) if args.rho else (2, 3)
     for rho in rhos:
         primitive_only = rho == 3
         records = enumerate_all(rho, primitive_only=primitive_only)
@@ -193,69 +183,30 @@ def _run_verify(config: CliConfig) -> int:
     return status
 
 
-def _run_chern(config: CliConfig) -> int:
-    func, names = _CHERN_FORMULAS[config.formula]
-    if len(config.values) != len(names):
-        raise SystemExit(2)  # guarded earlier via parser.error; defensive
-    print(func(*config.values))
+def _run_chern(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    func, names = _CHERN_FORMULAS[args.formula]
+    if len(args.values) != len(names):
+        parser.error(f"{args.formula} takes {len(names)} integers: {' '.join(names)}")
+    print(func(*args.values))
     return 0
 
 
-def _run_emit(config: CliConfig) -> int:
-    primitive_only = config.rho == 3
-    if config.source == "computed":
-        rows = _computed_rows(config.rho, primitive_only)
+def _run_emit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    primitive_only = args.rho == 3
+    if args.source == "computed":
+        rows = _computed_rows(args.rho, primitive_only)
     else:
-        rows = ground_truth(config.rho, primitive_only=primitive_only)
-    _write_payload(emit(rows, config.fmt), config.out)
+        rows = ground_truth(args.rho, primitive_only=primitive_only)
+    _write_payload(emit(rows, args.fmt), args.out)
     return 0
-
-
-def _resolve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> CliConfig:
-    if args.command == "enumerate":
-        pair = _parse_pair(parser, args.pair) if args.pair else None
-        return CliConfig(
-            command="enumerate",
-            rho=args.rho,
-            primitive_only=args.primitive,
-            pair=pair,
-            fmt=args.fmt,
-        )
-    if args.command == "verify":
-        return CliConfig(command="verify", rho=args.rho)
-    if args.command == "chern":
-        names = _CHERN_FORMULAS[args.formula][1]
-        if len(args.values) != len(names):
-            parser.error(
-                f"{args.formula} takes {len(names)} integers: {' '.join(names)}"
-            )
-        return CliConfig(command="chern", formula=args.formula, values=tuple(args.values))
-    if args.command == "emit":
-        return CliConfig(
-            command="emit",
-            rho=args.rho,
-            fmt=args.fmt,
-            source=args.source,
-            out=args.out,
-        )
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover
-    raise AssertionError  # pragma: no cover
-
-
-_RUNNERS = {
-    "enumerate": _run_enumerate,
-    "verify": _run_verify,
-    "chern": _run_chern,
-    "emit": _run_emit,
-}
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse arguments and execute; returns the process exit code."""
     parser = build_parser()
-    config = _resolve(parser, parser.parse_args(argv))
+    args = parser.parse_args(argv)
     try:
-        return _RUNNERS[config.command](config)
+        return args.handler(parser, args)
     except (FanoEngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

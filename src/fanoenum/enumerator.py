@@ -1,19 +1,21 @@
-"""Case-analysis solvers reproducing the rank-2 and primitive rank-3 tables.
+"""Exact-integer solvers reproducing the rank-2 and primitive rank-3 tables.
 
-Each ``solve_*`` function treats one pairing of extremal-ray types.  The two
-pullback classes H1, H2 form a basis of the Picard lattice (index 1, see
-:func:`fanoenum.ray_constraints.lattice_index_candidates`), so every pairing
-reduces to a small integer system:
-
-  (A) the c2 balance    24 = mu2 (c2 . H1) + mu1 (c2 . H2),
-  (B) a cross term      H1^2 . H2 expressed through both rays' data,
-  (C) a second cross    H1 . H2^2 likewise.
-
-The solver derives each unknown from the system and keeps exactly the integer
-solutions in range; no floats, no approximation.  Every surviving solution is
-wrapped in a :class:`SolutionRecord` carrying the full intersection form, the
-anticanonical class, the derived invariants and a human-readable description,
-then labelled with the row id of the embedded classification table it matches.
+Every rank-2 pairing of extremal-ray types is solved by one engine driven by
+a side table.  A side is one ray type with its data fixed but for at most one
+unknown u (deg Delta for C1, d2 for D1, deg B for E1, L^3 for E2/E3E4/E5),
+and gives four facts about the pullback H of its ray, each affine in u:
+H^3, (-K).H^2, (-K)^2.H and c2.H.  The two pullbacks form a basis of the
+Picard lattice (index 1, see
+:func:`fanoenum.ray_constraints.lattice_index_candidates`), so in that basis
+the facts of the two sides fill the intersection form and leave a linear
+system in at most two unknowns: the 24-balance, the two (-K)^2.H facts and
+the cube of each divisor contracted to a point.  The engine solves it
+exactly in integers, sweeping nothing but the finite type domains, and keeps
+the solutions that pass the domain, integrality, parity and genus checks.
+Each becomes a :class:`SolutionRecord` carrying the full intersection form,
+the anticanonical class, the derived invariants and a human-readable
+description, labelled with the row id of the classification table it
+matches.  The ``solve_*`` entry points select pairings for the engine.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Optional
+from typing import Mapping, Optional
 
 from .chern_calculus import (
     SurfaceBundleData,
@@ -43,16 +45,8 @@ from .picard_lattice import (
     anticanonical_class,
     triple_product,
 )
-from .ray_constraints import (
-    RaySpec,
-    RayType,
-    SECOND_RAY_CUBE_DOMAIN,
-    SECOND_RAY_INDEX_DOMAIN,
-    balance_check,
-    c2_dot_H,
-    l3_range,
-    mu_of,
-)
+from .ray_constraints import D1_FIBER_DOMAIN, RaySpec, RayType, l3_range, mu_of
+from .table_oracle import table_ids, table_key
 
 __all__ = [
     "SolutionRecord",
@@ -168,96 +162,70 @@ def _blowup_description(r: int, L3: int, degB: int, genus: int, with_ci: bool) -
     return base
 
 
-# ------------------------------------------------------- record assembly ----
+_C_TYPES = (RayType.C1, RayType.C2)
+_D_TYPES = (RayType.D1, RayType.D2, RayType.D3)
+_POINT_TYPES = (RayType.E2, RayType.E34, RayType.E5)  # a divisor to a point
+
+# Descriptions and characteristic note of each pairing with no E1 ray.
+_PRIMITIVE_TEXTS = {
+    (RayType.C1, RayType.C1): (
+        (
+            "a divisor on P^2 x P^2 of bidegree (2,2)",
+            "a split double cover of W with L^2 = omega_W^{-1}",
+        ),
+        None,
+    ),
+    (RayType.C1, RayType.C2): (
+        ("a divisor on P^2 x P^2 of bidegree (1,2)",),
+        "wild conic bundle possible only in characteristic 2",
+    ),
+    (RayType.C2, RayType.C2): (("W, a divisor on P^2 x P^2 of bidegree (1,1)",), None),
+    (RayType.C1, RayType.D1): (("a split double cover of P^2 x P^1 with L = O(2,1)",), None),
+    (RayType.C1, RayType.D2): (("a split double cover of P^2 x P^1 with L = O(1,1)",), None),
+    (RayType.C2, RayType.D3): (("P^2 x P^1",), None),
+    (RayType.C1, RayType.E34): (
+        ("a split double cover of V_7 with L^2 = omega_{V_7}^{-1}",),
+        None,
+    ),
+    (RayType.C2, RayType.E2): (
+        ("V_7, i.e. P(O + O(1)) over P^2", "blowup of P^3 at a point"),
+        None,
+    ),
+    (RayType.C2, RayType.E5): (
+        (
+            "P(O + O(2)) over P^2",
+            "blowup at the singular point of the cone over the Veronese surface",
+        ),
+        None,
+    ),
+}
 
 
-def _pair_record(
-    ray_a: RaySpec,
-    ray_b: RaySpec,
-    cubes: tuple[int, int, int, int],
-    *,
-    genus: Optional[int] = None,
-    descriptions: tuple[str, ...] = (),
-    char_note: Optional[str] = None,
-) -> SolutionRecord:
-    """Build a rank-2 record from data in the (ray_a, ray_b) basis.
+def _descriptions(rays: tuple[RaySpec, RaySpec]) -> tuple[str, ...]:
+    """One text per E1 ray, plus the point blowup for an E2 ray opposite one.
 
-    ``cubes`` = (H1^3, H1^2.H2, H1.H2^2, H2^3) for H1, H2 the pullbacks along
-    ray_a, ray_b.  The pair is normalized to canonical type order, transposing
-    the form and the anticanonical coordinates along with it, and the c2
-    balance is re-verified as a final consistency check.
+    The complete-intersection clause appears only opposite a del Pezzo
+    fibration, whose pencil cuts out the centre; identical texts collapse.
     """
-    if not balance_check(ray_a.mu, ray_b.mu, c2_dot_H(ray_a), c2_dot_H(ray_b)):
-        raise InconsistencyError(
-            f"solved pair ({ray_a.ray_type.value}, {ray_b.ray_type.value}) "
-            "violates the c2 balance"
-        )
-    form = TrilinearForm.rank2(*cubes)
-    minus_k = anticanonical_class(ray_a.mu, ray_b.mu, 2)
-    if ray_b.ray_type.order < ray_a.ray_type.order:
-        ray_a, ray_b = ray_b, ray_a
-        form = form.transposed((2, 1))
-        minus_k = DivisorClass((minus_k.coords[1], minus_k.coords[0]))
-    kx3 = triple_product(form, minus_k, minus_k, minus_k)
-    rays = (ray_a, ray_b)
-    return SolutionRecord(
-        rho=2,
-        rays=rays,
-        form=form,
-        minus_k=minus_k,
-        kx3=kx3,
-        genus=genus,
-        table_id=_table_id(2, kx3, rays),
-        descriptions=descriptions,
-        char_note=char_note,
-    )
+    texts = []
+    for spec, other in (rays, rays[::-1]):
+        if spec.ray_type is RayType.E1:
+            with_ci = other.ray_type in _D_TYPES
+            texts.append(
+                _blowup_description(spec.r, spec.L3, spec.degB, spec.genus, with_ci)
+            )
+        elif spec.ray_type is RayType.E2:
+            texts.append("blowup of %s at a point" % _target_name(spec.r, spec.L3))
+    return tuple(dict.fromkeys(texts))
 
 
-def _ray_payload(ray_type_value: str, degB, d2, deg_delta) -> tuple:
-    return (
-        ray_type_value,
-        0 if degB is None else degB,
-        0 if d2 is None else d2,
-        -1 if deg_delta is None else deg_delta,
-    )
+# ------------------------------------------------------ labels and genera --
 
 
-_ID_CACHE: dict[str, dict[tuple, str]] = {}
-
-
-def _id_index() -> dict[tuple, str]:
-    """Row-id lookup keyed by (rho, kx3, per-ray degree data), built lazily."""
-    from .table_oracle import ground_truth, truth_source
-
-    source = truth_source()
-    index = _ID_CACHE.get(source)
-    if index is None:
-        index = {}
-        for rho, primitive_only in ((2, False), (3, True)):
-            for row in ground_truth(rho, primitive_only=primitive_only):
-                degBs = row.invariants.get("degB", (None,) * len(row.ray_types))
-                d2s = row.invariants.get("d2", (None,) * len(row.ray_types))
-                deltas = row.invariants.get("deg_delta", (None,) * len(row.ray_types))
-                payload = tuple(
-                    sorted(
-                        _ray_payload(tag, degBs[i], d2s[i], deltas[i])
-                        for i, tag in enumerate(row.ray_types)
-                    )
-                )
-                index[(row.rho, row.kx3, payload)] = row.table_id
-        _ID_CACHE[source] = index
-    return index
-
-
-def _table_id(rho: int, kx3: int, rays: tuple[RaySpec, ...]) -> str:
+def _table_id(ids: Mapping[tuple, str], rho: int, kx3: int, rays) -> str:
     """The id of the table row with this rank, cube and per-ray degree data."""
-    payload = tuple(
-        sorted(
-            _ray_payload(spec.ray_type.value, spec.degB, spec.d2, spec.deg_delta)
-            for spec in rays
-        )
-    )
-    return _id_index().get((rho, kx3, payload), "")
+    per_ray = ((s.ray_type.value, s.degB, s.d2, s.deg_delta) for s in rays)
+    return ids.get(table_key(rho, kx3, per_ray), "")
 
 
 def _genus_or_none(kx3: int, ky3: int, r: int, degB: int) -> Optional[int]:
@@ -268,384 +236,294 @@ def _genus_or_none(kx3: int, ky3: int, r: int, degB: int) -> Optional[int]:
         return None
 
 
-# ------------------------------------------------------------ E1 pairings ---
+# -------------------------------------------------------------- side table --
+
+# Facts are kept in quarters, so that the E5 multiples of r/2 and (r/2)^2
+# are integers like every other side's.
+_QUARTER = 4
+
+
+@dataclass(frozen=True)
+class _Side:
+    """One ray of a pairing, every datum fixed but at most one unknown u.
+
+    ``spec`` holds the RaySpec fields the side fixes and ``unknown`` the one
+    u fills, if any, with low <= u <= high (high None: unbounded).
+    ``terms[n]``, for n the coefficient of the ray's pullback in -K, holds
+    the side's terms C, P, Q, N, K, M of :func:`_solve_sides`, each as
+    (constant, coefficient of u) in quarters.  ``contracted`` is q^3 and w,
+    in quarters, for a ray that contracts a divisor to a point.
+    """
+
+    ray_type: RayType
+    mu: int
+    spec: tuple[tuple[str, int], ...]
+    unknown: Optional[str]
+    low: int
+    high: Optional[int]
+    terms: dict[int, tuple[tuple[int, int], ...]]
+    contracted: Optional[tuple[int, int]]
+
+    def admits(self, u: int) -> bool:
+        if self.unknown is None:
+            return True
+        return self.low <= u and (self.high is None or u <= self.high)
+
+
+def _side(ray_type, spec, unknown, low, high, facts, contracted=None) -> _Side:
+    """Tabulate one side; a one-point domain fixes the unknown.
+
+    ``facts`` are H^3, (-K).H^2, (-K)^2.H, c2.H as (constant, coefficient of
+    u); ``contracted`` is (p, q, w) with m D = p H - q (-K) and (m D)^3 = w.
+    """
+    if low == high:
+        spec, unknown = spec + ((unknown, low),), None
+        facts = [(c + k * low, 0) for c, k in facts]
+    facts = [(int(_QUARTER * c), int(_QUARTER * k)) for c, k in facts]
+    p, q, w = contracted or (0, 0, 0)
+    terms = {}
+    for n in (1, 2, 3):
+        per_part = [
+            (C, n * n * A - n**3 * C, n * n * A - n * B, n * c, n * B,
+             p**3 * C - 3 * p * p * q * A + 3 * p * q * q * B)
+            for C, A, B, c in zip(*facts)
+        ]
+        terms[n] = tuple(zip(*per_part))
+    cube = (q**3, _QUARTER * w) if contracted else None
+    return _Side(ray_type, mu_of(ray_type), spec, unknown, low, high, terms, cube)
+
+
+def _side_table() -> dict[RayType, tuple[_Side, ...]]:
+    """Every side of every ray type, its domain taken from the type.
+
+    C: H^3 = 0, (-K).H^2 = 2, (-K)^2.H = 12 - deg Delta, c2.H = 6 + deg Delta.
+    D: H^2 = 0, (-K)^2.H = d2, c2.H = 12 - d2.
+    E1: H^3 = L^3, (-K).H^2 = r L^3, (-K)^2.H = r^2 L^3 - deg B,
+    c2.H = 24/r + deg B.
+    E2, E3/E4, E5: H^3 = L^3, (-K).H^2 = s L^3, (-K)^2.H = s^2 L^3 and
+    c2.H = 24/r (45/r for E5), with s = r (r/2 for E5); the contracted
+    divisor D = (s H - (-K))/a, a = 2, 1, 1/2, has D^3 = 1, 2, 4.
+    """
+    conic = ((0, 0), (2, 0), (12, -1), (6, 1))  # u = deg Delta
+    fibration = ((0, 0), (0, 0), (0, 1), (12, -1))  # u = d2
+    d1 = D1_FIBER_DOMAIN
+    table = {
+        RayType.C1: (_side(RayType.C1, (), "deg_delta", 1, None, conic),),
+        RayType.C2: (_side(RayType.C2, (), "deg_delta", 0, 0, conic),),
+        RayType.D1: (_side(RayType.D1, (), "d2", d1[0], d1[-1], fibration),),
+        RayType.D2: (_side(RayType.D2, (), "d2", 8, 8, fibration),),
+        RayType.D3: (_side(RayType.D3, (), "d2", 9, 9, fibration),),
+        RayType.E1: tuple(
+            _side(RayType.E1, (("r", r), ("L3", L3)), "degB", 1, None,
+                  ((L3, 0), (r * L3, 0), (r * r * L3, -1), (24 // r, 1)))
+            for r in (2, 3, 4)
+            for L3 in l3_range(r)
+        ),
+    }
+    # u = L^3.  r divides 24 (E2, E3/E4) or 45 (E5); the Fano index bound
+    # r <= 4 caps the first two.  m D = r H - q (-K), so s = r/q.
+    for ray_type, indices, c2_numerator, q, w in (
+        (RayType.E2, (1, 2, 3, 4), 24, 1, 8),  # 2 D = r H - (-K)
+        (RayType.E34, (1, 2, 3, 4), 24, 1, 2),  # D = r H - (-K)
+        (RayType.E5, (1, 3, 5, 9, 15, 45), 45, 2, 4),  # D = r H - 2 (-K)
+    ):
+        table[ray_type] = tuple(
+            _side(ray_type, (("r", r),), "L3", 1, None,
+                  ((0, 1), (0, Fraction(r, q)), (0, Fraction(r, q) ** 2),
+                   (c2_numerator // r, 0)),
+                  (r, q, w))
+            for r in indices
+        )
+    return table
+
+
+_SIDES = _side_table()
+
+
+# ------------------------------------------------------------------ engine --
+
+
+def _integer_solution(rows, has1: bool, has2: bool) -> Optional[tuple[int, int]]:
+    """Integers (u1, u2) with a u1 + b u2 + c = 0 for every row (a, b, c).
+
+    None when there are none.  An unknown its side lacks has a zero column
+    and stays 0; one the rows leave free raises InconsistencyError, because
+    the engine would have to sweep it.
+    """
+    pivot = next((row for row in rows if row[0]), None) if has1 else None
+    if pivot is None:
+        rest = [row[1:] for row in rows]
+    else:
+        a, b, c = pivot
+        rest = [(a * e - d * b, a * f - d * c) for d, e, f in rows]
+    u2 = 0
+    pivot2 = next((row for row in rest if row[0]), None) if has2 else None
+    if pivot2 is not None:
+        u2, remainder = divmod(-pivot2[1], pivot2[0])
+        if remainder:
+            return None
+    for e, f in rest:
+        if e * u2 + f:
+            return None
+    if (has1 and pivot is None) or (has2 and pivot2 is None):
+        raise InconsistencyError("the facts of a pairing leave an unknown free")
+    if pivot is None:
+        return 0, u2
+    u1, remainder = divmod(-(b * u2 + c), a)
+    return None if remainder else (u1, u2)
+
+
+def _solve_sides(side1: _Side, side2: _Side, ids) -> Optional[SolutionRecord]:
+    """The record of one pair of sides, in the basis of their pullbacks.
+
+    With -K = n1 H1 + n2 H2 (n1 = mu2, n2 = mu1) and C, A, B, c the facts
+    H^3, (-K).H^2, (-K)^2.H, c2.H of each side, the (-K).H^2 facts give the
+    form entries n1^2 n2 H1^2.H2 = P1 and n2^2 n1 H1.H2^2 = P2, where
+    P = n^2 A - n^3 C, and turn the other facts into linear equations:
+
+      24-balance:   N1 + N2 = 24,  N = n c
+      (-K)^2.H_i:   P1 + P2 + Q_i = 0,  Q = n^2 A - n B
+      D_i^3:        M_i - q^3 (K1 + K2) = w,  K = n B,
+                    M = p^3 C - 3 p^2 q A + 3 p q^2 B
+
+    The solution is kept only if each unknown lies in its domain, the form
+    entries are integers, (-K)^3 = K1 + K2 is even and positive and every
+    E1 centre has genus >= 0.
+    """
+    n1, n2 = side2.mu, side1.mu
+    C1, P1, Q1, N1, K1, M1 = side1.terms[n1]
+    C2, P2, Q2, N2, K2, M2 = side2.terms[n2]
+    a, b, c = balance = (N1[1], N2[1], N1[0] + N2[0] - 24 * _QUARTER)
+    if not (a and b):  # the balance alone rules out most side pairs
+        coefficient, side = (a, side1) if a else (b, side2)
+        if not coefficient:
+            if c:
+                return None
+        else:
+            u, remainder = divmod(-c, coefficient)
+            if remainder or not side.admits(u):
+                return None
+    rows = [
+        balance,
+        (P1[1] + Q1[1], P2[1], P1[0] + Q1[0] + P2[0]),
+        (P1[1], P2[1] + Q2[1], P1[0] + P2[0] + Q2[0]),
+    ]
+    if side1.contracted:
+        q3, w = side1.contracted
+        rows.append((M1[1] - q3 * K1[1], -q3 * K2[1], M1[0] - q3 * (K1[0] + K2[0]) - w))
+    if side2.contracted:
+        q3, w = side2.contracted
+        rows.append((-q3 * K1[1], M2[1] - q3 * K2[1], M2[0] - q3 * (K1[0] + K2[0]) - w))
+    solution = _integer_solution(rows, side1.unknown is not None, side2.unknown is not None)
+    if solution is None or not (side1.admits(solution[0]) and side2.admits(solution[1])):
+        return None
+    u1, u2 = solution
+    quotients = (
+        (C1[0] + C1[1] * u1, _QUARTER),
+        (P1[0] + P1[1] * u1, _QUARTER * n1 * n1 * n2),
+        (P2[0] + P2[1] * u2, _QUARTER * n2 * n2 * n1),
+        (C2[0] + C2[1] * u2, _QUARTER),
+        (K1[0] + K1[1] * u1 + K2[0] + K2[1] * u2, _QUARTER),
+    )
+    if any(value % divisor for value, divisor in quotients):
+        return None
+    h111, h112, h122, h222, kx3 = (value // divisor for value, divisor in quotients)
+    if kx3 <= 0 or kx3 % 2:
+        return None
+    fields = []
+    for side, u in ((side1, u1), (side2, u2)):
+        spec = dict(side.spec)
+        if side.unknown is not None:
+            spec[side.unknown] = u
+        if side.ray_type is RayType.E1:
+            ky3 = antican_cube_by_index(spec["r"], spec["L3"])
+            spec["genus"] = _genus_or_none(kx3, ky3, spec["r"], spec["degB"])
+            if spec["genus"] is None:
+                return None
+        fields.append(spec)
+    if side1.ray_type is side2.ray_type is RayType.E1 and (
+        (fields[0]["r"], fields[0]["degB"]) < (fields[1]["r"], fields[1]["degB"])
+    ):
+        return None  # the mirror twin of a kept solution
+    if side1.ray_type in _C_TYPES and side2.ray_type in (RayType.E2, RayType.E5):
+        fields[1]["e"] = h122
+    rays = (RaySpec(side1.ray_type, **fields[0]), RaySpec(side2.ray_type, **fields[1]))
+    descriptions, char_note = _PRIMITIVE_TEXTS.get(
+        (side1.ray_type, side2.ray_type)
+    ) or (_descriptions(rays), None)
+    return SolutionRecord(
+        rho=2,
+        rays=rays,
+        form=TrilinearForm.rank2(h111, h112, h122, h222),
+        minus_k=anticanonical_class(side1.mu, side2.mu, 2),
+        kx3=kx3,
+        genus=fields[0].get("genus", fields[1].get("genus")),
+        table_id=_table_id(ids, 2, kx3, rays),
+        descriptions=descriptions,
+        char_note=char_note,
+    )
+
+
+def _solve(pairings, ids: Mapping[tuple, str]) -> tuple[SolutionRecord, ...]:
+    """Every record of the given type pairings, each in canonical type order."""
+    return tuple(
+        record
+        for type1, type2 in pairings
+        for side1 in _SIDES[type1]
+        for side2 in _SIDES[type2]
+        if (record := _solve_sides(side1, side2, ids)) is not None
+    )
+
+
+# ------------------------------------------------------- rank-2 selections --
+
+_C_C = ((RayType.C1, RayType.C1), (RayType.C1, RayType.C2), (RayType.C2, RayType.C2))
+_C_D = tuple((c, d) for c in _C_TYPES for d in _D_TYPES)
+_C_E = tuple((c, e) for e in _POINT_TYPES for c in _C_TYPES)
+_WITH_E1 = tuple((t, RayType.E1) for t in _C_TYPES + _D_TYPES) + tuple(
+    (RayType.E1, t) for t in (RayType.E1,) + _POINT_TYPES
+)
+_PRIMITIVE_PAIRINGS = _C_C + _C_D + _C_E
+_RANK2_PAIRINGS = _PRIMITIVE_PAIRINGS + _WITH_E1
+
+
+def _with_e1(sub: RayType, allowed: tuple[RayType, ...]):
+    """The pairing of an E1 ray with ``sub``, which must be one of ``allowed``."""
+    if sub not in allowed:
+        raise ConstraintError(
+            f"expected one of {', '.join(t.value for t in allowed)}, got {sub.value}"
+        )
+    return ((sub, RayType.E1) if sub.order < RayType.E1.order else (RayType.E1, sub),)
 
 
 def solve_E1_C(sub: RayType) -> tuple[SolutionRecord, ...]:
-    """Blowup ray opposite a conic bundle over P^2 (sub = C1 or C2).
-
-    With H1 the pullback of the target generator and H2 that of O_{P^2}(1):
-    H2^3 = 0, H1 . H2^2 = 2/mu2, and the system (A)(B)(C) of the module
-    docstring pins degB and deg Delta for each admissible target.
-    """
-    if sub not in (RayType.C1, RayType.C2):
-        raise ConstraintError(f"expected a conic-bundle type, got {sub.value}")
-    mu2 = mu_of(sub)
-    fibre_term = 2 // mu2  # H1 . H2^2, integral for mu2 in {1, 2}
-    records = []
-    for r1 in SECOND_RAY_INDEX_DOMAIN:
-        for L1 in l3_range(r1):
-            degB_exact = (r1 - mu2) ** 2 * L1 - Fraction(2, mu2)  # (C)
-            deg_delta = 8 - mu2 * mu2 * (r1 - mu2) * L1  # (B)
-            if degB_exact != int(degB_exact) or int(degB_exact) < 1:
-                continue
-            degB = int(degB_exact)
-            if not 0 <= deg_delta <= 12:
-                continue
-            if sub is RayType.C1 and deg_delta < 1:
-                continue
-            if sub is RayType.C2 and deg_delta != 0:
-                continue
-            if 18 != mu2 * (24 // r1 + degB) + deg_delta:  # (A)
-                continue
-            kx3 = mu2**3 * L1 + 3 * mu2**2 * (r1 - mu2) * L1 + 6
-            genus = _genus_or_none(kx3, antican_cube_by_index(r1, L1), r1, degB)
-            if genus is None:
-                continue
-            e1 = RaySpec(RayType.E1, r=r1, L3=L1, degB=degB, genus=genus)
-            conic = RaySpec(sub, deg_delta=deg_delta)
-            records.append(
-                _pair_record(
-                    e1,
-                    conic,
-                    (L1, (r1 - mu2) * L1, fibre_term, 0),
-                    genus=genus,
-                    descriptions=(
-                        _blowup_description(r1, L1, degB, genus, with_ci=False),
-                    ),
-                )
-            )
-    return tuple(records)
+    """Blowup ray opposite a conic bundle over P^2 (sub = C1 or C2)."""
+    return _solve(_with_e1(sub, _C_TYPES), table_ids())
 
 
 def solve_E1_D(sub: RayType) -> tuple[SolutionRecord, ...]:
-    """Blowup ray opposite a del Pezzo fibration over P^1 (sub = D1/D2/D3).
-
-    H2 is the fibre class, so H2^2 = 0 and both cross cubes close the system:
-    degB = (r1 - mu2)^2 L1 and d2 = mu2^2 (r1 - mu2) L1.
-    """
-    if sub not in (RayType.D1, RayType.D2, RayType.D3):
-        raise ConstraintError(f"expected a del Pezzo fibration type, got {sub.value}")
-    mu2 = mu_of(sub)
-    records = []
-    for r1 in SECOND_RAY_INDEX_DOMAIN:
-        for L1 in l3_range(r1):
-            degB = (r1 - mu2) ** 2 * L1  # (C)
-            d2 = mu2 * mu2 * (r1 - mu2) * L1  # (B)
-            if degB < 1:
-                continue
-            if sub is RayType.D1 and not 1 <= d2 <= 7:
-                continue
-            if sub is RayType.D2 and d2 != 8:
-                continue
-            if sub is RayType.D3 and d2 != 9:
-                continue
-            if 12 != mu2 * (24 // r1 + degB) - d2:  # (A)
-                continue
-            kx3 = mu2**3 * L1 + 3 * mu2**2 * (r1 - mu2) * L1
-            genus = _genus_or_none(kx3, antican_cube_by_index(r1, L1), r1, degB)
-            if genus is None:
-                continue
-            e1 = RaySpec(RayType.E1, r=r1, L3=L1, degB=degB, genus=genus)
-            fibration = RaySpec(sub, d2=d2)
-            records.append(
-                _pair_record(
-                    e1,
-                    fibration,
-                    (L1, (r1 - mu2) * L1, 0, 0),
-                    genus=genus,
-                    descriptions=(
-                        _blowup_description(r1, L1, degB, genus, with_ci=True),
-                    ),
-                )
-            )
-    return tuple(records)
-
-
-def _solve_E1_E1() -> tuple[SolutionRecord, ...]:
-    records = []
-    for r1 in SECOND_RAY_INDEX_DOMAIN:
-        for L1 in l3_range(r1):
-            for r2 in (r for r in SECOND_RAY_INDEX_DOMAIN if r <= r1):
-                for L2 in l3_range(r2):
-                    degB1 = (r1 - 1) ** 2 * L1 - (r2 - 1) * L2  # (C)
-                    degB2 = (r2 - 1) ** 2 * L2 - (r1 - 1) * L1  # (B)
-                    if degB1 < 1 or degB2 < 1:
-                        continue
-                    if r1 == r2 and degB1 < degB2:
-                        continue  # the symmetric twin of a kept solution
-                    if 24 != 24 // r1 + degB1 + 24 // r2 + degB2:  # (A)
-                        continue
-                    kx3 = L1 + 3 * (r1 - 1) * L1 + 3 * (r2 - 1) * L2 + L2
-                    g1 = _genus_or_none(kx3, antican_cube_by_index(r1, L1), r1, degB1)
-                    g2 = _genus_or_none(kx3, antican_cube_by_index(r2, L2), r2, degB2)
-                    if g1 is None or g2 is None:
-                        continue
-                    first = RaySpec(RayType.E1, r=r1, L3=L1, degB=degB1, genus=g1)
-                    second = RaySpec(RayType.E1, r=r2, L3=L2, degB=degB2, genus=g2)
-                    texts = [
-                        _blowup_description(r1, L1, degB1, g1, with_ci=False),
-                        _blowup_description(r2, L2, degB2, g2, with_ci=False),
-                    ]
-                    if texts[0] == texts[1]:
-                        texts = texts[:1]
-                    records.append(
-                        _pair_record(
-                            first,
-                            second,
-                            (L1, (r1 - 1) * L1, (r2 - 1) * L2, L2),
-                            genus=g1,
-                            descriptions=tuple(texts),
-                        )
-                    )
-    return tuple(records)
+    """Blowup ray opposite a del Pezzo fibration over P^1 (sub = D1/D2/D3)."""
+    return _solve(_with_e1(sub, _D_TYPES), table_ids())
 
 
 def solve_E1_E(sub: RayType) -> tuple[SolutionRecord, ...]:
-    """Blowup ray opposite a second divisorial ray (sub = E1/E2/E34/E5).
-
-    The second ray contracts a divisor with conormal cube L2; its c2 value is
-    24/r2 (E2, E3/E4) or 45/r2 (E5), and the two cross cubes tie L2 to the
-    blowup data of the first ray.
-    """
-    if sub is RayType.E1:
-        return _solve_E1_E1()
-    if sub not in (RayType.E2, RayType.E34, RayType.E5):
-        raise ConstraintError(f"expected a divisorial type, got {sub.value}")
-    mu2 = mu_of(sub)
-    c2_numerator = 45 if sub is RayType.E5 else 24
-    records = []
-    for r1 in SECOND_RAY_INDEX_DOMAIN:
-        for L1 in l3_range(r1):
-            for r2 in SECOND_RAY_INDEX_DOMAIN:
-                if c2_numerator % r2 != 0:
-                    continue
-                # (A) solved for degB1
-                numerator = 24 - c2_numerator // r2 - mu2 * (24 // r1)
-                if numerator % mu2 != 0 or numerator // mu2 < 1:
-                    continue
-                degB1 = numerator // mu2
-                # ratio = H1 . H2^2 / L2: (r2-1)/mu2 for E2 and E3/E4,
-                # r2/2 - 1 for E5 (the half-point index convention).
-                if sub is RayType.E5:
-                    ratio = Fraction(r2, 2) - 1
-                else:
-                    ratio = Fraction(r2 - 1, mu2)
-                if ratio <= 0:
-                    continue
-                L2_exact = Fraction((r1 - mu2) * L1) / ratio**2  # (B)
-                if L2_exact != int(L2_exact) or not int(L2_exact) in SECOND_RAY_CUBE_DOMAIN:
-                    continue
-                L2 = int(L2_exact)
-                cross = ratio * L2
-                if cross != int(cross):
-                    continue
-                if cross != (r1 - mu2) ** 2 * L1 - degB1:  # (C)
-                    continue
-                kx3 = (
-                    mu2**3 * L1
-                    + 3 * mu2**2 * (r1 - mu2) * L1
-                    + 3 * mu2 * int(cross)
-                    + L2
-                )
-                genus = _genus_or_none(kx3, antican_cube_by_index(r1, L1), r1, degB1)
-                if genus is None:
-                    continue
-                first = RaySpec(RayType.E1, r=r1, L3=L1, degB=degB1, genus=genus)
-                second = RaySpec(sub, r=r2, L3=L2)
-                texts = [_blowup_description(r1, L1, degB1, genus, with_ci=False)]
-                if sub is RayType.E2:
-                    texts.append("blowup of %s at a point" % _target_name(r2, L2))
-                records.append(
-                    _pair_record(
-                        first,
-                        second,
-                        (L1, (r1 - mu2) * L1, int(cross), L2),
-                        genus=genus,
-                        descriptions=tuple(texts),
-                    )
-                )
-    return tuple(records)
-
-
-# ------------------------------------------------------ primitive pairings --
+    """Blowup ray opposite a second divisorial ray (sub = E1/E2/E34/E5)."""
+    return _solve(_with_e1(sub, (RayType.E1,) + _POINT_TYPES), table_ids())
 
 
 def solve_C_C() -> tuple[SolutionRecord, ...]:
-    """Two conic-bundle rays; X maps into P^2 x P^2 with bidegree data.
-
-    deg Delta_i = 12 - (4 mu_j + 2 mu_i^2 / mu_j) from c2 pushforward, and the
-    double-cover structures are counted by the common divisors of the two
-    fibre degrees 2/mu_i.
-    """
-    records = []
-    for mu1, mu2 in ((1, 1), (1, 2), (2, 2)):
-        d1_exact = 12 - (4 * mu2 + Fraction(2 * mu1 * mu1, mu2))
-        d2_exact = 12 - (4 * mu1 + Fraction(2 * mu2 * mu2, mu1))
-        if d1_exact != int(d1_exact) or d2_exact != int(d2_exact):
-            continue
-        deg_d1, deg_d2 = int(d1_exact), int(d2_exact)
-        if not (0 <= deg_d1 <= 12 and 0 <= deg_d2 <= 12):
-            continue
-        if (mu1 == 1) != (deg_d1 >= 1) or (mu2 == 1) != (deg_d2 >= 1):
-            continue
-        if 24 != mu2 * (6 + deg_d1) + mu1 * (6 + deg_d2):
-            continue
-        bidegree = (2 // mu2, 2 // mu1)
-        if (mu1, mu2) == (2, 2):
-            texts = ["W, a divisor on P^2 x P^2 of bidegree (1,1)"]
-        else:
-            texts = ["a divisor on P^2 x P^2 of bidegree (%d,%d)" % bidegree]
-        if (mu1, mu2) == (1, 1):
-            texts.append("a split double cover of W with L^2 = omega_W^{-1}")
-        char_note = (
-            "wild conic bundle possible only in characteristic 2"
-            if (mu1, mu2) == (1, 2)
-            else None
-        )
-        type1 = RayType.C1 if mu1 == 1 else RayType.C2
-        type2 = RayType.C1 if mu2 == 1 else RayType.C2
-        records.append(
-            _pair_record(
-                RaySpec(type1, deg_delta=deg_d1),
-                RaySpec(type2, deg_delta=deg_d2),
-                (0, 2 // mu1, 2 // mu2, 0),
-                descriptions=tuple(texts),
-                char_note=char_note,
-            )
-        )
-    return tuple(records)
+    """Two conic-bundle rays; X maps into P^2 x P^2."""
+    return _solve(_C_C, table_ids())
 
 
 def solve_C_D() -> tuple[SolutionRecord, ...]:
-    """Conic-bundle ray + del Pezzo fibration ray; X maps into P^2 x P^1.
-
-    d2 = 2 mu_D^2 / mu_C and deg Delta = 12 - 4 mu_D, with the fibre-degree
-    subtyping and the c2 balance eliminating all but three (mu_C, mu_D) pairs.
-    """
-    records = []
-    for mu_c in (1, 2):
-        for mu_d in (1, 2, 3):
-            d2_exact = Fraction(2 * mu_d * mu_d, mu_c)
-            if d2_exact != int(d2_exact):
-                continue
-            d2 = int(d2_exact)
-            if not 1 <= d2 <= 9:
-                continue
-            if (mu_d == 1) != (d2 <= 7) or (mu_d == 2) != (d2 == 8):
-                continue
-            deg_delta = 12 - 4 * mu_d
-            if (mu_c == 1) != (deg_delta >= 1):
-                continue
-            if 24 != mu_d * (6 + deg_delta) + mu_c * (12 - d2):
-                continue
-            if (mu_c, mu_d) == (2, 3):
-                text = "P^2 x P^1"
-            else:
-                text = "a split double cover of P^2 x P^1 with L = O(%d,1)" % (2 // mu_d)
-            c_type = RayType.C1 if mu_c == 1 else RayType.C2
-            d_type = {1: RayType.D1, 2: RayType.D2, 3: RayType.D3}[mu_d]
-            records.append(
-                _pair_record(
-                    RaySpec(c_type, deg_delta=deg_delta),
-                    RaySpec(d_type, d2=d2),
-                    (0, 2 // mu_c, 0, 0),
-                    descriptions=(text,),
-                )
-            )
-    return tuple(records)
-
-
-# (omega_D tensor O_D(-D))^2 on the contracted divisor D, by second-ray type.
-_CONTRACTED_SQUARE = {RayType.E2: 4, RayType.E34: 2, RayType.E5: 1}
+    """Conic-bundle ray + del Pezzo fibration ray; X maps into P^2 x P^1."""
+    return _solve(_C_D, table_ids())
 
 
 def solve_C_E_primitive() -> tuple[SolutionRecord, ...]:
-    """Conic-bundle ray + divisorial ray with no E1 (the primitive cases).
-
-    The contracted divisor D maps onto P^2 with deg(f|_D) = (omega_D(-D))^2
-    divided by mu_E^2; this must equal the conic-bundle value H_C^2 . D =
-    2/mu_C, which pairs each divisorial type with exactly one conic type.
-    The E2 and E5 cases are the P(O + O(e)) bundles over P^2 (e = 2/mu_E);
-    the E3/E4 case is a relative quadric in a P^2-bundle.
-    """
-    records = []
-    for sub in (RayType.E2, RayType.E34, RayType.E5):
-        mu_e = mu_of(sub)
-        cover_degree = Fraction(_CONTRACTED_SQUARE[sub], mu_e * mu_e)
-        matches = [mu_c for mu_c in (1, 2) if cover_degree == Fraction(2, mu_c)]
-        if not matches:
-            continue
-        mu_c = matches[0]
-        c_type = RayType.C1 if mu_c == 1 else RayType.C2
-        if sub is RayType.E34:
-            # relative quadric: the cross cubes x = H1 . H2^2, y = H2^3
-            # satisfy 3x + y = 8 together with x = (r2 - 1) y
-            for r2 in SECOND_RAY_INDEX_DOMAIN:
-                y, remainder = divmod(8, 3 * (r2 - 1) + 1)
-                if remainder or y < 1:
-                    continue
-                x = (r2 - 1) * y
-                deg_delta = 8 - x
-                if deg_delta < 1:
-                    continue
-                chern_value = antican_cube_divisor_in_p2_bundle(
-                    SurfaceBundleData(
-                        c1_sq=9,
-                        c2=2,
-                        Ky_sq=9,
-                        c1_dot_F=0,
-                        c1_dot_Ky=-9,
-                        F_dot_Ky=0,
-                        F_sq=0,
-                    )
-                )
-                record = _pair_record(
-                    RaySpec(c_type, deg_delta=deg_delta),
-                    RaySpec(sub, r=r2, L3=y),
-                    (0, 2 // mu_c, x, y),
-                    descriptions=(
-                        "a split double cover of V_7 with L^2 = omega_{V_7}^{-1}",
-                    ),
-                )
-                if record.kx3 != chern_value:
-                    raise InconsistencyError(
-                        "relative-quadric cube disagrees with the bundle formula"
-                    )
-                records.append(record)
-        else:
-            e = 2 // mu_e
-            chern_value = antican_cube_p1_bundle_over_surface(
-                SurfaceBundleData(c1_sq=e * e, c2=0, Ky_sq=9)
-            )
-            # balance solved for the formal index r2 of the contracted divisor
-            c2_numerator = 45 if sub is RayType.E5 else 24
-            remainder_term = 24 - 6 * mu_e
-            if (c2_numerator * mu_c) % remainder_term != 0:
-                continue
-            r2 = c2_numerator * mu_c // remainder_term
-            record = _pair_record(
-                RaySpec(c_type, deg_delta=0),
-                RaySpec(sub, r=r2, L3=e * e, e=e),
-                (0, 2 // mu_c, e, e * e),
-                descriptions=(
-                    (
-                        "V_7, i.e. P(O + O(1)) over P^2",
-                        "blowup of P^3 at a point",
-                    )
-                    if sub is RayType.E2
-                    else (
-                        "P(O + O(2)) over P^2",
-                        "blowup at the singular point of the cone over the Veronese surface",
-                    )
-                ),
-            )
-            if record.kx3 != chern_value:
-                raise InconsistencyError(
-                    "P(O + O(e)) cube disagrees with the bundle formula"
-                )
-            records.append(record)
-    return tuple(records)
+    """Conic-bundle ray + divisorial ray with no E1 (the primitive cases)."""
+    return _solve(_C_E, table_ids())
 
 
 # ------------------------------------------------------------- rank three ---
@@ -658,9 +536,13 @@ def solve_rho3_CCC() -> tuple[SolutionRecord, ...]:
     H1 . H2 . H3 = d, -K = (2/d)(H1 + H2 + H3), and Riemann-Roch forcing
     d^2 (g - 1) = 24 for the sectional genus g.  Only d = 1, 2 survive.
     """
+    return _rho3_CCC(table_ids())
+
+
+def _rho3_CCC(ids: Mapping[tuple, str]) -> tuple[SolutionRecord, ...]:
     records = []
-    for d in range(1, 25):
-        if 24 % (d * d) != 0 or 2 % d != 0:
+    for d in (1, 2):  # the divisors of 2, as 2/d is the coefficient of each H_i
+        if 24 % (d * d) != 0:
             continue
         genus_section = 24 // (d * d) + 1
         kx3 = 2 * genus_section - 2
@@ -691,7 +573,7 @@ def solve_rho3_CCC() -> tuple[SolutionRecord, ...]:
                 form=form,
                 minus_k=minus_k,
                 kx3=kx3,
-                table_id=_table_id(3, kx3, rays),
+                table_id=_table_id(ids, 3, kx3, rays),
                 descriptions=(text,),
             )
         )
@@ -706,6 +588,10 @@ def solve_rho3_CE() -> tuple[SolutionRecord, ...]:
     (discriminant of bidegree (2,5), length 1).  Both cubes are checked
     against the corresponding Chern-class formulas.
     """
+    return _rho3_CE(table_ids())
+
+
+def _rho3_CE(ids: Mapping[tuple, str]) -> tuple[SolutionRecord, ...]:
     records = []
 
     bundle_kx3 = antican_cube_p1_bundle_over_surface(
@@ -722,7 +608,7 @@ def solve_rho3_CE() -> tuple[SolutionRecord, ...]:
             form=bundle_form,
             minus_k=DivisorClass((2, 1, 1)),
             kx3=bundle_kx3,
-            table_id=_table_id(3, bundle_kx3, bundle_rays),
+            table_id=_table_id(ids, 3, bundle_kx3, bundle_rays),
             descriptions=("P(O + O(1,1)) over P^1 x P^1",),
         )
     )
@@ -749,7 +635,7 @@ def solve_rho3_CE() -> tuple[SolutionRecord, ...]:
             form=divisor_form,
             minus_k=DivisorClass((1, 2, 1)),
             kx3=divisor_kx3,
-            table_id=_table_id(3, divisor_kx3, divisor_rays),
+            table_id=_table_id(ids, 3, divisor_kx3, divisor_rays),
             descriptions=("a divisor in P(O + O(-1,-1)^2) over P^1 x P^1",),
         )
     )
@@ -760,12 +646,9 @@ def solve_rho3_CE() -> tuple[SolutionRecord, ...]:
 
 
 def _table_order_key(record: SolutionRecord) -> tuple[int, int]:
-    table_id = record.table_id
-    if table_id and "-" in table_id:
-        suffix = int(table_id.split("-", 1)[1])
-    else:
-        suffix = 10**6  # unmatched records sort last within their cube
-    return (record.kx3, suffix)
+    suffix = record.table_id.partition("-")[2]
+    # unmatched records, and ids not of the form <rho>-<n>, sort last within their cube
+    return (record.kx3, int(suffix) if suffix.isdecimal() else 10**6)
 
 
 def enumerate_all(rho: int, primitive_only: bool = False) -> tuple[SolutionRecord, ...]:
@@ -776,21 +659,16 @@ def enumerate_all(rho: int, primitive_only: bool = False) -> tuple[SolutionRecor
     called with ``primitive_only=True``.
     """
     if rho == 2:
-        records = list(solve_C_C()) + list(solve_C_D()) + list(solve_C_E_primitive())
-        if not primitive_only:
-            for sub in (RayType.C1, RayType.C2):
-                records.extend(solve_E1_C(sub))
-            for sub in (RayType.D1, RayType.D2, RayType.D3):
-                records.extend(solve_E1_D(sub))
-            for sub in (RayType.E1, RayType.E2, RayType.E34, RayType.E5):
-                records.extend(solve_E1_E(sub))
+        pairings = _PRIMITIVE_PAIRINGS if primitive_only else _RANK2_PAIRINGS
+        records = _solve(pairings, table_ids())
     elif rho == 3:
         if not primitive_only:
             raise UnsupportedScopeError(
                 "rank-3 enumeration covers only the primitive families; "
                 "pass primitive_only=True"
             )
-        records = list(solve_rho3_CCC()) + list(solve_rho3_CE())
+        ids = table_ids()
+        records = _rho3_CCC(ids) + _rho3_CE(ids)
     else:
         raise UnsupportedScopeError(f"no enumeration for Picard rank {rho}")
     return tuple(sorted(records, key=_table_order_key))

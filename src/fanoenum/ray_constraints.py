@@ -38,11 +38,7 @@ __all__ = [
     "l3_range",
     "degB_upper_bound",
     "lattice_index_candidates",
-    "DEGB_DOMAIN",
-    "DEG_DELTA_DOMAIN",
     "D1_FIBER_DOMAIN",
-    "SECOND_RAY_INDEX_DOMAIN",
-    "SECOND_RAY_CUBE_DOMAIN",
 ]
 
 
@@ -100,15 +96,8 @@ _MU = {
 _C_TYPES = frozenset({RayType.C1, RayType.C2})
 _D_TYPES = frozenset({RayType.D1, RayType.D2, RayType.D3})
 
-# Solver search domains.  degB is the degree of a blowup centre; deg_delta the
-# degree of a conic-bundle discriminant on P^2; d2 the degree of a del Pezzo
-# fibre; the "second ray" domains bound the index and generator cube of the
-# target of a second divisorial contraction.
-DEGB_DOMAIN = range(1, 25)
-DEG_DELTA_DOMAIN = range(0, 13)
+# Degrees d2 of the del Pezzo fibres of a D1 ray (D2 and D3 have 8 and 9).
 D1_FIBER_DOMAIN = range(1, 8)
-SECOND_RAY_INDEX_DOMAIN = (2, 3, 4)
-SECOND_RAY_CUBE_DOMAIN = range(1, 25)
 
 
 def mu_of(ray_type: RayType) -> int:

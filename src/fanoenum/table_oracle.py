@@ -17,7 +17,6 @@ import os
 import re
 import types
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -28,7 +27,8 @@ __all__ = [
     "TableRow",
     "DiffReport",
     "ground_truth",
-    "truth_source",
+    "table_ids",
+    "table_key",
     "record_to_row",
     "diff",
     "emit",
@@ -110,11 +110,6 @@ def _thaw(value):
     return value
 
 
-def truth_source() -> str:
-    """Identifier of the active ground-truth source (for caching)."""
-    return os.environ.get("FANO_GROUND_TRUTH", "<packaged>")
-
-
 def _parse_row(item) -> TableRow:
     return TableRow(
         table_id=str(item["table_id"]),
@@ -155,35 +150,66 @@ def parse_rows(data: bytes) -> tuple[TableRow, ...]:
     return tuple(rows)
 
 
+def table_key(rho: int, kx3: int, rays: Iterable[tuple]) -> tuple:
+    """The key that picks out a family's row: rank, cube, per-ray degree data.
+
+    ``rays`` yields (type tag, degB, d2, deg_delta) per ray, with None where a
+    field does not apply; the key forgets the order of the rays.
+    """
+    per_ray = (
+        (tag, degB or 0, d2 or 0, -1 if deg_delta is None else deg_delta)
+        for tag, degB, d2, deg_delta in rays
+    )
+    return (rho, kx3, tuple(sorted(per_ray)))
+
+
 @functools.lru_cache(maxsize=1)
-def _parse_truth(payload: bytes) -> tuple[TableRow, ...]:
-    """parse_rows of the last payload seen, keyed on its bytes.
+def _parse_truth(payload: bytes) -> tuple[tuple[TableRow, ...], Mapping[tuple, str]]:
+    """parse_rows of the last payload seen and its row ids by table_key.
 
     Keying on content rather than on the path means a rewritten truth file is
     always seen; one entry means the cache cannot grow.
     """
-    return parse_rows(payload)
+    rows = parse_rows(payload)
+    ids = {}
+    for index, row in enumerate(rows):
+        absent = (None,) * len(row.ray_types)
+        degrees = (row.invariants.get(name, absent) for name in ("degB", "d2", "deg_delta"))
+        try:
+            key = table_key(row.rho, row.kx3, zip(row.ray_types, *degrees))
+        except TypeError as exc:
+            raise ConstraintError(f"ground truth row {index} is malformed: {exc}") from exc
+        ids[key] = row.table_id
+    return rows, types.MappingProxyType(ids)
 
 
-def _load_all_rows() -> tuple[TableRow, ...]:
+# The package is installed unpacked (setuptools package-data), so its data
+# sits beside this file; importlib.resources would add a lookup to every read
+# and an import of its resource readers on first use.
+_PACKAGED_TRUTH = Path(__file__).with_name("data") / "ground_truth.json"
+
+
+def _load_truth() -> tuple[tuple[TableRow, ...], Mapping[tuple, str]]:
     override = os.environ.get("FANO_GROUND_TRUTH")
-    if override:
-        payload = Path(override).read_bytes()
-    else:
-        payload = (
-            resources.files("fanoenum").joinpath("data/ground_truth.json").read_bytes()
-        )
-    return _parse_truth(payload)
+    return _parse_truth((Path(override) if override else _PACKAGED_TRUTH).read_bytes())
 
 
 def ground_truth(rho: int, primitive_only: bool = False) -> tuple[TableRow, ...]:
     """The embedded table rows of the given Picard rank, in file order."""
     if rho not in (2, 3):
         raise UnsupportedScopeError(f"no table for Picard rank {rho}")
-    rows = tuple(row for row in _load_all_rows() if row.rho == rho)
+    rows = tuple(row for row in _load_truth()[0] if row.rho == rho)
     if primitive_only:
         rows = tuple(row for row in rows if row.primitive)
     return rows
+
+
+def table_ids() -> Mapping[tuple, str]:
+    """Row id by :func:`table_key` over every row of the active ground truth.
+
+    The truth is read and parsed as for :func:`ground_truth`.
+    """
+    return _load_truth()[1]
 
 
 def record_to_row(record) -> TableRow:

@@ -79,6 +79,15 @@ def test_usage_errors_exit_two(argv):
     assert excinfo.value.code == 2
 
 
+def test_pair_longer_than_the_rank_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run(["enumerate", "--pair", "E1,E1,E1"])
+    assert excinfo.value.code == 2
+    assert "at most 2 ray types" in capsys.readouterr().err
+    assert run(["enumerate", "--rho", "3", "--pair", "C1,E1"]) == 0
+    assert "| 3-2 |" in capsys.readouterr().out
+
+
 def test_emit_to_file_is_deterministic(tmp_path):
     target = tmp_path / "table.csv"
     assert run(["emit", "--rho", "3", "--format", "csv", "--out", str(target)]) == 0
@@ -135,10 +144,16 @@ def _rows_without_table_id():
     return json.dumps(rows)
 
 
+def _rows_with_a_scalar_degree():
+    rows = json.loads(emit(ground_truth(2), "json"))
+    rows[3]["invariants"]["degB"] = 5
+    return json.dumps(rows)
+
+
 @pytest.mark.parametrize(
     "content",
-    [None, lambda: "not json", _rows_without_table_id],
-    ids=["missing", "not-json", "row-without-table-id"],
+    [None, lambda: "not json", _rows_without_table_id, _rows_with_a_scalar_degree],
+    ids=["missing", "not-json", "row-without-table-id", "row-with-a-scalar-degree"],
 )
 def test_bad_truth_file_is_one_error_line(tmp_path, monkeypatch, capsys, content):
     path = tmp_path / "truth.json"

@@ -17,7 +17,6 @@ from fanoenum.table_oracle import (
     ground_truth,
     parse_rows,
     record_to_row,
-    truth_source,
 )
 
 EXPECTED_CUBES = [
@@ -161,14 +160,12 @@ def test_emit_rejects_unknown_format():
 
 
 def test_truth_source_override(tmp_path, monkeypatch):
-    assert truth_source() == "<packaged>"
     rows = [json.loads(emit((row,), "json"))[0] for row in ground_truth(2)]
     rows[0]["kx3"] += 2
     rows[0]["descriptions"] = ["something else entirely"]
     path = tmp_path / "truth.json"
     path.write_text(json.dumps(rows))
     monkeypatch.setenv("FANO_GROUND_TRUTH", str(path))
-    assert truth_source() == str(path)
     doctored = ground_truth(2)
     assert len(doctored) == 36
     assert doctored[0].kx3 == 6
@@ -215,6 +212,18 @@ def test_rewritten_truth_file_is_seen(tmp_path, monkeypatch):
     assert ground_truth(2)[0].kx3 == 4
     _write_truth(path, kx3_delta=2)
     assert ground_truth(2)[0].kx3 == 6
+
+
+def test_labels_follow_a_truth_file_rewritten_in_place(tmp_path, monkeypatch):
+    path = tmp_path / "truth.json"
+    _write_truth(path)
+    monkeypatch.setenv("FANO_GROUND_TRUTH", str(path))
+    assert enumerate_all(2)[0].table_id == "2-1"
+    rows = json.loads(path.read_text())
+    rows[0]["table_id"] = "2-1x"
+    path.write_text(json.dumps(rows))
+    assert ground_truth(2)[0].table_id == "2-1x"
+    assert diff(enumerate_all(2), ground_truth(2)).is_empty
 
 
 def _reference_normalize(text):
