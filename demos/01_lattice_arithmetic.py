@@ -26,7 +26,7 @@ print("H2^3       =", triple_product(form, H2, H2, H2))
 
 # The anticanonical class is a fixed integer combination of H1 and H2
 # determined by the lengths of the two extremal rays (here 1 and 1).
-minus_k = anticanonical_class(1, 1, 2)
+minus_k = anticanonical_class(1, 1)
 print("-K         =", minus_k.coords, "in the (H1, H2) basis")
 print("(-K)^3     =", triple_product(form, minus_k, minus_k, minus_k))
 

@@ -7,8 +7,6 @@ through the ones the classification leans on.
 """
 
 from fanoenum import (
-    BlowupData,
-    SurfaceBundleData,
     antican_cube_divisor_in_p2_bundle,
     antican_cube_p1_bundle_over_surface,
     antican_sq_dot_exceptional,
@@ -24,9 +22,7 @@ from fanoenum import (
 for c1_sq, ky_sq, label in ((2, 8, "P(O+O(1,1)) over P^1xP^1"),
                             (1, 9, "P(O+O(1))   over P^2"),
                             (4, 9, "P(O+O(2))   over P^2")):
-    degree = antican_cube_p1_bundle_over_surface(
-        SurfaceBundleData(c1_sq=c1_sq, c2=0, Ky_sq=ky_sq)
-    )
+    degree = antican_cube_p1_bundle_over_surface(c1_sq=c1_sq, c2=0, Ky_sq=ky_sq)
     print("(-K)^3 = %2d   for %s" % (degree, label))
 
 # --- Divisors in a P^2-bundle ---------------------------------------------
@@ -36,13 +32,13 @@ for c1_sq, ky_sq, label in ((2, 8, "P(O+O(1,1)) over P^1xP^1"),
 print(
     "divisor in P(O+O(-1,-1)^2):",
     antican_cube_divisor_in_p2_bundle(
-        SurfaceBundleData(8, 2, 8, c1_dot_F=-10, c1_dot_Ky=8, F_dot_Ky=-10, F_sq=12)
+        8, 2, 8, c1_dot_F=-10, c1_dot_Ky=8, F_dot_Ky=-10, F_sq=12
     ),
 )
 print(
     "double cover of V_7:       ",
     antican_cube_divisor_in_p2_bundle(
-        SurfaceBundleData(9, 2, 9, c1_dot_F=0, c1_dot_Ky=-9, F_dot_Ky=0, F_sq=0)
+        9, 2, 9, c1_dot_F=0, c1_dot_Ky=-9, F_dot_Ky=0, F_sq=0
     ),
 )
 
@@ -66,5 +62,5 @@ print("genus of the degree-6 center in Q:  ", genus_from_blowup(20, 54, 3, 6))
 # line in P^3 (degree 4 against -K, genus 0) it is 6.
 print(
     "(-K)^2 . E for the blowup of a line:",
-    antican_sq_dot_exceptional(BlowupData(ky_dot_C=4, genus=0)),
+    antican_sq_dot_exceptional(ky_dot_C=4, genus=0),
 )

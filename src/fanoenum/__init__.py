@@ -8,8 +8,6 @@ are deterministic.
 """
 
 from .chern_calculus import (
-    BlowupData,
-    SurfaceBundleData,
     antican_cube_by_index,
     antican_cube_divisor_in_p2_bundle,
     antican_cube_p1_bundle_over_surface,
@@ -77,8 +75,6 @@ __all__ = [
     "triple_product",
     "anticanonical_class",
     # Chern-class formulas
-    "SurfaceBundleData",
-    "BlowupData",
     "antican_cube_p1_bundle_over_surface",
     "antican_cube_divisor_in_p2_bundle",
     "antican_cube_by_index",

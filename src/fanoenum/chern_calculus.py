@@ -1,16 +1,23 @@
 """Closed-form Chern-number evaluators for the standard fibration geometries.
 
 Each function evaluates one anticanonical-degree or curve-genus formula that
-the rank-2/3 classification consumes: P^1-bundles over a surface, divisors in
-P^2-bundles, exceptional divisors of blowups, conic-bundle discriminants, and
-the genus of a blowup centre.  Inputs are plain integers (or the two small
-data bags below); outputs are plain integers.  Parity and sign conditions are
-checked, never rounded away.
+the rank-2/3 classification consumes, from plain integers to a plain integer:
+
+* ``antican_cube_p1_bundle_over_surface(c1_sq, c2, Ky_sq)``
+* ``xi_square_on_curve(deg_E)``
+* ``antican_cube_divisor_in_p2_bundle(c1_sq, c2, Ky_sq, c1_dot_F, c1_dot_Ky,
+  F_dot_Ky, F_sq)``
+* ``blowup_exceptional_cube(deg_conormal)``
+* ``antican_sq_dot_exceptional(ky_dot_C, genus)``
+* ``conic_bundle_ksq_dot_pullback(ks_dot_d, delta_dot_d)``
+* ``genus_from_blowup(kx3, ky3, r, degB)``
+* ``antican_cube_by_index(r, L3=None)``
+
+Parity and sign conditions are checked, never rounded away.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
@@ -21,8 +28,6 @@ from .errors import (
 )
 
 __all__ = [
-    "SurfaceBundleData",
-    "BlowupData",
     "antican_cube_p1_bundle_over_surface",
     "xi_square_on_curve",
     "antican_cube_divisor_in_p2_bundle",
@@ -34,64 +39,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SurfaceBundleData:
-    """Chern numbers of a projective bundle P(E) -> Y over a surface Y.
-
-    ``c1_sq`` and ``c2`` are c_1(E)^2 and c_2(E); ``Ky_sq`` is K_Y^2.  The four
-    remaining intersection numbers (against an auxiliary line bundle F on Y and
-    against K_Y) are only needed by the divisor-in-P^2-bundle formula and may be
-    left unset otherwise.
-    """
-
-    c1_sq: int
-    c2: int
-    Ky_sq: int
-    c1_dot_F: Optional[int] = None
-    c1_dot_Ky: Optional[int] = None
-    F_dot_Ky: Optional[int] = None
-    F_sq: Optional[int] = None
-
-    def require(self, *fields: str) -> None:
-        missing = [name for name in fields if getattr(self, name) is None]
-        if missing:
-            raise IncompleteSpecError(
-                f"surface-bundle data lacks required fields {missing}"
-            )
-
-
-@dataclass(frozen=True)
-class BlowupData:
-    """Invariants of a blowup f: X -> Y along a curve C (or a point).
-
-    ``ky3`` is (-K_Y)^3, ``ky_dot_C`` is -K_Y . C, ``genus`` the genus of C,
-    and ``deg_conormal`` the degree of the conormal bundle of the centre.
-    Fields are optional; each evaluator names what it needs.
-    """
-
-    ky3: Optional[int] = None
-    ky_dot_C: Optional[int] = None
-    genus: Optional[int] = None
-    deg_conormal: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.genus is not None and self.genus < 0:
-            raise ConstraintError(f"genus must be >= 0, got {self.genus}")
-
-    def require(self, *fields: str) -> None:
-        missing = [name for name in fields if getattr(self, name) is None]
-        if missing:
-            raise IncompleteSpecError(f"blowup data lacks required fields {missing}")
-
-
-def antican_cube_p1_bundle_over_surface(data: SurfaceBundleData) -> int:
+def antican_cube_p1_bundle_over_surface(c1_sq: int, c2: int, Ky_sq: int) -> int:
     """(-K_X)^3 for X = P(E) -> Y a P^1-bundle over a smooth surface.
 
     With E a rank-2 bundle on Y this is 2 c_1(E)^2 - 8 c_2(E) + 6 K_Y^2,
     obtained by cubing -K_X = 2 xi + pi^*(c_1(E) - K_Y) with the relation
     xi^2 = xi . pi^* c_1(E) - pi^* c_2(E).
     """
-    return 2 * data.c1_sq - 8 * data.c2 + 6 * data.Ky_sq
+    return 2 * c1_sq - 8 * c2 + 6 * Ky_sq
 
 
 def xi_square_on_curve(deg_E: int) -> int:
@@ -99,7 +54,15 @@ def xi_square_on_curve(deg_E: int) -> int:
     return int(deg_E)
 
 
-def antican_cube_divisor_in_p2_bundle(data: SurfaceBundleData) -> int:
+def antican_cube_divisor_in_p2_bundle(
+    c1_sq: int,
+    c2: int,
+    Ky_sq: int,
+    c1_dot_F: int,
+    c1_dot_Ky: int,
+    F_dot_Ky: int,
+    F_sq: int,
+) -> int:
     """(-K_X)^3 for X in |O_P(2) (x) pi^* F| inside a P^2-bundle P(E) -> Y.
 
     X is a conic bundle over the surface Y; adjunction plus the Grothendieck
@@ -109,34 +72,33 @@ def antican_cube_divisor_in_p2_bundle(data: SurfaceBundleData) -> int:
 
     with c1 = c_1(E), F the twisting bundle on Y.
     """
-    data.require("c1_dot_F", "c1_dot_Ky", "F_dot_Ky", "F_sq")
     return (
-        2 * data.c1_sq
-        - 2 * data.c2
-        + 4 * data.c1_dot_F
-        + 6 * data.c1_dot_Ky
-        + 9 * data.F_dot_Ky
-        + 6 * data.Ky_sq
-        + 3 * data.F_sq
+        2 * c1_sq
+        - 2 * c2
+        + 4 * c1_dot_F
+        + 6 * c1_dot_Ky
+        + 9 * F_dot_Ky
+        + 6 * Ky_sq
+        + 3 * F_sq
     )
 
 
-def blowup_exceptional_cube(data: BlowupData) -> int:
+def blowup_exceptional_cube(deg_conormal: int) -> int:
     """D^3 for the exceptional divisor of a blowup along a smooth curve.
 
     D = P(N*) over the centre, and D^3 = deg N* (the conormal degree).
     """
-    data.require("deg_conormal")
-    return int(data.deg_conormal)
+    return int(deg_conormal)
 
 
-def antican_sq_dot_exceptional(data: BlowupData) -> int:
+def antican_sq_dot_exceptional(ky_dot_C: int, genus: int) -> int:
     """(-K_X)^2 . D for the exceptional divisor over a curve of genus g.
 
-    Pushing down gives -K_Y . C + 2 - 2g.
+    Pushing down gives -K_Y . C + 2 - 2g.  A negative genus is rejected.
     """
-    data.require("ky_dot_C", "genus")
-    return data.ky_dot_C + 2 - 2 * data.genus
+    if genus < 0:
+        raise ConstraintError(f"genus must be >= 0, got {genus}")
+    return ky_dot_C + 2 - 2 * genus
 
 
 def conic_bundle_ksq_dot_pullback(ks_dot_d: int, delta_dot_d: int) -> int:

@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .chern_calculus import (
-    SurfaceBundleData,
     antican_cube_divisor_in_p2_bundle,
     antican_cube_p1_bundle_over_surface,
     antican_sq_dot_exceptional,
-    BlowupData,
     blowup_exceptional_cube,
     conic_bundle_ksq_dot_pullback,
     genus_from_blowup,
@@ -31,46 +30,19 @@ from .table_oracle import diff, emit, ground_truth, record_to_row
 __all__ = ["build_parser", "run", "main"]
 
 
-def _chern_p1_bundle(c1_sq: int, c2: int, ky_sq: int) -> int:
-    return antican_cube_p1_bundle_over_surface(
-        SurfaceBundleData(c1_sq=c1_sq, c2=c2, Ky_sq=ky_sq)
-    )
-
-
-def _chern_divisor_p2_bundle(
-    c1_sq: int, c2: int, ky_sq: int, c1_f: int, c1_ky: int, f_ky: int, f_sq: int
-) -> int:
-    return antican_cube_divisor_in_p2_bundle(
-        SurfaceBundleData(
-            c1_sq=c1_sq,
-            c2=c2,
-            Ky_sq=ky_sq,
-            c1_dot_F=c1_f,
-            c1_dot_Ky=c1_ky,
-            F_dot_Ky=f_ky,
-            F_sq=f_sq,
-        )
-    )
-
-
-def _chern_exceptional_cube(deg_conormal: int) -> int:
-    return blowup_exceptional_cube(BlowupData(deg_conormal=deg_conormal))
-
-
-def _chern_antican_sq(ky_dot_c: int, genus: int) -> int:
-    return antican_sq_dot_exceptional(BlowupData(ky_dot_C=ky_dot_c, genus=genus))
-
-
 # name -> (callable, argument names)
 _CHERN_FORMULAS = {
-    "antican-cube-p1-bundle": (_chern_p1_bundle, ("c1_sq", "c2", "Ky_sq")),
+    "antican-cube-p1-bundle": (
+        antican_cube_p1_bundle_over_surface,
+        ("c1_sq", "c2", "Ky_sq"),
+    ),
     "xi-square": (xi_square_on_curve, ("deg_E",)),
     "antican-cube-divisor-p2-bundle": (
-        _chern_divisor_p2_bundle,
+        antican_cube_divisor_in_p2_bundle,
         ("c1_sq", "c2", "Ky_sq", "c1.F", "c1.Ky", "F.Ky", "F_sq"),
     ),
-    "exceptional-cube": (_chern_exceptional_cube, ("deg_conormal",)),
-    "antican-sq-dot-exceptional": (_chern_antican_sq, ("Ky.C", "genus")),
+    "exceptional-cube": (blowup_exceptional_cube, ("deg_conormal",)),
+    "antican-sq-dot-exceptional": (antican_sq_dot_exceptional, ("Ky.C", "genus")),
     "conic-ksq-pullback": (conic_bundle_ksq_dot_pullback, ("Ks.D", "Delta.D")),
     "genus-from-blowup": (genus_from_blowup, ("kx3", "ky3", "r", "degB")),
 }
@@ -103,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=_EMIT_CHOICES,
         default="markdown",
     )
-    p_enum.set_defaults(handler=_run_enumerate)
+    p_enum.set_defaults(handler=partial(_run_enumerate, p_enum))
 
     p_verify = sub.add_parser(
         "verify", help="diff computed families against the embedded table"
@@ -114,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chern = sub.add_parser("chern", help="evaluate one Chern-class formula")
     p_chern.add_argument("formula", choices=sorted(_CHERN_FORMULAS))
     p_chern.add_argument("values", type=int, nargs="+")
-    p_chern.set_defaults(handler=_run_chern)
+    p_chern.set_defaults(handler=partial(_run_chern, p_chern))
 
     p_emit = sub.add_parser("emit", help="export a table to a file or stdout")
     p_emit.add_argument("--rho", type=int, choices=(2, 3), default=2)
@@ -166,7 +138,7 @@ def _run_enumerate(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     return 0
 
 
-def _run_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _run_verify(args: argparse.Namespace) -> int:
     status = 0
     rhos = (args.rho,) if args.rho else (2, 3)
     for rho in rhos:
@@ -191,7 +163,7 @@ def _run_chern(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     return 0
 
 
-def _run_emit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _run_emit(args: argparse.Namespace) -> int:
     primitive_only = args.rho == 3
     if args.source == "computed":
         rows = _computed_rows(args.rho, primitive_only)
@@ -206,7 +178,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(parser, args)
+        return args.handler(args)
     except (FanoEngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

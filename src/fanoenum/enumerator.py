@@ -26,7 +26,6 @@ from math import isqrt
 from typing import Mapping, Optional
 
 from .chern_calculus import (
-    SurfaceBundleData,
     antican_cube_by_index,
     antican_cube_divisor_in_p2_bundle,
     antican_cube_p1_bundle_over_surface,
@@ -455,7 +454,7 @@ def _solve_sides(side1: _Side, side2: _Side, ids) -> Optional[SolutionRecord]:
         rho=2,
         rays=rays,
         form=TrilinearForm.rank2(h111, h112, h122, h222),
-        minus_k=anticanonical_class(side1.mu, side2.mu, 2),
+        minus_k=anticanonical_class(side1.mu, side2.mu),
         kx3=kx3,
         genus=fields[0].get("genus", fields[1].get("genus")),
         table_id=_table_id(ids, 2, kx3, rays),
@@ -549,7 +548,7 @@ def _rho3_CCC(ids: Mapping[tuple, str]) -> tuple[SolutionRecord, ...]:
         if kx3 * d * d != 48:
             raise InconsistencyError("rank-3 triple-cover identity broken")
         form = TrilinearForm.from_nonzero(3, {(1, 2, 3): d})
-        minus_k = anticanonical_class(d, d, 3)
+        minus_k = DivisorClass((2 // d,) * 3)
         # discriminant bidegree on each P^1 x P^1 factor, pinned by
         # K^2 . H_i = -4 K_S . D - Delta . D on a ruling D
         delta_dot = 4 if d == 2 else 0
@@ -594,9 +593,7 @@ def solve_rho3_CE() -> tuple[SolutionRecord, ...]:
 def _rho3_CE(ids: Mapping[tuple, str]) -> tuple[SolutionRecord, ...]:
     records = []
 
-    bundle_kx3 = antican_cube_p1_bundle_over_surface(
-        SurfaceBundleData(c1_sq=2, c2=0, Ky_sq=8)
-    )
+    bundle_kx3 = antican_cube_p1_bundle_over_surface(c1_sq=2, c2=0, Ky_sq=8)
     bundle_form = TrilinearForm.from_nonzero(
         3, {(1, 1, 1): 2, (1, 1, 2): 1, (1, 1, 3): 1, (1, 2, 3): 1}
     )
@@ -614,15 +611,13 @@ def _rho3_CE(ids: Mapping[tuple, str]) -> tuple[SolutionRecord, ...]:
     )
 
     divisor_kx3 = antican_cube_divisor_in_p2_bundle(
-        SurfaceBundleData(
-            c1_sq=8,
-            c2=2,
-            Ky_sq=8,
-            c1_dot_F=-10,
-            c1_dot_Ky=8,
-            F_dot_Ky=-10,
-            F_sq=12,
-        )
+        c1_sq=8,
+        c2=2,
+        Ky_sq=8,
+        c1_dot_F=-10,
+        c1_dot_Ky=8,
+        F_dot_Ky=-10,
+        F_sq=12,
     )
     divisor_form = TrilinearForm.from_nonzero(
         3, {(1, 1, 1): 2, (1, 1, 2): -1, (1, 1, 3): -2, (1, 2, 3): 2}

@@ -182,28 +182,14 @@ def triple_product(
     return total
 
 
-def anticanonical_class(mu1: int, mu2: int, rho: int) -> DivisorClass:
-    """The anticanonical class in the basis dual to a pair of extremal rays.
+def anticanonical_class(mu1: int, mu2: int) -> DivisorClass:
+    """The rank-2 anticanonical class in the basis dual to the two extremal rays.
 
-    Rank 2: with H_i the pullback of the ample generator along the contraction
-    of the ray R_i of length mu_i, the lattice-index argument pins
+    With H_i the pullback of the ample generator along the contraction of the
+    ray R_i of length mu_i, the lattice-index argument pins
     -K = mu2*H_1 + mu1*H_2, so the coordinates are (mu2, mu1).
-
-    Rank 3 (triple conic bundle case): the three coordinates all equal 2/d
-    where d is the degree of the induced triple cover, passed in the ``mu1``
-    slot (``mu2`` is ignored).  Non-integral 2/d is a pruning event.
     """
-    if rho == 2:
-        for mu in (mu1, mu2):
-            if mu not in (1, 2, 3):
-                raise ConstraintError(f"ray length must be 1, 2 or 3, got {mu}")
-        return DivisorClass((mu2, mu1))
-    if rho == 3:
-        d = mu1
-        if d <= 0 or 2 % d != 0:
-            raise ConstraintError(
-                f"2/d must be a positive integer for the rank-3 class, got d={d}"
-            )
-        c = 2 // d
-        return DivisorClass((c, c, c))
-    raise DimensionMismatchError(f"rank must be 2 or 3, got {rho}")
+    for mu in (mu1, mu2):
+        if mu not in (1, 2, 3):
+            raise ConstraintError(f"ray length must be 1, 2 or 3, got {mu}")
+    return DivisorClass((mu2, mu1))

@@ -122,7 +122,6 @@ class RaySpec:
     """
 
     ray_type: RayType
-    mu: Optional[int] = None
     r: Optional[int] = None
     L3: Optional[int] = None
     degB: Optional[int] = None
@@ -132,14 +131,12 @@ class RaySpec:
     genus: Optional[int] = None
     delta_bidegree: Optional[tuple[int, int]] = None
 
+    @property
+    def mu(self) -> int:
+        """The length of the ray, fixed by its type."""
+        return _MU[self.ray_type]
+
     def __post_init__(self) -> None:
-        expected_mu = mu_of(self.ray_type)
-        if self.mu is None:
-            object.__setattr__(self, "mu", expected_mu)
-        elif self.mu != expected_mu:
-            raise ConstraintError(
-                f"rays of type {self.ray_type.value} have length {expected_mu}, got {self.mu}"
-            )
         if self.ray_type is RayType.E1 and self.r is not None and not (2 <= self.r <= 4):
             raise ConstraintError(
                 f"an E1 contraction targets a Fano threefold of index 2..4, got r={self.r}"
@@ -267,13 +264,15 @@ def _e1_value_set(mu_other: int, a: int) -> frozenset[int]:
 def _value_set(ray_type: RayType, mu_other: int, a: int) -> frozenset[int]:
     """All values c2 . H can take for a ray of the given type.
 
-    C1 is pinned to [7, 17]; every other type stays within [1, 24] except E5,
-    which may also reach 45.  Divisibility refines the E-types to 24/r resp.
-    45/r, and the E1 set shrinks with the candidate index a through the degree
-    bound on the blowup centre.
+    C1 gives 6 + deg Delta with 1 <= deg Delta <= 11: the discriminant is
+    nonempty, and (-K)^2 . H = 12 - deg Delta is at least 1 because -K is
+    ample and H is nef and nonzero.  The other fibration types give their
+    fixed values, the E-types 24/r resp. 45/r for the divisors r, and the E1
+    set shrinks with the candidate index a through the degree bound on the
+    blowup centre.
     """
     if ray_type is RayType.C1:
-        return frozenset(range(7, 18))
+        return frozenset(6 + deg_delta for deg_delta in range(1, 12))
     if ray_type is RayType.C2:
         return frozenset({6})
     if ray_type is RayType.D1:

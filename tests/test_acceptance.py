@@ -17,7 +17,6 @@ import time
 import test_solver_oracles as oracles
 
 from fanoenum.chern_calculus import (
-    SurfaceBundleData,
     antican_cube_divisor_in_p2_bundle,
     antican_cube_p1_bundle_over_surface,
     conic_bundle_ksq_dot_pullback,
@@ -87,17 +86,15 @@ def test_criterion_2_primitive_rank3_reproduction(capsys):
 
 def test_criterion_3_chern_formula_evaluations(capsys):
     checks = [
-        antican_cube_p1_bundle_over_surface(SurfaceBundleData(2, 0, 8)) == 52,
-        antican_cube_p1_bundle_over_surface(SurfaceBundleData(1, 0, 9)) == 56,
-        antican_cube_p1_bundle_over_surface(SurfaceBundleData(4, 0, 9)) == 62,
+        antican_cube_p1_bundle_over_surface(2, 0, 8) == 52,
+        antican_cube_p1_bundle_over_surface(1, 0, 9) == 56,
+        antican_cube_p1_bundle_over_surface(4, 0, 9) == 62,
         antican_cube_divisor_in_p2_bundle(
-            SurfaceBundleData(
-                8, 2, 8, c1_dot_F=-10, c1_dot_Ky=8, F_dot_Ky=-10, F_sq=12
-            )
+            8, 2, 8, c1_dot_F=-10, c1_dot_Ky=8, F_dot_Ky=-10, F_sq=12
         )
         == 14,
         antican_cube_divisor_in_p2_bundle(
-            SurfaceBundleData(9, 2, 9, c1_dot_F=0, c1_dot_Ky=-9, F_dot_Ky=0, F_sq=0)
+            9, 2, 9, c1_dot_F=0, c1_dot_Ky=-9, F_dot_Ky=0, F_sq=0
         )
         == 14,
         all(

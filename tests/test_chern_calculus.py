@@ -3,8 +3,6 @@
 import pytest
 
 from fanoenum.chern_calculus import (
-    BlowupData,
-    SurfaceBundleData,
     antican_cube_by_index,
     antican_cube_divisor_in_p2_bundle,
     antican_cube_p1_bundle_over_surface,
@@ -23,9 +21,9 @@ from fanoenum.errors import (
 
 
 def test_p1_bundle_cubes():
-    assert antican_cube_p1_bundle_over_surface(SurfaceBundleData(2, 0, 8)) == 52
-    assert antican_cube_p1_bundle_over_surface(SurfaceBundleData(1, 0, 9)) == 56
-    assert antican_cube_p1_bundle_over_surface(SurfaceBundleData(4, 0, 9)) == 62
+    assert antican_cube_p1_bundle_over_surface(2, 0, 8) == 52
+    assert antican_cube_p1_bundle_over_surface(1, 0, 9) == 56
+    assert antican_cube_p1_bundle_over_surface(4, 0, 9) == 62
 
 
 def test_xi_square_is_the_degree():
@@ -35,40 +33,29 @@ def test_xi_square_is_the_degree():
 
 
 def test_divisor_in_p2_bundle_cubes():
-    over_quadric = SurfaceBundleData(
+    over_quadric = antican_cube_divisor_in_p2_bundle(
         c1_sq=8, c2=2, Ky_sq=8, c1_dot_F=-10, c1_dot_Ky=8, F_dot_Ky=-10, F_sq=12
     )
-    assert antican_cube_divisor_in_p2_bundle(over_quadric) == 14
-    over_plane = SurfaceBundleData(
+    assert over_quadric == 14
+    over_plane = antican_cube_divisor_in_p2_bundle(
         c1_sq=9, c2=2, Ky_sq=9, c1_dot_F=0, c1_dot_Ky=-9, F_dot_Ky=0, F_sq=0
     )
-    assert antican_cube_divisor_in_p2_bundle(over_plane) == 14
-    zeros = SurfaceBundleData(0, 0, 0, 0, 0, 0, 0)
-    assert antican_cube_divisor_in_p2_bundle(zeros) == 0
-
-
-def test_divisor_formula_requires_all_fields():
-    with pytest.raises(IncompleteSpecError):
-        antican_cube_divisor_in_p2_bundle(SurfaceBundleData(8, 2, 8))
+    assert over_plane == 14
+    assert antican_cube_divisor_in_p2_bundle(0, 0, 0, 0, 0, 0, 0) == 0
 
 
 def test_exceptional_cube_is_the_conormal_degree():
-    assert blowup_exceptional_cube(BlowupData(deg_conormal=2)) == 2
-    assert blowup_exceptional_cube(BlowupData(deg_conormal=0)) == 0
-    assert blowup_exceptional_cube(BlowupData(deg_conormal=-4)) == -4
-    with pytest.raises(IncompleteSpecError):
-        blowup_exceptional_cube(BlowupData(ky_dot_C=1))
+    assert blowup_exceptional_cube(2) == 2
+    assert blowup_exceptional_cube(0) == 0
+    assert blowup_exceptional_cube(-4) == -4
 
 
 def test_antican_sq_dot_exceptional():
-    assert antican_sq_dot_exceptional(BlowupData(ky_dot_C=36, genus=10)) == 18
-    assert antican_sq_dot_exceptional(BlowupData(ky_dot_C=0, genus=1)) == 0
-    assert antican_sq_dot_exceptional(BlowupData(ky_dot_C=2, genus=0)) == 4
-
-
-def test_negative_genus_rejected_at_construction():
-    with pytest.raises(ConstraintError):
-        BlowupData(genus=-1)
+    assert antican_sq_dot_exceptional(36, 10) == 18
+    assert antican_sq_dot_exceptional(0, 1) == 0
+    assert antican_sq_dot_exceptional(2, 0) == 4
+    with pytest.raises(ConstraintError, match="genus must be >= 0, got -1"):
+        antican_sq_dot_exceptional(3, -1)
 
 
 def test_conic_bundle_ksq():

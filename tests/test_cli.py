@@ -43,6 +43,8 @@ def test_chern_engine_errors_exit_one(capsys):
     # odd cube violates the Riemann-Roch parity precondition
     assert run(["chern", "genus-from-blowup", "15", "64", "4", "7"]) == 1
     assert "error:" in capsys.readouterr().err
+    assert run(["chern", "antican-sq-dot-exceptional", "3", "-1"]) == 1
+    assert capsys.readouterr().err == "error: genus must be >= 0, got -1\n"
 
 
 def test_enumerate_pair_filter(capsys):
@@ -83,9 +85,20 @@ def test_pair_longer_than_the_rank_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run(["enumerate", "--pair", "E1,E1,E1"])
     assert excinfo.value.code == 2
-    assert "at most 2 ray types" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fanoenum enumerate")
+    assert "at most 2 ray types" in err
     assert run(["enumerate", "--rho", "3", "--pair", "C1,E1"]) == 0
     assert "| 3-2 |" in capsys.readouterr().out
+
+
+def test_chern_arity_is_a_usage_error_of_the_chern_subcommand(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run(["chern", "xi-square", "1", "2"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fanoenum chern")
+    assert err.endswith("error: xi-square takes 1 integers: deg_E\n")
 
 
 def test_emit_to_file_is_deterministic(tmp_path):

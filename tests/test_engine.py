@@ -12,7 +12,6 @@ import pytest
 
 from fanoenum import enumerator
 from fanoenum.chern_calculus import (
-    SurfaceBundleData,
     antican_cube_divisor_in_p2_bundle,
     antican_cube_p1_bundle_over_surface,
 )
@@ -52,14 +51,14 @@ def test_engine_finds_the_36_families_and_nothing_off_the_24_pairings():
 
 def test_bundle_formulas_agree_with_the_primitive_records():
     by_id = {rec.table_id: rec for rec in solve_C_E_primitive()}
-    relative_quadric = SurfaceBundleData(
+    relative_quadric = antican_cube_divisor_in_p2_bundle(
         c1_sq=9, c2=2, Ky_sq=9, c1_dot_F=0, c1_dot_Ky=-9, F_dot_Ky=0, F_sq=0
     )
-    assert by_id["2-8"].kx3 == antican_cube_divisor_in_p2_bundle(relative_quadric)
+    assert by_id["2-8"].kx3 == relative_quadric
     for table_id in ("2-35", "2-36"):
         e = by_id[table_id].rays[1].e
-        bundle = SurfaceBundleData(c1_sq=e * e, c2=0, Ky_sq=9)
-        assert by_id[table_id].kx3 == antican_cube_p1_bundle_over_surface(bundle)
+        bundle = antican_cube_p1_bundle_over_surface(c1_sq=e * e, c2=0, Ky_sq=9)
+        assert by_id[table_id].kx3 == bundle
 
 
 def test_integer_solution_is_exact():

@@ -191,7 +191,7 @@ def test_rays_are_canonically_ordered():
 def test_anticanonical_class_convention():
     for rec in enumerate_all(2):
         mu1, mu2 = rec.rays[0].mu, rec.rays[1].mu
-        assert rec.minus_k == anticanonical_class(mu1, mu2, 2)
+        assert rec.minus_k == anticanonical_class(mu1, mu2)
         assert rec.minus_k.coords == (mu2, mu1)
 
 

@@ -82,21 +82,9 @@ def test_transposed_swaps_the_basis():
 
 
 def test_anticanonical_rank2():
-    assert anticanonical_class(1, 2, 2).coords == (2, 1)
-    assert anticanonical_class(2, 2, 2).coords == (2, 2)
-    assert anticanonical_class(1, 1, 2).coords == (1, 1)
-
-
-def test_anticanonical_rank3_from_cover_degree():
-    assert anticanonical_class(1, 1, 3).coords == (2, 2, 2)
-    assert anticanonical_class(2, 0, 3).coords == (1, 1, 1)
-    with pytest.raises(ConstraintError):
-        anticanonical_class(3, 0, 3)  # 2/3 is not an integer
-
-
-def test_anticanonical_bad_rank():
-    with pytest.raises(DimensionMismatchError):
-        anticanonical_class(1, 1, 4)
+    assert anticanonical_class(1, 2).coords == (2, 1)
+    assert anticanonical_class(2, 2).coords == (2, 2)
+    assert anticanonical_class(1, 1).coords == (1, 1)
 
 
 entries2 = st.fixed_dictionaries(

@@ -46,8 +46,6 @@ def test_ray_type_parsing():
 
 def test_rayspec_validations():
     with pytest.raises(ConstraintError):
-        RaySpec(RayType.C1, mu=2)
-    with pytest.raises(ConstraintError):
         RaySpec(RayType.E1, r=5)
     with pytest.raises(ConstraintError):
         RaySpec(RayType.C1, deg_delta=0)
