@@ -54,6 +54,9 @@ def test_antican_sq_dot_exceptional():
     assert antican_sq_dot_exceptional(36, 10) == 18
     assert antican_sq_dot_exceptional(0, 1) == 0
     assert antican_sq_dot_exceptional(2, 0) == 4
+
+
+def test_negative_genus_rejected_at_construction():
     with pytest.raises(ConstraintError, match="genus must be >= 0, got -1"):
         antican_sq_dot_exceptional(3, -1)
 
