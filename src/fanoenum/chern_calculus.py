@@ -117,9 +117,11 @@ def genus_from_blowup(kx3: int, ky3: int, r: int, degB: int) -> int:
         g(B) = (-K_X)^3/2 - (-K_Y)^3/2 + r deg B + 1,
 
     which is the blowup formula (-K_X)^3 = (-K_Y)^3 - 2(-K_Y).B + 2g - 2
-    solved for g.  Both cubes must be even; a negative result violates g >= 0
-    and is rejected.
+    solved for g.  The index must be 2, 3 or 4, both cubes must be even, and
+    a negative result violates g >= 0 and is rejected.
     """
+    if r not in (2, 3, 4):
+        raise UnsupportedIndexError(f"no smooth Fano threefold has index {r} >= 2")
     if kx3 % 2 != 0:
         raise ParityError(f"(-K_X)^3 must be even, got {kx3}")
     if ky3 % 2 != 0:

@@ -27,7 +27,7 @@ from .errors import FanoEngineError
 from .ray_constraints import RayType
 from .table_oracle import diff, emit, ground_truth, record_to_row
 
-__all__ = ["build_parser", "run", "main"]
+__all__ = ["run", "main"]
 
 
 # name -> (callable, argument names)

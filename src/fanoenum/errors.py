@@ -10,6 +10,17 @@ genuine misuse (:class:`DimensionMismatchError`, :class:`IncompleteSpecError`,
 breakage (:class:`InconsistencyError`).
 """
 
+__all__ = [
+    "FanoEngineError",
+    "DimensionMismatchError",
+    "ConstraintError",
+    "ParityError",
+    "IncompleteSpecError",
+    "UnsupportedIndexError",
+    "InconsistencyError",
+    "UnsupportedScopeError",
+]
+
 
 class FanoEngineError(ValueError):
     """Base class for every error raised by this package."""

@@ -38,7 +38,6 @@ __all__ = [
     "l3_range",
     "degB_upper_bound",
     "lattice_index_candidates",
-    "D1_FIBER_DOMAIN",
 ]
 
 

@@ -27,8 +27,6 @@ __all__ = [
     "TableRow",
     "DiffReport",
     "ground_truth",
-    "table_ids",
-    "table_key",
     "record_to_row",
     "diff",
     "emit",

@@ -87,6 +87,14 @@ def test_genus_from_blowup_rejects_negative():
         genus_from_blowup(2, 64, 4, 1)
 
 
+@pytest.mark.parametrize("r", [7, 0])
+def test_genus_from_blowup_rejects_an_index_outside_two_to_four(r):
+    with pytest.raises(
+        UnsupportedIndexError, match=f"no smooth Fano threefold has index {r} >= 2"
+    ):
+        genus_from_blowup(64, 64, r, 1)
+
+
 def test_index2_centres_all_have_genus_one():
     # blowing up a degree-L3 elliptic curve on a degree-L3 del Pezzo threefold
     for L3 in range(1, 6):

@@ -45,6 +45,8 @@ def test_chern_engine_errors_exit_one(capsys):
     assert "error:" in capsys.readouterr().err
     assert run(["chern", "antican-sq-dot-exceptional", "3", "-1"]) == 1
     assert capsys.readouterr().err == "error: genus must be >= 0, got -1\n"
+    assert run(["chern", "genus-from-blowup", "64", "64", "7", "1"]) == 1
+    assert capsys.readouterr().err == "error: no smooth Fano threefold has index 7 >= 2\n"
 
 
 def test_enumerate_pair_filter(capsys):
@@ -163,10 +165,30 @@ def _rows_with_a_scalar_degree():
     return json.dumps(rows)
 
 
+def _rows_with_a_list_of_invariants():
+    rows = json.loads(emit(ground_truth(2), "json"))
+    rows[2]["invariants"] = []
+    return json.dumps(rows)
+
+
 @pytest.mark.parametrize(
     "content",
-    [None, lambda: "not json", _rows_without_table_id, _rows_with_a_scalar_degree],
-    ids=["missing", "not-json", "row-without-table-id", "row-with-a-scalar-degree"],
+    [
+        None,
+        lambda: "not json",
+        _rows_without_table_id,
+        _rows_with_a_scalar_degree,
+        lambda: json.dumps({"rows": []}),
+        _rows_with_a_list_of_invariants,
+    ],
+    ids=[
+        "missing",
+        "not-json",
+        "row-without-table-id",
+        "row-with-a-scalar-degree",
+        "top-level-object",
+        "row-with-a-list-of-invariants",
+    ],
 )
 def test_bad_truth_file_is_one_error_line(tmp_path, monkeypatch, capsys, content):
     path = tmp_path / "truth.json"

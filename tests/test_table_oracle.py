@@ -118,6 +118,31 @@ def test_diff_reports_an_invariant_drift():
     assert report.mismatched == (("2-9", "invariants.genus[1]", 5, 6),)
 
 
+def test_diff_reports_type_primitivity_and_description_drift():
+    rows = computed_rows()
+    assert rows[8].table_id == "2-9"
+    rows[8] = dataclasses.replace(
+        rows[8], ray_types=("C2", "E1"), primitive=True, descriptions=("P^1 x P^2",)
+    )
+    report = diff(rows, ground_truth(2))
+    assert report.mismatched == (
+        ("2-9", "ray_types", ("C1", "E1"), ("C2", "E1")),
+        ("2-9", "primitive", False, True),
+        (
+            "2-9",
+            "descriptions",
+            ("blowup of P^3 along a curve of genus 5 and degree 7",),
+            ("P^1 x P^2",),
+        ),
+    )
+    assert report.render().splitlines() == [
+        "mismatch at 2-9.ray_types: table has ('C1', 'E1'), computed ('C2', 'E1')",
+        "mismatch at 2-9.primitive: table has False, computed True",
+        "mismatch at 2-9.descriptions: table has "
+        "('blowup of P^3 along a curve of genus 5 and degree 7',), computed ('P^1 x P^2',)",
+    ]
+
+
 def test_diff_normalizes_descriptions():
     rows = computed_rows(3, primitive_only=True)
     shouted = tuple(d.upper() + "." for d in rows[0].descriptions)
