@@ -3,8 +3,8 @@
 The package encodes the intersection-theoretic constraints attached to pairs
 of extremal rays on a smooth Fano threefold, solves the resulting integer
 systems exhaustively, and diffs the outcome against the embedded
-classification table.  Everything is integer or Fraction arithmetic; results
-are deterministic.
+classification table.  Everything is exact integer arithmetic (the rational
+bound ``degB_upper_bound`` returns a Fraction); results are deterministic.
 """
 
 from .chern_calculus import *

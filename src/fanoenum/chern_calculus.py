@@ -26,6 +26,7 @@ from .errors import (
     ParityError,
     UnsupportedIndexError,
 )
+from .ray_constraints import l3_range
 
 __all__ = [
     "antican_cube_p1_bundle_over_surface",
@@ -94,10 +95,13 @@ def blowup_exceptional_cube(deg_conormal: int) -> int:
 def antican_sq_dot_exceptional(ky_dot_C: int, genus: int) -> int:
     """(-K_X)^2 . D for the exceptional divisor over a curve of genus g.
 
-    Pushing down gives -K_Y . C + 2 - 2g.  A negative genus is rejected.
+    Pushing down gives -K_Y . C + 2 - 2g.  A negative genus is rejected, and
+    so is -K_Y . C <= 0: -K_Y is ample on the Fano target Y.
     """
     if genus < 0:
         raise ConstraintError(f"genus must be >= 0, got {genus}")
+    if ky_dot_C < 1:
+        raise ConstraintError(f"-K_Y . C must be >= 1 on a Fano target, got {ky_dot_C}")
     return ky_dot_C + 2 - 2 * genus
 
 
@@ -117,11 +121,14 @@ def genus_from_blowup(kx3: int, ky3: int, r: int, degB: int) -> int:
         g(B) = (-K_X)^3/2 - (-K_Y)^3/2 + r deg B + 1,
 
     which is the blowup formula (-K_X)^3 = (-K_Y)^3 - 2(-K_Y).B + 2g - 2
-    solved for g.  The index must be 2, 3 or 4, both cubes must be even, and
-    a negative result violates g >= 0 and is rejected.
+    solved for g.  The index must be 2, 3 or 4, the centre is a curve
+    (deg B >= 1), both cubes must be even, and a negative result violates
+    g >= 0 and is rejected.
     """
     if r not in (2, 3, 4):
         raise UnsupportedIndexError(f"no smooth Fano threefold has index {r} >= 2")
+    if degB < 1:
+        raise ConstraintError(f"a blowup centre is a curve, so degB >= 1, got {degB}")
     if kx3 % 2 != 0:
         raise ParityError(f"(-K_X)^3 must be even, got {kx3}")
     if ky3 % 2 != 0:
@@ -138,7 +145,8 @@ def antican_cube_by_index(r: int, L3: Optional[int] = None) -> int:
     """(-K_Y)^3 for a smooth Fano threefold Y of index r >= 2.
 
     Index 4 forces Y = P^3 (cube 64), index 3 forces the quadric (cube 54);
-    index 2 needs the degree L3 = L^3 of the ample generator, giving 8*L3.
+    index 2 needs the degree L3 = L^3 of the ample generator, one of
+    :func:`fanoenum.ray_constraints.l3_range`, giving 8*L3.
     """
     if r == 4:
         return 64
@@ -147,5 +155,10 @@ def antican_cube_by_index(r: int, L3: Optional[int] = None) -> int:
     if r == 2:
         if L3 is None:
             raise IncompleteSpecError("index-2 targets need L3 = L^3")
+        allowed = l3_range(2)
+        if L3 not in allowed:
+            raise ConstraintError(
+                f"an index-2 target has L3 in {allowed[0]}..{allowed[-1]}, got {L3}"
+            )
         return 8 * L3
     raise UnsupportedIndexError(f"no smooth Fano threefold has index {r} >= 2")

@@ -20,10 +20,8 @@ matches.  The ``solve_*`` entry points select pairings for the engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .chern_calculus import (
     antican_cube_by_index,
@@ -41,7 +39,9 @@ from .errors import (
 from .picard_lattice import (
     DivisorClass,
     TrilinearForm,
+    ValueObject,
     anticanonical_class,
+    set_field,
     triple_product,
 )
 from .ray_constraints import D1_FIBER_DOMAIN, RaySpec, RayType, l3_range, mu_of
@@ -61,19 +61,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SolutionRecord:
-    """One solved family: rays, intersection form, anticanonical data.
-
-    ``rays`` are in canonical order (C types before D types before E types);
-    ``form`` and ``minus_k`` are written in the matching basis of pullbacks,
-    so ``kx3`` always equals the triple product of ``minus_k`` with itself.
-    ``genus`` is the genus of the blowup centre of the first E1 ray, when
-    there is one.  ``descriptions`` lists the known constructions of the
-    family; ``char_note`` records a positive-characteristic caveat and is
-    never part of table comparisons.
-    """
-
+class _RecordFields(NamedTuple):
     rho: int
     rays: tuple[RaySpec, ...]
     form: TrilinearForm
@@ -84,20 +72,55 @@ class SolutionRecord:
     descriptions: tuple[str, ...] = ()
     char_note: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if self.kx3 % 2 != 0:
-            raise ParityError(f"(-K)^3 must be even, got {self.kx3}")
-        if not 0 < self.kx3 <= 72:
-            raise ConstraintError(f"(-K)^3 must lie in (0, 72], got {self.kx3}")
-        if triple_product(self.form, self.minus_k, self.minus_k, self.minus_k) != self.kx3:
+
+class SolutionRecord(_RecordFields):
+    """One solved family: rays, intersection form, anticanonical data.
+
+    ``rays`` are in canonical order (C types before D types before E types);
+    ``form`` and ``minus_k`` are written in the matching basis of pullbacks,
+    so ``kx3`` always equals the triple product of ``minus_k`` with itself.
+    ``genus`` is the genus of the blowup centre of the first E1 ray, when
+    there is one.  ``descriptions`` lists the known constructions of the
+    family; ``char_note`` records a positive-characteristic caveat and is
+    never part of table comparisons.  The fields are checked on
+    construction, and ``_replace`` constructs.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        rho: int,
+        rays: tuple[RaySpec, ...],
+        form: TrilinearForm,
+        minus_k: DivisorClass,
+        kx3: int,
+        genus: Optional[int] = None,
+        table_id: str = "",
+        descriptions: tuple[str, ...] = (),
+        char_note: Optional[str] = None,
+    ) -> "SolutionRecord":
+        if kx3 % 2 != 0:
+            raise ParityError(f"(-K)^3 must be even, got {kx3}")
+        if not 0 < kx3 <= 72:
+            raise ConstraintError(f"(-K)^3 must lie in (0, 72], got {kx3}")
+        if triple_product(form, minus_k, minus_k, minus_k) != kx3:
             raise InconsistencyError(
-                f"stored (-K)^3 = {self.kx3} disagrees with the intersection form"
+                f"stored (-K)^3 = {kx3} disagrees with the intersection form"
             )
-        if self.genus is not None and self.genus < 0:
-            raise ConstraintError(f"genus must be >= 0, got {self.genus}")
-        orders = [spec.ray_type.order for spec in self.rays]
+        if genus is not None and genus < 0:
+            raise ConstraintError(f"genus must be >= 0, got {genus}")
+        orders = [spec.ray_type.order for spec in rays]
         if orders != sorted(orders):
             raise InconsistencyError("rays are not in canonical order")
+        return tuple.__new__(
+            cls,
+            (rho, rays, form, minus_k, kx3, genus, table_id, descriptions, char_note),
+        )
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "SolutionRecord":
+        return cls(*iterable)
 
     @property
     def ray_types(self) -> tuple[RayType, ...]:
@@ -242,8 +265,7 @@ def _genus_or_none(kx3: int, ky3: int, r: int, degB: int) -> Optional[int]:
 _QUARTER = 4
 
 
-@dataclass(frozen=True)
-class _Side:
+class _Side(ValueObject):
     """One ray of a pairing, every datum fixed but at most one unknown u.
 
     ``spec`` holds the RaySpec fields the side fixes and ``unknown`` the one
@@ -254,14 +276,27 @@ class _Side:
     in quarters, for a ray that contracts a divisor to a point.
     """
 
-    ray_type: RayType
-    mu: int
-    spec: tuple[tuple[str, int], ...]
-    unknown: Optional[str]
-    low: int
-    high: Optional[int]
-    terms: dict[int, tuple[tuple[int, int], ...]]
-    contracted: Optional[tuple[int, int]]
+    __slots__ = ("ray_type", "mu", "spec", "unknown", "low", "high", "terms", "contracted")
+
+    def __init__(
+        self,
+        ray_type: RayType,
+        mu: int,
+        spec: tuple[tuple[str, int], ...],
+        unknown: Optional[str],
+        low: int,
+        high: Optional[int],
+        terms: dict[int, tuple[tuple[int, int], ...]],
+        contracted: Optional[tuple[int, int]],
+    ) -> None:
+        set_field(self, "ray_type", ray_type)
+        set_field(self, "mu", mu)
+        set_field(self, "spec", spec)
+        set_field(self, "unknown", unknown)
+        set_field(self, "low", low)
+        set_field(self, "high", high)
+        set_field(self, "terms", terms)
+        set_field(self, "contracted", contracted)
 
     def admits(self, u: int) -> bool:
         if self.unknown is None:
@@ -273,12 +308,12 @@ def _side(ray_type, spec, unknown, low, high, facts, contracted=None) -> _Side:
     """Tabulate one side; a one-point domain fixes the unknown.
 
     ``facts`` are H^3, (-K).H^2, (-K)^2.H, c2.H as (constant, coefficient of
-    u); ``contracted`` is (p, q, w) with m D = p H - q (-K) and (m D)^3 = w.
+    u) in quarters; ``contracted`` is (p, q, w) with m D = p H - q (-K) and
+    (m D)^3 = w.
     """
     if low == high:
         spec, unknown = spec + ((unknown, low),), None
         facts = [(c + k * low, 0) for c, k in facts]
-    facts = [(int(_QUARTER * c), int(_QUARTER * k)) for c, k in facts]
     p, q, w = contracted or (0, 0, 0)
     terms = {}
     for n in (1, 2, 3):
@@ -303,8 +338,12 @@ def _side_table() -> dict[RayType, tuple[_Side, ...]]:
     c2.H = 24/r (45/r for E5), with s = r (r/2 for E5); the contracted
     divisor D = (s H - (-K))/a, a = 2, 1, 1/2, has D^3 = 1, 2, 4.
     """
-    conic = ((0, 0), (2, 0), (12, -1), (6, 1))  # u = deg Delta
-    fibration = ((0, 0), (0, 0), (0, 1), (12, -1))  # u = d2
+
+    def whole(*facts):  # integer facts, in quarters
+        return tuple((_QUARTER * c, _QUARTER * k) for c, k in facts)
+
+    conic = whole((0, 0), (2, 0), (12, -1), (6, 1))  # u = deg Delta
+    fibration = whole((0, 0), (0, 0), (0, 1), (12, -1))  # u = d2
     d1 = D1_FIBER_DOMAIN
     table = {
         RayType.C1: (_side(RayType.C1, (), "deg_delta", 1, None, conic),),
@@ -314,13 +353,14 @@ def _side_table() -> dict[RayType, tuple[_Side, ...]]:
         RayType.D3: (_side(RayType.D3, (), "d2", 9, 9, fibration),),
         RayType.E1: tuple(
             _side(RayType.E1, (("r", r), ("L3", L3)), "degB", 1, None,
-                  ((L3, 0), (r * L3, 0), (r * r * L3, -1), (24 // r, 1)))
+                  whole((L3, 0), (r * L3, 0), (r * r * L3, -1), (24 // r, 1)))
             for r in (2, 3, 4)
             for L3 in l3_range(r)
         ),
     }
     # u = L^3.  r divides 24 (E2, E3/E4) or 45 (E5); the Fano index bound
-    # r <= 4 caps the first two.  m D = r H - q (-K), so s = r/q.
+    # r <= 4 caps the first two.  m D = r H - q (-K), so s = r/q; q is 1 or
+    # 2, so s and s^2 in quarters are the integers 4r/q and 4r^2/q^2.
     for ray_type, indices, c2_numerator, q, w in (
         (RayType.E2, (1, 2, 3, 4), 24, 1, 8),  # 2 D = r H - (-K)
         (RayType.E34, (1, 2, 3, 4), 24, 1, 2),  # D = r H - (-K)
@@ -328,8 +368,9 @@ def _side_table() -> dict[RayType, tuple[_Side, ...]]:
     ):
         table[ray_type] = tuple(
             _side(ray_type, (("r", r),), "L3", 1, None,
-                  ((0, 1), (0, Fraction(r, q)), (0, Fraction(r, q) ** 2),
-                   (c2_numerator // r, 0)),
+                  ((0, _QUARTER), (0, _QUARTER // q * r),
+                   (0, _QUARTER // (q * q) * r * r),
+                   (_QUARTER * (c2_numerator // r), 0)),
                   (r, q, w))
             for r in indices
         )

@@ -5,12 +5,15 @@ trilinear intersection form Pic x Pic x Pic -> Z.  This module models divisor
 classes as integer coordinate vectors in a fixed basis, the cup-product form as
 a table of values on basis multisets, and evaluates triple products by full
 multilinear expansion.  Everything is immutable and pure; no floats anywhere.
+
+The two classes derive from :class:`ValueObject`, not from tuple, so that
+tuple repetition and concatenation cannot pass for lattice arithmetic
+(``3 * x`` scales, ``x * 3`` is a TypeError).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ConstraintError, DimensionMismatchError
@@ -23,8 +26,53 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+# How a ValueObject constructor sets its fields.  Records are built in the
+# engine's inner loop, and one call per field through this module-level name
+# measured faster than a frozen dataclass, a loop over the fields, or a fresh
+# lookup of object.__setattr__ (not specialised for a type in Python 3.11).
+set_field = object.__setattr__
+
+
+class ValueObject:
+    """Base of the package's immutable value classes, field by field.
+
+    Each subclass lists its fields in ``__slots__``, in the order of its
+    constructor's parameters, and its constructor sets each one with
+    ``set_field``.  Equality, hash, repr, pickling and ``_replace`` follow
+    the fields; ``_replace`` goes through the constructor, so its checks hold.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self.__slots__, self._values()), **changes))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class DivisorClass(ValueObject):
     r"""A divisor class in a fixed basis of Pic(X) \cong Z^rho, rho in {2, 3}.
 
     ``coords`` are the integer coordinates; the lattice rank is ``rho``.
@@ -32,21 +80,23 @@ class DivisorClass:
     can be written down directly.
     """
 
-    coords: tuple[int, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self) -> None:
-        coords = tuple(int(c) for c in self.coords)
-        object.__setattr__(self, "coords", coords)
+    def __init__(self, coords: tuple[int, ...]) -> None:
+        coords = tuple(int(c) for c in coords)
         if len(coords) not in (2, 3):
             raise DimensionMismatchError(
                 f"divisor classes must have rank 2 or 3, got {len(coords)} coordinates"
             )
+        set_field(self, "coords", coords)
 
     @property
     def rho(self) -> int:
         return len(self.coords)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
+        if not isinstance(other, DivisorClass):
+            return NotImplemented
         if self.rho != other.rho:
             raise DimensionMismatchError(
                 f"cannot add classes of rank {self.rho} and {other.rho}"
@@ -74,8 +124,7 @@ def _multiset_keys(rho: int) -> list[tuple[int, int, int]]:
     return list(itertools.combinations_with_replacement(range(1, rho + 1), 3))
 
 
-@dataclass(frozen=True)
-class TrilinearForm:
+class TrilinearForm(ValueObject):
     """A symmetric trilinear form on Z^rho given by its values on basis triples.
 
     ``entries`` maps each sorted index triple (i, j, k), 1-based with
@@ -85,34 +134,32 @@ class TrilinearForm:
     forms by hand.
     """
 
-    rho: int
-    entries: Mapping[tuple[int, int, int], int]
+    __slots__ = ("rho", "entries")
 
-    def __post_init__(self) -> None:
-        if self.rho not in (2, 3):
-            raise DimensionMismatchError(f"rank must be 2 or 3, got {self.rho}")
+    def __init__(self, rho: int, entries: Mapping[tuple[int, int, int], int]) -> None:
+        if rho not in (2, 3):
+            raise DimensionMismatchError(f"rank must be 2 or 3, got {rho}")
         normalized: dict[tuple[int, int, int], int] = {}
-        for key, value in self.entries.items():
+        for key, value in entries.items():
             i, j, k = key
             sorted_key = tuple(sorted((int(i), int(j), int(k))))
-            if not (1 <= sorted_key[0] and sorted_key[2] <= self.rho):
+            if not (1 <= sorted_key[0] and sorted_key[2] <= rho):
                 raise DimensionMismatchError(
-                    f"index triple {key} out of range for rank {self.rho}"
+                    f"index triple {key} out of range for rank {rho}"
                 )
             if sorted_key in normalized and normalized[sorted_key] != int(value):
                 raise ConstraintError(
                     f"conflicting values for basis triple {sorted_key}"
                 )
             normalized[sorted_key] = int(value)
-        required = _multiset_keys(self.rho)
+        required = _multiset_keys(rho)
         missing = [k for k in required if k not in normalized]
         if missing:
             raise ConstraintError(
-                f"trilinear form on rank {self.rho} is missing entries {missing}"
+                f"trilinear form on rank {rho} is missing entries {missing}"
             )
-        object.__setattr__(
-            self, "entries", {k: normalized[k] for k in required}
-        )
+        set_field(self, "rho", rho)
+        set_field(self, "entries", {k: normalized[k] for k in required})
 
     @classmethod
     def from_nonzero(

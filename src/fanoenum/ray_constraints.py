@@ -18,9 +18,7 @@ always form a basis of the Picard lattice (index 1).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from .errors import (
     ConstraintError,
@@ -28,6 +26,10 @@ from .errors import (
     InconsistencyError,
     UnsupportedIndexError,
 )
+from .picard_lattice import ValueObject, set_field
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "RayType",
@@ -104,8 +106,7 @@ def mu_of(ray_type: RayType) -> int:
     return _MU[ray_type]
 
 
-@dataclass(frozen=True)
-class RaySpec:
+class RaySpec(ValueObject):
     """One extremal ray together with the integer data its type carries.
 
     Only the fields relevant to the type need to be set:
@@ -118,44 +119,59 @@ class RaySpec:
       ``degB`` (centre degree), ``genus`` (centre genus).
     * E2/E34/E5: ``r`` (formal index of the target), ``L3``; ``e`` in {1, 2}
       for the P(O + O(e)) families.
+
+    The fields are checked on construction.
     """
 
-    ray_type: RayType
-    r: Optional[int] = None
-    L3: Optional[int] = None
-    degB: Optional[int] = None
-    deg_delta: Optional[int] = None
-    d2: Optional[int] = None
-    e: Optional[int] = None
-    genus: Optional[int] = None
-    delta_bidegree: Optional[tuple[int, int]] = None
+    __slots__ = (
+        "ray_type", "r", "L3", "degB", "deg_delta", "d2", "e", "genus", "delta_bidegree"
+    )
+
+    def __init__(
+        self,
+        ray_type: RayType,
+        r: Optional[int] = None,
+        L3: Optional[int] = None,
+        degB: Optional[int] = None,
+        deg_delta: Optional[int] = None,
+        d2: Optional[int] = None,
+        e: Optional[int] = None,
+        genus: Optional[int] = None,
+        delta_bidegree: Optional[tuple[int, int]] = None,
+    ) -> None:
+        if ray_type is RayType.E1 and r is not None and not (2 <= r <= 4):
+            raise ConstraintError(
+                f"an E1 contraction targets a Fano threefold of index 2..4, got r={r}"
+            )
+        if ray_type is RayType.C1 and deg_delta is not None and deg_delta < 1:
+            raise ConstraintError(
+                "a C1 conic bundle has a nonempty discriminant (deg_delta >= 1)"
+            )
+        if ray_type is RayType.C2 and deg_delta not in (None, 0):
+            raise ConstraintError("a C2 contraction is a smooth P^1-bundle (deg_delta = 0)")
+        if e is not None and e not in (1, 2):
+            raise ConstraintError(f"the twist e must be 1 or 2, got {e}")
+        for name, value, minimum in (
+            ("degB", degB, 1), ("d2", d2, 1), ("L3", L3, 1), ("genus", genus, 0)
+        ):
+            if value is not None and value < minimum:
+                raise ConstraintError(f"{name} must be >= {minimum}, got {value}")
+        if delta_bidegree is not None:
+            delta_bidegree = tuple(int(v) for v in delta_bidegree)
+        set_field(self, "ray_type", ray_type)
+        set_field(self, "r", r)
+        set_field(self, "L3", L3)
+        set_field(self, "degB", degB)
+        set_field(self, "deg_delta", deg_delta)
+        set_field(self, "d2", d2)
+        set_field(self, "e", e)
+        set_field(self, "genus", genus)
+        set_field(self, "delta_bidegree", delta_bidegree)
 
     @property
     def mu(self) -> int:
         """The length of the ray, fixed by its type."""
         return _MU[self.ray_type]
-
-    def __post_init__(self) -> None:
-        if self.ray_type is RayType.E1 and self.r is not None and not (2 <= self.r <= 4):
-            raise ConstraintError(
-                f"an E1 contraction targets a Fano threefold of index 2..4, got r={self.r}"
-            )
-        if self.ray_type is RayType.C1 and self.deg_delta is not None and self.deg_delta < 1:
-            raise ConstraintError(
-                "a C1 conic bundle has a nonempty discriminant (deg_delta >= 1)"
-            )
-        if self.ray_type is RayType.C2 and self.deg_delta not in (None, 0):
-            raise ConstraintError("a C2 contraction is a smooth P^1-bundle (deg_delta = 0)")
-        if self.e is not None and self.e not in (1, 2):
-            raise ConstraintError(f"the twist e must be 1 or 2, got {self.e}")
-        for name, minimum in (("degB", 1), ("d2", 1), ("L3", 1), ("genus", 0)):
-            value = getattr(self, name)
-            if value is not None and value < minimum:
-                raise ConstraintError(f"{name} must be >= {minimum}, got {value}")
-        if self.delta_bidegree is not None:
-            object.__setattr__(
-                self, "delta_bidegree", tuple(int(v) for v in self.delta_bidegree)
-            )
 
 
 def c2_dot_H(spec: RaySpec) -> int:
@@ -236,6 +252,9 @@ def degB_upper_bound(r1: int, mu2: int, a: int, L1_cubed: int) -> Fraction:
     spanned by the two pullbacks.  Returned as an exact Fraction so callers
     can floor it themselves.
     """
+    # imported here: fractions pulls in decimal, and no CLI command needs it
+    from fractions import Fraction
+
     if a == 0:
         raise ZeroDivisionError("the lattice index a must be nonzero")
     return (r1 - Fraction(mu2, a)) ** 2 * L1_cubed

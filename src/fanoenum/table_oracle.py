@@ -16,9 +16,8 @@ import json
 import os
 import re
 import types
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ConstraintError, UnsupportedScopeError
 from .ray_constraints import RayType
@@ -39,8 +38,7 @@ _INVARIANT_FIELDS = ("deg_delta", "d2", "r", "L3", "degB", "genus", "e", "delta_
 _EMIT_FORMATS = ("json", "csv", "markdown")
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One classification-table row in a solver-independent shape.
 
     ``ray_types`` holds type tags ("C1" .. "E5", with "E34" for E3/E4) in
@@ -59,8 +57,7 @@ class TableRow:
     descriptions: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class DiffReport:
+class DiffReport(NamedTuple):
     """Outcome of comparing computed records against table rows.
 
     ``missing`` lists table ids no record matched; ``extra`` labels records
@@ -108,24 +105,58 @@ def _thaw(value):
     return value
 
 
-def _parse_row(item) -> TableRow:
+def _strings(value) -> bool:
+    return type(value) is list and all(type(v) is str for v in value)
+
+
+def _lists(value) -> bool:
+    return type(value) is dict and all(type(v) is list for v in value.values())
+
+
+_MISSING = object()
+
+# Each field of a row object: its name, the test its JSON value must pass,
+# what the test asks for, and the default of an optional field.  bool is a
+# subclass of int, so the integer tests compare types exactly.
+_ROW_FIELDS = (
+    ("table_id", lambda v: type(v) is str, "a string", _MISSING),
+    ("rho", lambda v: type(v) is int, "an integer", _MISSING),
+    ("kx3", lambda v: type(v) is int, "an integer", _MISSING),
+    ("primitive", lambda v: type(v) is bool, "a boolean", _MISSING),
+    ("ray_types", _strings, "a list of strings", _MISSING),
+    ("invariants", _lists, "an object whose values are lists", {}),
+    ("descriptions", _strings, "a list of strings", []),
+)
+
+
+def _parse_row(index: int, item) -> TableRow:
+    if type(item) is not dict:
+        raise ConstraintError(f"ground truth row {index} is not an object")
+    values = []
+    for name, valid, kind, default in _ROW_FIELDS:
+        value = item.get(name, default)
+        if value is _MISSING:
+            raise ConstraintError(f"ground truth row {index} lacks the field {name!r}")
+        if not valid(value):
+            raise ConstraintError(f"ground truth row {index}: {name} must be {kind}")
+        values.append(value)
+    table_id, rho, kx3, primitive, ray_types, invariants, descriptions = values
     return TableRow(
-        table_id=str(item["table_id"]),
-        rho=int(item["rho"]),
-        kx3=int(item["kx3"]),
-        primitive=bool(item["primitive"]),
-        ray_types=tuple(str(t) for t in item["ray_types"]),
-        invariants=types.MappingProxyType(
-            {str(k): _freeze(v) for k, v in item.get("invariants", {}).items()}
-        ),
-        descriptions=tuple(str(d) for d in item.get("descriptions", ())),
+        table_id,
+        rho,
+        kx3,
+        primitive,
+        tuple(ray_types),
+        types.MappingProxyType({k: _freeze(v) for k, v in invariants.items()}),
+        tuple(descriptions),
     )
 
 
 def parse_rows(data: bytes) -> tuple[TableRow, ...]:
     """Parse the JSON row-array format back into TableRow objects.
 
-    Malformed input raises :class:`ConstraintError`, naming the offending row.
+    Malformed input raises :class:`ConstraintError`, naming the offending row
+    and, for a missing or wrong-typed value, the field.
     """
     try:
         raw = json.loads(data.decode("utf-8"))
@@ -133,19 +164,7 @@ def parse_rows(data: bytes) -> tuple[TableRow, ...]:
         raise ConstraintError(f"ground truth is not UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise ConstraintError("ground truth must be a JSON array of row objects")
-    rows = []
-    for index, item in enumerate(raw):
-        try:
-            rows.append(_parse_row(item))
-        except KeyError as exc:
-            raise ConstraintError(
-                f"ground truth row {index} lacks the field {exc}"
-            ) from exc
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ConstraintError(
-                f"ground truth row {index} is malformed: {exc}"
-            ) from exc
-    return tuple(rows)
+    return tuple(_parse_row(index, item) for index, item in enumerate(raw))
 
 
 def table_key(rho: int, kx3: int, rays: Iterable[tuple]) -> tuple:

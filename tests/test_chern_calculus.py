@@ -52,13 +52,20 @@ def test_exceptional_cube_is_the_conormal_degree():
 
 def test_antican_sq_dot_exceptional():
     assert antican_sq_dot_exceptional(36, 10) == 18
-    assert antican_sq_dot_exceptional(0, 1) == 0
+    assert antican_sq_dot_exceptional(2, 2) == 0
     assert antican_sq_dot_exceptional(2, 0) == 4
 
 
 def test_negative_genus_rejected_at_construction():
     with pytest.raises(ConstraintError, match="genus must be >= 0, got -1"):
         antican_sq_dot_exceptional(3, -1)
+
+
+@pytest.mark.parametrize("ky_dot_C", [0, -5])
+def test_antican_sq_dot_exceptional_needs_a_positive_degree(ky_dot_C):
+    # -K_Y is ample on the Fano target, so -K_Y . C >= 1 for every curve C
+    with pytest.raises(ConstraintError, match=f"-K_Y . C must be >= 1.*got {ky_dot_C}"):
+        antican_sq_dot_exceptional(ky_dot_C, 1)
 
 
 def test_conic_bundle_ksq():
@@ -95,6 +102,12 @@ def test_genus_from_blowup_rejects_an_index_outside_two_to_four(r):
         genus_from_blowup(64, 64, r, 1)
 
 
+@pytest.mark.parametrize("degB", [0, -2])
+def test_genus_from_blowup_needs_a_curve(degB):
+    with pytest.raises(ConstraintError, match=f"degB >= 1, got {degB}"):
+        genus_from_blowup(64, 64, 4, degB)
+
+
 def test_index2_centres_all_have_genus_one():
     # blowing up a degree-L3 elliptic curve on a degree-L3 del Pezzo threefold
     for L3 in range(1, 6):
@@ -110,3 +123,9 @@ def test_antican_cube_by_index():
         antican_cube_by_index(2)
     with pytest.raises(UnsupportedIndexError):
         antican_cube_by_index(5)
+
+
+@pytest.mark.parametrize("L3", [0, -3, 6])
+def test_antican_cube_by_index_needs_an_index2_degree(L3):
+    with pytest.raises(ConstraintError, match=f"L3 in 1..5, got {L3}"):
+        antican_cube_by_index(2, L3)

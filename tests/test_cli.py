@@ -47,6 +47,13 @@ def test_chern_engine_errors_exit_one(capsys):
     assert capsys.readouterr().err == "error: genus must be >= 0, got -1\n"
     assert run(["chern", "genus-from-blowup", "64", "64", "7", "1"]) == 1
     assert capsys.readouterr().err == "error: no smooth Fano threefold has index 7 >= 2\n"
+    # a centre of degree 0 and a target curve with -K_Y . C <= 0 do not exist
+    assert run(["chern", "genus-from-blowup", "64", "64", "4", "0"]) == 1
+    assert capsys.readouterr().err == "error: a blowup centre is a curve, so degB >= 1, got 0\n"
+    assert run(["chern", "antican-sq-dot-exceptional", "-5", "0"]) == 1
+    assert capsys.readouterr().err == (
+        "error: -K_Y . C must be >= 1 on a Fano target, got -5\n"
+    )
 
 
 def test_enumerate_pair_filter(capsys):
@@ -146,6 +153,23 @@ def test_module_invocation():
     assert lines[0] == "| no. | (-K)^3 | description | extremal rays |"
 
 
+def _modules_loaded_by(statement):
+    """The modules a fresh interpreter holds after running ``statement``."""
+    script = f"{statement}\nimport sys\nprint(' '.join(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    return set(proc.stdout.split())
+
+
+def test_cli_start_imports_no_heavy_stdlib_module():
+    # dataclasses brings inspect, ast, dis and tokenize; fractions brings decimal
+    added = _modules_loaded_by("import fanoenum.cli") - _modules_loaded_by("pass")
+    assert "fanoenum.cli" in added
+    heavy = {"dataclasses", "inspect", "ast", "fractions", "decimal"}
+    assert sorted(added & heavy) == []
+
+
 def _assert_one_error_line(capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -171,6 +195,26 @@ def _rows_with_a_list_of_invariants():
     return json.dumps(rows)
 
 
+def _rows_with(field, value):
+    """Rows of the rank-2 truth with ``field`` of row 3 set to ``value``."""
+
+    def content():
+        rows = json.loads(emit(ground_truth(2), "json"))
+        rows[3][field] = value
+        return json.dumps(rows)
+
+    return content
+
+
+# A wrong-typed field of row 3 and the requirement its error line states.
+WRONG_TYPED_FIELDS = [
+    ("kx3", 4.9, "an integer"),
+    ("primitive", "false", "a boolean"),
+    ("ray_types", "D1", "a list of strings"),
+    ("invariants", [["degB", 5]], "an object whose values are lists"),
+]
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -180,6 +224,7 @@ def _rows_with_a_list_of_invariants():
         _rows_with_a_scalar_degree,
         lambda: json.dumps({"rows": []}),
         _rows_with_a_list_of_invariants,
+        *(_rows_with(field, value) for field, value, _ in WRONG_TYPED_FIELDS),
     ],
     ids=[
         "missing",
@@ -188,6 +233,7 @@ def _rows_with_a_list_of_invariants():
         "row-with-a-scalar-degree",
         "top-level-object",
         "row-with-a-list-of-invariants",
+        *(f"row-with-wrong-typed-{field}" for field, _, _ in WRONG_TYPED_FIELDS),
     ],
 )
 def test_bad_truth_file_is_one_error_line(tmp_path, monkeypatch, capsys, content):
@@ -207,6 +253,17 @@ def test_bad_truth_row_is_named(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "error: ground truth row 3 lacks the field 'table_id'\n"
     )
+
+
+@pytest.mark.parametrize(
+    "field,value,kind", WRONG_TYPED_FIELDS, ids=[case[0] for case in WRONG_TYPED_FIELDS]
+)
+def test_wrong_typed_truth_field_is_named(tmp_path, monkeypatch, capsys, field, value, kind):
+    path = tmp_path / "truth.json"
+    path.write_text(_rows_with(field, value)())
+    monkeypatch.setenv("FANO_GROUND_TRUTH", str(path))
+    assert run(["verify", "--rho", "2"]) == 1
+    assert capsys.readouterr().err == f"error: ground truth row 3: {field} must be {kind}\n"
 
 
 def test_emit_into_missing_directory_is_an_error(tmp_path, capsys):

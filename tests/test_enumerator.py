@@ -1,7 +1,5 @@
 """Per-case solvers and the assembled classification tables."""
 
-import dataclasses
-
 import pytest
 
 from fanoenum.enumerator import (
@@ -237,10 +235,10 @@ def test_description_joins_alternatives():
 def test_record_validation_rejects_corruption():
     (base,) = solve_E1_D(RayType.D3)
     with pytest.raises(ParityError):
-        dataclasses.replace(base, kx3=base.kx3 + 1)
+        base._replace(kx3=base.kx3 + 1)
     with pytest.raises(InconsistencyError):
-        dataclasses.replace(base, kx3=base.kx3 + 2)
+        base._replace(kx3=base.kx3 + 2)
     with pytest.raises(ConstraintError):
-        dataclasses.replace(base, kx3=74)
+        base._replace(kx3=74)
     with pytest.raises(ConstraintError):
-        dataclasses.replace(base, genus=-1)
+        base._replace(genus=-1)

@@ -1,6 +1,5 @@
 """Embedded classification tables, the diff machinery, and serialization."""
 
-import dataclasses
 import json
 
 import pytest
@@ -84,7 +83,7 @@ def computed_rows(rho=2, primitive_only=False):
 
 def test_diff_reports_a_perturbed_cube():
     rows = computed_rows()
-    rows[0] = dataclasses.replace(rows[0], kx3=rows[0].kx3 + 2)
+    rows[0] = rows[0]._replace(kx3=rows[0].kx3 + 2)
     report = diff(rows, ground_truth(2))
     assert not report.is_empty
     assert report.mismatched == (("2-1", "kx3", 4, 6),)
@@ -102,7 +101,7 @@ def test_diff_reports_a_dropped_record():
 
 def test_diff_reports_an_alien_record():
     rows = computed_rows()
-    rows.append(dataclasses.replace(rows[0], table_id=""))
+    rows.append(rows[0]._replace(table_id=""))
     report = diff(rows, ground_truth(2))
     assert len(report.extra) == 1
     assert "matches no row" in report.render()
@@ -113,7 +112,7 @@ def test_diff_reports_an_invariant_drift():
     genus = dict(rows[8].invariants)
     assert rows[8].table_id == "2-9"
     genus["genus"] = (None, 6)
-    rows[8] = dataclasses.replace(rows[8], invariants=genus)
+    rows[8] = rows[8]._replace(invariants=genus)
     report = diff(rows, ground_truth(2))
     assert report.mismatched == (("2-9", "invariants.genus[1]", 5, 6),)
 
@@ -121,8 +120,8 @@ def test_diff_reports_an_invariant_drift():
 def test_diff_reports_type_primitivity_and_description_drift():
     rows = computed_rows()
     assert rows[8].table_id == "2-9"
-    rows[8] = dataclasses.replace(
-        rows[8], ray_types=("C2", "E1"), primitive=True, descriptions=("P^1 x P^2",)
+    rows[8] = rows[8]._replace(
+        ray_types=("C2", "E1"), primitive=True, descriptions=("P^1 x P^2",)
     )
     report = diff(rows, ground_truth(2))
     assert report.mismatched == (
@@ -146,7 +145,7 @@ def test_diff_reports_type_primitivity_and_description_drift():
 def test_diff_normalizes_descriptions():
     rows = computed_rows(3, primitive_only=True)
     shouted = tuple(d.upper() + "." for d in rows[0].descriptions)
-    rows[0] = dataclasses.replace(rows[0], descriptions=shouted)
+    rows[0] = rows[0]._replace(descriptions=shouted)
     assert diff(rows, ground_truth(3)).is_empty
 
 
