@@ -1,10 +1,11 @@
 """Exact-integer solvers reproducing the rank-2 and primitive rank-3 tables.
 
-Every rank-2 pairing of extremal-ray types is solved by one engine driven by
-a side table.  A side is one ray type with its data fixed but for at most one
-unknown u (deg Delta for C1, d2 for D1, deg B for E1, L^3 for E2/E3E4/E5),
-and gives four facts about the pullback H of its ray, each affine in u:
-H^3, (-K).H^2, (-K)^2.H and c2.H.  The two pullbacks form a basis of the
+Every rank-2 pairing of extremal-ray types is solved by one engine, driven
+by sides compiled from :data:`fanoenum.ray_constraints.TYPE_FACTS`.  A side
+is one ray type with its data fixed but for at most one unknown u (deg Delta
+for C1, d2 for D1, deg B for E1, L^3 for E2/E3E4/E5); the table gives its
+four facts about the pullback H of its ray, each affine in u: H^3, (-K).H^2,
+(-K)^2.H and c2.H, in quarters.  The two pullbacks form a basis of the
 Picard lattice (index 1, see
 :func:`fanoenum.ray_constraints.lattice_index_candidates`), so in that basis
 the facts of the two sides fill the intersection form and leave a linear
@@ -44,7 +45,9 @@ from .picard_lattice import (
     set_field,
     triple_product,
 )
-from .ray_constraints import D1_FIBER_DOMAIN, RaySpec, RayType, l3_range, mu_of
+from .ray_constraints import (
+    C_TYPES, D_TYPES, POINT_TYPES, TYPE_FACTS, RaySpec, RayType, mu_of
+)
 from .table_oracle import table_ids, table_key
 
 __all__ = [
@@ -184,10 +187,6 @@ def _blowup_description(r: int, L3: int, degB: int, genus: int, with_ci: bool) -
     return base
 
 
-_C_TYPES = (RayType.C1, RayType.C2)
-_D_TYPES = (RayType.D1, RayType.D2, RayType.D3)
-_POINT_TYPES = (RayType.E2, RayType.E34, RayType.E5)  # a divisor to a point
-
 # Descriptions and characteristic note of each pairing with no E1 ray.
 _PRIMITIVE_TEXTS = {
     (RayType.C1, RayType.C1): (
@@ -232,7 +231,7 @@ def _descriptions(rays: tuple[RaySpec, RaySpec]) -> tuple[str, ...]:
     texts = []
     for spec, other in (rays, rays[::-1]):
         if spec.ray_type is RayType.E1:
-            with_ci = other.ray_type in _D_TYPES
+            with_ci = other.ray_type in D_TYPES
             texts.append(
                 _blowup_description(spec.r, spec.L3, spec.degB, spec.genus, with_ci)
             )
@@ -259,11 +258,6 @@ def _genus_or_none(kx3: int, ky3: int, r: int, degB: int) -> Optional[int]:
 
 
 # -------------------------------------------------------------- side table --
-
-# Facts are kept in quarters, so that the E5 multiples of r/2 and (r/2)^2
-# are integers like every other side's.
-_QUARTER = 4
-
 
 class _Side(ValueObject):
     """One ray of a pairing, every datum fixed but at most one unknown u.
@@ -304,80 +298,39 @@ class _Side(ValueObject):
         return self.low <= u and (self.high is None or u <= self.high)
 
 
-def _side(ray_type, spec, unknown, low, high, facts, contracted=None) -> _Side:
-    """Tabulate one side; a one-point domain fixes the unknown.
+def _compile(ray_type: RayType) -> tuple[_Side, ...]:
+    """The sides of one ray type, from its entry in TYPE_FACTS.
 
-    ``facts`` are H^3, (-K).H^2, (-K)^2.H, c2.H as (constant, coefficient of
-    u) in quarters; ``contracted`` is (p, q, w) with m D = p H - q (-K) and
-    (m D)^3 = w.
+    A one-point domain fixes the unknown.  The terms come from the facts C,
+    A, B, c (H^3, (-K).H^2, (-K)^2.H, c2.H) as :func:`_solve_sides` defines
+    them; a point contraction's divisor is m D = p H - q (-K) with p the
+    index r its side fixes, and (m D)^3 = w.
     """
-    if low == high:
-        spec, unknown = spec + ((unknown, low),), None
-        facts = [(c + k * low, 0) for c, k in facts]
-    p, q, w = contracted or (0, 0, 0)
-    terms = {}
-    for n in (1, 2, 3):
-        per_part = [
-            (C, n * n * A - n**3 * C, n * n * A - n * B, n * c, n * B,
-             p**3 * C - 3 * p * p * q * A + 3 * p * q * q * B)
-            for C, A, B, c in zip(*facts)
-        ]
-        terms[n] = tuple(zip(*per_part))
-    cube = (q**3, _QUARTER * w) if contracted else None
-    return _Side(ray_type, mu_of(ray_type), spec, unknown, low, high, terms, cube)
-
-
-def _side_table() -> dict[RayType, tuple[_Side, ...]]:
-    """Every side of every ray type, its domain taken from the type.
-
-    C: H^3 = 0, (-K).H^2 = 2, (-K)^2.H = 12 - deg Delta, c2.H = 6 + deg Delta.
-    D: H^2 = 0, (-K)^2.H = d2, c2.H = 12 - d2.
-    E1: H^3 = L^3, (-K).H^2 = r L^3, (-K)^2.H = r^2 L^3 - deg B,
-    c2.H = 24/r + deg B.
-    E2, E3/E4, E5: H^3 = L^3, (-K).H^2 = s L^3, (-K)^2.H = s^2 L^3 and
-    c2.H = 24/r (45/r for E5), with s = r (r/2 for E5); the contracted
-    divisor D = (s H - (-K))/a, a = 2, 1, 1/2, has D^3 = 1, 2, 4.
-    """
-
-    def whole(*facts):  # integer facts, in quarters
-        return tuple((_QUARTER * c, _QUARTER * k) for c, k in facts)
-
-    conic = whole((0, 0), (2, 0), (12, -1), (6, 1))  # u = deg Delta
-    fibration = whole((0, 0), (0, 0), (0, 1), (12, -1))  # u = d2
-    d1 = D1_FIBER_DOMAIN
-    table = {
-        RayType.C1: (_side(RayType.C1, (), "deg_delta", 1, None, conic),),
-        RayType.C2: (_side(RayType.C2, (), "deg_delta", 0, 0, conic),),
-        RayType.D1: (_side(RayType.D1, (), "d2", d1[0], d1[-1], fibration),),
-        RayType.D2: (_side(RayType.D2, (), "d2", 8, 8, fibration),),
-        RayType.D3: (_side(RayType.D3, (), "d2", 9, 9, fibration),),
-        RayType.E1: tuple(
-            _side(RayType.E1, (("r", r), ("L3", L3)), "degB", 1, None,
-                  whole((L3, 0), (r * L3, 0), (r * r * L3, -1), (24 // r, 1)))
-            for r in (2, 3, 4)
-            for L3 in l3_range(r)
-        ),
-    }
-    # u = L^3.  r divides 24 (E2, E3/E4) or 45 (E5); the Fano index bound
-    # r <= 4 caps the first two.  m D = r H - q (-K), so s = r/q; q is 1 or
-    # 2, so s and s^2 in quarters are the integers 4r/q and 4r^2/q^2.
-    for ray_type, indices, c2_numerator, q, w in (
-        (RayType.E2, (1, 2, 3, 4), 24, 1, 8),  # 2 D = r H - (-K)
-        (RayType.E34, (1, 2, 3, 4), 24, 1, 2),  # D = r H - (-K)
-        (RayType.E5, (1, 3, 5, 9, 15, 45), 45, 2, 4),  # D = r H - 2 (-K)
-    ):
-        table[ray_type] = tuple(
-            _side(ray_type, (("r", r),), "L3", 1, None,
-                  ((0, _QUARTER), (0, _QUARTER // q * r),
-                   (0, _QUARTER // (q * q) * r * r),
-                   (_QUARTER * (c2_numerator // r), 0)),
-                  (r, q, w))
-            for r in indices
+    t = TYPE_FACTS[ray_type]
+    q, w = t.contracted or (0, 0)
+    sides = []
+    for spec, facts in t.sides:
+        unknown = t.unknown
+        p = dict(spec)["r"] if t.contracted else 0
+        if t.low == t.high:
+            spec, unknown = spec + ((unknown, t.low),), None
+            facts = [(c + k * t.low, 0) for c, k in facts]
+        terms = {}
+        for n in (1, 2, 3):
+            per_part = [
+                (C, n * n * A - n**3 * C, n * n * A - n * B, n * c, n * B,
+                 p**3 * C - 3 * p * p * q * A + 3 * p * q * q * B)
+                for C, A, B, c in zip(*facts)
+            ]
+            terms[n] = tuple(zip(*per_part))
+        cube = (q**3, 4 * w) if t.contracted else None
+        sides.append(
+            _Side(ray_type, mu_of(ray_type), spec, unknown, t.low, t.high, terms, cube)
         )
-    return table
+    return tuple(sides)
 
 
-_SIDES = _side_table()
+_SIDES = {ray_type: _compile(ray_type) for ray_type in RayType}
 
 
 # ------------------------------------------------------------------ engine --
@@ -426,14 +379,14 @@ def _solve_sides(side1: _Side, side2: _Side, ids) -> Optional[SolutionRecord]:
       D_i^3:        M_i - q^3 (K1 + K2) = w,  K = n B,
                     M = p^3 C - 3 p^2 q A + 3 p q^2 B
 
-    The solution is kept only if each unknown lies in its domain, the form
-    entries are integers, (-K)^3 = K1 + K2 is even and positive and every
-    E1 centre has genus >= 0.
+    Every term is in quarters, as the facts are.  The solution is kept only
+    if each unknown lies in its domain, the form entries are integers,
+    (-K)^3 = K1 + K2 is even and positive and every E1 centre has genus >= 0.
     """
     n1, n2 = side2.mu, side1.mu
     C1, P1, Q1, N1, K1, M1 = side1.terms[n1]
     C2, P2, Q2, N2, K2, M2 = side2.terms[n2]
-    a, b, c = balance = (N1[1], N2[1], N1[0] + N2[0] - 24 * _QUARTER)
+    a, b, c = balance = (N1[1], N2[1], N1[0] + N2[0] - 24 * 4)
     # the balance alone ends 82 of the 219 side pairs of enumerate_all(2)
     if not (a and b):
         coefficient, side = (a, side1) if a else (b, side2)
@@ -460,11 +413,11 @@ def _solve_sides(side1: _Side, side2: _Side, ids) -> Optional[SolutionRecord]:
         return None
     u1, u2 = solution
     quotients = (
-        (C1[0] + C1[1] * u1, _QUARTER),
-        (P1[0] + P1[1] * u1, _QUARTER * n1 * n1 * n2),
-        (P2[0] + P2[1] * u2, _QUARTER * n2 * n2 * n1),
-        (C2[0] + C2[1] * u2, _QUARTER),
-        (K1[0] + K1[1] * u1 + K2[0] + K2[1] * u2, _QUARTER),
+        (C1[0] + C1[1] * u1, 4),
+        (P1[0] + P1[1] * u1, 4 * n1 * n1 * n2),
+        (P2[0] + P2[1] * u2, 4 * n2 * n2 * n1),
+        (C2[0] + C2[1] * u2, 4),
+        (K1[0] + K1[1] * u1 + K2[0] + K2[1] * u2, 4),
     )
     if any(value % divisor for value, divisor in quotients):
         return None
@@ -486,7 +439,7 @@ def _solve_sides(side1: _Side, side2: _Side, ids) -> Optional[SolutionRecord]:
         (fields[0]["r"], fields[0]["degB"]) < (fields[1]["r"], fields[1]["degB"])
     ):
         return None  # the mirror twin of a kept solution
-    if side1.ray_type in _C_TYPES and side2.ray_type in (RayType.E2, RayType.E5):
+    if side1.ray_type in C_TYPES and side2.ray_type in (RayType.E2, RayType.E5):
         fields[1]["e"] = h122
     rays = (RaySpec(side1.ray_type, **fields[0]), RaySpec(side2.ray_type, **fields[1]))
     descriptions, char_note = _PRIMITIVE_TEXTS.get(
@@ -519,10 +472,10 @@ def _solve(pairings, ids: Mapping[tuple, str]) -> tuple[SolutionRecord, ...]:
 # ------------------------------------------------------- rank-2 selections --
 
 _C_C = ((RayType.C1, RayType.C1), (RayType.C1, RayType.C2), (RayType.C2, RayType.C2))
-_C_D = tuple((c, d) for c in _C_TYPES for d in _D_TYPES)
-_C_E = tuple((c, e) for e in _POINT_TYPES for c in _C_TYPES)
-_WITH_E1 = tuple((t, RayType.E1) for t in _C_TYPES + _D_TYPES) + tuple(
-    (RayType.E1, t) for t in (RayType.E1,) + _POINT_TYPES
+_C_D = tuple((c, d) for c in C_TYPES for d in D_TYPES)
+_C_E = tuple((c, e) for e in POINT_TYPES for c in C_TYPES)
+_WITH_E1 = tuple((t, RayType.E1) for t in C_TYPES + D_TYPES) + tuple(
+    (RayType.E1, t) for t in (RayType.E1,) + POINT_TYPES
 )
 _PRIMITIVE_PAIRINGS = _C_C + _C_D + _C_E
 _RANK2_PAIRINGS = _PRIMITIVE_PAIRINGS + _WITH_E1
@@ -539,17 +492,17 @@ def _with_e1(sub: RayType, allowed: tuple[RayType, ...]):
 
 def solve_E1_C(sub: RayType) -> tuple[SolutionRecord, ...]:
     """Blowup ray opposite a conic bundle over P^2 (sub = C1 or C2)."""
-    return _solve(_with_e1(sub, _C_TYPES), table_ids())
+    return _solve(_with_e1(sub, C_TYPES), table_ids())
 
 
 def solve_E1_D(sub: RayType) -> tuple[SolutionRecord, ...]:
     """Blowup ray opposite a del Pezzo fibration over P^1 (sub = D1/D2/D3)."""
-    return _solve(_with_e1(sub, _D_TYPES), table_ids())
+    return _solve(_with_e1(sub, D_TYPES), table_ids())
 
 
 def solve_E1_E(sub: RayType) -> tuple[SolutionRecord, ...]:
     """Blowup ray opposite a second divisorial ray (sub = E1/E2/E34/E5)."""
-    return _solve(_with_e1(sub, (RayType.E1,) + _POINT_TYPES), table_ids())
+    return _solve(_with_e1(sub, (RayType.E1,) + POINT_TYPES), table_ids())
 
 
 def solve_C_C() -> tuple[SolutionRecord, ...]:

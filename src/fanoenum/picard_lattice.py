@@ -179,6 +179,10 @@ class TrilinearForm(ValueObject):
             {(1, 1, 1): h111, (1, 1, 2): h112, (1, 2, 2): h122, (2, 2, 2): h222},
         )
 
+    def __hash__(self) -> int:
+        # entries is a dict, in the same key order on equal forms
+        return hash((self.rho, tuple(self.entries.items())))
+
     def value(self, i: int, j: int, k: int) -> int:
         """The form on basis vectors e_i, e_j, e_k (any index order)."""
         return self.entries[_SORTED_KEY[i, j, k]]

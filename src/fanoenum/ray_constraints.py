@@ -4,15 +4,23 @@ A smooth Fano threefold of Picard rank 2 has two extremal contractions, each
 of one of nine types: conic bundles over P^2 (C1 with discriminant, C2 smooth),
 del Pezzo fibrations over P^1 (D1/D2/D3 by fibre degree), and divisorial
 contractions (E1 to a curve, E2 to a point, E3/E4 to a point on a quadric-like
-germ, E5 to a half-point).  Each type fixes the length mu of the ray and the
-value of c_2(X) . H against the pullback H of the ample generator on the
-target.  Those values satisfy one global relation (24 = mu2 c2.H1 + mu1 c2.H2
-when the two pullbacks form a basis), which is what makes exhaustive integer
-enumeration possible.
+germ, E5 to a half-point).
 
-This module holds the per-type tables, the balance relation, the degree bound
-for blowup centres, and the elimination argument showing the two pullbacks
-always form a basis of the Picard lattice (index 1).
+:data:`TYPE_FACTS` is the one table of what each type fixes (Mori-Mukai):
+the length mu of the ray, its family (C, D or E), the one unknown u its
+data leave open (deg Delta, d2, deg B or L^3) with the domain of u, the
+data each side fixes ((r, L^3) of an E1 target, r of a point contraction's
+target), and four facts about the pullback H of the ample generator on the
+target, each affine in u: H^3, (-K).H^2, (-K)^2.H and c_2(X).H.  A divisor
+contracted to a point adds its cube.  Three readers use the table: the
+engine of :mod:`fanoenum.enumerator` compiles its sides from it,
+:func:`mu_of`, :class:`RaySpec` and :func:`c2_dot_H` look values up in it,
+and the lattice-index elimination takes its c2.H value sets from it.
+
+The c2 values satisfy one global relation (24 = mu2 c2.H1 + mu1 c2.H2 when
+the two pullbacks form a basis), which is what makes exhaustive integer
+enumeration possible; the elimination shows that the two pullbacks always
+form a basis of the Picard lattice (index 1).
 """
 
 from __future__ import annotations
@@ -82,28 +90,113 @@ class RayType(enum.Enum):
 
 _RAY_ORDER = {t: i for i, t in enumerate(RayType)}
 
-_MU = {
-    RayType.C1: 1,
-    RayType.C2: 2,
-    RayType.D1: 1,
-    RayType.D2: 2,
-    RayType.D3: 3,
-    RayType.E1: 1,
-    RayType.E2: 2,
-    RayType.E34: 1,
-    RayType.E5: 1,
+
+def l3_range(r: int) -> tuple[int, ...]:
+    """Admissible generator cubes L^3 for a smooth Fano threefold of index r.
+
+    Index 4: only P^3 (L^3 = 1).  Index 3: only the quadric (L^3 = 2).
+    Index 2: the del Pezzo threefolds with L^3 = 1..5 that contain enough
+    curves for the blowup analysis.
+    """
+    if r == 4:
+        return (1,)
+    if r == 3:
+        return (2,)
+    if r == 2:
+        return (1, 2, 3, 4, 5)
+    raise UnsupportedIndexError(f"no supported Fano index {r}")
+
+
+# ------------------------------------------------------------ type facts --
+
+class TypeFacts(ValueObject):
+    """What one ray type fixes; an entry of :data:`TYPE_FACTS`.
+
+    ``family`` is "C", "D" or "E".  ``unknown`` names the RaySpec field the
+    type leaves open, with ``low <= u <= high`` (high None: unbounded); a
+    one-point domain fixes it.  ``sides`` pairs the fields each side fixes
+    with its facts H^3, (-K).H^2, (-K)^2.H and c2.H, each (constant,
+    coefficient of u) in quarters.  ``contracted`` is (q, w) for a type that
+    contracts a divisor D to a point: m D = r H - q (-K) and (m D)^3 = w.
+    """
+
+    __slots__ = ("mu", "family", "unknown", "low", "high", "sides", "contracted")
+
+    def __init__(self, mu, family, unknown, low, high, sides, contracted=None) -> None:
+        set_field(self, "mu", mu)
+        set_field(self, "family", family)
+        set_field(self, "unknown", unknown)
+        set_field(self, "low", low)
+        set_field(self, "high", high)
+        set_field(self, "sides", sides)
+        set_field(self, "contracted", contracted)
+
+    def admits(self, u: int) -> bool:
+        return self.low <= u and (self.high is None or u <= self.high)
+
+    def indices(self) -> tuple[int, ...]:
+        """The target indices r the sides fix, without repeats."""
+        return tuple(dict.fromkeys(dict(fixed)["r"] for fixed, _ in self.sides))
+
+
+# Facts are kept in quarters, so that the E5 multiples of r/2 and (r/2)^2
+# are integers like every other side's.
+def _quarters(*facts: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+    return tuple((4 * c, 4 * k) for c, k in facts)
+
+
+# C: H^3 = 0, (-K).H^2 = 2, (-K)^2.H = 12 - deg Delta, c2.H = 6 + deg Delta.
+_CONIC = (((), _quarters((0, 0), (2, 0), (12, -1), (6, 1))),)
+# D: H^2 = 0, (-K)^2.H = d2, c2.H = 12 - d2.
+_DEL_PEZZO = (((), _quarters((0, 0), (0, 0), (0, 1), (12, -1))),)
+# The index r of a point contraction's target divides 24 (E2, E3/E4) or 45
+# (E5); the Fano index bound r <= 4 caps the first two.
+_INDICES_DIVIDING_24 = (1, 2, 3, 4)
+
+
+def _point_type(mu: int, indices: tuple[int, ...], c2_numerator: int, q: int, w: int):
+    """A type contracting a divisor D to a point; u = L^3, m D = r H - q (-K).
+
+    H^3 = L^3, (-K).H^2 = s L^3, (-K)^2.H = s^2 L^3 and c2.H =
+    c2_numerator / r, with s = r/q.  q is 1 or 2, so s and s^2 in quarters
+    are the integers 4r/q and 4r^2/q^2.
+    """
+    sides = tuple(
+        ((("r", r),),
+         ((0, 4), (0, 4 // q * r), (0, 4 // (q * q) * r * r), (4 * (c2_numerator // r), 0)))
+        for r in indices
+    )
+    return TypeFacts(mu, "E", "L3", 1, None, sides, (q, w))
+
+
+TYPE_FACTS = {
+    RayType.C1: TypeFacts(1, "C", "deg_delta", 1, None, _CONIC),
+    RayType.C2: TypeFacts(2, "C", "deg_delta", 0, 0, _CONIC),
+    RayType.D1: TypeFacts(1, "D", "d2", 1, 7, _DEL_PEZZO),
+    RayType.D2: TypeFacts(2, "D", "d2", 8, 8, _DEL_PEZZO),
+    RayType.D3: TypeFacts(3, "D", "d2", 9, 9, _DEL_PEZZO),
+    # E1: H^3 = L^3, (-K).H^2 = r L^3, (-K)^2.H = r^2 L^3 - deg B,
+    # c2.H = 24/r + deg B, for a target of index r = 2..4.
+    RayType.E1: TypeFacts(1, "E", "degB", 1, None, tuple(
+        ((("r", r), ("L3", L3)),
+         _quarters((L3, 0), (r * L3, 0), (r * r * L3, -1), (24 // r, 1)))
+        for r in (2, 3, 4)
+        for L3 in l3_range(r)
+    )),
+    RayType.E2: _point_type(2, _INDICES_DIVIDING_24, 24, 1, 8),  # 2 D = r H - (-K), D^3 = 1
+    RayType.E34: _point_type(1, _INDICES_DIVIDING_24, 24, 1, 2),  # D = r H - (-K), D^3 = 2
+    RayType.E5: _point_type(1, (1, 3, 5, 9, 15, 45), 45, 2, 4),  # D = r H - 2 (-K), D^3 = 4
 }
 
-_C_TYPES = frozenset({RayType.C1, RayType.C2})
-_D_TYPES = frozenset({RayType.D1, RayType.D2, RayType.D3})
-
-# Degrees d2 of the del Pezzo fibres of a D1 ray (D2 and D3 have 8 and 9).
-D1_FIBER_DOMAIN = range(1, 8)
+C_TYPES = tuple(t for t in RayType if TYPE_FACTS[t].family == "C")
+D_TYPES = tuple(t for t in RayType if TYPE_FACTS[t].family == "D")
+POINT_TYPES = tuple(t for t in RayType if TYPE_FACTS[t].contracted)  # a divisor to a point
+_E1_INDICES = TYPE_FACTS[RayType.E1].indices()  # once: RaySpec checks every E1 ray
 
 
 def mu_of(ray_type: RayType) -> int:
     """The length of an extremal ray of the given type."""
-    return _MU[ray_type]
+    return TYPE_FACTS[ray_type].mu
 
 
 class RaySpec(ValueObject):
@@ -120,7 +213,8 @@ class RaySpec(ValueObject):
     * E2/E34/E5: ``r`` (formal index of the target), ``L3``; ``e`` in {1, 2}
       for the P(O + O(e)) families.
 
-    The fields are checked on construction.
+    The fields are checked on construction; the deg_delta of a conic bundle
+    and the index r of an E1 target against :data:`TYPE_FACTS`.
     """
 
     __slots__ = (
@@ -139,16 +233,13 @@ class RaySpec(ValueObject):
         genus: Optional[int] = None,
         delta_bidegree: Optional[tuple[int, int]] = None,
     ) -> None:
-        if ray_type is RayType.E1 and r is not None and not (2 <= r <= 4):
+        if (deg_delta is not None and ray_type in C_TYPES
+                and not TYPE_FACTS[ray_type].admits(deg_delta)):
             raise ConstraintError(
-                f"an E1 contraction targets a Fano threefold of index 2..4, got r={r}"
+                f"a {ray_type.value} conic bundle has no deg_delta={deg_delta}"
             )
-        if ray_type is RayType.C1 and deg_delta is not None and deg_delta < 1:
-            raise ConstraintError(
-                "a C1 conic bundle has a nonempty discriminant (deg_delta >= 1)"
-            )
-        if ray_type is RayType.C2 and deg_delta not in (None, 0):
-            raise ConstraintError("a C2 contraction is a smooth P^1-bundle (deg_delta = 0)")
+        if r is not None and ray_type is RayType.E1 and r not in _E1_INDICES:
+            raise ConstraintError(f"an E1 target has an index in {_E1_INDICES}, got r={r}")
         if e is not None and e not in (1, 2):
             raise ConstraintError(f"the twist e must be 1 or 2, got {e}")
         for name, value, minimum in (
@@ -171,52 +262,37 @@ class RaySpec(ValueObject):
     @property
     def mu(self) -> int:
         """The length of the ray, fixed by its type."""
-        return _MU[self.ray_type]
+        return TYPE_FACTS[self.ray_type].mu
 
 
 def c2_dot_H(spec: RaySpec) -> int:
     """c_2(X) . H for the pullback H of the ample generator along the ray.
 
-    The value is pinned by the ray type: 6 + deg Delta for C1, 6 for C2,
-    12 - d2 for del Pezzo fibrations (= 4, 3 for D2, D3), 24/r + deg B for E1,
-    24/r for E2 and E3/E4, 45/r for E5.  Missing fields raise
-    IncompleteSpecError; failed divisibility raises ConstraintError (a pruning
-    event during enumeration).
+    The c2.H fact of the type's side in :data:`TYPE_FACTS`, at the spec's
+    value of the unknown.  Missing fields raise IncompleteSpecError; an index
+    r no side of the type has raises ConstraintError (a pruning event during
+    enumeration).
     """
     t = spec.ray_type
-    if t is RayType.C1:
-        if spec.deg_delta is None:
-            raise IncompleteSpecError("c2 . H for a C1 ray needs deg_delta")
-        return 6 + spec.deg_delta
-    if t is RayType.C2:
-        return 6
-    if t is RayType.D1:
-        if spec.d2 is None:
-            raise IncompleteSpecError("c2 . H for a D1 ray needs d2")
-        return 12 - spec.d2
-    if t is RayType.D2:
-        return 4
-    if t is RayType.D3:
-        return 3
-    if t is RayType.E1:
-        if spec.r is None or spec.degB is None:
-            raise IncompleteSpecError("c2 . H for an E1 ray needs r and degB")
-        if 24 % spec.r != 0:
-            raise ConstraintError(f"24/r must be an integer, got r={spec.r}")
-        return 24 // spec.r + spec.degB
-    if t in (RayType.E2, RayType.E34):
+    facts = TYPE_FACTS[t]
+    sides = facts.sides
+    if facts.family == "E":  # every side fixes r, and c2.H depends on r alone
         if spec.r is None:
             raise IncompleteSpecError(f"c2 . H for an {t.display} ray needs r")
-        if 24 % spec.r != 0:
-            raise ConstraintError(f"24/r must be an integer, got r={spec.r}")
-        return 24 // spec.r
-    if t is RayType.E5:
-        if spec.r is None:
-            raise IncompleteSpecError("c2 . H for an E5 ray needs r")
-        if 45 % spec.r != 0:
-            raise ConstraintError(f"45/r must be an integer, got r={spec.r}")
-        return 45 // spec.r
-    raise InconsistencyError(f"unhandled ray type {t}")  # pragma: no cover
+        sides = [side for side in sides if dict(side[0])["r"] == spec.r]
+        if not sides:
+            raise ConstraintError(
+                f"an {t.display} target has index in {facts.indices()}, got r={spec.r}"
+            )
+    constant, slope = sides[0][1][3]
+    u = facts.low if facts.low == facts.high else getattr(spec, facts.unknown)
+    if u is None:
+        if slope:
+            raise IncompleteSpecError(
+                f"c2 . H for a ray of type {t.display} needs {facts.unknown}"
+            )
+        u = 0
+    return (constant + slope * u) // 4
 
 
 def balance_check(mu1: int, mu2: int, c2_h1: int, c2_h2: int) -> bool:
@@ -226,22 +302,6 @@ def balance_check(mu1: int, mu2: int, c2_h1: int, c2_h2: int) -> bool:
     basis (H1, H2) with -K = mu2 H1 + mu1 H2.
     """
     return 24 == mu2 * c2_h1 + mu1 * c2_h2
-
-
-def l3_range(r: int) -> tuple[int, ...]:
-    """Admissible generator cubes L^3 for a smooth Fano threefold of index r.
-
-    Index 4: only P^3 (L^3 = 1).  Index 3: only the quadric (L^3 = 2).
-    Index 2: the del Pezzo threefolds with L^3 = 1..5 that contain enough
-    curves for the blowup analysis.
-    """
-    if r == 4:
-        return (1,)
-    if r == 3:
-        return (2,)
-    if r == 2:
-        return (1, 2, 3, 4, 5)
-    raise UnsupportedIndexError(f"no supported Fano index {r}")
 
 
 def degB_upper_bound(r1: int, mu2: int, a: int, L1_cubed: int) -> Fraction:
@@ -260,52 +320,29 @@ def degB_upper_bound(r1: int, mu2: int, a: int, L1_cubed: int) -> Fraction:
     return (r1 - Fraction(mu2, a)) ** 2 * L1_cubed
 
 
-def _divisors(n: int) -> tuple[int, ...]:
-    return tuple(d for d in range(1, n + 1) if n % d == 0)
-
-
-def _e1_value_set(mu_other: int, a: int) -> frozenset[int]:
-    """Admissible c2 . H values for an E1 ray opposite a ray of length mu_other.
-
-    24/r + degB with degB >= 1 bounded by degB_upper_bound(r, mu_other, a, L^3).
-    """
-    values: set[int] = set()
-    for r in (2, 3, 4):
-        for L3 in l3_range(r):
-            bound = degB_upper_bound(r, mu_other, a, L3)
-            top = int(bound)  # floor for positive fractions
-            for degB in range(1, top + 1):
-                values.add(24 // r + degB)
-    return frozenset(values)
-
-
 def _value_set(ray_type: RayType, mu_other: int, a: int) -> frozenset[int]:
     """All values c2 . H can take for a ray of the given type.
 
-    C1 gives 6 + deg Delta with 1 <= deg Delta <= 11: the discriminant is
-    nonempty, and (-K)^2 . H = 12 - deg Delta is at least 1 because -K is
-    ample and H is nef and nonzero.  The other fibration types give their
-    fixed values, the E-types 24/r resp. 45/r for the divisors r, and the E1
-    set shrinks with the candidate index a through the degree bound on the
-    blowup centre.
+    Each side of the type in :data:`TYPE_FACTS` gives c2.H affine in its
+    unknown u over the domain of u.  An unbounded u is capped by
+    (-K)^2 . H >= 1, as -K is ample and H is nef and nonzero: for C1 that is
+    deg Delta <= 11.  deg B is capped instead by degB_upper_bound, so the E1
+    set shrinks with the candidate index a.
     """
-    if ray_type is RayType.C1:
-        return frozenset(6 + deg_delta for deg_delta in range(1, 12))
-    if ray_type is RayType.C2:
-        return frozenset({6})
-    if ray_type is RayType.D1:
-        return frozenset(12 - d2 for d2 in D1_FIBER_DOMAIN)
-    if ray_type is RayType.D2:
-        return frozenset({4})
-    if ray_type is RayType.D3:
-        return frozenset({3})
-    if ray_type in (RayType.E2, RayType.E34):
-        return frozenset(24 // r for r in _divisors(24))
-    if ray_type is RayType.E5:
-        return frozenset(45 // r for r in _divisors(45))
-    if ray_type is RayType.E1:
-        return _e1_value_set(mu_other, a)
-    raise InconsistencyError(f"unhandled ray type {ray_type}")  # pragma: no cover
+    facts = TYPE_FACTS[ray_type]
+    values: set[int] = set()
+    for fixed, (_, _, (k0, k1), (c0, c1)) in facts.sides:
+        high = facts.high
+        if not c1:  # c2.H does not depend on u
+            high = facts.low
+        elif ray_type is RayType.E1:
+            fields = dict(fixed)
+            bound = degB_upper_bound(fields["r"], mu_other, a, fields["L3"])
+            high = int(bound)  # floor for positive fractions
+        elif high is None:
+            high = (k0 - 4) // -k1  # k0 + k1 u >= 4 in quarters, k1 < 0
+        values.update((c0 + c1 * u) // 4 for u in range(facts.low, high + 1))
+    return frozenset(values)
 
 
 def _primitivity_allows(a: int, mu1: int, mu2: int) -> bool:
@@ -333,11 +370,11 @@ def _cube_identity_allows(a: int, type1: RayType, mu1: int, type2: RayType, mu2:
     6 mu_D^2 for C+D pairs.  Since (-K)^3 is a positive even integer, a is
     constrained; this is what rules out a = 2 for a C1 + D3 pair.
     """
-    if type1 in _C_TYPES and type2 in _C_TYPES:
+    if type1 in C_TYPES and type2 in C_TYPES:
         numerator = 6 * (mu1 * mu1 + mu2 * mu2)
-    elif type1 in _C_TYPES and type2 in _D_TYPES:
+    elif type1 in C_TYPES and type2 in D_TYPES:
         numerator = 6 * mu2 * mu2
-    elif type1 in _D_TYPES and type2 in _C_TYPES:
+    elif type1 in D_TYPES and type2 in C_TYPES:
         numerator = 6 * mu1 * mu1
     else:
         return True
@@ -352,7 +389,7 @@ TypeFilter = Union[RayType, Iterable[RayType], None]
 def _resolve_second_types(type1: RayType, mu2: int, type2: TypeFilter) -> tuple[RayType, ...]:
     if type2 is None:
         candidates = tuple(t for t in RayType if mu_of(t) == mu2)
-        if type1 in _C_TYPES:
+        if type1 in C_TYPES:
             # The basis argument treats C-first configurations under the
             # primitivity assumption, which excludes E1 rays outright.
             candidates = tuple(t for t in candidates if t is not RayType.E1)

@@ -93,10 +93,38 @@ class DiffReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _freeze(value):
-    if isinstance(value, list):
-        return tuple(_freeze(v) for v in value)
-    return value
+# The types of an integer or a null; bool is a subclass of int, and not one.
+_INTEGER_OR_NULL = frozenset({int, type(None)})
+
+
+def _pair_or_null(value) -> bool:
+    return value is None or (
+        type(value) is list
+        and len(value) == 2
+        and type(value[0]) is int
+        and type(value[1]) is int
+    )
+
+
+def _freeze(index: int, name: str, values: list, length: int) -> tuple:
+    """One ``invariants`` list as a tuple, after checking its elements.
+
+    There is one element per ray, each null or an integer (not a bool), or
+    for ``delta_bidegree`` null or a list of two integers.
+    """
+    if name == "delta_bidegree":
+        valid = all(map(_pair_or_null, values))
+        if valid:
+            values = [None if value is None else tuple(value) for value in values]
+    else:
+        valid = _INTEGER_OR_NULL.issuperset(map(type, values))
+    if not valid or len(values) != length:
+        kind = "integer pairs" if name == "delta_bidegree" else "integers"
+        raise ConstraintError(
+            f"ground truth row {index}: invariants.{name} must be a list of "
+            f"{kind} or nulls, one per ray"
+        )
+    return tuple(values)
 
 
 def _thaw(value):
@@ -147,7 +175,9 @@ def _parse_row(index: int, item) -> TableRow:
         kx3,
         primitive,
         tuple(ray_types),
-        types.MappingProxyType({k: _freeze(v) for k, v in invariants.items()}),
+        types.MappingProxyType(
+            {k: _freeze(index, k, v, len(ray_types)) for k, v in invariants.items()}
+        ),
         tuple(descriptions),
     )
 
@@ -189,14 +219,10 @@ def _parse_truth(payload: bytes) -> tuple[tuple[TableRow, ...], Mapping[tuple, s
     """
     rows = parse_rows(payload)
     ids = {}
-    for index, row in enumerate(rows):
+    for row in rows:
         absent = (None,) * len(row.ray_types)
         degrees = (row.invariants.get(name, absent) for name in ("degB", "d2", "deg_delta"))
-        try:
-            key = table_key(row.rho, row.kx3, zip(row.ray_types, *degrees))
-        except TypeError as exc:
-            raise ConstraintError(f"ground truth row {index} is malformed: {exc}") from exc
-        ids[key] = row.table_id
+        ids[table_key(row.rho, row.kx3, zip(row.ray_types, *degrees))] = row.table_id
     return rows, types.MappingProxyType(ids)
 
 

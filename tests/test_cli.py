@@ -206,6 +206,26 @@ def _rows_with(field, value):
     return content
 
 
+def _one_ray_row_with_a_dict_degree():
+    row = dict(json.loads(emit(ground_truth(2), "json"))[0], ray_types=["C1"])
+    row["invariants"] = {"degB": [{"a": 1}]}
+    return json.dumps([row])
+
+
+def _rows_with_degB_of_row_8(value):
+    """Rows of the rank-2 truth with invariants.degB of row 8 (2-9) set to ``value``."""
+
+    def content():
+        rows = json.loads(emit(ground_truth(2), "json"))
+        rows[8]["invariants"]["degB"] = value
+        return json.dumps(rows)
+
+    return content
+
+
+# Ill-typed or ill-sized degB lists of row 8, whose rays are C1 and E1.
+BAD_DEGREE_LISTS = [[None, "7"], [None, True], [None], [None, 7.0]]
+
 # A wrong-typed field of row 3 and the requirement its error line states.
 WRONG_TYPED_FIELDS = [
     ("kx3", 4.9, "an integer"),
@@ -225,6 +245,8 @@ WRONG_TYPED_FIELDS = [
         lambda: json.dumps({"rows": []}),
         _rows_with_a_list_of_invariants,
         *(_rows_with(field, value) for field, value, _ in WRONG_TYPED_FIELDS),
+        _one_ray_row_with_a_dict_degree,
+        *(_rows_with_degB_of_row_8(value) for value in BAD_DEGREE_LISTS),
     ],
     ids=[
         "missing",
@@ -234,6 +256,11 @@ WRONG_TYPED_FIELDS = [
         "top-level-object",
         "row-with-a-list-of-invariants",
         *(f"row-with-wrong-typed-{field}" for field, _, _ in WRONG_TYPED_FIELDS),
+        "one-ray-row-with-a-dict-degree",
+        "degree-as-a-string",
+        "degree-as-a-boolean",
+        "degree-list-too-short",
+        "degree-as-a-float",
     ],
 )
 def test_bad_truth_file_is_one_error_line(tmp_path, monkeypatch, capsys, content):
@@ -264,6 +291,18 @@ def test_wrong_typed_truth_field_is_named(tmp_path, monkeypatch, capsys, field, 
     monkeypatch.setenv("FANO_GROUND_TRUTH", str(path))
     assert run(["verify", "--rho", "2"]) == 1
     assert capsys.readouterr().err == f"error: ground truth row 3: {field} must be {kind}\n"
+
+
+@pytest.mark.parametrize("value", BAD_DEGREE_LISTS, ids=repr)
+def test_wrong_typed_invariant_is_named(tmp_path, monkeypatch, capsys, value):
+    path = tmp_path / "truth.json"
+    path.write_text(_rows_with_degB_of_row_8(value)())
+    monkeypatch.setenv("FANO_GROUND_TRUTH", str(path))
+    assert run(["verify", "--rho", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "error: ground truth row 8: invariants.degB must be a list of integers or nulls,"
+        " one per ray\n"
+    )
 
 
 def test_emit_into_missing_directory_is_an_error(tmp_path, capsys):

@@ -216,6 +216,10 @@ def test_blowup_centers_respect_degree_bound():
                 assert ray.degB <= bound, rec.table_id
 
 
+def test_records_are_hashable():
+    assert len(set(enumerate_all(2))) == 36
+
+
 def test_genus_is_recorded_exactly_for_blowdowns():
     for rec in all_records():
         has_e1 = rec.rho == 2 and RayType.E1 in rec.ray_types

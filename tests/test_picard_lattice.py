@@ -72,6 +72,13 @@ def test_unsorted_keys_are_normalized():
     assert form.value(2, 1, 2) == 5
 
 
+def test_equal_forms_hash_equal():
+    form = TrilinearForm.rank2(1, 2, 3, 4)
+    same = TrilinearForm(2, {(2, 2, 2): 4, (2, 1, 2): 3, (1, 2, 1): 2, (1, 1, 1): 1})
+    assert same == form and hash(same) == hash(form)
+    assert len({form, same, TrilinearForm.from_nonzero(2, {(1, 1, 1): 1})}) == 2
+
+
 def test_transposed_swaps_the_basis():
     form = TrilinearForm.rank2(1, 3, 2, 0)
     swapped = form.transposed((2, 1))

@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fanoenum import table_oracle
 from fanoenum.enumerator import enumerate_all
@@ -258,3 +258,54 @@ def _reference_normalize(text):
 @given(st.text())
 def test_normalize_description_matches_the_isalnum_reference(text):
     assert _normalize_description(text) == _reference_normalize(text)
+
+
+# Any JSON value, kept small so that a hundred examples parse in well under
+# a second.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+PACKAGED_TRUTH = table_oracle._PACKAGED_TRUTH.read_text()
+
+# A one-ray row whose degB list holds an object, which would make its table
+# key unhashable.
+ROW_WITH_A_DICT_DEGREE = dict(
+    json.loads(PACKAGED_TRUTH)[0], ray_types=["C1"], invariants={"degB": [{"a": 1}]}
+)
+
+
+def _parses_or_raises_constraint_error(value):
+    try:
+        table_oracle._parse_truth(json.dumps(value).encode())
+    except ConstraintError:
+        pass
+
+
+@settings(max_examples=100, deadline=None)
+@example([ROW_WITH_A_DICT_DEGREE])
+@given(JSON_VALUES)
+def test_truth_parser_takes_any_json_value(value):
+    _parses_or_raises_constraint_error(value)
+
+
+@st.composite
+def packaged_rows_with_one_value_replaced(draw):
+    """The packaged rows with a row, field or element replaced by any JSON value."""
+    rows = json.loads(PACKAGED_TRUTH)
+    container, key = rows, draw(st.integers(0, len(rows) - 1))
+    while isinstance(container[key], (list, dict)) and container[key] and draw(st.booleans()):
+        container = container[key]
+        key = draw(st.sampled_from(sorted(container) if isinstance(container, dict)
+                                   else range(len(container))))
+    container[key] = draw(JSON_VALUES)
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(packaged_rows_with_one_value_replaced())
+def test_truth_parser_takes_a_packaged_row_with_any_value_replaced(rows):
+    _parses_or_raises_constraint_error(rows)

@@ -1,0 +1,35 @@
+"""The readers of the one per-type fact table agree with each other.
+
+The engine compiles its sides from ``TYPE_FACTS``, ``c2_dot_H`` looks the
+c2.H fact up in it, and the lattice-index argument takes its value sets from
+it; each test ties two of these readers together.
+"""
+
+import pytest
+
+from fanoenum import enumerator
+from fanoenum.enumerator import enumerate_all
+from fanoenum.ray_constraints import RaySpec, RayType, _value_set, c2_dot_H
+
+SIDES = [
+    pytest.param(side, id=f"{ray_type.value}-{index}")
+    for ray_type in RayType
+    for index, side in enumerate(enumerator._SIDES[ray_type])
+]
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_c2_dot_H_equals_the_compiled_c2_term(side):
+    constant, slope = side.terms[1][3]  # N = n c2.H, with n = 1
+    admissible = [side.low] if side.unknown is None else range(side.low, side.low + 4)
+    for u in admissible:
+        fields = dict(side.spec)
+        if side.unknown is not None:
+            fields[side.unknown] = u
+        assert c2_dot_H(RaySpec(side.ray_type, **fields)) * 4 == constant + slope * u
+
+
+def test_every_computed_ray_lies_in_its_lattice_value_set():
+    for record in enumerate_all(2):
+        for ray, other in (record.rays, record.rays[::-1]):
+            assert c2_dot_H(ray) in _value_set(ray.ray_type, other.mu, 1), record.table_id
