@@ -8,6 +8,7 @@ with LF newlines.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -92,12 +93,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_emit.add_argument("--rho", type=int, choices=(2, 3), default=2)
     p_emit.add_argument("--format", dest="fmt", choices=_EMIT_CHOICES, default="json")
     p_emit.add_argument("--source", choices=("truth", "computed"), default="truth")
-    p_emit.add_argument("--out", help="output path (default: stdout)")
+    p_emit.add_argument("--out", type=_path, help="output path (default: stdout)")
     p_emit.set_defaults(handler=_run_emit)
     return parser
 
 
 _EMIT_CHOICES = ("markdown", "json", "csv")
+
+
+def _path(text: str) -> str:
+    # open() raises ValueError, not OSError, on a NUL byte or a lone surrogate
+    try:
+        valid = b"\0" not in os.fsencode(text)
+    except UnicodeEncodeError:
+        valid = False
+    if not valid:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a path this system can open")
+    return text
 
 
 def _parse_pair(parser: argparse.ArgumentParser, text: str, rho: int) -> tuple[str, ...]:

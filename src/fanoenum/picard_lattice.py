@@ -119,9 +119,11 @@ _SORTED_KEY = {
 }
 
 
-def _multiset_keys(rho: int) -> list[tuple[int, int, int]]:
-    """All index multisets 1 <= i <= j <= k <= rho, the support of a form."""
-    return list(itertools.combinations_with_replacement(range(1, rho + 1), 3))
+# Each rank -> its index multisets 1 <= i <= j <= k <= rho, the support of a form.
+_MULTISET_KEYS = {
+    rho: tuple(itertools.combinations_with_replacement(range(1, rho + 1), 3))
+    for rho in (2, 3)
+}
 
 
 class TrilinearForm(ValueObject):
@@ -141,8 +143,10 @@ class TrilinearForm(ValueObject):
             raise DimensionMismatchError(f"rank must be 2 or 3, got {rho}")
         normalized: dict[tuple[int, int, int], int] = {}
         for key, value in entries.items():
-            i, j, k = key
-            sorted_key = tuple(sorted((int(i), int(j), int(k))))
+            sorted_key = _SORTED_KEY.get(key)
+            if sorted_key is None:  # not a triple of indices 1..3
+                i, j, k = key
+                sorted_key = tuple(sorted((int(i), int(j), int(k))))
             if not (1 <= sorted_key[0] and sorted_key[2] <= rho):
                 raise DimensionMismatchError(
                     f"index triple {key} out of range for rank {rho}"
@@ -152,9 +156,10 @@ class TrilinearForm(ValueObject):
                     f"conflicting values for basis triple {sorted_key}"
                 )
             normalized[sorted_key] = int(value)
-        required = _multiset_keys(rho)
-        missing = [k for k in required if k not in normalized]
-        if missing:
+        required = _MULTISET_KEYS[rho]
+        # every key in range is one of the required multisets
+        if len(normalized) < len(required):
+            missing = [k for k in required if k not in normalized]
             raise ConstraintError(
                 f"trilinear form on rank {rho} is missing entries {missing}"
             )
@@ -166,7 +171,7 @@ class TrilinearForm(ValueObject):
         cls, rho: int, nonzero: Mapping[tuple[int, int, int], int]
     ) -> "TrilinearForm":
         """Build a form from its nonzero entries, filling the rest with 0."""
-        entries = {key: 0 for key in _multiset_keys(rho)}
+        entries = dict.fromkeys(_MULTISET_KEYS.get(rho, ()), 0)  # cls checks rho
         for key, value in nonzero.items():
             entries[tuple(sorted(key))] = int(value)
         return cls(rho, entries)
@@ -197,7 +202,7 @@ class TrilinearForm(ValueObject):
             self.rho,
             {
                 key: self.value(*(permutation[i - 1] for i in key))
-                for key in _multiset_keys(self.rho)
+                for key in _MULTISET_KEYS[self.rho]
             },
         )
 
@@ -215,6 +220,7 @@ def triple_product(
             raise DimensionMismatchError(
                 f"class of rank {cls_.rho} fed to a rank-{form.rho} form"
             )
+    entries = form.entries
     indices = range(1, form.rho + 1)
     total = 0
     for i in indices:
@@ -229,7 +235,7 @@ def triple_product(
                 zk = z.coords[k - 1]
                 if zk == 0:
                     continue
-                total += xi * yj * zk * form.value(i, j, k)
+                total += xi * yj * zk * entries[_SORTED_KEY[i, j, k]]
     return total
 
 

@@ -191,7 +191,12 @@ TYPE_FACTS = {
 C_TYPES = tuple(t for t in RayType if TYPE_FACTS[t].family == "C")
 D_TYPES = tuple(t for t in RayType if TYPE_FACTS[t].family == "D")
 POINT_TYPES = tuple(t for t in RayType if TYPE_FACTS[t].contracted)  # a divisor to a point
-_E1_INDICES = TYPE_FACTS[RayType.E1].indices()  # once: RaySpec checks every E1 ray
+# Once, as RaySpec checks every ray: each divisorial type's target indices r,
+# each with the cubes L^3 an E1 target of index r has (None: any L^3 >= 1).
+_TARGETS = {
+    t: {r: l3_range(r) if t is RayType.E1 else None for r in TYPE_FACTS[t].indices()}
+    for t in (RayType.E1,) + POINT_TYPES
+}
 
 
 def mu_of(ray_type: RayType) -> int:
@@ -213,8 +218,10 @@ class RaySpec(ValueObject):
     * E2/E34/E5: ``r`` (formal index of the target), ``L3``; ``e`` in {1, 2}
       for the P(O + O(e)) families.
 
-    The fields are checked on construction; the deg_delta of a conic bundle
-    and the index r of an E1 target against :data:`TYPE_FACTS`.
+    The fields are checked on construction; against :data:`TYPE_FACTS` the
+    unknown of the type (deg_delta of a conic bundle, d2 of a del Pezzo
+    fibration), the index r of a divisorial ray's target and the L3 of an E1
+    target of index r.
     """
 
     __slots__ = (
@@ -238,8 +245,19 @@ class RaySpec(ValueObject):
             raise ConstraintError(
                 f"a {ray_type.value} conic bundle has no deg_delta={deg_delta}"
             )
-        if r is not None and ray_type is RayType.E1 and r not in _E1_INDICES:
-            raise ConstraintError(f"an E1 target has an index in {_E1_INDICES}, got r={r}")
+        if d2 is not None and ray_type in D_TYPES and not TYPE_FACTS[ray_type].admits(d2):
+            raise ConstraintError(f"a {ray_type.value} del Pezzo fibration has no d2={d2}")
+        targets = None if r is None else _TARGETS.get(ray_type)
+        if targets is not None:
+            if r not in targets:
+                raise ConstraintError(
+                    f"an {ray_type.display} target has an index in {tuple(targets)}, got r={r}"
+                )
+            cubes = targets[r]
+            if L3 is not None and cubes is not None and L3 not in cubes:
+                raise ConstraintError(
+                    f"an E1 target of index {r} has L3 in {cubes}, got L3={L3}"
+                )
         if e is not None and e not in (1, 2):
             raise ConstraintError(f"the twist e must be 1 or 2, got {e}")
         for name, value, minimum in (
@@ -269,9 +287,9 @@ def c2_dot_H(spec: RaySpec) -> int:
     """c_2(X) . H for the pullback H of the ample generator along the ray.
 
     The c2.H fact of the type's side in :data:`TYPE_FACTS`, at the spec's
-    value of the unknown.  Missing fields raise IncompleteSpecError; an index
-    r no side of the type has raises ConstraintError (a pruning event during
-    enumeration).
+    value of the unknown.  Missing fields raise IncompleteSpecError; the
+    index r of a divisorial ray is one some side of its type has, as
+    :class:`RaySpec` checks it.
     """
     t = spec.ray_type
     facts = TYPE_FACTS[t]
@@ -280,10 +298,6 @@ def c2_dot_H(spec: RaySpec) -> int:
         if spec.r is None:
             raise IncompleteSpecError(f"c2 . H for an {t.display} ray needs r")
         sides = [side for side in sides if dict(side[0])["r"] == spec.r]
-        if not sides:
-            raise ConstraintError(
-                f"an {t.display} target has index in {facts.indices()}, got r={spec.r}"
-            )
     constant, slope = sides[0][1][3]
     u = facts.low if facts.low == facts.high else getattr(spec, facts.unknown)
     if u is None:

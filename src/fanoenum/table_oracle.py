@@ -9,10 +9,10 @@ normalization that forgets case and punctuation.
 
 from __future__ import annotations
 
-import csv
 import functools
 import io
 import json
+import operator
 import os
 import re
 import types
@@ -34,6 +34,8 @@ __all__ = [
 
 # Per-ray integer data a row may carry, in emission order.
 _INVARIANT_FIELDS = ("deg_delta", "d2", "r", "L3", "degB", "genus", "e", "delta_bidegree")
+# A ray's values of those fields, read in one call.
+_RAY_INVARIANTS = operator.attrgetter(*_INVARIANT_FIELDS)
 
 _EMIT_FORMATS = ("json", "csv", "markdown")
 
@@ -257,20 +259,17 @@ def table_ids() -> Mapping[tuple, str]:
 
 def record_to_row(record) -> TableRow:
     """Project a solution record onto the table-row shape used for diffs."""
-    invariants: dict[str, tuple] = {}
-    for name in _INVARIANT_FIELDS:
-        values = tuple(getattr(spec, name) for spec in record.rays)
-        if any(v is not None for v in values):
-            invariants[name] = values
-    primitive = record.rho == 3 or all(
-        t is not RayType.E1 for t in record.ray_types
-    )
+    columns = zip(_INVARIANT_FIELDS, zip(*map(_RAY_INVARIANTS, record.rays)))
+    invariants = {
+        name: values for name, values in columns if values.count(None) < len(values)
+    }
+    ray_types = record.ray_types
     return TableRow(
         table_id=record.table_id,
         rho=record.rho,
         kx3=record.kx3,
-        primitive=primitive,
-        ray_types=tuple(t.value for t in record.ray_types),
+        primitive=record.rho == 3 or RayType.E1 not in ray_types,
+        ray_types=tuple(t.value for t in ray_types),
         invariants=invariants,
         descriptions=tuple(record.descriptions),
     )
@@ -333,8 +332,10 @@ def diff(records, rows: Iterable[TableRow]) -> DiffReport:
                     mismatched.append(
                         (table_id, f"invariants.{key}[{i}]", expected, actual)
                     )
-        if _normalized_multiset(computed.descriptions) != _normalized_multiset(
-            row.descriptions
+        # normalizing maps equal texts to equal texts: only unequal ones need it
+        if sorted(computed.descriptions) != sorted(row.descriptions) and (
+            _normalized_multiset(computed.descriptions)
+            != _normalized_multiset(row.descriptions)
         ):
             mismatched.append(
                 (table_id, "descriptions", row.descriptions, computed.descriptions)
@@ -362,6 +363,9 @@ def _emit_json(rows: tuple[TableRow, ...]) -> bytes:
 
 
 def _emit_csv(rows: tuple[TableRow, ...]) -> bytes:
+    # imported here: only this format needs csv, and no other command should load it
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["table_id", "rho", "kx3", "rays", "primitive", "descriptions"])

@@ -1,12 +1,17 @@
 """The command-line surface: flags, exit codes, output bytes."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from fanoenum.cli import run
+from fanoenum.cli import _CHERN_FORMULAS, run
 from fanoenum.table_oracle import emit, ground_truth
 
 
@@ -163,10 +168,11 @@ def _modules_loaded_by(statement):
 
 
 def test_cli_start_imports_no_heavy_stdlib_module():
-    # dataclasses brings inspect, ast, dis and tokenize; fractions brings decimal
+    # dataclasses brings inspect, ast, dis and tokenize; fractions brings decimal;
+    # csv is needed only by emit --format csv
     added = _modules_loaded_by("import fanoenum.cli") - _modules_loaded_by("pass")
     assert "fanoenum.cli" in added
-    heavy = {"dataclasses", "inspect", "ast", "fractions", "decimal"}
+    heavy = {"dataclasses", "inspect", "ast", "fractions", "decimal", "csv", "_csv"}
     assert sorted(added & heavy) == []
 
 
@@ -309,3 +315,39 @@ def test_emit_into_missing_directory_is_an_error(tmp_path, capsys):
     target = tmp_path / "absent" / "table.json"
     assert run(["emit", "--out", str(target)]) == 1
     _assert_one_error_line(capsys)
+
+
+# Tokens of real argvs: subcommands, options, their values and formula names.
+ARGV_TOKENS = (
+    "enumerate", "verify", "chern", "emit",
+    "--rho", "--pair", "--primitive", "--format", "--source", "--out", "-h",
+    "2", "3", "1", "0", "-1", "7", "64", "json", "csv", "markdown", "pdf",
+    "truth", "computed", "E1,C2", "c1,e3e4", "E1,E1,E1", "E1", "E1,F7", ",",
+    "table.json", "absent/table.json", ".", "",
+    *_CHERN_FORMULAS,
+)
+# Junk holds no path separator, so that a path it names stays in the working
+# directory, which the test makes a temporary one.
+JUNK_TOKENS = st.text(st.characters(exclude_characters="/\\"), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@example(["emit", "--out", "table\0.json"])  # a NUL byte, which no path can hold
+@example(["emit", "--out", "table\ud800.json"])  # a lone surrogate, which no path can hold
+@given(st.lists(st.sampled_from(ARGV_TOKENS) | JUNK_TOKENS, max_size=8))
+def test_any_argv_exits_zero_one_or_two_without_a_traceback(argv):
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    stderr = io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    code = run(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()

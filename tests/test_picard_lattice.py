@@ -64,6 +64,25 @@ def test_missing_entries_are_an_error():
         TrilinearForm(2, {(1, 1, 1): 0, (2, 2, 2): 0})
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {(1, 1, 1): 0, (1, 1, 2): 0, (1, 2, 2): 0, (2, 2, 2): 0, (1, 1, 3): 0},
+        {(1, 1, 1): 0, (1, 1, 2): 0, (1, 2, 2): 0, (2, 2, 2): 0, (0, 1, 1): 0},
+        {(1, 1, 1): 0, (1, 1, 2): 0, (1, 2, 2): 0, (2, 2, 2): 0, (2, 2, 4): 0},
+    ],
+    ids=["index-3", "index-0", "index-4"],
+)
+def test_out_of_range_entries_are_an_error(entries):
+    with pytest.raises(DimensionMismatchError, match="out of range for rank 2"):
+        TrilinearForm(2, entries)
+
+
+def test_conflicting_entries_are_an_error():
+    with pytest.raises(ConstraintError, match="conflicting values"):
+        TrilinearForm(2, {(1, 1, 1): 0, (1, 1, 2): 4, (2, 1, 1): 5, (1, 2, 2): 0, (2, 2, 2): 0})
+
+
 def test_unsorted_keys_are_normalized():
     form = TrilinearForm(
         2, {(1, 1, 1): 0, (2, 1, 1): 4, (2, 2, 1): 5, (2, 2, 2): 0}

@@ -56,6 +56,21 @@ def test_rayspec_validations():
     assert RaySpec(RayType.D3).mu == 3
 
 
+@pytest.mark.parametrize(
+    "ray_type,fields,message",
+    [
+        (RayType.D2, {"d2": 5}, "a D2 del Pezzo fibration has no d2=5"),
+        (RayType.D1, {"d2": 8}, "a D1 del Pezzo fibration has no d2=8"),
+        (RayType.E2, {"r": 6}, r"an E2 target has an index in \(1, 2, 3, 4\), got r=6"),
+        (RayType.E1, {"r": 2, "L3": 7}, "an E1 target of index 2 has L3 in .*, got L3=7"),
+    ],
+    ids=["D2-d2-5", "D1-d2-8", "E2-r-6", "E1-r-2-L3-7"],
+)
+def test_rayspec_rejects_what_the_type_facts_rule_out(ray_type, fields, message):
+    with pytest.raises(ConstraintError, match=message):
+        RaySpec(ray_type, **fields)
+
+
 def test_c2_dot_H_values():
     assert c2_dot_H(RaySpec(RayType.E1, r=4, degB=7)) == 13
     assert c2_dot_H(RaySpec(RayType.D3)) == 3

@@ -8,9 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 from fanoenum import table_oracle
 from fanoenum.enumerator import enumerate_all
 from fanoenum.errors import ConstraintError, UnsupportedScopeError
+from fanoenum.ray_constraints import RayType
 from fanoenum.table_oracle import (
+    DiffReport,
     TableRow,
     _normalize_description,
+    _normalized_multiset,
+    _record_label,
     diff,
     emit,
     ground_truth,
@@ -248,6 +252,113 @@ def test_labels_follow_a_truth_file_rewritten_in_place(tmp_path, monkeypatch):
     path.write_text(json.dumps(rows))
     assert ground_truth(2)[0].table_id == "2-1x"
     assert diff(enumerate_all(2), ground_truth(2)).is_empty
+
+
+def _reference_record_to_row(record):
+    """record_to_row as it was before it read each ray's fields in one call."""
+    invariants = {}
+    for name in table_oracle._INVARIANT_FIELDS:
+        values = tuple(getattr(spec, name) for spec in record.rays)
+        if any(v is not None for v in values):
+            invariants[name] = values
+    primitive = record.rho == 3 or all(t is not RayType.E1 for t in record.ray_types)
+    return TableRow(
+        table_id=record.table_id,
+        rho=record.rho,
+        kx3=record.kx3,
+        primitive=primitive,
+        ray_types=tuple(t.value for t in record.ray_types),
+        invariants=invariants,
+        descriptions=tuple(record.descriptions),
+    )
+
+
+@pytest.mark.parametrize("rho,primitive_only", [(2, False), (2, True), (3, True)])
+def test_record_to_row_matches_the_reference(rho, primitive_only):
+    for record in enumerate_all(rho, primitive_only):
+        row, reference = record_to_row(record), _reference_record_to_row(record)
+        assert row == reference
+        assert list(row.invariants) == list(reference.invariants)  # key order
+
+
+def _reference_diff(records, rows):
+    """diff as it was before it compared raw descriptions first."""
+    by_id = {row.table_id: row for row in rows}
+    matched = set()
+    extra = []
+    mismatched = []
+    for record in records:
+        computed = record if isinstance(record, TableRow) else record_to_row(record)
+        table_id = computed.table_id
+        if not table_id or table_id not in by_id or table_id in matched:
+            extra.append(_record_label(computed))
+            continue
+        matched.add(table_id)
+        row = by_id[table_id]
+        if computed.kx3 != row.kx3:
+            mismatched.append((table_id, "kx3", row.kx3, computed.kx3))
+        if computed.ray_types != row.ray_types:
+            mismatched.append((table_id, "ray_types", row.ray_types, computed.ray_types))
+        if computed.primitive != row.primitive:
+            mismatched.append((table_id, "primitive", row.primitive, computed.primitive))
+        for key in sorted(row.invariants):
+            expected_values = row.invariants[key]
+            actual_values = computed.invariants.get(key)
+            for i, expected in enumerate(expected_values):
+                if expected is None:
+                    continue
+                actual = None
+                if actual_values is not None and i < len(actual_values):
+                    actual = actual_values[i]
+                if actual != expected:
+                    mismatched.append((table_id, f"invariants.{key}[{i}]", expected, actual))
+        if _normalized_multiset(computed.descriptions) != _normalized_multiset(
+            row.descriptions
+        ):
+            mismatched.append((table_id, "descriptions", row.descriptions, computed.descriptions))
+    missing = tuple(row.table_id for row in rows if row.table_id not in matched)
+    return DiffReport(missing=missing, extra=tuple(extra), mismatched=tuple(mismatched))
+
+
+def _perturbed(draw, text):
+    """``text`` unchanged, in another case, with a punctuation mark, or with a word changed."""
+    kind = draw(st.sampled_from(("same", "case", "punctuation", "word")))
+    if kind == "case":
+        return draw(st.sampled_from((str.upper, str.title, str.swapcase)))(text)
+    if kind == "punctuation":
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + draw(st.sampled_from(".,;:-_()!")) + text[at:]
+    if kind == "word":
+        words = text.split(" ")
+        words[draw(st.integers(0, len(words) - 1))] = draw(
+            st.sampled_from(("curve", "Conic", "P^3", "quadric", "a", "x"))
+        )
+        return " ".join(words)
+    return text
+
+
+@st.composite
+def rows_with_perturbed_descriptions(draw, rows):
+    """``rows`` with the descriptions of a few rows reordered and perturbed."""
+    rows = list(rows)
+    for index in draw(st.lists(st.integers(0, len(rows) - 1), max_size=4, unique=True)):
+        texts = draw(st.permutations(rows[index].descriptions))
+        rows[index] = rows[index]._replace(
+            descriptions=tuple(_perturbed(draw, text) for text in texts)
+        )
+    return rows
+
+
+COMPUTED_ROWS = tuple(record_to_row(record) for record in enumerate_all(2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows_with_perturbed_descriptions(COMPUTED_ROWS),
+    rows_with_perturbed_descriptions(ground_truth(2)),
+)
+def test_diff_matches_the_always_normalizing_reference(computed, truth):
+    assert diff(computed, truth) == _reference_diff(computed, truth)
 
 
 def _reference_normalize(text):
