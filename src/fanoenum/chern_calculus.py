@@ -12,8 +12,12 @@ the rank-2/3 classification consumes, from plain integers to a plain integer:
 * ``conic_bundle_ksq_dot_pullback(ks_dot_d, delta_dot_d)``
 * ``genus_from_blowup(kx3, ky3, r, degB)``
 * ``antican_cube_by_index(r, L3=None)``
+* ``l3_range(r)``
 
-Parity and sign conditions are checked, never rounded away.
+:data:`FANO_TARGETS` is the one table of the smooth Fano threefolds Y of
+index r >= 2 that a blowup or point contraction can land on: their indices
+and generator cubes L^3.  Parity and sign conditions are checked, never
+rounded away.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from .errors import (
     ParityError,
     UnsupportedIndexError,
 )
-from .ray_constraints import l3_range
 
 __all__ = [
     "antican_cube_p1_bundle_over_surface",
@@ -37,7 +40,22 @@ __all__ = [
     "conic_bundle_ksq_dot_pullback",
     "genus_from_blowup",
     "antican_cube_by_index",
+    "l3_range",
 ]
+
+# index r -> the generator cubes L^3 of a smooth Fano threefold of index r:
+# P^3 (r = 4), the quadric (r = 3) and the del Pezzo threefolds with L^3 =
+# 1..5 that contain enough curves for the blowup analysis (r = 2).
+# (-K_Y)^3 = r^3 L^3.
+FANO_TARGETS = {2: (1, 2, 3, 4, 5), 3: (2,), 4: (1,)}
+
+
+def l3_range(r: int) -> tuple[int, ...]:
+    """Admissible generator cubes L^3 for a smooth Fano threefold of index r."""
+    try:
+        return FANO_TARGETS[r]
+    except KeyError:
+        raise UnsupportedIndexError(f"no supported Fano index {r}") from None
 
 
 def antican_cube_p1_bundle_over_surface(c1_sq: int, c2: int, Ky_sq: int) -> int:
@@ -125,7 +143,7 @@ def genus_from_blowup(kx3: int, ky3: int, r: int, degB: int) -> int:
     (deg B >= 1), both cubes must be even, and a negative result violates
     g >= 0 and is rejected.
     """
-    if r not in (2, 3, 4):
+    if r not in FANO_TARGETS:
         raise UnsupportedIndexError(f"no smooth Fano threefold has index {r} >= 2")
     if degB < 1:
         raise ConstraintError(f"a blowup centre is a curve, so degB >= 1, got {degB}")
@@ -142,23 +160,21 @@ def genus_from_blowup(kx3: int, ky3: int, r: int, degB: int) -> int:
 
 
 def antican_cube_by_index(r: int, L3: Optional[int] = None) -> int:
-    """(-K_Y)^3 for a smooth Fano threefold Y of index r >= 2.
+    """(-K_Y)^3 = r^3 L^3 for a smooth Fano threefold Y of index r >= 2.
 
     Index 4 forces Y = P^3 (cube 64), index 3 forces the quadric (cube 54);
     index 2 needs the degree L3 = L^3 of the ample generator, one of
-    :func:`fanoenum.ray_constraints.l3_range`, giving 8*L3.
+    :func:`l3_range`, giving 8*L3.
     """
-    if r == 4:
-        return 64
-    if r == 3:
-        return 54
-    if r == 2:
-        if L3 is None:
-            raise IncompleteSpecError("index-2 targets need L3 = L^3")
-        allowed = l3_range(2)
-        if L3 not in allowed:
-            raise ConstraintError(
-                f"an index-2 target has L3 in {allowed[0]}..{allowed[-1]}, got {L3}"
-            )
-        return 8 * L3
-    raise UnsupportedIndexError(f"no smooth Fano threefold has index {r} >= 2")
+    cubes = FANO_TARGETS.get(r)
+    if cubes is None:
+        raise UnsupportedIndexError(f"no smooth Fano threefold has index {r} >= 2")
+    if len(cubes) == 1:
+        return r**3 * cubes[0]
+    if L3 is None:
+        raise IncompleteSpecError(f"index-{r} targets need L3 = L^3")
+    if L3 not in cubes:
+        raise ConstraintError(
+            f"an index-{r} target has L3 in {cubes[0]}..{cubes[-1]}, got {L3}"
+        )
+    return r**3 * L3

@@ -1,5 +1,8 @@
 """Command-line interface: enumerate, verify, chern, emit.
 
+Each subcommand imports the engine modules it runs when it runs, so that
+``chern`` loads only the Chern calculus.
+
 Exit codes: 0 success, 1 verification failure, engine error or unreadable
 file, 2 usage error (argparse).  All table output is byte-deterministic UTF-8
 with LF newlines.
@@ -23,10 +26,7 @@ from .chern_calculus import (
     genus_from_blowup,
     xi_square_on_curve,
 )
-from .enumerator import enumerate_all
 from .errors import FanoEngineError
-from .ray_constraints import RayType
-from .table_oracle import diff, emit, ground_truth, record_to_row
 
 __all__ = ["run", "main"]
 
@@ -113,6 +113,8 @@ def _path(text: str) -> str:
 
 
 def _parse_pair(parser: argparse.ArgumentParser, text: str, rho: int) -> tuple[str, ...]:
+    from .ray_constraints import RayType
+
     try:
         tags = tuple(RayType.parse(token).value for token in text.split(","))
     except FanoEngineError as exc:
@@ -125,6 +127,9 @@ def _parse_pair(parser: argparse.ArgumentParser, text: str, rho: int) -> tuple[s
 
 
 def _computed_rows(rho: int, primitive_only: bool):
+    from .enumerator import enumerate_all
+    from .table_oracle import record_to_row
+
     return tuple(
         record_to_row(record)
         for record in enumerate_all(rho, primitive_only=primitive_only)
@@ -142,6 +147,8 @@ def _write_payload(payload: bytes, out: Optional[str]) -> None:
 
 
 def _run_enumerate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    from .table_oracle import emit
+
     pair = _parse_pair(parser, args.pair, args.rho) if args.pair else None
     rows = _computed_rows(args.rho, args.primitive or args.rho == 3)
     if pair is not None:
@@ -151,6 +158,9 @@ def _run_enumerate(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
 
 def _run_verify(args: argparse.Namespace) -> int:
+    from .enumerator import enumerate_all
+    from .table_oracle import diff, ground_truth
+
     status = 0
     rhos = (args.rho,) if args.rho else (2, 3)
     for rho in rhos:
@@ -176,6 +186,8 @@ def _run_chern(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 
 def _run_emit(args: argparse.Namespace) -> int:
+    from .table_oracle import emit, ground_truth
+
     primitive_only = args.rho == 3
     if args.source == "computed":
         rows = _computed_rows(args.rho, primitive_only)

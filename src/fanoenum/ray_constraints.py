@@ -28,12 +28,8 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
-from .errors import (
-    ConstraintError,
-    IncompleteSpecError,
-    InconsistencyError,
-    UnsupportedIndexError,
-)
+from .chern_calculus import FANO_TARGETS
+from .errors import ConstraintError, IncompleteSpecError, InconsistencyError
 from .picard_lattice import ValueObject, set_field
 
 if TYPE_CHECKING:
@@ -45,7 +41,6 @@ __all__ = [
     "mu_of",
     "c2_dot_H",
     "balance_check",
-    "l3_range",
     "degB_upper_bound",
     "lattice_index_candidates",
 ]
@@ -57,6 +52,10 @@ class RayType(enum.Enum):
     Declaration order is the canonical sort order used when normalizing the
     ray pair of a solution record.
     """
+
+    # members are singletons: hash by identity, not by Enum.__hash__, a
+    # Python-level function that every dict lookup keyed by a type would call
+    __hash__ = object.__hash__
 
     C1 = "C1"
     C2 = "C2"
@@ -89,22 +88,6 @@ class RayType(enum.Enum):
 
 
 _RAY_ORDER = {t: i for i, t in enumerate(RayType)}
-
-
-def l3_range(r: int) -> tuple[int, ...]:
-    """Admissible generator cubes L^3 for a smooth Fano threefold of index r.
-
-    Index 4: only P^3 (L^3 = 1).  Index 3: only the quadric (L^3 = 2).
-    Index 2: the del Pezzo threefolds with L^3 = 1..5 that contain enough
-    curves for the blowup analysis.
-    """
-    if r == 4:
-        return (1,)
-    if r == 3:
-        return (2,)
-    if r == 2:
-        return (1, 2, 3, 4, 5)
-    raise UnsupportedIndexError(f"no supported Fano index {r}")
 
 
 # ------------------------------------------------------------ type facts --
@@ -176,12 +159,12 @@ TYPE_FACTS = {
     RayType.D2: TypeFacts(2, "D", "d2", 8, 8, _DEL_PEZZO),
     RayType.D3: TypeFacts(3, "D", "d2", 9, 9, _DEL_PEZZO),
     # E1: H^3 = L^3, (-K).H^2 = r L^3, (-K)^2.H = r^2 L^3 - deg B,
-    # c2.H = 24/r + deg B, for a target of index r = 2..4.
+    # c2.H = 24/r + deg B, for a target (r, L^3) in FANO_TARGETS.
     RayType.E1: TypeFacts(1, "E", "degB", 1, None, tuple(
         ((("r", r), ("L3", L3)),
          _quarters((L3, 0), (r * L3, 0), (r * r * L3, -1), (24 // r, 1)))
-        for r in (2, 3, 4)
-        for L3 in l3_range(r)
+        for r, cubes in FANO_TARGETS.items()
+        for L3 in cubes
     )),
     RayType.E2: _point_type(2, _INDICES_DIVIDING_24, 24, 1, 8),  # 2 D = r H - (-K), D^3 = 1
     RayType.E34: _point_type(1, _INDICES_DIVIDING_24, 24, 1, 2),  # D = r H - (-K), D^3 = 2
@@ -194,8 +177,8 @@ POINT_TYPES = tuple(t for t in RayType if TYPE_FACTS[t].contracted)  # a divisor
 # Once, as RaySpec checks every ray: each divisorial type's target indices r,
 # each with the cubes L^3 an E1 target of index r has (None: any L^3 >= 1).
 _TARGETS = {
-    t: {r: l3_range(r) if t is RayType.E1 else None for r in TYPE_FACTS[t].indices()}
-    for t in (RayType.E1,) + POINT_TYPES
+    RayType.E1: FANO_TARGETS,
+    **{t: dict.fromkeys(TYPE_FACTS[t].indices()) for t in POINT_TYPES},
 }
 
 
@@ -207,12 +190,13 @@ def mu_of(ray_type: RayType) -> int:
 class RaySpec(ValueObject):
     """One extremal ray together with the integer data its type carries.
 
-    Only the fields relevant to the type need to be set:
+    Each type carries only the fields listed for it; any other must be None:
 
-    * C1: ``deg_delta`` (discriminant degree, >= 1); rank-3 conic bundles over
-      P^1 x P^1 use ``delta_bidegree`` instead.
-    * C2: nothing (``deg_delta`` may be set to 0).
-    * D1: ``d2`` (del Pezzo fibre degree, 1..7); D2/D3 carry d2 = 8 resp. 9.
+    * C1/C2: ``deg_delta`` (discriminant degree, >= 1 for C1, 0 or unset
+      for C2); rank-3 conic bundles over P^1 x P^1 use ``delta_bidegree``
+      instead.
+    * D1/D2/D3: ``d2`` (del Pezzo fibre degree, 1..7); D2/D3 carry d2 = 8
+      resp. 9.
     * E1: ``r`` (index of the blowup target, 2..4), ``L3`` (generator cube),
       ``degB`` (centre degree), ``genus`` (centre genus).
     * E2/E34/E5: ``r`` (formal index of the target), ``L3``; ``e`` in {1, 2}
@@ -221,7 +205,7 @@ class RaySpec(ValueObject):
     The fields are checked on construction; against :data:`TYPE_FACTS` the
     unknown of the type (deg_delta of a conic bundle, d2 of a del Pezzo
     fibration), the index r of a divisorial ray's target and the L3 of an E1
-    target of index r.
+    target, which needs its index r.
     """
 
     __slots__ = (
@@ -240,31 +224,6 @@ class RaySpec(ValueObject):
         genus: Optional[int] = None,
         delta_bidegree: Optional[tuple[int, int]] = None,
     ) -> None:
-        if (deg_delta is not None and ray_type in C_TYPES
-                and not TYPE_FACTS[ray_type].admits(deg_delta)):
-            raise ConstraintError(
-                f"a {ray_type.value} conic bundle has no deg_delta={deg_delta}"
-            )
-        if d2 is not None and ray_type in D_TYPES and not TYPE_FACTS[ray_type].admits(d2):
-            raise ConstraintError(f"a {ray_type.value} del Pezzo fibration has no d2={d2}")
-        targets = None if r is None else _TARGETS.get(ray_type)
-        if targets is not None:
-            if r not in targets:
-                raise ConstraintError(
-                    f"an {ray_type.display} target has an index in {tuple(targets)}, got r={r}"
-                )
-            cubes = targets[r]
-            if L3 is not None and cubes is not None and L3 not in cubes:
-                raise ConstraintError(
-                    f"an E1 target of index {r} has L3 in {cubes}, got L3={L3}"
-                )
-        if e is not None and e not in (1, 2):
-            raise ConstraintError(f"the twist e must be 1 or 2, got {e}")
-        for name, value, minimum in (
-            ("degB", degB, 1), ("d2", d2, 1), ("L3", L3, 1), ("genus", genus, 0)
-        ):
-            if value is not None and value < minimum:
-                raise ConstraintError(f"{name} must be >= {minimum}, got {value}")
         if delta_bidegree is not None:
             delta_bidegree = tuple(int(v) for v in delta_bidegree)
         set_field(self, "ray_type", ray_type)
@@ -276,11 +235,59 @@ class RaySpec(ValueObject):
         set_field(self, "e", e)
         set_field(self, "genus", genus)
         set_field(self, "delta_bidegree", delta_bidegree)
+        uncarried = _UNCARRIED.get(ray_type)
+        if uncarried is None:
+            raise ConstraintError(f"{ray_type!r} is not an extremal-ray type")
+        for name in uncarried:
+            if getattr(self, name) is not None:
+                raise ConstraintError(
+                    f"{ray_type.display} rays carry no {name}, "
+                    f"got {name}={getattr(self, name)!r}"
+                )
+        # a set field is now one the type carries
+        if deg_delta is not None and not TYPE_FACTS[ray_type].admits(deg_delta):
+            raise ConstraintError(
+                f"a {ray_type.value} conic bundle has no deg_delta={deg_delta}"
+            )
+        if d2 is not None and not TYPE_FACTS[ray_type].admits(d2):
+            raise ConstraintError(f"a {ray_type.value} del Pezzo fibration has no d2={d2}")
+        if r is not None:
+            targets = _TARGETS[ray_type]
+            if r not in targets:
+                raise ConstraintError(
+                    f"an {ray_type.display} target has an index in {tuple(targets)}, got r={r}"
+                )
+            cubes = targets[r]
+            if L3 is not None and cubes is not None and L3 not in cubes:
+                raise ConstraintError(
+                    f"an E1 target of index {r} has L3 in {cubes}, got L3={L3}"
+                )
+        elif L3 is not None and ray_type is RayType.E1:
+            raise ConstraintError(f"an E1 target's L3 needs its index r, got L3={L3}")
+        if e is not None and e not in (1, 2):
+            raise ConstraintError(f"the twist e must be 1 or 2, got {e}")
+        for name, value, minimum in (("degB", degB, 1), ("L3", L3, 1), ("genus", genus, 0)):
+            if value is not None and value < minimum:
+                raise ConstraintError(f"{name} must be >= {minimum}, got {value}")
 
     @property
     def mu(self) -> int:
         """The length of the ray, fixed by its type."""
         return TYPE_FACTS[self.ray_type].mu
+
+
+# The fields each type carries, as the RaySpec docstring lists them, and
+# from them, once, the fields each type must leave None.
+_CARRIED = {
+    **dict.fromkeys(C_TYPES, ("deg_delta", "delta_bidegree")),
+    **dict.fromkeys(D_TYPES, ("d2",)),
+    RayType.E1: ("r", "L3", "degB", "genus"),
+    **dict.fromkeys(POINT_TYPES, ("r", "L3", "e")),
+}
+_UNCARRIED = {
+    t: tuple(name for name in RaySpec.__slots__[1:] if name not in carried)
+    for t, carried in _CARRIED.items()
+}
 
 
 def c2_dot_H(spec: RaySpec) -> int:

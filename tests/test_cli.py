@@ -176,6 +176,57 @@ def test_cli_start_imports_no_heavy_stdlib_module():
     assert sorted(added & heavy) == []
 
 
+def _package_modules(modules):
+    return sorted(name for name in modules if name.startswith("fanoenum."))
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert _package_modules(_modules_loaded_by("import fanoenum")) == []
+
+
+ENGINE_MODULES = {
+    "fanoenum.enumerator",
+    "fanoenum.table_oracle",
+    "fanoenum.ray_constraints",
+    "fanoenum.picard_lattice",
+    "json",
+}
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import fanoenum.cli",
+        "import runpy, sys\n"
+        "sys.argv = ['fanoenum', 'chern', 'xi-square', '-3']\n"
+        "try:\n"
+        "    runpy.run_module('fanoenum', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code",
+    ],
+    ids=["import-cli", "chern-process"],
+)
+def test_cli_start_and_chern_load_no_engine_module(statement):
+    added = _modules_loaded_by(statement) - _modules_loaded_by("pass")
+    assert "fanoenum.chern_calculus" in added
+    assert sorted(added & ENGINE_MODULES) == []
+
+
+def test_importing_one_submodule_loads_only_its_imports():
+    loaded = _modules_loaded_by("from fanoenum import chern_calculus")
+    assert _package_modules(loaded) == ["fanoenum.chern_calculus", "fanoenum.errors"]
+
+
+def test_a_submodule_is_an_attribute_before_any_public_name():
+    script = (
+        "import sys, fanoenum\n"
+        "emit = fanoenum.table_oracle.emit\n"
+        "assert emit is sys.modules['fanoenum.table_oracle'].emit\n"
+        "assert 'fanoenum.enumerator' not in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", script], check=True)
+
+
 def _assert_one_error_line(capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fanoenum.chern_calculus import l3_range
 from fanoenum.errors import (
     ConstraintError,
     IncompleteSpecError,
@@ -18,7 +19,6 @@ from fanoenum.ray_constraints import (
     balance_check,
     c2_dot_H,
     degB_upper_bound,
-    l3_range,
     lattice_index_candidates,
     mu_of,
 )
@@ -63,8 +63,17 @@ def test_rayspec_validations():
         (RayType.D1, {"d2": 8}, "a D1 del Pezzo fibration has no d2=8"),
         (RayType.E2, {"r": 6}, r"an E2 target has an index in \(1, 2, 3, 4\), got r=6"),
         (RayType.E1, {"r": 2, "L3": 7}, "an E1 target of index 2 has L3 in .*, got L3=7"),
+        (RayType.C1, {"deg_delta": 3, "r": 3, "L3": 2, "degB": 4}, "C1 rays carry no r, got r=3"),
+        (RayType.C2, {"genus": 1}, "C2 rays carry no genus"),
+        (RayType.D1, {"d2": 3, "deg_delta": 2}, "D1 rays carry no deg_delta"),
+        (RayType.E1, {"r": 2, "L3": 1, "degB": 1, "e": 1}, "E1 rays carry no e"),
+        (RayType.E34, {"r": 2, "degB": 1}, "E3/E4 rays carry no degB"),
+        (RayType.E5, {"r": 3, "delta_bidegree": (1, 1)}, "E5 rays carry no delta_bidegree"),
+        (RayType.E1, {"L3": 7, "degB": 2}, "an E1 target's L3 needs its index r, got L3=7"),
+        ("E1", {}, "'E1' is not an extremal-ray type"),
     ],
-    ids=["D2-d2-5", "D1-d2-8", "E2-r-6", "E1-r-2-L3-7"],
+    ids=["D2-d2-5", "D1-d2-8", "E2-r-6", "E1-r-2-L3-7", "C1-r", "C2-genus", "D1-deg_delta",
+         "E1-e", "E34-degB", "E5-bidegree", "E1-L3-without-r", "not-a-type"],
 )
 def test_rayspec_rejects_what_the_type_facts_rule_out(ray_type, fields, message):
     with pytest.raises(ConstraintError, match=message):

@@ -5,11 +5,13 @@ c2.H fact up in it, and the lattice-index argument takes its value sets from
 it; each test ties two of these readers together.
 """
 
+import pickle
+
 import pytest
 
 from fanoenum import enumerator
 from fanoenum.enumerator import enumerate_all
-from fanoenum.ray_constraints import RaySpec, RayType, _value_set, c2_dot_H
+from fanoenum.ray_constraints import TYPE_FACTS, RaySpec, RayType, _value_set, c2_dot_H
 
 SIDES = [
     pytest.param(side, id=f"{ray_type.value}-{index}")
@@ -33,3 +35,21 @@ def test_every_computed_ray_lies_in_its_lattice_value_set():
     for record in enumerate_all(2):
         for ray, other in (record.rays, record.rays[::-1]):
             assert c2_dot_H(ray) in _value_set(ray.ray_type, other.mu, 1), record.table_id
+
+
+@pytest.mark.parametrize("ray_type", list(RayType), ids=lambda t: t.value)
+def test_a_pickled_ray_type_is_the_member_and_finds_its_entries(ray_type):
+    # RayType hashes by identity, so a copy that were not the member itself
+    # would miss every table keyed by the type
+    copy = pickle.loads(pickle.dumps(ray_type))
+    assert copy is ray_type
+    assert hash(copy) == hash(ray_type)
+    assert TYPE_FACTS[copy] is TYPE_FACTS[ray_type]
+    assert enumerator._SIDES[copy] is enumerator._SIDES[ray_type]
+
+
+def test_e1_sides_are_the_fano_targets_in_index_order():
+    fixed = [dict(spec) for spec, _ in TYPE_FACTS[RayType.E1].sides]
+    assert [(f["r"], f["L3"]) for f in fixed] == [
+        (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (4, 1)
+    ]
