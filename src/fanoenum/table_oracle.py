@@ -16,6 +16,7 @@ import operator
 import os
 import re
 import types
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
@@ -38,6 +39,9 @@ _INVARIANT_FIELDS = ("deg_delta", "d2", "r", "L3", "degB", "genus", "e", "delta_
 _RAY_INVARIANTS = operator.attrgetter(*_INVARIANT_FIELDS)
 
 _EMIT_FORMATS = ("json", "csv", "markdown")
+
+# The display name of each ray-type tag a row may hold.
+_RAY_DISPLAY = {ray_type.value: ray_type.display for ray_type in RayType}
 
 
 class TableRow(NamedTuple):
@@ -129,12 +133,6 @@ def _freeze(index: int, name: str, values: list, length: int) -> tuple:
     return tuple(values)
 
 
-def _thaw(value):
-    if isinstance(value, tuple):
-        return [_thaw(v) for v in value]
-    return value
-
-
 def _strings(value) -> bool:
     return type(value) is list and all(type(v) is str for v in value)
 
@@ -171,6 +169,12 @@ def _parse_row(index: int, item) -> TableRow:
             raise ConstraintError(f"ground truth row {index}: {name} must be {kind}")
         values.append(value)
     table_id, rho, kx3, primitive, ray_types, invariants, descriptions = values
+    for tag in ray_types:
+        if tag not in _RAY_DISPLAY:
+            raise ConstraintError(
+                f"ground truth row {index}: ray_types holds {tag!r}, which is not a ray"
+                f" type; expected one of {', '.join(_RAY_DISPLAY)}"
+            )
     return TableRow(
         table_id,
         rho,
@@ -344,22 +348,60 @@ def diff(records, rows: Iterable[TableRow]) -> DiffReport:
     return DiffReport(missing=missing, extra=tuple(extra), mismatched=tuple(mismatched))
 
 
-def _row_dict(row: TableRow) -> dict:
-    return {
-        "table_id": row.table_id,
-        "rho": row.rho,
-        "kx3": row.kx3,
-        "primitive": row.primitive,
-        "ray_types": list(row.ray_types),
-        "invariants": {k: _thaw(v) for k, v in row.invariants.items()},
-        "descriptions": list(row.descriptions),
-    }
+# How json.dumps writes a scalar of the row shape, by exact type, so that a
+# bool is never taken for an int ("null".format ignores its argument).
+_JSON_SCALARS = {
+    type(None): "null".format,
+    bool: ("false", "true").__getitem__,
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+}
+
+
+def _json(value, indent: str) -> str:
+    """``value`` as json.dumps(..., indent=2) writes it ``indent`` deep."""
+    write = _JSON_SCALARS.get(type(value))
+    if write is not None:
+        return write(value)
+    if not isinstance(value, (list, tuple)):
+        return json.dumps(value)  # no other value occurs in a row
+    if not value:
+        return "[]"
+    inner = indent + "  "
+    items = []
+    for item in value:  # most items are scalars: write them without a call
+        write = _JSON_SCALARS.get(type(item))
+        items.append(_json(item, inner) if write is None else write(item))
+    separator = ",\n" + inner
+    return f"[\n{inner}{separator.join(items)}\n{indent}]"
 
 
 def _emit_json(rows: tuple[TableRow, ...]) -> bytes:
-    return json.dumps([_row_dict(r) for r in rows], indent=2, sort_keys=True).encode(
-        "utf-8"
-    )
+    """json.dumps(rows as objects, indent=2, sort_keys=True), row by row.
+
+    CPython's C encoder does not indent, and its Python one is slow.
+    """
+    objects = []
+    for row in rows:
+        invariants = "{}"
+        if row.invariants:
+            fields = ",\n      ".join(
+                [
+                    f"{encode_basestring_ascii(name)}: {_json(row.invariants[name], '      ')}"
+                    for name in sorted(row.invariants)
+                ]
+            )
+            invariants = f"{{\n      {fields}\n    }}"
+        objects.append(
+            f'  {{\n    "descriptions": {_json(row.descriptions, "    ")},\n'
+            f'    "invariants": {invariants},\n'
+            f'    "kx3": {_json(row.kx3, "    ")},\n'
+            f'    "primitive": {_json(row.primitive, "    ")},\n'
+            f'    "ray_types": {_json(row.ray_types, "    ")},\n'
+            f'    "rho": {_json(row.rho, "    ")},\n'
+            f'    "table_id": {_json(row.table_id, "    ")}\n  }}'
+        )
+    return ("[\n" + ",\n".join(objects) + "\n]" if objects else "[]").encode("utf-8")
 
 
 def _emit_csv(rows: tuple[TableRow, ...]) -> bytes:
@@ -389,7 +431,7 @@ def _emit_markdown(rows: tuple[TableRow, ...]) -> bytes:
         "| --- | --- | --- | --- |",
     ]
     for row in rows:
-        rays = " + ".join(RayType(tag).display for tag in row.ray_types)
+        rays = " + ".join([_RAY_DISPLAY.get(tag, tag) for tag in row.ray_types])
         description = ", or ".join(row.descriptions)
         lines.append(f"| {row.table_id} | {row.kx3} | {description} | {rays} |")
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -362,6 +362,27 @@ def test_wrong_typed_invariant_is_named(tmp_path, monkeypatch, capsys, value):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["emit", "--format", "markdown"],
+        ["emit", "--format", "json"],
+        ["emit", "--format", "csv"],
+        ["verify", "--rho", "2"],
+    ],
+    ids=" ".join,
+)
+def test_unknown_ray_type_in_the_truth_is_named(tmp_path, monkeypatch, capsys, argv):
+    path = tmp_path / "truth.json"
+    path.write_text(_rows_with("ray_types", ["X9", "E1"])())
+    monkeypatch.setenv("FANO_GROUND_TRUTH", str(path))
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: ground truth row 3: ray_types holds 'X9', which is not a ray type;"
+        " expected one of C1, C2, D1, D2, D3, E1, E2, E34, E5\n"
+    )
+
+
 def test_emit_into_missing_directory_is_an_error(tmp_path, capsys):
     target = tmp_path / "absent" / "table.json"
     assert run(["emit", "--out", str(target)]) == 1

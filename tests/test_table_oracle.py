@@ -1,6 +1,7 @@
 """Embedded classification tables, the diff machinery, and serialization."""
 
 import json
+import types
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -159,12 +160,90 @@ def test_empty_report_renders_quietly():
     assert report.render() == "no differences"
 
 
-def test_emit_json_round_trips():
-    rows = ground_truth(2)
+# The four full tables: truth and computed rows of both ranks.  Rank 3 holds
+# the delta_bidegree pairs; record_to_row drops the columns no ray sets.
+EMIT_TABLES = {
+    "truth-2": lambda: ground_truth(2),
+    "truth-3": lambda: ground_truth(3),
+    "computed-2": lambda: tuple(map(record_to_row, enumerate_all(2))),
+    "computed-3": lambda: tuple(map(record_to_row, enumerate_all(3, True))),
+}
+
+
+@pytest.mark.parametrize("table", EMIT_TABLES)
+def test_emit_json_round_trips(table):
+    rows = EMIT_TABLES[table]()
     payload = emit(rows, "json")
     assert parse_rows(payload) == rows
     assert emit(rows, "json") == payload  # byte-determinism
     assert emit((), "json") == b"[]"
+
+
+def _reference_emit_json(rows):
+    """The reference for emit(rows, "json"): row objects through the indenting json.dumps."""
+
+    def thaw(value):
+        if isinstance(value, tuple):
+            return [thaw(v) for v in value]
+        return value
+
+    def row_dict(row):
+        return {
+            "table_id": row.table_id,
+            "rho": row.rho,
+            "kx3": row.kx3,
+            "primitive": row.primitive,
+            "ray_types": list(row.ray_types),
+            "invariants": {k: thaw(v) for k, v in row.invariants.items()},
+            "descriptions": list(row.descriptions),
+        }
+
+    return json.dumps([row_dict(r) for r in rows], indent=2, sort_keys=True).encode("utf-8")
+
+
+# Text with what JSON must escape: quotes, backslashes, control characters,
+# non-ASCII and a lone surrogate, among any other characters.
+JSON_TEXT = st.text(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u20ac\U0001f600\ud800 a') | st.characters(),
+    max_size=6,
+)
+JSON_INTEGERS = st.integers() | st.sampled_from((2**64, -(2**100), -1, 0))
+
+
+def _sequences(elements):
+    """Lists of ``elements``, some given as tuples."""
+    sequences = st.lists(elements, max_size=3)
+    return sequences | sequences.map(tuple)
+
+
+# One per-ray list per name, of nulls, integers, bools and (pair) lists.
+JSON_INVARIANTS = st.dictionaries(
+    st.sampled_from(table_oracle._INVARIANT_FIELDS) | JSON_TEXT,
+    _sequences(st.none() | st.booleans() | JSON_INTEGERS | _sequences(JSON_INTEGERS)),
+    max_size=4,
+)
+
+TABLE_ROWS = st.builds(
+    TableRow,
+    table_id=JSON_TEXT,
+    rho=JSON_INTEGERS,
+    kx3=JSON_INTEGERS,
+    primitive=st.booleans(),
+    ray_types=_sequences(JSON_TEXT),
+    invariants=JSON_INVARIANTS | JSON_INVARIANTS.map(types.MappingProxyType),
+    descriptions=_sequences(JSON_TEXT),
+)
+
+SOME_ROW = ground_truth(3)[1]
+
+
+@settings(max_examples=100, deadline=None)
+@example(())
+@example((SOME_ROW._replace(descriptions=()),))
+@example((SOME_ROW._replace(invariants={}), SOME_ROW._replace(ray_types=[])))
+@given(st.lists(TABLE_ROWS, max_size=3))
+def test_emit_json_matches_the_indenting_json_dumps(rows):
+    assert emit(rows, "json") == _reference_emit_json(rows)
 
 
 def test_emit_csv_shape():
@@ -180,6 +259,14 @@ def test_emit_markdown_shape():
     assert lines[0] == "| no. | (-K)^3 | description | extremal rays |"
     assert len(lines) == 2 + 4
     assert "| 3-27 | 48 | P^1 x P^1 x P^1 | C2 + C2 + C2 |" in lines
+
+
+def test_emit_markdown_writes_ray_types_by_display_name():
+    row = ground_truth(2)[0]
+    rows = (row._replace(ray_types=("E34", "C1")), row._replace(ray_types=("X9",)))
+    lines = emit(rows, "markdown").decode().splitlines()
+    assert lines[2].endswith("| E3/E4 + C1 |")
+    assert lines[3].endswith("| X9 |")  # a tag no parsed row holds, as it is
 
 
 def test_emit_rejects_unknown_format():
