@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -156,6 +157,45 @@ def test_module_invocation():
     lines = [line for line in proc.stdout.splitlines() if line]
     assert len(lines) == 2 + 4  # header, separator, four families
     assert lines[0] == "| no. | (-K)^3 | description | extremal rays |"
+
+
+# The user-facing texts argparse prints: every --help and the usage errors of
+# three bad argvs, pinned as stdout, stderr and exit code of a fresh process
+# at 80 columns.  The layout is argparse's own and changes between CPython
+# minor versions, so the golden holds for the version it was captured on.
+# Rewrite it only from a commit whose texts are known to be right:
+#     PYTHONPATH=src python3 tests/test_cli.py
+CLI_TEXT_GOLDEN = Path(__file__).with_name("data") / "cli_text_golden.json"
+CLI_TEXT_ARGVS = (
+    ["--help"],
+    ["enumerate", "--help"],
+    ["verify", "--help"],
+    ["chern", "--help"],
+    ["emit", "--help"],
+    ["frobnicate"],
+    ["enumerate", "--rho", "4"],
+    ["chern", "xi-square", "1.5"],
+)
+
+
+def _cli_text(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "fanoenum", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "COLUMNS": "80"},
+    )
+    return {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != tuple(json.loads(CLI_TEXT_GOLDEN.read_text())["python"]),
+    reason="argparse lays help out differently on another CPython minor version",
+)
+@pytest.mark.parametrize("argv", CLI_TEXT_ARGVS, ids=" ".join)
+def test_help_and_usage_texts_match_the_golden(argv):
+    expected = json.loads(CLI_TEXT_GOLDEN.read_text())["texts"][" ".join(argv)]
+    assert _cli_text(argv) == expected
 
 
 def _modules_loaded_by(statement):
@@ -423,3 +463,10 @@ def test_any_argv_exits_zero_one_or_two_without_a_traceback(argv):
             os.chdir(cwd)
     assert code in (0, 1, 2)
     assert "Traceback" not in stderr.getvalue()
+
+
+if __name__ == "__main__":
+    CLI_TEXT_GOLDEN.write_text(json.dumps({
+        "python": list(sys.version_info[:2]),
+        "texts": {" ".join(argv): _cli_text(argv) for argv in CLI_TEXT_ARGVS},
+    }, indent=2) + "\n")
