@@ -262,22 +262,23 @@ def _genus_or_none(kx3: int, ky3: int, r: int, degB: int) -> Optional[int]:
 class _Side(ValueObject):
     """One ray of a pairing, every datum fixed but at most one unknown u.
 
-    ``spec`` holds the RaySpec fields the side fixes and ``unknown`` the one
-    u fills, if any, with low <= u <= high (high None: unbounded).
-    ``terms[n]``, for n the coefficient of the ray's pullback in -K, holds
-    the side's terms C, P, Q, N, K, M of :func:`_solve_sides`, each as
-    (constant, coefficient of u) in quarters.  ``contracted`` is q^3 and w,
-    in quarters, for a ray that contracts a divisor to a point.
+    ``template`` holds the ray's RaySpec fields in order, each fixed one set
+    and every other None; ``slot`` is the position u fills, if any, with
+    low <= u <= high (high None: unbounded).  ``terms[n]``, for n the
+    coefficient of the ray's pullback in -K, holds the side's terms C, P, Q,
+    N, K, M of :func:`_solve_sides`, each as (constant, coefficient of u) in
+    quarters.  ``contracted`` is q^3 and w, in quarters, for a ray that
+    contracts a divisor to a point.
     """
 
-    __slots__ = ("ray_type", "mu", "spec", "unknown", "low", "high", "terms", "contracted")
+    __slots__ = ("ray_type", "mu", "template", "slot", "low", "high", "terms", "contracted")
 
     def __init__(
         self,
         ray_type: RayType,
         mu: int,
-        spec: tuple[tuple[str, int], ...],
-        unknown: Optional[str],
+        template: tuple,
+        slot: Optional[int],
         low: int,
         high: Optional[int],
         terms: dict[int, tuple[tuple[int, int], ...]],
@@ -285,15 +286,15 @@ class _Side(ValueObject):
     ) -> None:
         set_field(self, "ray_type", ray_type)
         set_field(self, "mu", mu)
-        set_field(self, "spec", spec)
-        set_field(self, "unknown", unknown)
+        set_field(self, "template", template)
+        set_field(self, "slot", slot)
         set_field(self, "low", low)
         set_field(self, "high", high)
         set_field(self, "terms", terms)
         set_field(self, "contracted", contracted)
 
     def admits(self, u: int) -> bool:
-        if self.unknown is None:
+        if self.slot is None:
             return True
         return self.low <= u and (self.high is None or u <= self.high)
 
@@ -309,11 +310,13 @@ def _compile(ray_type: RayType) -> tuple[_Side, ...]:
     t = TYPE_FACTS[ray_type]
     q, w = t.contracted or (0, 0)
     sides = []
-    for spec, facts in t.sides:
-        unknown = t.unknown
-        p = dict(spec)["r"] if t.contracted else 0
+    for fixed, facts in t.sides:
+        template = dict.fromkeys(RaySpec._fields)
+        template.update(fixed, ray_type=ray_type)
+        slot = RaySpec._fields.index(t.unknown)
+        p = template["r"] if t.contracted else 0
         if t.low == t.high:
-            spec, unknown = spec + ((unknown, t.low),), None
+            template[t.unknown], slot = t.low, None
             facts = [(c + k * t.low, 0) for c, k in facts]
         terms = {}
         for n in (1, 2, 3):
@@ -324,13 +327,16 @@ def _compile(ray_type: RayType) -> tuple[_Side, ...]:
             ]
             terms[n] = tuple(zip(*per_part))
         cube = (q**3, 4 * w) if t.contracted else None
-        sides.append(
-            _Side(ray_type, mu_of(ray_type), spec, unknown, t.low, t.high, terms, cube)
-        )
+        sides.append(_Side(
+            ray_type, mu_of(ray_type), tuple(template.values()), slot, t.low, t.high, terms, cube
+        ))
     return tuple(sides)
 
 
 _SIDES = {ray_type: _compile(ray_type) for ray_type in RayType}
+_GENUS, _E = RaySpec._fields.index("genus"), RaySpec._fields.index("e")
+# -K of each pair of ray lengths, in the basis of the two pullbacks
+_MINUS_K = {(m1, m2): anticanonical_class(m1, m2) for m1 in (1, 2, 3) for m2 in (1, 2, 3)}
 
 
 # ------------------------------------------------------------------ engine --
@@ -408,7 +414,7 @@ def _solve_sides(side1: _Side, side2: _Side, ids) -> Optional[SolutionRecord]:
     if side2.contracted:
         q3, w = side2.contracted
         rows.append((-q3 * K1[1], M2[1] - q3 * K2[1], M2[0] - q3 * (K1[0] + K2[0]) - w))
-    solution = _integer_solution(rows, side1.unknown is not None, side2.unknown is not None)
+    solution = _integer_solution(rows, side1.slot is not None, side2.slot is not None)
     if solution is None or not (side1.admits(solution[0]) and side2.admits(solution[1])):
         return None
     u1, u2 = solution
@@ -424,37 +430,35 @@ def _solve_sides(side1: _Side, side2: _Side, ids) -> Optional[SolutionRecord]:
     h111, h112, h122, h222, kx3 = (value // divisor for value, divisor in quotients)
     if kx3 <= 0 or kx3 % 2:
         return None
-    fields = []
-    for side, u in ((side1, u1), (side2, u2)):
-        spec = dict(side.spec)
-        if side.unknown is not None:
-            spec[side.unknown] = u
+    fields1, fields2 = list(side1.template), list(side2.template)
+    for fields, side, u in ((fields1, side1, u1), (fields2, side2, u2)):
+        if side.slot is not None:
+            fields[side.slot] = u
         if side.ray_type is RayType.E1:
-            ky3 = antican_cube_by_index(spec["r"], spec["L3"])
-            spec["genus"] = _genus_or_none(kx3, ky3, spec["r"], spec["degB"])
-            if spec["genus"] is None:
+            _, r, L3, degB = fields[:4]
+            fields[_GENUS] = _genus_or_none(kx3, antican_cube_by_index(r, L3), r, degB)
+            if fields[_GENUS] is None:
                 return None
-        fields.append(spec)
     if side1.ray_type is side2.ray_type is RayType.E1 and (
-        (fields[0]["r"], fields[0]["degB"]) < (fields[1]["r"], fields[1]["degB"])
+        (fields1[1], fields1[3]) < (fields2[1], fields2[3])  # (r, degB)
     ):
         return None  # the mirror twin of a kept solution
     if side1.ray_type in C_TYPES and side2.ray_type in (RayType.E2, RayType.E5):
-        fields[1]["e"] = h122
-    rays = (RaySpec(side1.ray_type, **fields[0]), RaySpec(side2.ray_type, **fields[1]))
+        fields2[_E] = h122
+    rays = (RaySpec(*fields1), RaySpec(*fields2))
     descriptions, char_note = _PRIMITIVE_TEXTS.get(
         (side1.ray_type, side2.ray_type)
     ) or (_descriptions(rays), None)
     return SolutionRecord(
-        rho=2,
-        rays=rays,
-        form=TrilinearForm.rank2(h111, h112, h122, h222),
-        minus_k=anticanonical_class(side1.mu, side2.mu),
-        kx3=kx3,
-        genus=fields[0].get("genus", fields[1].get("genus")),
-        table_id=_table_id(ids, 2, kx3, rays),
-        descriptions=descriptions,
-        char_note=char_note,
+        2,
+        rays,
+        TrilinearForm.rank2(h111, h112, h122, h222),
+        _MINUS_K[side1.mu, side2.mu],
+        kx3,
+        fields1[_GENUS] if side1.ray_type is RayType.E1 else fields2[_GENUS],
+        _table_id(ids, 2, kx3, rays),
+        descriptions,
+        char_note,
     )
 
 

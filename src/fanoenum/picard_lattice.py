@@ -26,16 +26,26 @@ __all__ = [
 ]
 
 
-# How a ValueObject constructor sets its fields.  Records are built in the
-# engine's inner loop, and one call per field through this module-level name
-# measured faster than a frozen dataclass, a loop over the fields, or a fresh
-# lookup of object.__setattr__ (not specialised for a type in Python 3.11).
+# The one type an integer value may have: int, and not its subclass bool.
+# A constructor checks all its values with one superset test of their types.
+INTEGER = frozenset({int})
+
+# How a ValueObject constructor sets its fields: one call per field through
+# this module-level name measured faster than a frozen dataclass, a loop over
+# the fields, or a fresh lookup of object.__setattr__ (not specialised for a
+# type in Python 3.11).  It still costs ~0.2 us a field, so the records the
+# engine builds per solution, RaySpec and SolutionRecord, are checked named
+# tuples instead.
 set_field = object.__setattr__
 
 
 class ValueObject:
     """Base of the package's immutable value classes, field by field.
 
+    DivisorClass and TrilinearForm use it so that tuple arithmetic cannot
+    pass for lattice arithmetic; ray_constraints.TypeFacts and
+    enumerator._Side, built once at import, because a named-tuple class
+    costs more to import and its field reads are slower than slot reads.
     Each subclass lists its fields in ``__slots__``, in the order of its
     constructor's parameters, and its constructor sets each one with
     ``set_field``.  Equality, hash, repr, pickling and ``_replace`` follow
@@ -83,11 +93,13 @@ class DivisorClass(ValueObject):
     __slots__ = ("coords",)
 
     def __init__(self, coords: tuple[int, ...]) -> None:
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(coords)
         if len(coords) not in (2, 3):
             raise DimensionMismatchError(
                 f"divisor classes must have rank 2 or 3, got {len(coords)} coordinates"
             )
+        if not INTEGER.issuperset(map(type, coords)):
+            raise ConstraintError(f"coordinates must be integers, got {coords!r}")
         set_field(self, "coords", coords)
 
     @property
@@ -126,6 +138,11 @@ _MULTISET_KEYS = {
 }
 
 
+def _check_values(values) -> None:
+    if not INTEGER.issuperset(map(type, values)):
+        raise ConstraintError(f"form entries must be integers, got {tuple(values)!r}")
+
+
 class TrilinearForm(ValueObject):
     """A symmetric trilinear form on Z^rho given by its values on basis triples.
 
@@ -141,6 +158,7 @@ class TrilinearForm(ValueObject):
     def __init__(self, rho: int, entries: Mapping[tuple[int, int, int], int]) -> None:
         if rho not in (2, 3):
             raise DimensionMismatchError(f"rank must be 2 or 3, got {rho}")
+        _check_values(entries.values())
         normalized: dict[tuple[int, int, int], int] = {}
         for key, value in entries.items():
             sorted_key = _SORTED_KEY.get(key)
@@ -151,11 +169,11 @@ class TrilinearForm(ValueObject):
                 raise DimensionMismatchError(
                     f"index triple {key} out of range for rank {rho}"
                 )
-            if sorted_key in normalized and normalized[sorted_key] != int(value):
+            if sorted_key in normalized and normalized[sorted_key] != value:
                 raise ConstraintError(
                     f"conflicting values for basis triple {sorted_key}"
                 )
-            normalized[sorted_key] = int(value)
+            normalized[sorted_key] = value
         required = _MULTISET_KEYS[rho]
         # every key in range is one of the required multisets
         if len(normalized) < len(required):
@@ -173,16 +191,21 @@ class TrilinearForm(ValueObject):
         """Build a form from its nonzero entries, filling the rest with 0."""
         entries = dict.fromkeys(_MULTISET_KEYS.get(rho, ()), 0)  # cls checks rho
         for key, value in nonzero.items():
-            entries[tuple(sorted(key))] = int(value)
+            entries[tuple(sorted(key))] = value
         return cls(rho, entries)
 
     @classmethod
     def rank2(cls, h111: int, h112: int, h122: int, h222: int) -> "TrilinearForm":
-        """Convenience constructor for rank 2: the four cubes in order."""
-        return cls(
-            2,
-            {(1, 1, 1): h111, (1, 1, 2): h112, (1, 2, 2): h122, (2, 2, 2): h222},
-        )
+        """Convenience constructor for rank 2: the four cubes in order.
+
+        The keys are the canonical ones, so only the values are checked.
+        """
+        values = (h111, h112, h122, h222)
+        _check_values(values)
+        form = object.__new__(cls)
+        set_field(form, "rho", 2)
+        set_field(form, "entries", dict(zip(_MULTISET_KEYS[2], values)))
+        return form
 
     def __hash__(self) -> int:
         # entries is a dict, in the same key order on equal forms

@@ -26,11 +26,11 @@ form a basis of the Picard lattice (index 1).
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Union
 
 from .chern_calculus import FANO_TARGETS
 from .errors import ConstraintError, IncompleteSpecError, InconsistencyError
-from .picard_lattice import ValueObject, set_field
+from .picard_lattice import INTEGER, ValueObject, set_field
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -181,16 +181,31 @@ _TARGETS = {
     **{t: dict.fromkeys(TYPE_FACTS[t].indices()) for t in POINT_TYPES},
 }
 
+_INT_OR_NONE = INTEGER | {type(None)}  # an optional integer field's types
+
 
 def mu_of(ray_type: RayType) -> int:
     """The length of an extremal ray of the given type."""
     return TYPE_FACTS[ray_type].mu
 
 
-class RaySpec(ValueObject):
+class _RayFields(NamedTuple):
+    ray_type: RayType
+    r: Optional[int] = None
+    L3: Optional[int] = None
+    degB: Optional[int] = None
+    deg_delta: Optional[int] = None
+    d2: Optional[int] = None
+    e: Optional[int] = None
+    genus: Optional[int] = None
+    delta_bidegree: Optional[tuple[int, int]] = None
+
+
+class RaySpec(_RayFields):
     """One extremal ray together with the integer data its type carries.
 
-    Each type carries only the fields listed for it; any other must be None:
+    A named tuple of the fields of ``_RayFields``, in that order.  Each
+    type carries only the fields listed for it; any other must be None:
 
     * C1/C2: ``deg_delta`` (discriminant degree, >= 1 for C1, 0 or unset
       for C2); rank-3 conic bundles over P^1 x P^1 use ``delta_bidegree``
@@ -202,39 +217,30 @@ class RaySpec(ValueObject):
     * E2/E34/E5: ``r`` (formal index of the target), ``L3``; ``e`` in {1, 2}
       for the P(O + O(e)) families.
 
-    The fields are checked on construction; against :data:`TYPE_FACTS` the
+    The fields are checked on construction, and ``_make``, ``_replace`` and
+    unpickling construct.  Every set field is an ``int`` (a bool is not),
+    ``delta_bidegree`` a pair of them; against :data:`TYPE_FACTS` the
     unknown of the type (deg_delta of a conic bundle, d2 of a del Pezzo
     fibration), the index r of a divisorial ray's target and the L3 of an E1
     target, which needs its index r.
     """
 
-    __slots__ = (
-        "ray_type", "r", "L3", "degB", "deg_delta", "d2", "e", "genus", "delta_bidegree"
-    )
+    __slots__ = ()
 
-    def __init__(
-        self,
-        ray_type: RayType,
-        r: Optional[int] = None,
-        L3: Optional[int] = None,
-        degB: Optional[int] = None,
-        deg_delta: Optional[int] = None,
-        d2: Optional[int] = None,
-        e: Optional[int] = None,
-        genus: Optional[int] = None,
-        delta_bidegree: Optional[tuple[int, int]] = None,
-    ) -> None:
+    def __new__(cls, ray_type, r=None, L3=None, degB=None, deg_delta=None, d2=None, e=None,
+                genus=None, delta_bidegree=None) -> "RaySpec":
+        numbers = (r, L3, degB, deg_delta, d2, e, genus)
         if delta_bidegree is not None:
-            delta_bidegree = tuple(int(v) for v in delta_bidegree)
-        set_field(self, "ray_type", ray_type)
-        set_field(self, "r", r)
-        set_field(self, "L3", L3)
-        set_field(self, "degB", degB)
-        set_field(self, "deg_delta", deg_delta)
-        set_field(self, "d2", d2)
-        set_field(self, "e", e)
-        set_field(self, "genus", genus)
-        set_field(self, "delta_bidegree", delta_bidegree)
+            delta_bidegree = tuple(delta_bidegree)
+            if len(delta_bidegree) != 2 or not INTEGER.issuperset(map(type, delta_bidegree)):
+                raise ConstraintError(
+                    f"delta_bidegree must be two integers, got {delta_bidegree!r}"
+                )
+        self = tuple.__new__(cls, (ray_type, *numbers, delta_bidegree))
+        if not _INT_OR_NONE.issuperset(map(type, numbers)):
+            for name, value in zip(cls._fields[1:], numbers):
+                if type(value) not in _INT_OR_NONE:
+                    raise ConstraintError(f"{name} must be an integer, got {value!r}")
         uncarried = _UNCARRIED.get(ray_type)
         if uncarried is None:
             raise ConstraintError(f"{ray_type!r} is not an extremal-ray type")
@@ -269,6 +275,11 @@ class RaySpec(ValueObject):
         for name, value, minimum in (("degB", degB, 1), ("L3", L3, 1), ("genus", genus, 0)):
             if value is not None and value < minimum:
                 raise ConstraintError(f"{name} must be >= {minimum}, got {value}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "RaySpec":
+        return cls(*iterable)
 
     @property
     def mu(self) -> int:
@@ -285,7 +296,7 @@ _CARRIED = {
     **dict.fromkeys(POINT_TYPES, ("r", "L3", "e")),
 }
 _UNCARRIED = {
-    t: tuple(name for name in RaySpec.__slots__[1:] if name not in carried)
+    t: tuple(name for name in RaySpec._fields[1:] if name not in carried)
     for t, carried in _CARRIED.items()
 }
 

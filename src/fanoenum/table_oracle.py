@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ConstraintError, UnsupportedScopeError
-from .ray_constraints import RayType
+from .ray_constraints import RaySpec, RayType
 
 __all__ = [
     "TableRow",
@@ -35,8 +35,8 @@ __all__ = [
 
 # Per-ray integer data a row may carry, in emission order.
 _INVARIANT_FIELDS = ("deg_delta", "d2", "r", "L3", "degB", "genus", "e", "delta_bidegree")
-# A ray's values of those fields, read in one call.
-_RAY_INVARIANTS = operator.attrgetter(*_INVARIANT_FIELDS)
+# A ray's values of those fields, read from the RaySpec tuple in one call.
+_RAY_INVARIANTS = operator.itemgetter(*map(RaySpec._fields.index, _INVARIANT_FIELDS))
 
 _EMIT_FORMATS = ("json", "csv", "markdown")
 

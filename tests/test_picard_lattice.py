@@ -98,6 +98,38 @@ def test_equal_forms_hash_equal():
     assert len({form, same, TrilinearForm.from_nonzero(2, {(1, 1, 1): 1})}) == 2
 
 
+@pytest.mark.parametrize(
+    "coords",
+    [(1.7, 2), ("3", True), (1, 2, False), (2.0, 1)],
+    ids=["float", "str-bool", "bool", "whole-float"],
+)
+def test_divisor_class_takes_only_ints(coords):
+    # int(1.7) would be 1 and int(True) 1: such coordinates are rejected, not truncated
+    with pytest.raises(ConstraintError, match="coordinates must be integers"):
+        DivisorClass(coords)
+    with pytest.raises(ConstraintError):
+        2.5 * DivisorClass((1, 2))
+
+
+@pytest.mark.parametrize(
+    "values", [(0.9, 1, 2, 3), (0, 1, 2, "3"), (0, True, 2, 3)], ids=["float", "str", "bool"]
+)
+def test_trilinear_form_takes_only_int_entries(values):
+    with pytest.raises(ConstraintError, match="form entries must be integers"):
+        TrilinearForm.rank2(*values)
+    keys = ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2))
+    with pytest.raises(ConstraintError, match="form entries must be integers"):
+        TrilinearForm(2, dict(zip(keys, values)))
+    with pytest.raises(ConstraintError, match="form entries must be integers"):
+        TrilinearForm.from_nonzero(2, dict(zip(keys, values)))
+
+
+def test_rank2_stores_the_canonical_keys():
+    form = TrilinearForm.rank2(1, 2, 3, 4)
+    assert list(form.entries) == [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2)]
+    assert form == TrilinearForm(2, {(2, 2, 2): 4, (1, 2, 2): 3, (1, 1, 2): 2, (1, 1, 1): 1})
+
+
 def test_transposed_swaps_the_basis():
     form = TrilinearForm.rank2(1, 3, 2, 0)
     swapped = form.transposed((2, 1))

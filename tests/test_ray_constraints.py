@@ -1,5 +1,6 @@
 """Ray-type tables, the c2 balance, and the lattice-index elimination."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,72 @@ def test_rayspec_validations():
 def test_rayspec_rejects_what_the_type_facts_rule_out(ray_type, fields, message):
     with pytest.raises(ConstraintError, match=message):
         RaySpec(ray_type, **fields)
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"deg_delta": 2.5}, "deg_delta must be an integer, got 2.5"),
+        ({"deg_delta": True}, "deg_delta must be an integer, got True"),
+        ({"deg_delta": "3"}, "deg_delta must be an integer, got '3'"),
+        ({"delta_bidegree": (2.6, "5")}, "delta_bidegree must be two integers"),
+        ({"delta_bidegree": (2, False)}, "delta_bidegree must be two integers"),
+        ({"delta_bidegree": (2, 5, 1)}, "delta_bidegree must be two integers"),
+    ],
+    ids=["float", "bool", "str", "bidegree-float-str", "bidegree-bool", "bidegree-triple"],
+)
+def test_rayspec_takes_only_int_fields(fields, message):
+    with pytest.raises(ConstraintError, match=message):
+        RaySpec(RayType.C1, **fields)
+
+
+def test_rayspec_int_check_names_the_field():
+    with pytest.raises(ConstraintError, match="genus must be an integer, got 1.0"):
+        RaySpec(RayType.E1, r=2, L3=1, degB=1, genus=1.0)
+    assert RaySpec(RayType.C1, delta_bidegree=[2, 5]).delta_bidegree == (2, 5)
+
+
+def test_rayspec_is_a_tuple_of_its_fields():
+    spec = RaySpec(RayType.E1, r=3, L3=2, degB=4, genus=0)
+    assert spec == (RayType.E1, 3, 2, 4, None, None, None, 0, None)
+    assert RaySpec._make(spec) == spec and spec.mu == 1
+    with pytest.raises(AttributeError):
+        spec.r = 4
+
+
+def test_rayspec_replace_runs_the_checks():
+    spec = RaySpec(RayType.E1, r=3, L3=2, degB=4, genus=0)
+    assert spec._replace(degB=5).degB == 5
+    with pytest.raises(ConstraintError, match="an E1 target of index 3 has L3"):
+        spec._replace(L3=3)
+    with pytest.raises(ConstraintError, match="E1 rays carry no e"):
+        spec._replace(e=1)
+    with pytest.raises(ConstraintError, match="degB must be an integer"):
+        spec._replace(degB=4.5)
+    with pytest.raises(ConstraintError):
+        RaySpec._make((RayType.C2, None, None, None, 3, None, None, None, None))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        RaySpec(RayType.E1, r=4, L3=1, degB=7, genus=5),
+        RaySpec(RayType.C1, delta_bidegree=(2, 5)),
+        RaySpec(RayType.E5, r=3, e=2),
+        RaySpec(RayType.D2, d2=8),
+    ],
+    ids=["E1", "C1-bidegree", "E5", "D2"],
+)
+def test_rayspec_survives_pickling(spec):
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec and type(copy) is RaySpec and copy.ray_type is spec.ray_type
+
+
+def test_equal_specs_hash_equal():
+    spec = RaySpec(RayType.C1, deg_delta=4)
+    same = RaySpec(RayType.C1, None, None, None, 4)
+    assert spec == same and hash(spec) == hash(same)
+    assert len({spec, same, RaySpec(RayType.C1, deg_delta=5)}) == 2
 
 
 def test_c2_dot_H_values():
@@ -179,25 +246,31 @@ def test_lattice_index_validates_lengths():
         lattice_index_candidates(1, 2, RayType.C1, RayType.D3)
 
 
+# st.builds draws every field of a named tuple, optional ones too; through
+# this wrapper it draws only the fields each strategy below names
+def spec(ray_type, **fields):
+    return RaySpec(ray_type, **fields)
+
+
 valid_specs = st.one_of(
     st.builds(
-        RaySpec,
+        spec,
         st.just(RayType.C1),
         deg_delta=st.integers(1, 12),
     ),
-    st.builds(RaySpec, st.just(RayType.C2)),
-    st.builds(RaySpec, st.just(RayType.D1), d2=st.integers(1, 7)),
-    st.builds(RaySpec, st.just(RayType.D2)),
-    st.builds(RaySpec, st.just(RayType.D3)),
+    st.builds(spec, st.just(RayType.C2)),
+    st.builds(spec, st.just(RayType.D1), d2=st.integers(1, 7)),
+    st.builds(spec, st.just(RayType.D2)),
+    st.builds(spec, st.just(RayType.D3)),
     st.builds(
-        RaySpec,
+        spec,
         st.just(RayType.E1),
         r=st.sampled_from([2, 3, 4]),
         degB=st.integers(1, 24),
     ),
-    st.builds(RaySpec, st.just(RayType.E2), r=st.sampled_from([2, 3, 4])),
-    st.builds(RaySpec, st.just(RayType.E34), r=st.sampled_from([2, 3, 4])),
-    st.builds(RaySpec, st.just(RayType.E5), r=st.sampled_from([3, 5, 9])),
+    st.builds(spec, st.just(RayType.E2), r=st.sampled_from([2, 3, 4])),
+    st.builds(spec, st.just(RayType.E34), r=st.sampled_from([2, 3, 4])),
+    st.builds(spec, st.just(RayType.E5), r=st.sampled_from([3, 5, 9])),
 )
 
 

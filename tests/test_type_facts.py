@@ -23,12 +23,12 @@ SIDES = [
 @pytest.mark.parametrize("side", SIDES)
 def test_c2_dot_H_equals_the_compiled_c2_term(side):
     constant, slope = side.terms[1][3]  # N = n c2.H, with n = 1
-    admissible = [side.low] if side.unknown is None else range(side.low, side.low + 4)
+    admissible = [side.low] if side.slot is None else range(side.low, side.low + 4)
     for u in admissible:
-        fields = dict(side.spec)
-        if side.unknown is not None:
-            fields[side.unknown] = u
-        assert c2_dot_H(RaySpec(side.ray_type, **fields)) * 4 == constant + slope * u
+        fields = list(side.template)
+        if side.slot is not None:
+            fields[side.slot] = u
+        assert c2_dot_H(RaySpec(*fields)) * 4 == constant + slope * u
 
 
 def test_every_computed_ray_lies_in_its_lattice_value_set():
