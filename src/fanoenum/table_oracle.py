@@ -35,13 +35,16 @@ __all__ = [
 
 # Per-ray integer data a row may carry, in emission order.
 _INVARIANT_FIELDS = ("deg_delta", "d2", "r", "L3", "degB", "genus", "e", "delta_bidegree")
-# A ray's values of those fields, read from the RaySpec tuple in one call.
-_RAY_INVARIANTS = operator.itemgetter(*map(RaySpec._fields.index, _INVARIANT_FIELDS))
+# A ray's type and its values of those fields, read from the RaySpec tuple
+# in one call.
+_RAY_DATA = operator.itemgetter(0, *map(RaySpec._fields.index, _INVARIANT_FIELDS))
 
 _EMIT_FORMATS = ("json", "csv", "markdown")
 
 # The display name of each ray-type tag a row may hold.
 _RAY_DISPLAY = {ray_type.value: ray_type.display for ray_type in RayType}
+# The tag of each ray type: a dict read costs a tenth of the .value property.
+_TAG = {ray_type: ray_type.value for ray_type in RayType}
 
 
 class TableRow(NamedTuple):
@@ -263,18 +266,18 @@ def table_ids() -> Mapping[tuple, str]:
 
 def record_to_row(record) -> TableRow:
     """Project a solution record onto the table-row shape used for diffs."""
-    columns = zip(_INVARIANT_FIELDS, zip(*map(_RAY_INVARIANTS, record.rays)))
-    invariants = {
-        name: values for name, values in columns if values.count(None) < len(values)
-    }
-    ray_types = record.ray_types
+    ray_types, *columns = zip(*map(_RAY_DATA, record.rays)) if record.rays else ((),)
+    tags = tuple(map(_TAG.__getitem__, ray_types))
+    unset = (None,) * len(tags)
     return TableRow(
         table_id=record.table_id,
         rho=record.rho,
         kx3=record.kx3,
-        primitive=record.rho == 3 or RayType.E1 not in ray_types,
-        ray_types=tuple(t.value for t in ray_types),
-        invariants=invariants,
+        primitive=record.rho == 3 or "E1" not in tags,
+        ray_types=tags,
+        invariants={
+            name: values for name, values in zip(_INVARIANT_FIELDS, columns) if values != unset
+        },
         descriptions=tuple(record.descriptions),
     )
 
