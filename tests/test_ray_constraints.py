@@ -248,29 +248,29 @@ def test_lattice_index_validates_lengths():
 
 # st.builds draws every field of a named tuple, optional ones too; through
 # this wrapper it draws only the fields each strategy below names
-def spec(ray_type, **fields):
+def ray_spec(ray_type, **fields):
     return RaySpec(ray_type, **fields)
 
 
 valid_specs = st.one_of(
     st.builds(
-        spec,
+        ray_spec,
         st.just(RayType.C1),
         deg_delta=st.integers(1, 12),
     ),
-    st.builds(spec, st.just(RayType.C2)),
-    st.builds(spec, st.just(RayType.D1), d2=st.integers(1, 7)),
-    st.builds(spec, st.just(RayType.D2)),
-    st.builds(spec, st.just(RayType.D3)),
+    st.builds(ray_spec, st.just(RayType.C2)),
+    st.builds(ray_spec, st.just(RayType.D1), d2=st.integers(1, 7)),
+    st.builds(ray_spec, st.just(RayType.D2)),
+    st.builds(ray_spec, st.just(RayType.D3)),
     st.builds(
-        spec,
+        ray_spec,
         st.just(RayType.E1),
         r=st.sampled_from([2, 3, 4]),
         degB=st.integers(1, 24),
     ),
-    st.builds(spec, st.just(RayType.E2), r=st.sampled_from([2, 3, 4])),
-    st.builds(spec, st.just(RayType.E34), r=st.sampled_from([2, 3, 4])),
-    st.builds(spec, st.just(RayType.E5), r=st.sampled_from([3, 5, 9])),
+    st.builds(ray_spec, st.just(RayType.E2), r=st.sampled_from([2, 3, 4])),
+    st.builds(ray_spec, st.just(RayType.E34), r=st.sampled_from([2, 3, 4])),
+    st.builds(ray_spec, st.just(RayType.E5), r=st.sampled_from([3, 5, 9])),
 )
 
 
