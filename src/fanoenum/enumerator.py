@@ -11,8 +11,8 @@ Picard lattice (index 1, see
 the facts of the two sides fill the intersection form and leave a linear
 system in at most two unknowns: the 24-balance, the two (-K)^2.H facts and
 the cube of each divisor contracted to a point.  The engine solves it
-exactly in integers, sweeping nothing but the finite type domains, and keeps
-the solutions that pass the domain, integrality, parity and genus checks.
+exactly in integers, sweeping nothing but the finite type domains: the
+domains decide, and the constructors assert what the system implies.
 Each becomes a :class:`SolutionRecord` carrying the full intersection form,
 the anticanonical class, the derived invariants and a human-readable
 description, labelled with the row id of the classification table it
@@ -38,6 +38,7 @@ from .errors import (
     UnsupportedScopeError,
 )
 from .picard_lattice import (
+    INTEGER,
     DivisorClass,
     TrilinearForm,
     ValueObject,
@@ -86,7 +87,8 @@ class SolutionRecord(_RecordFields):
     there is one.  ``descriptions`` lists the known constructions of the
     family; ``char_note`` records a positive-characteristic caveat and is
     never part of table comparisons.  The fields are checked on
-    construction, and ``_replace`` constructs.
+    construction (``rho``, ``kx3`` and a set ``genus`` are exactly ``int``),
+    and ``_replace`` constructs.
     """
 
     __slots__ = ()
@@ -103,6 +105,14 @@ class SolutionRecord(_RecordFields):
         descriptions: tuple[str, ...] = (),
         char_note: Optional[str] = None,
     ) -> "SolutionRecord":
+        scalars = (rho, kx3) if genus is None else (rho, kx3, genus)
+        if not INTEGER.issuperset(map(type, scalars)) or type(table_id) is not str:
+            raise ConstraintError(
+                "rho, kx3 and genus must be integers and table_id a string, got "
+                f"{rho!r}, {kx3!r}, {genus!r}, {table_id!r}"
+            )
+        if rho != form.rho:
+            raise InconsistencyError(f"rho = {rho} disagrees with a rank-{form.rho} form")
         if kx3 % 2 != 0:
             raise ParityError(f"(-K)^3 must be even, got {kx3}")
         if not 0 < kx3 <= 72:
@@ -249,14 +259,6 @@ def _table_id(ids: Mapping[tuple, str], rho: int, kx3: int, rays) -> str:
     return ids.get(table_key(rho, kx3, per_ray), "")
 
 
-def _genus_or_none(kx3: int, ky3: int, r: int, degB: int) -> Optional[int]:
-    """genus_from_blowup, with constraint violations turned into pruning."""
-    try:
-        return genus_from_blowup(kx3, ky3, r, degB)
-    except (ParityError, ConstraintError):
-        return None
-
-
 # -------------------------------------------------------------- side table --
 
 class _Side(ValueObject):
@@ -385,9 +387,10 @@ def _solve_sides(side1: _Side, side2: _Side, ids) -> Optional[SolutionRecord]:
       D_i^3:        M_i - q^3 (K1 + K2) = w,  K = n B,
                     M = p^3 C - 3 p^2 q A + 3 p q^2 B
 
-    Every term is in quarters, as the facts are.  The solution is kept only
-    if each unknown lies in its domain, the form entries are integers,
-    (-K)^3 = K1 + K2 is even and positive and every E1 centre has genus >= 0.
+    Every term is in quarters, as the facts are.  Only an inconsistent system,
+    an unknown outside its domain or the mirror twin of an E1+E1 record gives
+    None.  The system implies the rest, so a fractional form entry raises
+    here, and an odd cube or a negative genus in the constructors.
     """
     n1, n2 = side2.mu, side1.mu
     C1, P1, Q1, N1, K1, M1 = side1.terms[n1]
@@ -426,19 +429,15 @@ def _solve_sides(side1: _Side, side2: _Side, ids) -> Optional[SolutionRecord]:
         (K1[0] + K1[1] * u1 + K2[0] + K2[1] * u2, 4),
     )
     if any(value % divisor for value, divisor in quotients):
-        return None
+        raise InconsistencyError("the facts of a pairing give a fractional form entry")
     h111, h112, h122, h222, kx3 = (value // divisor for value, divisor in quotients)
-    if kx3 <= 0 or kx3 % 2:
-        return None
     fields1, fields2 = list(side1.template), list(side2.template)
     for fields, side, u in ((fields1, side1, u1), (fields2, side2, u2)):
         if side.slot is not None:
             fields[side.slot] = u
         if side.ray_type is RayType.E1:
             _, r, L3, degB = fields[:4]
-            fields[_GENUS] = _genus_or_none(kx3, antican_cube_by_index(r, L3), r, degB)
-            if fields[_GENUS] is None:
-                return None
+            fields[_GENUS] = genus_from_blowup(kx3, antican_cube_by_index(r, L3), r, degB)
     if side1.ray_type is side2.ray_type is RayType.E1 and (
         (fields1[1], fields1[3]) < (fields2[1], fields2[3])  # (r, degB)
     ):

@@ -2,10 +2,10 @@
 
 Everything derives from :class:`FanoEngineError` so callers can catch the whole
 family at once, and from ``ValueError`` so sloppy call sites still fail loudly.
-The distinction that matters operationally is between *pruning* events
-(:class:`ConstraintError`, :class:`ParityError` -- an integer constraint system
-simply has no solution at this point of the search, which is normal) and
-genuine misuse (:class:`DimensionMismatchError`, :class:`IncompleteSpecError`,
+Nothing catches them to prune a search: the solvers drop a candidate only for
+its domain, and the constructors' checks assert invariants.  So each one is
+misuse or bad data (:class:`ConstraintError`, :class:`ParityError`,
+:class:`DimensionMismatchError`, :class:`IncompleteSpecError`,
 :class:`UnsupportedIndexError`, :class:`UnsupportedScopeError`) or internal
 breakage (:class:`InconsistencyError`).
 """
@@ -31,11 +31,7 @@ class DimensionMismatchError(FanoEngineError):
 
 
 class ConstraintError(FanoEngineError):
-    """An exact integrality or positivity constraint fails.
-
-    Inside the enumeration this is a pruning event, not a bug: candidates
-    violating a divisibility or sign condition are discarded by catching it.
-    """
+    """An exact integrality, range or positivity constraint fails."""
 
 
 class ParityError(FanoEngineError):

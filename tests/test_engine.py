@@ -16,7 +16,7 @@ from fanoenum.chern_calculus import (
     antican_cube_p1_bundle_over_surface,
 )
 from fanoenum.enumerator import enumerate_all, solve_C_E_primitive
-from fanoenum.errors import InconsistencyError
+from fanoenum.errors import ConstraintError, InconsistencyError, ParityError
 from fanoenum.ray_constraints import RayType
 from fanoenum.table_oracle import emit, record_to_row, table_ids
 
@@ -74,3 +74,41 @@ def test_integer_solution_is_exact():
     # rows that leave an unknown free would need a sweep
     with pytest.raises(InconsistencyError):
         solve([(1, 1, -5), (2, 2, -10)], True, True)
+
+
+_C, _K = 0, 4  # positions of the H^3 and (-K)^3 terms among a side's C, P, Q, N, K, M
+
+
+def _shifted(side, term, quarters):
+    """``side`` with the constant of one of its terms moved by ``quarters``."""
+    terms = {}
+    for n, parts in side.terms.items():
+        parts = list(parts)
+        constant, coefficient = parts[term]
+        parts[term] = (constant + quarters, coefficient)
+        terms[n] = tuple(parts)
+    return side._replace(terms=terms)
+
+
+@pytest.mark.parametrize(
+    "type2,index2,term,quarters,error,message",
+    [
+        (RayType.C1, 0, _K, 4, ParityError, "must be even, got 13"),
+        (RayType.C1, 0, _C, 1, InconsistencyError, "fractional form entry"),
+        (RayType.E1, 2, _K, -8, ConstraintError, "genus computed as -1"),
+    ],
+    ids=["odd-cube", "fractional-entry", "negative-genus"],
+)
+def test_a_side_pair_raises_on_what_its_system_implies(
+    type2, index2, term, quarters, error, message
+):
+    # C1+C1 gives 2-6 and C1 with the third E1 side gives 2-11 (genus 0).
+    # Neither side contracts a divisor, so H^3 and the (-K)^3 term enter no
+    # row of the system: a shifted constant changes the entries, not u.
+    ids = table_ids()
+    (conic,) = enumerator._SIDES[RayType.C1]
+    other = enumerator._SIDES[type2][index2]
+    assert conic.contracted is other.contracted is None
+    assert enumerator._solve_sides(conic, other, ids).table_id in ("2-6", "2-11")
+    with pytest.raises(error, match=message):
+        enumerator._solve_sides(_shifted(conic, term, quarters), other, ids)

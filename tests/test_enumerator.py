@@ -174,6 +174,8 @@ def test_enumeration_scope():
         enumerate_all(1, primitive_only=True)
     with pytest.raises(UnsupportedScopeError):
         enumerate_all(4)
+    with pytest.raises(ConstraintError, match="expected one of C1, C2, got D1"):
+        solve_E1_C(RayType.D1)
 
 
 def all_records():
@@ -246,3 +248,24 @@ def test_record_validation_rejects_corruption():
         base._replace(kx3=74)
     with pytest.raises(ConstraintError):
         base._replace(genus=-1)
+    with pytest.raises(InconsistencyError, match="not in canonical order"):
+        base._replace(rays=base.rays[::-1])
+
+
+@pytest.mark.parametrize(
+    "changes,error,message",
+    [
+        ({"kx3": 4.0}, ConstraintError, "must be integers"),
+        ({"rho": 2.0}, ConstraintError, "must be integers"),
+        ({"rho": True}, ConstraintError, "must be integers"),
+        ({"genus": 1.0}, ConstraintError, "must be integers"),
+        ({"table_id": 5}, ConstraintError, "table_id a string"),
+        ({"rho": 7}, InconsistencyError, "rho = 7 disagrees with a rank-2 form"),
+    ],
+    ids=["float-kx3", "float-rho", "bool-rho", "float-genus", "int-table-id", "rho-7"],
+)
+def test_record_scalars_are_exact(changes, error, message):
+    record = enumerate_all(2)[0]
+    assert record.genus == 1 and record._replace(genus=None).genus is None
+    with pytest.raises(error, match=message):
+        record._replace(**changes)

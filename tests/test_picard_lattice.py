@@ -1,5 +1,7 @@
 """Known values and algebraic properties of the lattice arithmetic."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,6 +59,12 @@ def test_rank_mismatch_is_an_error():
     form = TrilinearForm.rank2(0, 1, 1, 0)
     with pytest.raises(DimensionMismatchError):
         triple_product(form, DivisorClass((1, 1, 1)), DivisorClass((1, 1)), DivisorClass((1, 1)))
+    with pytest.raises(DimensionMismatchError, match="got 1 coordinates"):
+        DivisorClass((1,))
+    with pytest.raises(DimensionMismatchError, match="rank must be 2 or 3, got 4"):
+        TrilinearForm(4, {})
+    with pytest.raises(DimensionMismatchError, match="not a permutation of 1..2"):
+        form.transposed((1, 1))
 
 
 def test_missing_entries_are_an_error():
@@ -76,6 +84,21 @@ def test_missing_entries_are_an_error():
 def test_out_of_range_entries_are_an_error(entries):
     with pytest.raises(DimensionMismatchError, match="out of range for rank 2"):
         TrilinearForm(2, entries)
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        [("1", "1", "1"), (1.9, 1, 2), (1, 2, 2), (2, 2, 2)],
+        [(1.0, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2)],
+        [(1, 1, 1), (1, 1, 2), (2, True, 2), (2, 2, 2)],
+    ],
+    ids=["str-and-float", "integral-float", "bool"],
+)
+def test_trilinear_form_takes_only_int_indices(keys):
+    # int() would read ('1', '1', '1') as (1, 1, 1) and (1.9, 1, 2) as (1, 1, 2)
+    with pytest.raises(ConstraintError, match="form indices must be integers"):
+        TrilinearForm(2, dict(zip(keys, (0, 4, 0, 0))))
 
 
 def test_conflicting_entries_are_an_error():
@@ -138,6 +161,46 @@ def test_transposed_swaps_the_basis():
 def test_anticanonical_rank2():
     assert anticanonical_class(1, 2).coords == (2, 1)
     assert anticanonical_class(2, 2).coords == (2, 2)
+    with pytest.raises(ConstraintError, match="ray length must be 1, 2 or 3, got 4"):
+        anticanonical_class(4, 1)
+
+
+@pytest.mark.parametrize(
+    "value,text,good,bad,error",
+    [
+        (
+            DivisorClass((1, 2)),
+            "DivisorClass(coords=(1, 2))",
+            {"coords": (3, 4)},
+            {"coords": (1, 2.5)},
+            ConstraintError,
+        ),
+        (
+            TrilinearForm.rank2(1, 3, 2, 0),
+            "TrilinearForm(rho=2, entries={(1, 1, 1): 1, (1, 1, 2): 3, (1, 2, 2): 2, "
+            "(2, 2, 2): 0})",
+            {"entries": {(1, 1, 1): 1, (1, 1, 2): 3, (1, 2, 2): 2, (2, 2, 2): 5}},
+            {"rho": 4},
+            DimensionMismatchError,
+        ),
+    ],
+    ids=["divisor-class", "trilinear-form"],
+)
+def test_value_objects_follow_their_fields(value, text, good, bad, error):
+    copy = pickle.loads(pickle.dumps(value))
+    assert copy == value and type(copy) is type(value) and hash(copy) == hash(value)
+    assert repr(value) == text
+    changed = value._replace(**good)
+    assert changed != value and type(changed) is type(value)
+    assert [getattr(changed, name) for name in good] == list(good.values())
+    with pytest.raises(error):
+        value._replace(**bad)
+    name = value.__slots__[0]
+    with pytest.raises(AttributeError, match="cannot assign"):
+        setattr(value, name, None)
+    with pytest.raises(AttributeError, match="cannot delete"):
+        delattr(value, name)
+    assert DivisorClass((1, 2)) != (1, 2) and (1, 2) != DivisorClass((1, 2))
     assert anticanonical_class(1, 1).coords == (1, 1)
 
 

@@ -15,6 +15,8 @@ from fanoenum.errors import (
     UnsupportedIndexError,
 )
 from fanoenum.ray_constraints import (
+    C_TYPES,
+    D_TYPES,
     RaySpec,
     RayType,
     balance_check,
@@ -54,6 +56,10 @@ def test_rayspec_validations():
         RaySpec(RayType.C2, deg_delta=3)
     with pytest.raises(ConstraintError):
         RaySpec(RayType.E2, e=3)
+    with pytest.raises(ConstraintError, match="degB must be >= 1, got 0"):
+        RaySpec(RayType.E1, r=2, L3=1, degB=0)
+    with pytest.raises(ConstraintError, match="genus must be >= 0, got -1"):
+        RaySpec(RayType.E1, r=2, L3=1, degB=1, genus=-1)
     assert RaySpec(RayType.D3).mu == 3
 
 
@@ -244,6 +250,26 @@ def test_lattice_index_validates_lengths():
         lattice_index_candidates(2, 1, RayType.C1, None)
     with pytest.raises(ConstraintError):
         lattice_index_candidates(1, 2, RayType.C1, RayType.D3)
+    with pytest.raises(ConstraintError, match="empty set of admissible second-ray types"):
+        lattice_index_candidates(2, 2, RayType.C2, ())
+
+
+def _candidates_or_error(mu1, mu2, type1, type2):
+    try:
+        return lattice_index_candidates(mu1, mu2, type1, type2)
+    except InconsistencyError:
+        return InconsistencyError
+
+
+@pytest.mark.parametrize(
+    "c_type,d_type", [(c, d) for c in C_TYPES for d in D_TYPES], ids=lambda t: t.value
+)
+def test_lattice_index_is_symmetric_in_a_conic_and_a_del_pezzo_ray(c_type, d_type):
+    # the D-first call runs the cube identity's own branch for a D ray first
+    mu_c, mu_d = mu_of(c_type), mu_of(d_type)
+    assert _candidates_or_error(mu_d, mu_c, d_type, c_type) == _candidates_or_error(
+        mu_c, mu_d, c_type, d_type
+    )
 
 
 # st.builds draws every field of a named tuple, optional ones too; through
