@@ -91,24 +91,24 @@ def _shifted(side, term, quarters):
 
 
 @pytest.mark.parametrize(
-    "type2,index2,term,quarters,error,message",
+    "type2,index2,table_id,term,quarters,error,message",
     [
-        (RayType.C1, 0, _K, 4, ParityError, "must be even, got 13"),
-        (RayType.C1, 0, _C, 1, InconsistencyError, "fractional form entry"),
-        (RayType.E1, 2, _K, -8, ConstraintError, "genus computed as -1"),
+        (RayType.C1, 0, "2-6", _K, 4, ParityError, "must be even, got 13"),
+        (RayType.C1, 0, "2-6", _C, 1, InconsistencyError, "fractional form entry"),
+        (RayType.E1, 2, "2-11", _K, -8, ConstraintError, "genus computed as -1"),
     ],
     ids=["odd-cube", "fractional-entry", "negative-genus"],
 )
 def test_a_side_pair_raises_on_what_its_system_implies(
-    type2, index2, term, quarters, error, message
+    type2, index2, table_id, term, quarters, error, message
 ):
-    # C1+C1 gives 2-6 and C1 with the third E1 side gives 2-11 (genus 0).
     # Neither side contracts a divisor, so H^3 and the (-K)^3 term enter no
     # row of the system: a shifted constant changes the entries, not u.
+    # 2-11 has a centre of genus 0, so (-K)^3 18 -> 16 makes it -1.
     ids = table_ids()
     (conic,) = enumerator._SIDES[RayType.C1]
     other = enumerator._SIDES[type2][index2]
     assert conic.contracted is other.contracted is None
-    assert enumerator._solve_sides(conic, other, ids).table_id in ("2-6", "2-11")
+    assert enumerator._solve_sides(conic, other, ids).table_id == table_id
     with pytest.raises(error, match=message):
         enumerator._solve_sides(_shifted(conic, term, quarters), other, ids)
