@@ -163,14 +163,14 @@ def antican_cube_by_index(r: int, L3: Optional[int] = None) -> int:
     """(-K_Y)^3 = r^3 L^3 for a smooth Fano threefold Y of index r >= 2.
 
     Index 4 forces Y = P^3 (cube 64), index 3 forces the quadric (cube 54);
-    index 2 needs the degree L3 = L^3 of the ample generator, one of
-    :func:`l3_range`, giving 8*L3.
+    index 2 needs the degree L3 = L^3 of the ample generator, giving 8*L3.
+    A given L3 must be one of :func:`l3_range`, whatever the index.
     """
     cubes = FANO_TARGETS.get(r)
     if cubes is None:
         raise UnsupportedIndexError(f"no smooth Fano threefold has index {r} >= 2")
-    if len(cubes) == 1:
-        return r**3 * cubes[0]
+    if L3 is None and len(cubes) == 1:
+        (L3,) = cubes
     if L3 is None:
         raise IncompleteSpecError(f"index-{r} targets need L3 = L^3")
     if L3 not in cubes:

@@ -13,10 +13,11 @@ system in at most two unknowns: the 24-balance, the two (-K)^2.H facts and
 the cube of each divisor contracted to a point.  The engine solves it
 exactly in integers, sweeping nothing but the finite type domains: the
 domains decide, and the constructors assert what the system implies.
-Each becomes a :class:`SolutionRecord` carrying the full intersection form,
-the anticanonical class, the derived invariants and a human-readable
-description, labelled with the row id of the classification table it
-matches.  The ``solve_*`` entry points select pairings for the engine.
+Each becomes a :class:`SolutionRecord` of the rays, the full intersection
+form, the anticanonical class and its cube, labelled with the row id of the
+classification table it matches; the record derives the rank, genus,
+descriptions and characteristic note from these.  The ``solve_*`` entry
+points select pairings for the engine.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .errors import (
     UnsupportedScopeError,
 )
 from .picard_lattice import (
-    INTEGER,
     DivisorClass,
     TrilinearForm,
     ValueObject,
@@ -66,53 +66,45 @@ __all__ = [
 
 
 class _RecordFields(NamedTuple):
-    rho: int
     rays: tuple[RaySpec, ...]
     form: TrilinearForm
     minus_k: DivisorClass
     kx3: int
-    genus: Optional[int] = None
     table_id: str = ""
-    descriptions: tuple[str, ...] = ()
-    char_note: Optional[str] = None
 
 
 class SolutionRecord(_RecordFields):
-    """One solved family: rays, intersection form, anticanonical data.
+    """One solved family: what its solver found, and what follows from it.
 
-    ``rays`` are in canonical order (C types before D types before E types);
-    ``form`` and ``minus_k`` are written in the matching basis of pullbacks,
-    so ``kx3`` always equals the triple product of ``minus_k`` with itself.
-    ``genus`` is the genus of the blowup centre of the first E1 ray, when
-    there is one.  ``descriptions`` lists the known constructions of the
-    family; ``char_note`` records a positive-characteristic caveat and is
-    never part of table comparisons.  The fields are checked on
-    construction (``rho``, ``kx3`` and a set ``genus`` are exactly ``int``),
-    and ``_replace`` constructs.
+    The fields are checked on construction, and ``_replace`` constructs:
+    ``rays`` are RaySpecs in canonical order (C types before D types before
+    E types); ``form`` and ``minus_k`` are written in the matching basis of
+    pullbacks, and ``kx3`` is an ``int`` equal to the cube of ``minus_k``;
+    ``table_id`` is a string.  The rest is derived when read, so it cannot
+    disagree with the fields: ``rho`` is the rank of the form, ``genus`` the
+    genus of the blowup centre of the first E1 ray (None without one),
+    ``descriptions`` the known constructions of the family and
+    ``char_note`` a positive-characteristic caveat, never part of table
+    comparisons.
     """
 
     __slots__ = ()
 
     def __new__(
         cls,
-        rho: int,
         rays: tuple[RaySpec, ...],
         form: TrilinearForm,
         minus_k: DivisorClass,
         kx3: int,
-        genus: Optional[int] = None,
         table_id: str = "",
-        descriptions: tuple[str, ...] = (),
-        char_note: Optional[str] = None,
     ) -> "SolutionRecord":
-        scalars = (rho, kx3) if genus is None else (rho, kx3, genus)
-        if not INTEGER.issuperset(map(type, scalars)) or type(table_id) is not str:
+        if type(kx3) is not int or type(table_id) is not str:
             raise ConstraintError(
-                "rho, kx3 and genus must be integers and table_id a string, got "
-                f"{rho!r}, {kx3!r}, {genus!r}, {table_id!r}"
+                "(-K)^3 values must be integers and table_id a string, got "
+                f"{kx3!r}, {table_id!r}"
             )
-        if rho != form.rho:
-            raise InconsistencyError(f"rho = {rho} disagrees with a rank-{form.rho} form")
+        if type(rays) is not tuple or not {RaySpec}.issuperset(map(type, rays)):
+            raise ConstraintError(f"rays must be a tuple of RaySpecs, got {rays!r}")
         if kx3 % 2 != 0:
             raise ParityError(f"(-K)^3 must be even, got {kx3}")
         if not 0 < kx3 <= 72:
@@ -121,23 +113,34 @@ class SolutionRecord(_RecordFields):
             raise InconsistencyError(
                 f"stored (-K)^3 = {kx3} disagrees with the intersection form"
             )
-        if genus is not None and genus < 0:
-            raise ConstraintError(f"genus must be >= 0, got {genus}")
         orders = [spec.ray_type.order for spec in rays]
         if orders != sorted(orders):
             raise InconsistencyError("rays are not in canonical order")
-        return tuple.__new__(
-            cls,
-            (rho, rays, form, minus_k, kx3, genus, table_id, descriptions, char_note),
-        )
+        return tuple.__new__(cls, (rays, form, minus_k, kx3, table_id))
 
     @classmethod
     def _make(cls, iterable: Iterable) -> "SolutionRecord":
         return cls(*iterable)
 
     @property
+    def rho(self) -> int:
+        return self.form.rho
+
+    @property
     def ray_types(self) -> tuple[RayType, ...]:
         return tuple(spec.ray_type for spec in self.rays)
+
+    @property
+    def genus(self) -> Optional[int]:
+        return next((s.genus for s in self.rays if s.ray_type is RayType.E1), None)
+
+    @property
+    def descriptions(self) -> tuple[str, ...]:
+        return _TEXTS.get((self.rho, self.ray_types)) or _descriptions(self.rays)
+
+    @property
+    def char_note(self) -> Optional[str]:
+        return _CHAR_NOTES.get(self.ray_types)
 
     @property
     def description(self) -> str:
@@ -197,49 +200,49 @@ def _blowup_description(r: int, L3: int, degB: int, genus: int, with_ci: bool) -
     return base
 
 
-# Descriptions and characteristic note of each pairing with no E1 ray.
-_PRIMITIVE_TEXTS = {
-    (RayType.C1, RayType.C1): (
-        (
-            "a divisor on P^2 x P^2 of bidegree (2,2)",
-            "a split double cover of W with L^2 = omega_W^{-1}",
-        ),
-        None,
+# The descriptions of each rank-2 pairing with no E1 ray and of each rank-3
+# family, by (rho, ray types); every other family is described by its rays.
+_TEXTS = {
+    (2, (RayType.C1, RayType.C1)): (
+        "a divisor on P^2 x P^2 of bidegree (2,2)",
+        "a split double cover of W with L^2 = omega_W^{-1}",
     ),
-    (RayType.C1, RayType.C2): (
-        ("a divisor on P^2 x P^2 of bidegree (1,2)",),
-        "wild conic bundle possible only in characteristic 2",
+    (2, (RayType.C1, RayType.C2)): ("a divisor on P^2 x P^2 of bidegree (1,2)",),
+    (2, (RayType.C2, RayType.C2)): ("W, a divisor on P^2 x P^2 of bidegree (1,1)",),
+    (2, (RayType.C1, RayType.D1)): ("a split double cover of P^2 x P^1 with L = O(2,1)",),
+    (2, (RayType.C1, RayType.D2)): ("a split double cover of P^2 x P^1 with L = O(1,1)",),
+    (2, (RayType.C2, RayType.D3)): ("P^2 x P^1",),
+    (2, (RayType.C1, RayType.E34)): (
+        "a split double cover of V_7 with L^2 = omega_{V_7}^{-1}",
     ),
-    (RayType.C2, RayType.C2): (("W, a divisor on P^2 x P^2 of bidegree (1,1)",), None),
-    (RayType.C1, RayType.D1): (("a split double cover of P^2 x P^1 with L = O(2,1)",), None),
-    (RayType.C1, RayType.D2): (("a split double cover of P^2 x P^1 with L = O(1,1)",), None),
-    (RayType.C2, RayType.D3): (("P^2 x P^1",), None),
-    (RayType.C1, RayType.E34): (
-        ("a split double cover of V_7 with L^2 = omega_{V_7}^{-1}",),
-        None,
+    (2, (RayType.C2, RayType.E2)): (
+        "V_7, i.e. P(O + O(1)) over P^2",
+        "blowup of P^3 at a point",
     ),
-    (RayType.C2, RayType.E2): (
-        ("V_7, i.e. P(O + O(1)) over P^2", "blowup of P^3 at a point"),
-        None,
+    (2, (RayType.C2, RayType.E5)): (
+        "P(O + O(2)) over P^2",
+        "blowup at the singular point of the cone over the Veronese surface",
     ),
-    (RayType.C2, RayType.E5): (
-        (
-            "P(O + O(2)) over P^2",
-            "blowup at the singular point of the cone over the Veronese surface",
-        ),
-        None,
-    ),
+    (3, (RayType.C2,) * 3): ("P^1 x P^1 x P^1",),
+    (3, (RayType.C1,) * 3): ("a split double cover of P^1 x P^1 x P^1 with L = O(1,1,1)",),
+    (3, (RayType.C2, RayType.E1)): ("P(O + O(1,1)) over P^1 x P^1",),
+    (3, (RayType.C1, RayType.E1)): ("a divisor in P(O + O(-1,-1)^2) over P^1 x P^1",),
+}
+
+# The positive-characteristic caveat of each pairing that has one.
+_CHAR_NOTES = {
+    (RayType.C1, RayType.C2): "wild conic bundle possible only in characteristic 2",
 }
 
 
-def _descriptions(rays: tuple[RaySpec, RaySpec]) -> tuple[str, ...]:
+def _descriptions(rays: tuple[RaySpec, ...]) -> tuple[str, ...]:
     """One text per E1 ray, plus the point blowup for an E2 ray opposite one.
 
     The complete-intersection clause appears only opposite a del Pezzo
     fibration, whose pencil cuts out the centre; identical texts collapse.
     """
     texts = []
-    for spec, other in (rays, rays[::-1]):
+    for spec, other in zip(rays, rays[::-1]):
         if spec.ray_type is RayType.E1:
             with_ci = other.ray_type in D_TYPES
             texts.append(
@@ -445,19 +448,12 @@ def _solve_sides(side1: _Side, side2: _Side, ids) -> Optional[SolutionRecord]:
     if side1.ray_type in C_TYPES and side2.ray_type in (RayType.E2, RayType.E5):
         fields2[_E] = h122
     rays = (RaySpec(*fields1), RaySpec(*fields2))
-    descriptions, char_note = _PRIMITIVE_TEXTS.get(
-        (side1.ray_type, side2.ray_type)
-    ) or (_descriptions(rays), None)
     return SolutionRecord(
-        2,
         rays,
         TrilinearForm.rank2(h111, h112, h122, h222),
         _MINUS_K[side1.mu, side2.mu],
         kx3,
-        fields1[_GENUS] if side1.ray_type is RayType.E1 else fields2[_GENUS],
         _table_id(ids, 2, kx3, rays),
-        descriptions,
-        char_note,
     )
 
 
@@ -550,22 +546,9 @@ def _rho3_CCC(ids: Mapping[tuple, str]) -> tuple[SolutionRecord, ...]:
         )
         conic_type = RayType.C1 if delta_dot else RayType.C2
         ray = RaySpec(conic_type, delta_bidegree=(delta_dot, delta_dot))
-        text = (
-            "a split double cover of P^1 x P^1 x P^1 with L = O(1,1,1)"
-            if d == 2
-            else "P^1 x P^1 x P^1"
-        )
         rays = (ray, ray, ray)
         records.append(
-            SolutionRecord(
-                rho=3,
-                rays=rays,
-                form=form,
-                minus_k=minus_k,
-                kx3=kx3,
-                table_id=_table_id(ids, 3, kx3, rays),
-                descriptions=(text,),
-            )
+            SolutionRecord(rays, form, minus_k, kx3, _table_id(ids, 3, kx3, rays))
         )
     return tuple(records)
 
@@ -591,13 +574,11 @@ def _rho3_CE(ids: Mapping[tuple, str]) -> tuple[SolutionRecord, ...]:
     bundle_rays = (RaySpec(RayType.C2, delta_bidegree=(0, 0)), RaySpec(RayType.E1))
     records.append(
         SolutionRecord(
-            rho=3,
             rays=bundle_rays,
             form=bundle_form,
             minus_k=DivisorClass((2, 1, 1)),
             kx3=bundle_kx3,
             table_id=_table_id(ids, 3, bundle_kx3, bundle_rays),
-            descriptions=("P(O + O(1,1)) over P^1 x P^1",),
         )
     )
 
@@ -616,13 +597,11 @@ def _rho3_CE(ids: Mapping[tuple, str]) -> tuple[SolutionRecord, ...]:
     divisor_rays = (RaySpec(RayType.C1, delta_bidegree=(2, 5)), RaySpec(RayType.E1))
     records.append(
         SolutionRecord(
-            rho=3,
             rays=divisor_rays,
             form=divisor_form,
             minus_k=DivisorClass((1, 2, 1)),
             kx3=divisor_kx3,
             table_id=_table_id(ids, 3, divisor_kx3, divisor_rays),
-            descriptions=("a divisor in P(O + O(-1,-1)^2) over P^1 x P^1",),
         )
     )
     return tuple(records)

@@ -159,15 +159,15 @@ class TrilinearForm(ValueObject):
         if rho not in (2, 3):
             raise DimensionMismatchError(f"rank must be 2 or 3, got {rho}")
         _check_values(entries.values())
-        if not INTEGER.issuperset(map(type, itertools.chain.from_iterable(entries))):
+        if not all(
+            type(key) is tuple and len(key) == 3 and INTEGER.issuperset(map(type, key))
+            for key in entries
+        ):
             raise ConstraintError(f"form indices must be integers, got {tuple(entries)!r}")
         normalized: dict[tuple[int, int, int], int] = {}
         for key, value in entries.items():
-            sorted_key = _SORTED_KEY.get(key)
-            if sorted_key is None:  # not a triple of indices 1..3
-                i, j, k = key
-                sorted_key = tuple(sorted((i, j, k)))
-            if not (1 <= sorted_key[0] and sorted_key[2] <= rho):
+            sorted_key = _SORTED_KEY.get(key)  # None: an index outside 1..3
+            if sorted_key is None or sorted_key[2] > rho:
                 raise DimensionMismatchError(
                     f"index triple {key} out of range for rank {rho}"
                 )

@@ -117,6 +117,11 @@ def test_index2_centres_all_have_genus_one():
 def test_antican_cube_by_index():
     assert antican_cube_by_index(4) == 64
     assert antican_cube_by_index(3) == 54
+    assert antican_cube_by_index(4, 1) == 64
+    assert antican_cube_by_index(3, 2) == 54
+    for r, L3 in ((4, 7), (3, 99)):
+        with pytest.raises(ConstraintError, match=f"index-{r} target has L3 in .*, got {L3}"):
+            antican_cube_by_index(r, L3)
     for L3 in range(1, 6):
         assert antican_cube_by_index(2, L3) == 8 * L3
     with pytest.raises(IncompleteSpecError):

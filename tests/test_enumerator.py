@@ -3,6 +3,7 @@
 import pytest
 
 from fanoenum.enumerator import (
+    SolutionRecord,
     enumerate_all,
     solve_C_C,
     solve_C_D,
@@ -247,25 +248,38 @@ def test_record_validation_rejects_corruption():
     with pytest.raises(ConstraintError):
         base._replace(kx3=74)
     with pytest.raises(ConstraintError):
-        base._replace(genus=-1)
+        base._replace(rays=(base.rays[0], base.rays[1]._replace(genus=-1)))
+    with pytest.raises(ConstraintError, match="tuple of RaySpecs"):
+        base._replace(rays=(1, 2))
     with pytest.raises(InconsistencyError, match="not in canonical order"):
         base._replace(rays=base.rays[::-1])
+
+
+def test_a_record_derives_what_its_fields_imply():
+    (rec,) = [rec for rec in enumerate_all(2) if rec.table_id == "2-1"]
+    (e1,) = [i for i, spec in enumerate(rec.rays) if spec.ray_type is RayType.E1]
+    rays = list(rec.rays)
+    rays[e1] = rays[e1]._replace(genus=5)
+    assert rec.genus == 1 and rec._replace(rays=tuple(rays)).genus == 5
+    for derived in ({"genus": 7}, {"descriptions": ("abc",)}, {"char_note": "x"}):
+        with pytest.raises(ValueError, match="unexpected field names"):
+            rec._replace(**derived)
+    assert SolutionRecord._fields == ("rays", "form", "minus_k", "kx3", "table_id")
+    for call in ((2, False), (2, True), (3, True)):
+        for record in enumerate_all(*call):
+            assert record.rho == record.form.rho == call[0]
 
 
 @pytest.mark.parametrize(
     "changes,error,message",
     [
         ({"kx3": 4.0}, ConstraintError, "must be integers"),
-        ({"rho": 2.0}, ConstraintError, "must be integers"),
-        ({"rho": True}, ConstraintError, "must be integers"),
-        ({"genus": 1.0}, ConstraintError, "must be integers"),
         ({"table_id": 5}, ConstraintError, "table_id a string"),
-        ({"rho": 7}, InconsistencyError, "rho = 7 disagrees with a rank-2 form"),
     ],
-    ids=["float-kx3", "float-rho", "bool-rho", "float-genus", "int-table-id", "rho-7"],
+    ids=["float-kx3", "int-table-id"],
 )
 def test_record_scalars_are_exact(changes, error, message):
     record = enumerate_all(2)[0]
-    assert record.genus == 1 and record._replace(genus=None).genus is None
+    assert record.genus == 1
     with pytest.raises(error, match=message):
         record._replace(**changes)

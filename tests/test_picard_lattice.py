@@ -92,8 +92,11 @@ def test_out_of_range_entries_are_an_error(entries):
         [("1", "1", "1"), (1.9, 1, 2), (1, 2, 2), (2, 2, 2)],
         [(1.0, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2)],
         [(1, 1, 1), (1, 1, 2), (2, True, 2), (2, 2, 2)],
+        [(1, 1, 1), (1, 2), (1, 2, 2), (2, 2, 2)],
+        [(1, 1, 1), (1, 1, 1, 1), (1, 2, 2), (2, 2, 2)],
+        [(1, 1, 1), 5, (1, 2, 2), (2, 2, 2)],
     ],
-    ids=["str-and-float", "integral-float", "bool"],
+    ids=["str-and-float", "integral-float", "bool", "pair", "quadruple", "int"],
 )
 def test_trilinear_form_takes_only_int_indices(keys):
     # int() would read ('1', '1', '1') as (1, 1, 1) and (1.9, 1, 2) as (1, 1, 2)
