@@ -128,12 +128,9 @@ def _parse_pair(parser: argparse.ArgumentParser, text: str, rho: int) -> tuple[s
 
 def _computed_rows(rho: int, primitive_only: bool):
     from .enumerator import enumerate_all
-    from .table_oracle import record_to_row
+    from .table_oracle import label
 
-    return tuple(
-        record_to_row(record)
-        for record in enumerate_all(rho, primitive_only=primitive_only)
-    )
+    return label(enumerate_all(rho, primitive_only=primitive_only))
 
 
 def _write_payload(payload: bytes, out: Optional[str]) -> None:

@@ -14,16 +14,17 @@ the cube of each divisor contracted to a point.  The engine solves it
 exactly in integers, sweeping nothing but the finite type domains: the
 domains decide, and the constructors assert what the system implies.
 Each becomes a :class:`SolutionRecord` of the rays, the full intersection
-form, the anticanonical class and its cube, labelled with the row id of the
-classification table it matches; the record derives the rank, genus,
-descriptions and characteristic note from these.  The ``solve_*`` entry
-points select pairings for the engine.
+form, the anticanonical class and its cube; the record derives the rank,
+genus, descriptions and characteristic note from these.  The ``solve_*``
+entry points select pairings for the engine.  No solver reads the
+classification table: :mod:`fanoenum.table_oracle` labels records with its
+row ids when they are projected onto rows.
 """
 
 from __future__ import annotations
 
 from math import isqrt
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .chern_calculus import (
     antican_cube_by_index,
@@ -49,7 +50,6 @@ from .picard_lattice import (
 from .ray_constraints import (
     C_TYPES, D_TYPES, POINT_TYPES, TYPE_FACTS, RaySpec, RayType, mu_of
 )
-from .table_oracle import table_ids, table_key
 
 __all__ = [
     "SolutionRecord",
@@ -70,7 +70,6 @@ class _RecordFields(NamedTuple):
     form: TrilinearForm
     minus_k: DivisorClass
     kx3: int
-    table_id: str = ""
 
 
 class SolutionRecord(_RecordFields):
@@ -79,13 +78,13 @@ class SolutionRecord(_RecordFields):
     The fields are checked on construction, and ``_replace`` constructs:
     ``rays`` are RaySpecs in canonical order (C types before D types before
     E types); ``form`` and ``minus_k`` are written in the matching basis of
-    pullbacks, and ``kx3`` is an ``int`` equal to the cube of ``minus_k``;
-    ``table_id`` is a string.  The rest is derived when read, so it cannot
-    disagree with the fields: ``rho`` is the rank of the form, ``genus`` the
-    genus of the blowup centre of the first E1 ray (None without one),
-    ``descriptions`` the known constructions of the family and
-    ``char_note`` a positive-characteristic caveat, never part of table
-    comparisons.
+    pullbacks, and ``kx3`` is an ``int`` equal to the cube of ``minus_k``.
+    The rest is derived when read, so it cannot disagree with the fields:
+    ``rho`` is the rank of the form, ``genus`` the genus of the blowup centre
+    of the first E1 ray (None without one), ``descriptions`` the known
+    constructions of the family and ``char_note`` a positive-characteristic
+    caveat, never part of table comparisons.  A record carries no table id:
+    :func:`fanoenum.table_oracle.label` names it by its table row.
     """
 
     __slots__ = ()
@@ -96,13 +95,9 @@ class SolutionRecord(_RecordFields):
         form: TrilinearForm,
         minus_k: DivisorClass,
         kx3: int,
-        table_id: str = "",
     ) -> "SolutionRecord":
-        if type(kx3) is not int or type(table_id) is not str:
-            raise ConstraintError(
-                "(-K)^3 values must be integers and table_id a string, got "
-                f"{kx3!r}, {table_id!r}"
-            )
+        if type(kx3) is not int:
+            raise ConstraintError(f"(-K)^3 values must be integers, got {kx3!r}")
         if type(rays) is not tuple or not {RaySpec}.issuperset(map(type, rays)):
             raise ConstraintError(f"rays must be a tuple of RaySpecs, got {rays!r}")
         if kx3 % 2 != 0:
@@ -116,7 +111,7 @@ class SolutionRecord(_RecordFields):
         orders = [spec.ray_type.order for spec in rays]
         if orders != sorted(orders):
             raise InconsistencyError("rays are not in canonical order")
-        return tuple.__new__(cls, (rays, form, minus_k, kx3, table_id))
+        return tuple.__new__(cls, (rays, form, minus_k, kx3))
 
     @classmethod
     def _make(cls, iterable: Iterable) -> "SolutionRecord":
@@ -253,15 +248,6 @@ def _descriptions(rays: tuple[RaySpec, ...]) -> tuple[str, ...]:
     return tuple(dict.fromkeys(texts))
 
 
-# ------------------------------------------------------ labels and genera --
-
-
-def _table_id(ids: Mapping[tuple, str], rho: int, kx3: int, rays) -> str:
-    """The id of the table row with this rank, cube and per-ray degree data."""
-    per_ray = ((s.ray_type.value, s.degB, s.d2, s.deg_delta) for s in rays)
-    return ids.get(table_key(rho, kx3, per_ray), "")
-
-
 # -------------------------------------------------------------- side table --
 
 class _Side(ValueObject):
@@ -377,7 +363,7 @@ def _integer_solution(rows, has1: bool, has2: bool) -> Optional[tuple[int, int]]
     return None if remainder else (u1, u2)
 
 
-def _solve_sides(side1: _Side, side2: _Side, ids) -> Optional[SolutionRecord]:
+def _solve_sides(side1: _Side, side2: _Side) -> Optional[SolutionRecord]:
     """The record of one pair of sides, in the basis of their pullbacks.
 
     With -K = n1 H1 + n2 H2 (n1 = mu2, n2 = mu1) and C, A, B, c the facts
@@ -447,24 +433,22 @@ def _solve_sides(side1: _Side, side2: _Side, ids) -> Optional[SolutionRecord]:
         return None  # the mirror twin of a kept solution
     if side1.ray_type in C_TYPES and side2.ray_type in (RayType.E2, RayType.E5):
         fields2[_E] = h122
-    rays = (RaySpec(*fields1), RaySpec(*fields2))
     return SolutionRecord(
-        rays,
+        (RaySpec(*fields1), RaySpec(*fields2)),
         TrilinearForm.rank2(h111, h112, h122, h222),
         _MINUS_K[side1.mu, side2.mu],
         kx3,
-        _table_id(ids, 2, kx3, rays),
     )
 
 
-def _solve(pairings, ids: Mapping[tuple, str]) -> tuple[SolutionRecord, ...]:
+def _solve(pairings) -> tuple[SolutionRecord, ...]:
     """Every record of the given type pairings, each in canonical type order."""
     return tuple(
         record
         for type1, type2 in pairings
         for side1 in _SIDES[type1]
         for side2 in _SIDES[type2]
-        if (record := _solve_sides(side1, side2, ids)) is not None
+        if (record := _solve_sides(side1, side2)) is not None
     )
 
 
@@ -483,40 +467,41 @@ _RANK2_PAIRINGS = _PRIMITIVE_PAIRINGS + _WITH_E1
 def _with_e1(sub: RayType, allowed: tuple[RayType, ...]):
     """The pairing of an E1 ray with ``sub``, which must be one of ``allowed``."""
     if sub not in allowed:
+        got = sub.value if isinstance(sub, RayType) else repr(sub)
         raise ConstraintError(
-            f"expected one of {', '.join(t.value for t in allowed)}, got {sub.value}"
+            f"expected one of {', '.join(t.value for t in allowed)}, got {got}"
         )
     return ((sub, RayType.E1) if sub.order < RayType.E1.order else (RayType.E1, sub),)
 
 
 def solve_E1_C(sub: RayType) -> tuple[SolutionRecord, ...]:
     """Blowup ray opposite a conic bundle over P^2 (sub = C1 or C2)."""
-    return _solve(_with_e1(sub, C_TYPES), table_ids())
+    return _solve(_with_e1(sub, C_TYPES))
 
 
 def solve_E1_D(sub: RayType) -> tuple[SolutionRecord, ...]:
     """Blowup ray opposite a del Pezzo fibration over P^1 (sub = D1/D2/D3)."""
-    return _solve(_with_e1(sub, D_TYPES), table_ids())
+    return _solve(_with_e1(sub, D_TYPES))
 
 
 def solve_E1_E(sub: RayType) -> tuple[SolutionRecord, ...]:
     """Blowup ray opposite a second divisorial ray (sub = E1/E2/E34/E5)."""
-    return _solve(_with_e1(sub, (RayType.E1,) + POINT_TYPES), table_ids())
+    return _solve(_with_e1(sub, (RayType.E1,) + POINT_TYPES))
 
 
 def solve_C_C() -> tuple[SolutionRecord, ...]:
     """Two conic-bundle rays; X maps into P^2 x P^2."""
-    return _solve(_C_C, table_ids())
+    return _solve(_C_C)
 
 
 def solve_C_D() -> tuple[SolutionRecord, ...]:
     """Conic-bundle ray + del Pezzo fibration ray; X maps into P^2 x P^1."""
-    return _solve(_C_D, table_ids())
+    return _solve(_C_D)
 
 
 def solve_C_E_primitive() -> tuple[SolutionRecord, ...]:
     """Conic-bundle ray + divisorial ray with no E1 (the primitive cases)."""
-    return _solve(_C_E, table_ids())
+    return _solve(_C_E)
 
 
 # ------------------------------------------------------------- rank three ---
@@ -529,10 +514,6 @@ def solve_rho3_CCC() -> tuple[SolutionRecord, ...]:
     H1 . H2 . H3 = d, -K = (2/d)(H1 + H2 + H3), and Riemann-Roch forcing
     d^2 (g - 1) = 24 for the sectional genus g.  Only d = 1, 2 survive.
     """
-    return _rho3_CCC(table_ids())
-
-
-def _rho3_CCC(ids: Mapping[tuple, str]) -> tuple[SolutionRecord, ...]:
     records = []
     for d in (1, 2):  # the divisors of 2, as 2/d is the coefficient of each H_i
         genus_section = 24 // (d * d) + 1
@@ -546,10 +527,7 @@ def _rho3_CCC(ids: Mapping[tuple, str]) -> tuple[SolutionRecord, ...]:
         )
         conic_type = RayType.C1 if delta_dot else RayType.C2
         ray = RaySpec(conic_type, delta_bidegree=(delta_dot, delta_dot))
-        rays = (ray, ray, ray)
-        records.append(
-            SolutionRecord(rays, form, minus_k, kx3, _table_id(ids, 3, kx3, rays))
-        )
+        records.append(SolutionRecord((ray, ray, ray), form, minus_k, kx3))
     return tuple(records)
 
 
@@ -561,79 +539,64 @@ def solve_rho3_CE() -> tuple[SolutionRecord, ...]:
     (discriminant of bidegree (2,5), length 1).  Both cubes are checked
     against the corresponding Chern-class formulas.
     """
-    return _rho3_CE(table_ids())
-
-
-def _rho3_CE(ids: Mapping[tuple, str]) -> tuple[SolutionRecord, ...]:
-    records = []
-
-    bundle_kx3 = antican_cube_p1_bundle_over_surface(c1_sq=2, c2=0, Ky_sq=8)
-    bundle_form = TrilinearForm.from_nonzero(
-        3, {(1, 1, 1): 2, (1, 1, 2): 1, (1, 1, 3): 1, (1, 2, 3): 1}
+    bundle = SolutionRecord(
+        rays=(RaySpec(RayType.C2, delta_bidegree=(0, 0)), RaySpec(RayType.E1)),
+        form=TrilinearForm.from_nonzero(
+            3, {(1, 1, 1): 2, (1, 1, 2): 1, (1, 1, 3): 1, (1, 2, 3): 1}
+        ),
+        minus_k=DivisorClass((2, 1, 1)),
+        kx3=antican_cube_p1_bundle_over_surface(c1_sq=2, c2=0, Ky_sq=8),
     )
-    bundle_rays = (RaySpec(RayType.C2, delta_bidegree=(0, 0)), RaySpec(RayType.E1))
-    records.append(
-        SolutionRecord(
-            rays=bundle_rays,
-            form=bundle_form,
-            minus_k=DivisorClass((2, 1, 1)),
-            kx3=bundle_kx3,
-            table_id=_table_id(ids, 3, bundle_kx3, bundle_rays),
-        )
+    divisor = SolutionRecord(
+        rays=(RaySpec(RayType.C1, delta_bidegree=(2, 5)), RaySpec(RayType.E1)),
+        form=TrilinearForm.from_nonzero(
+            3, {(1, 1, 1): 2, (1, 1, 2): -1, (1, 1, 3): -2, (1, 2, 3): 2}
+        ),
+        minus_k=DivisorClass((1, 2, 1)),
+        kx3=antican_cube_divisor_in_p2_bundle(
+            c1_sq=8,
+            c2=2,
+            Ky_sq=8,
+            c1_dot_F=-10,
+            c1_dot_Ky=8,
+            F_dot_Ky=-10,
+            F_sq=12,
+        ),
     )
-
-    divisor_kx3 = antican_cube_divisor_in_p2_bundle(
-        c1_sq=8,
-        c2=2,
-        Ky_sq=8,
-        c1_dot_F=-10,
-        c1_dot_Ky=8,
-        F_dot_Ky=-10,
-        F_sq=12,
-    )
-    divisor_form = TrilinearForm.from_nonzero(
-        3, {(1, 1, 1): 2, (1, 1, 2): -1, (1, 1, 3): -2, (1, 2, 3): 2}
-    )
-    divisor_rays = (RaySpec(RayType.C1, delta_bidegree=(2, 5)), RaySpec(RayType.E1))
-    records.append(
-        SolutionRecord(
-            rays=divisor_rays,
-            form=divisor_form,
-            minus_k=DivisorClass((1, 2, 1)),
-            kx3=divisor_kx3,
-            table_id=_table_id(ids, 3, divisor_kx3, divisor_rays),
-        )
-    )
-    return tuple(records)
+    return bundle, divisor
 
 
 # ------------------------------------------------------------- aggregation --
 
 
-def _table_order_key(record: SolutionRecord) -> tuple[int, int]:
-    suffix = record.table_id.partition("-")[2]
-    # unmatched records, and ids not of the form <rho>-<n>, sort last within their cube
-    return (record.kx3, int(suffix) if suffix.isdecimal() else 10**6)
+def _classification_order(record: SolutionRecord) -> tuple[int, int]:
+    """(-K)^3, then the largest index r of an E1 ray's target, descending.
+
+    A record without an E1 ray, or whose E1 ray carries no r (rank 3),
+    counts as r = 0.
+    """
+    r = max((s.r or 0 for s in record.rays if s.ray_type is RayType.E1), default=0)
+    return record.kx3, -r
 
 
 def enumerate_all(rho: int, primitive_only: bool = False) -> tuple[SolutionRecord, ...]:
-    """Every solved family of the given Picard rank, in table order.
+    """Every solved family of the given Picard rank, in Mori-Mukai's order.
 
-    ``primitive_only`` restricts rank 2 to families without an E1 ray.  The
-    rank-3 enumeration covers only the primitive families, so it must be
-    called with ``primitive_only=True``.
+    Records go by (-K)^3, and within one cube the blowups of P^3 come first,
+    then those of Q, then those of V_d, then every other family; no two
+    records of one call tie.  ``primitive_only`` restricts rank 2 to
+    families without an E1 ray.  The rank-3 enumeration covers only the
+    primitive families, so it must be called with ``primitive_only=True``.
     """
     if rho == 2:
-        pairings = _PRIMITIVE_PAIRINGS if primitive_only else _RANK2_PAIRINGS
-        records = _solve(pairings, table_ids())
+        records = _solve(_PRIMITIVE_PAIRINGS if primitive_only else _RANK2_PAIRINGS)
     elif rho == 3:
         if not primitive_only:
             raise UnsupportedScopeError(
                 "rank-3 enumeration covers only the primitive families; "
                 "pass primitive_only=True"
             )
-        ids = table_ids()
-        records = _rho3_CCC(ids) + _rho3_CE(ids)
+        records = solve_rho3_CCC() + solve_rho3_CE()
     else:
         raise UnsupportedScopeError(f"no enumeration for Picard rank {rho}")
-    return tuple(sorted(records, key=_table_order_key))
+    return tuple(sorted(records, key=_classification_order))

@@ -2,9 +2,11 @@
 
 The ground truth ships as a JSON array inside the package (one object per
 family) and can be swapped out with the ``FANO_GROUND_TRUTH`` environment
-variable pointing at an alternative file of the same shape.  All comparisons
-are exact on integers; descriptions are compared as multisets after a
-normalization that forgets case and punctuation.
+variable pointing at an alternative file of the same shape.  The solvers
+never read it: a record is labelled with the id of the truth row that has
+its rank, cube and per-ray degree data when it is projected onto a row.  All
+comparisons are exact on integers; descriptions are compared as multisets
+after a normalization that forgets case and punctuation.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "DiffReport",
     "ground_truth",
     "record_to_row",
+    "label",
     "diff",
     "emit",
     "parse_rows",
@@ -201,37 +204,41 @@ def parse_rows(data: bytes) -> tuple[TableRow, ...]:
         raw = json.loads(data.decode("utf-8"))
     except ValueError as exc:
         raise ConstraintError(f"ground truth is not UTF-8 JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConstraintError("ground truth nests its arrays or objects too deeply") from exc
     if not isinstance(raw, list):
         raise ConstraintError("ground truth must be a JSON array of row objects")
     return tuple(_parse_row(index, item) for index, item in enumerate(raw))
 
 
-def table_key(rho: int, kx3: int, rays: Iterable[tuple]) -> tuple:
+def _row_key(rho: int, kx3: int, ray_types: tuple, invariants: Mapping) -> tuple:
     """The key that picks out a family's row: rank, cube, per-ray degree data.
 
-    ``rays`` yields (type tag, degB, d2, deg_delta) per ray, with None where a
-    field does not apply; the key forgets the order of the rays.
+    Per ray it reads the type tag and the ``degB``, ``d2`` and ``deg_delta``
+    columns (None where a field does not apply, or the column is absent);
+    the key forgets the order of the rays.
     """
+    absent = (None,) * len(ray_types)
+    degrees = [invariants.get(name, absent) for name in ("degB", "d2", "deg_delta")]
     per_ray = (
         (tag, degB or 0, d2 or 0, -1 if deg_delta is None else deg_delta)
-        for tag, degB, d2, deg_delta in rays
+        for tag, degB, d2, deg_delta in zip(ray_types, *degrees)
     )
     return (rho, kx3, tuple(sorted(per_ray)))
 
 
 @functools.lru_cache(maxsize=1)
 def _parse_truth(payload: bytes) -> tuple[tuple[TableRow, ...], Mapping[tuple, str]]:
-    """parse_rows of the last payload seen and its row ids by table_key.
+    """parse_rows of the last payload seen and its row ids by _row_key.
 
     Keying on content rather than on the path means a rewritten truth file is
     always seen; one entry means the cache cannot grow.
     """
     rows = parse_rows(payload)
-    ids = {}
-    for row in rows:
-        absent = (None,) * len(row.ray_types)
-        degrees = (row.invariants.get(name, absent) for name in ("degB", "d2", "deg_delta"))
-        ids[table_key(row.rho, row.kx3, zip(row.ray_types, *degrees))] = row.table_id
+    ids = {
+        _row_key(row.rho, row.kx3, row.ray_types, row.invariants): row.table_id
+        for row in rows
+    }
     return rows, types.MappingProxyType(ids)
 
 
@@ -256,30 +263,39 @@ def ground_truth(rho: int, primitive_only: bool = False) -> tuple[TableRow, ...]
     return rows
 
 
-def table_ids() -> Mapping[tuple, str]:
-    """Row id by :func:`table_key` over every row of the active ground truth.
-
-    The truth is read and parsed as for :func:`ground_truth`.
-    """
-    return _load_truth()[1]
-
-
-def record_to_row(record) -> TableRow:
-    """Project a solution record onto the table-row shape used for diffs."""
+def _project(record, ids: Mapping[tuple, str]) -> TableRow:
+    """``record`` as a row, with the id that ``ids`` holds for its key, or ""."""
     ray_types, *columns = zip(*map(_RAY_DATA, record.rays)) if record.rays else ((),)
     tags = tuple(map(_TAG.__getitem__, ray_types))
     unset = (None,) * len(tags)
+    invariants = {
+        name: values for name, values in zip(_INVARIANT_FIELDS, columns) if values != unset
+    }
+    rho, kx3 = record.rho, record.kx3
     return TableRow(
-        table_id=record.table_id,
-        rho=record.rho,
-        kx3=record.kx3,
-        primitive=record.rho == 3 or "E1" not in tags,
+        table_id=ids.get(_row_key(rho, kx3, tags, invariants), ""),
+        rho=rho,
+        kx3=kx3,
+        primitive=rho == 3 or "E1" not in tags,
         ray_types=tags,
-        invariants={
-            name: values for name, values in zip(_INVARIANT_FIELDS, columns) if values != unset
-        },
+        invariants=invariants,
         descriptions=tuple(record.descriptions),
     )
+
+
+def record_to_row(record) -> TableRow:
+    """Project a solution record onto the table-row shape used for diffs.
+
+    The row is labelled with the id of the active ground truth's row that has
+    the record's rank, cube and per-ray degree data, or "" when none has.
+    """
+    return _project(record, _load_truth()[1])
+
+
+def label(records) -> tuple[TableRow, ...]:
+    """:func:`record_to_row` of each record, reading the ground truth once."""
+    ids = _load_truth()[1]
+    return tuple(_project(record, ids) for record in records)
 
 
 # In a str pattern \W is exactly "not isalnum() and not '_'".
@@ -306,14 +322,21 @@ def diff(records, rows: Iterable[TableRow]) -> DiffReport:
     Every invariant the table states is checked against the computed value
     (table entries of None are "not applicable" and skipped); computed fields
     the table does not mention are ignored, so the table stays the single
-    yardstick.  Descriptions compare as normalized multisets.
+    yardstick.  Descriptions compare as normalized multisets.  Records that
+    are not TableRows are labelled as by :func:`label`, with one read of the
+    ground truth.
     """
     by_id = {row.table_id: row for row in rows}
     matched: set[str] = set()
     extra: list[str] = []
     mismatched: list[tuple[str, str, object, object]] = []
+    ids = None
     for record in records:
-        computed = record if isinstance(record, TableRow) else record_to_row(record)
+        if isinstance(record, TableRow):
+            computed = record
+        else:
+            ids = _load_truth()[1] if ids is None else ids
+            computed = _project(record, ids)
         table_id = computed.table_id
         if not table_id or table_id not in by_id or table_id in matched:
             extra.append(_record_label(computed))

@@ -31,7 +31,7 @@ from fanoenum.ray_constraints import (
     c2_dot_H,
     lattice_index_candidates,
 )
-from fanoenum.table_oracle import diff, ground_truth
+from fanoenum.table_oracle import diff, ground_truth, label
 
 RANK2_CUBES = [
     4, 6, 8, 10, 12, 12, 14, 14, 16, 16, 18, 20, 20, 20, 22, 22, 24, 24,
@@ -68,7 +68,7 @@ def test_criterion_2_primitive_rank3_reproduction(capsys):
     elapsed = time.perf_counter() - start
     records = enumerate_all(3, primitive_only=True)
     report = diff(records, ground_truth(3, primitive_only=True))
-    by_id = {rec.table_id: rec for rec in records}
+    by_id = {row.table_id: rec for rec, row in zip(records, label(records))}
     shape_ok = (
         sorted(rec.kx3 for rec in records) == [12, 14, 48, 52]
         and by_id["3-1"].ray_types == (RayType.C1,) * 3
@@ -163,24 +163,24 @@ def test_criterion_5_solver_oracle_equivalence(capsys):
 def test_criterion_6_structural_invariants(capsys):
     records = list(enumerate_all(2)) + list(enumerate_all(3, primitive_only=True))
     problems = []
-    for rec in records:
+    for rec, row in zip(records, label(records)):
         mk = rec.minus_k
         if triple_product(rec.form, mk, mk, mk) != rec.kx3:
-            problems.append((rec.table_id, "cube"))
+            problems.append((row.table_id, "cube"))
         if rec.kx3 % 2 != 0:
-            problems.append((rec.table_id, "parity"))
+            problems.append((row.table_id, "parity"))
         if rec.genus is not None and rec.genus < 0:
-            problems.append((rec.table_id, "genus"))
+            problems.append((row.table_id, "genus"))
         if rec.rho == 2:
             first, second = rec.rays
             if not balance_check(
                 first.mu, second.mu, c2_dot_H(first), c2_dot_H(second)
             ):
-                problems.append((rec.table_id, "balance"))
+                problems.append((row.table_id, "balance"))
         elif all(ray.ray_type in (RayType.C1, RayType.C2) for ray in rec.rays):
             d = rec.form.value(1, 2, 3)
             if rec.kx3 * d * d != 48:
-                problems.append((rec.table_id, "fibre-degree"))
+                problems.append((row.table_id, "fibre-degree"))
     ok = len(records) == 40 and not problems
     with capsys.disabled():
         _report("criterion 6: structural invariants hold for all 40 emitted "

@@ -257,6 +257,18 @@ def test_importing_one_submodule_loads_only_its_imports():
     assert _package_modules(loaded) == ["fanoenum.chern_calculus", "fanoenum.errors"]
 
 
+def test_importing_the_engine_loads_neither_the_table_nor_json():
+    loaded = _modules_loaded_by("from fanoenum import enumerator")
+    assert _package_modules(loaded) == [
+        "fanoenum.chern_calculus",
+        "fanoenum.enumerator",
+        "fanoenum.errors",
+        "fanoenum.picard_lattice",
+        "fanoenum.ray_constraints",
+    ]
+    assert "json" not in loaded
+
+
 def test_a_submodule_is_an_attribute_before_any_public_name():
     script = (
         "import sys, fanoenum\n"
@@ -344,6 +356,7 @@ WRONG_TYPED_FIELDS = [
         *(_rows_with(field, value) for field, value, _ in WRONG_TYPED_FIELDS),
         _one_ray_row_with_a_dict_degree,
         *(_rows_with_degB_of_row_8(value) for value in BAD_DEGREE_LISTS),
+        lambda: "[" * 100_000 + "]" * 100_000,
     ],
     ids=[
         "missing",
@@ -358,6 +371,7 @@ WRONG_TYPED_FIELDS = [
         "degree-as-a-boolean",
         "degree-list-too-short",
         "degree-as-a-float",
+        "deeply-nested",
     ],
 )
 def test_bad_truth_file_is_one_error_line(tmp_path, monkeypatch, capsys, content):

@@ -18,7 +18,7 @@ from fanoenum.chern_calculus import (
 from fanoenum.enumerator import enumerate_all, solve_C_E_primitive
 from fanoenum.errors import ConstraintError, InconsistencyError, ParityError
 from fanoenum.ray_constraints import RayType
-from fanoenum.table_oracle import emit, record_to_row, table_ids
+from fanoenum.table_oracle import emit, label, record_to_row
 
 EMIT_SHA256 = {
     (2, "json"): "bbb03b18a5e7c2ee29cdad35c03159c89f962e14866c54be2609f8cd25a5b90b",
@@ -37,20 +37,20 @@ def test_computed_tables_emit_the_golden_bytes(rho, fmt):
 
 
 def test_engine_finds_the_36_families_and_nothing_off_the_24_pairings():
-    ids = table_ids()
-    visited = enumerator._solve(enumerator._RANK2_PAIRINGS, ids)
-    assert [(rec.ray_types, rec.kx3) for rec in visited if not rec.table_id] == []
-    assert sorted(rec.table_id for rec in visited) == sorted(
+    visited = label(enumerator._solve(enumerator._RANK2_PAIRINGS))
+    assert [(row.ray_types, row.kx3) for row in visited if not row.table_id] == []
+    assert sorted(row.table_id for row in visited) == sorted(
         "2-%d" % i for i in range(1, 37)
     )
     pairings = list(combinations_with_replacement(RayType, 2))
     others = [pair for pair in pairings if pair not in enumerator._RANK2_PAIRINGS]
     assert len(pairings) == 45 and len(others) == 21
-    assert [pair for pair in others if enumerator._solve((pair,), ids)] == []
+    assert [pair for pair in others if enumerator._solve((pair,))] == []
 
 
 def test_bundle_formulas_agree_with_the_primitive_records():
-    by_id = {rec.table_id: rec for rec in solve_C_E_primitive()}
+    records = solve_C_E_primitive()
+    by_id = {row.table_id: rec for rec, row in zip(records, label(records))}
     relative_quadric = antican_cube_divisor_in_p2_bundle(
         c1_sq=9, c2=2, Ky_sq=9, c1_dot_F=0, c1_dot_Ky=-9, F_dot_Ky=0, F_sq=0
     )
@@ -105,10 +105,9 @@ def test_a_side_pair_raises_on_what_its_system_implies(
     # Neither side contracts a divisor, so H^3 and the (-K)^3 term enter no
     # row of the system: a shifted constant changes the entries, not u.
     # 2-11 has a centre of genus 0, so (-K)^3 18 -> 16 makes it -1.
-    ids = table_ids()
     (conic,) = enumerator._SIDES[RayType.C1]
     other = enumerator._SIDES[type2][index2]
     assert conic.contracted is other.contracted is None
-    assert enumerator._solve_sides(conic, other, ids).table_id == table_id
+    assert record_to_row(enumerator._solve_sides(conic, other)).table_id == table_id
     with pytest.raises(error, match=message):
-        enumerator._solve_sides(_shifted(conic, term, quarters), other, ids)
+        enumerator._solve_sides(_shifted(conic, term, quarters), other)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from fanoenum import enumerator
 from fanoenum.enumerator import (
     SolutionRecord,
     enumerate_all,
@@ -21,6 +22,7 @@ from fanoenum.errors import (
     UnsupportedScopeError,
 )
 from fanoenum.picard_lattice import anticanonical_class, triple_product
+from fanoenum.table_oracle import label, record_to_row
 from fanoenum.ray_constraints import (
     RayType,
     balance_check,
@@ -32,6 +34,15 @@ FULL_CUBE_MULTISET = [
     4, 6, 8, 10, 12, 12, 14, 14, 16, 16, 18, 20, 20, 20, 22, 22, 24, 24,
     26, 26, 28, 30, 30, 30, 32, 34, 38, 40, 40, 46, 46, 48, 54, 54, 56, 62,
 ]
+
+
+def _ids(records):
+    """The table ids the active ground truth labels ``records`` with."""
+    return [row.table_id for row in label(records)]
+
+
+def _by_id(records):
+    return dict(zip(_ids(records), records))
 
 
 @pytest.mark.parametrize(
@@ -79,7 +90,7 @@ def test_del_pezzo_centers_are_elliptic():
 
 def test_cubic_fibration_row():
     (rec,) = solve_E1_D(RayType.D3)
-    assert rec.table_id == "2-33"
+    assert _ids([rec]) == ["2-33"]
     assert rec.kx3 == 54
     assert rec.genus == 0
     assert rec.rays[0].d2 == 9
@@ -88,9 +99,9 @@ def test_cubic_fibration_row():
 
 def test_conic_bundle_pairs():
     records = solve_C_C()
-    assert {rec.table_id for rec in records} == {"2-6", "2-24", "2-32"}
+    assert set(_ids(records)) == {"2-6", "2-24", "2-32"}
     assert {rec.kx3 for rec in records} == {12, 30, 48}
-    by_id = {rec.table_id: rec for rec in records}
+    by_id = _by_id(records)
     assert by_id["2-6"].rays[0].deg_delta == 6
     assert len(by_id["2-6"].descriptions) == 2
     assert by_id["2-32"].rays[0].deg_delta == 0
@@ -98,13 +109,13 @@ def test_conic_bundle_pairs():
 
 def test_wild_characteristic_note_is_unique_to_the_mixed_pair():
     noted = [rec for rec in enumerate_all(2) if rec.char_note is not None]
-    assert [rec.table_id for rec in noted] == ["2-24"]
+    assert _ids(noted) == ["2-24"]
     assert noted[0].char_note == "wild conic bundle possible only in characteristic 2"
 
 
 def test_conic_del_pezzo_pairs():
     records = solve_C_D()
-    assert {rec.table_id for rec in records} == {"2-2", "2-18", "2-34"}
+    assert set(_ids(records)) == {"2-2", "2-18", "2-34"}
     pairs = {tuple(ray.ray_type for ray in rec.rays) for rec in records}
     # (C2, D1), (C2, D2) and (C1, D3) all fail the c2 balance
     assert pairs == {
@@ -116,7 +127,7 @@ def test_conic_del_pezzo_pairs():
 
 def test_primitive_bundle_pairs():
     records = solve_C_E_primitive()
-    assert {rec.table_id for rec in records} == {"2-8", "2-35", "2-36"}
+    assert set(_ids(records)) == {"2-8", "2-35", "2-36"}
     pairs = {tuple(ray.ray_type for ray in rec.rays) for rec in records}
     assert pairs == {
         (RayType.C1, RayType.E34),
@@ -127,19 +138,18 @@ def test_primitive_bundle_pairs():
 
 def test_rank3_conic_bundles():
     records = solve_rho3_CCC()
-    assert {rec.table_id for rec in records} == {"3-1", "3-27"}
+    assert set(_ids(records)) == {"3-1", "3-27"}
     for rec in records:
         d = rec.form.value(1, 2, 3)
         assert rec.kx3 * d * d == 48
         assert all(ray.delta_bidegree == rec.rays[0].delta_bidegree for ray in rec.rays)
-    by_id = {rec.table_id: rec for rec in records}
+    by_id = _by_id(records)
     assert by_id["3-1"].rays[0].delta_bidegree == (4, 4)
     assert by_id["3-27"].rays[0].delta_bidegree == (0, 0)
 
 
 def test_rank3_bundle_rows():
-    records = solve_rho3_CE()
-    by_id = {rec.table_id: rec for rec in records}
+    by_id = _by_id(solve_rho3_CE())
     assert set(by_id) == {"3-2", "3-31"}
     assert by_id["3-2"].kx3 == 14
     assert by_id["3-31"].kx3 == 52
@@ -149,14 +159,14 @@ def test_rank3_bundle_rows():
 
 def test_full_rank2_table():
     records = enumerate_all(2)
-    assert [rec.table_id for rec in records] == ["2-%d" % i for i in range(1, 37)]
+    assert _ids(records) == ["2-%d" % i for i in range(1, 37)]
     assert sorted(rec.kx3 for rec in records) == FULL_CUBE_MULTISET
     assert [rec.kx3 for rec in records] == sorted(rec.kx3 for rec in records)
 
 
 def test_primitive_rank2_table():
     records = enumerate_all(2, primitive_only=True)
-    assert [rec.table_id for rec in records] == [
+    assert _ids(records) == [
         "2-2", "2-6", "2-8", "2-18", "2-24", "2-32", "2-34", "2-35", "2-36",
     ]
     assert not any(RayType.E1 in rec.ray_types for rec in records)
@@ -164,8 +174,32 @@ def test_primitive_rank2_table():
 
 def test_primitive_rank3_table():
     records = enumerate_all(3, primitive_only=True)
-    assert [rec.table_id for rec in records] == ["3-1", "3-2", "3-27", "3-31"]
+    assert _ids(records) == ["3-1", "3-2", "3-27", "3-31"]
     assert [rec.kx3 for rec in records] == [12, 14, 48, 52]
+
+
+ENUMERATE_CALLS = ((2, False), (2, True), (3, True))
+
+# Every solver entry point, with each sub-type it takes.
+SOLVER_CALLS = [
+    *((solve_E1_C, (sub,)) for sub in (RayType.C1, RayType.C2)),
+    *((solve_E1_D, (sub,)) for sub in (RayType.D1, RayType.D2, RayType.D3)),
+    *((solve_E1_E, (sub,)) for sub in (RayType.E1, RayType.E2, RayType.E34, RayType.E5)),
+    *((solver, ()) for solver in (solve_C_C, solve_C_D, solve_C_E_primitive)),
+    (solve_rho3_CCC, ()),
+    (solve_rho3_CE, ()),
+    *((enumerate_all, call) for call in ENUMERATE_CALLS),
+]
+
+
+def test_the_solvers_need_no_ground_truth(tmp_path, monkeypatch):
+    packaged = [solver(*args) for solver, args in SOLVER_CALLS]
+    monkeypatch.setenv("FANO_GROUND_TRUTH", str(tmp_path / "missing.json"))
+    assert [solver(*args) for solver, args in SOLVER_CALLS] == packaged
+    # no two records of a call tie, so the order never falls back on the solvers'
+    for call in ENUMERATE_CALLS:
+        keys = [enumerator._classification_order(rec) for rec in enumerate_all(*call)]
+        assert keys == sorted(set(keys))
 
 
 def test_enumeration_scope():
@@ -177,6 +211,13 @@ def test_enumeration_scope():
         enumerate_all(4)
     with pytest.raises(ConstraintError, match="expected one of C1, C2, got D1"):
         solve_E1_C(RayType.D1)
+    # a non-member, even one that spells a member's tag
+    with pytest.raises(ConstraintError, match="expected one of C1, C2, got 'C1'"):
+        solve_E1_C("C1")
+    with pytest.raises(ConstraintError, match="expected one of D1, D2, D3, got None"):
+        solve_E1_D(None)
+    with pytest.raises(ConstraintError, match="expected one of E1, E2, E34, E5, got 'E2'"):
+        solve_E1_E("E2")
 
 
 def all_records():
@@ -186,7 +227,7 @@ def all_records():
 def test_rays_are_canonically_ordered():
     for rec in all_records():
         orders = [ray.ray_type.order for ray in rec.rays]
-        assert orders == sorted(orders), rec.table_id
+        assert orders == sorted(orders), record_to_row(rec).table_id
 
 
 def test_anticanonical_class_convention():
@@ -207,7 +248,7 @@ def test_c2_balance_over_the_full_table():
         first, second = rec.rays
         assert balance_check(
             first.mu, second.mu, c2_dot_H(first), c2_dot_H(second)
-        ), rec.table_id
+        ), record_to_row(rec).table_id
 
 
 def test_blowup_centers_respect_degree_bound():
@@ -216,7 +257,7 @@ def test_blowup_centers_respect_degree_bound():
         for i, ray in enumerate(rec.rays):
             if ray.ray_type is RayType.E1:
                 bound = degB_upper_bound(ray.r, mus[1 - i], 1, ray.L3)
-                assert ray.degB <= bound, rec.table_id
+                assert ray.degB <= bound, record_to_row(rec).table_id
 
 
 def test_records_are_hashable():
@@ -226,13 +267,13 @@ def test_records_are_hashable():
 def test_genus_is_recorded_exactly_for_blowdowns():
     for rec in all_records():
         has_e1 = rec.rho == 2 and RayType.E1 in rec.ray_types
-        assert (rec.genus is not None) == has_e1, rec.table_id
+        assert (rec.genus is not None) == has_e1, record_to_row(rec).table_id
         if rec.genus is not None:
             assert rec.genus >= 0
 
 
 def test_description_joins_alternatives():
-    by_id = {rec.table_id: rec for rec in enumerate_all(2)}
+    by_id = _by_id(enumerate_all(2))
     rec = by_id["2-6"]
     assert rec.description == ", or ".join(rec.descriptions)
     assert ", or " in rec.description
@@ -256,7 +297,7 @@ def test_record_validation_rejects_corruption():
 
 
 def test_a_record_derives_what_its_fields_imply():
-    (rec,) = [rec for rec in enumerate_all(2) if rec.table_id == "2-1"]
+    rec = _by_id(enumerate_all(2))["2-1"]
     (e1,) = [i for i, spec in enumerate(rec.rays) if spec.ray_type is RayType.E1]
     rays = list(rec.rays)
     rays[e1] = rays[e1]._replace(genus=5)
@@ -264,7 +305,7 @@ def test_a_record_derives_what_its_fields_imply():
     for derived in ({"genus": 7}, {"descriptions": ("abc",)}, {"char_note": "x"}):
         with pytest.raises(ValueError, match="unexpected field names"):
             rec._replace(**derived)
-    assert SolutionRecord._fields == ("rays", "form", "minus_k", "kx3", "table_id")
+    assert SolutionRecord._fields == ("rays", "form", "minus_k", "kx3")
     for call in ((2, False), (2, True), (3, True)):
         for record in enumerate_all(*call):
             assert record.rho == record.form.rho == call[0]
@@ -274,9 +315,8 @@ def test_a_record_derives_what_its_fields_imply():
     "changes,error,message",
     [
         ({"kx3": 4.0}, ConstraintError, "must be integers"),
-        ({"table_id": 5}, ConstraintError, "table_id a string"),
     ],
-    ids=["float-kx3", "int-table-id"],
+    ids=["float-kx3"],
 )
 def test_record_scalars_are_exact(changes, error, message):
     record = enumerate_all(2)[0]

@@ -37,6 +37,7 @@ PUBLIC_NAMES = [
     "genus_from_blowup",
     "ground_truth",
     "l3_range",
+    "label",
     "lattice_index_candidates",
     "mu_of",
     "parse_rows",

@@ -5,9 +5,10 @@ projection, never its intersection form, anticanonical class or
 characteristic note.  ``data/records_golden.jsonl`` holds one JSON line per
 record of ``enumerate_all(2)``, ``enumerate_all(2, True)`` and
 ``enumerate_all(3, True)``, in output order, with all nine ray fields, the
-form entries in canonical key order, the coordinates of -K and the other
-record fields.  Lines are compared as text, so an int that became a bool or
-a tuple that became a list shows.
+form entries in canonical key order, the coordinates of -K, the other
+record fields and the table id the packaged ground truth labels it with.
+Lines are compared as text, so an int that became a bool or a tuple that
+became a list shows.
 
 Rewrite the file only from a commit whose records are known to be right:
 
@@ -18,6 +19,7 @@ import json
 from pathlib import Path
 
 from fanoenum.enumerator import enumerate_all
+from fanoenum.table_oracle import record_to_row
 
 GOLDEN = Path(__file__).with_name("data") / "records_golden.jsonl"
 CALLS = ((2, False), (2, True), (3, True))
@@ -44,7 +46,7 @@ def _line(call, index, record) -> str:
         "minus_k": {"tuple": list(record.minus_k.coords)},
         "kx3": record.kx3,
         "genus": record.genus,
-        "table_id": record.table_id,
+        "table_id": record_to_row(record).table_id,
         "descriptions": {"tuple": list(record.descriptions)},
         "char_note": record.char_note,
     })

@@ -2,6 +2,7 @@
 
 import json
 import types
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -333,12 +334,27 @@ def test_labels_follow_a_truth_file_rewritten_in_place(tmp_path, monkeypatch):
     path = tmp_path / "truth.json"
     _write_truth(path)
     monkeypatch.setenv("FANO_GROUND_TRUTH", str(path))
-    assert enumerate_all(2)[0].table_id == "2-1"
+    assert record_to_row(enumerate_all(2)[0]).table_id == "2-1"
     rows = json.loads(path.read_text())
     rows[0]["table_id"] = "2-1x"
     path.write_text(json.dumps(rows))
     assert ground_truth(2)[0].table_id == "2-1x"
     assert diff(enumerate_all(2), ground_truth(2)).is_empty
+
+
+def _reference_table_id(record):
+    """The id of the truth row with the record's cube and per-ray degree data.
+
+    The rays compare as multisets of (type tag, degB, d2, deg_delta), with
+    None where a field does not apply.
+    """
+    rays = Counter((s.ray_type.value, s.degB, s.d2, s.deg_delta) for s in record.rays)
+    for row in ground_truth(record.rho):
+        absent = (None,) * len(row.ray_types)
+        columns = [row.invariants.get(name, absent) for name in ("degB", "d2", "deg_delta")]
+        if row.kx3 == record.kx3 and Counter(zip(row.ray_types, *columns)) == rays:
+            return row.table_id
+    return ""
 
 
 def _reference_record_to_row(record):
@@ -350,7 +366,7 @@ def _reference_record_to_row(record):
             invariants[name] = values
     primitive = record.rho == 3 or all(t is not RayType.E1 for t in record.ray_types)
     return TableRow(
-        table_id=record.table_id,
+        table_id=_reference_table_id(record),
         rho=record.rho,
         kx3=record.kx3,
         primitive=primitive,

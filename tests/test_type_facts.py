@@ -12,6 +12,7 @@ import pytest
 from fanoenum import enumerator
 from fanoenum.enumerator import enumerate_all
 from fanoenum.ray_constraints import TYPE_FACTS, RaySpec, RayType, _value_set, c2_dot_H
+from fanoenum.table_oracle import record_to_row
 
 SIDES = [
     pytest.param(side, id=f"{ray_type.value}-{index}")
@@ -34,7 +35,7 @@ def test_c2_dot_H_equals_the_compiled_c2_term(side):
 def test_every_computed_ray_lies_in_its_lattice_value_set():
     for record in enumerate_all(2):
         for ray, other in (record.rays, record.rays[::-1]):
-            assert c2_dot_H(ray) in _value_set(ray.ray_type, other.mu, 1), record.table_id
+            assert c2_dot_H(ray) in _value_set(ray.ray_type, other.mu, 1), record_to_row(record).table_id
 
 
 @pytest.mark.parametrize("ray_type", list(RayType), ids=lambda t: t.value)
