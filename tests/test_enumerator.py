@@ -22,13 +22,13 @@ from fanoenum.errors import (
     UnsupportedScopeError,
 )
 from fanoenum.picard_lattice import anticanonical_class, triple_product
-from fanoenum.table_oracle import label, record_to_row
 from fanoenum.ray_constraints import (
     RayType,
     balance_check,
     c2_dot_H,
     degB_upper_bound,
 )
+from fanoenum.table_oracle import label, record_to_row
 
 FULL_CUBE_MULTISET = [
     4, 6, 8, 10, 12, 12, 14, 14, 16, 16, 18, 20, 20, 20, 22, 22, 24, 24,
