@@ -3,17 +3,19 @@
 Every rank-2 pairing of extremal-ray types is solved by one engine, driven
 by sides compiled from :data:`fanoenum.ray_constraints.TYPE_FACTS`.  A side
 is one ray type with its data fixed but for at most one unknown u (deg Delta
-for C1, d2 for D1, deg B for E1, L^3 for E2/E3E4/E5); the table gives its
-four facts about the pullback H of its ray, each affine in u: H^3, (-K).H^2,
-(-K)^2.H and c2.H, in quarters.  The two pullbacks form a basis of the
+for C1, d2 for D1, deg B for E1, L^3 for E2/E3E4/E5); the engine reads three
+of the table's facts about the pullback H of its ray, each affine in u: H^3,
+(-K).H^2 and (-K)^2.H, in quarters.  The two pullbacks form a basis of the
 Picard lattice (index 1, see
 :func:`fanoenum.ray_constraints.lattice_index_candidates`), so in that basis
 the facts of the two sides fill the intersection form and leave a linear
-system in at most two unknowns: the 24-balance, the two (-K)^2.H facts and
-the cube of each divisor contracted to a point.  The engine solves it
-exactly in integers, sweeping nothing but the finite type domains: the
-domains decide, and the constructors assert what the system implies.
-Each becomes a :class:`SolutionRecord` of the rays, the full intersection
+system in at most two unknowns: the two (-K)^2.H facts and the cube of each
+divisor contracted to a point.  The engine solves it exactly in integers,
+sweeping nothing but the finite type domains: the domains decide, and the
+constructors assert what the system implies.  It reads no c2.H fact, so the
+24-balance -K.c2 = 24 (:func:`fanoenum.ray_constraints.balance_check`) is a
+check on its records that shares no row with it.  Each solution becomes a
+:class:`SolutionRecord` of the rays, the full intersection
 form, the anticanonical class and its cube; the record derives the rank,
 genus, descriptions and characteristic note from these.  The ``solve_*``
 entry points select pairings for the engine.  No solver reads the
@@ -257,7 +259,7 @@ class _Side(ValueObject):
     and every other None; ``slot`` is the position u fills, if any, with
     low <= u <= high (high None: unbounded).  ``terms[n]``, for n the
     coefficient of the ray's pullback in -K, holds the side's terms C, P, Q,
-    N, K, M of :func:`_solve_sides`, each as (constant, coefficient of u) in
+    K, M of :func:`_solve_sides`, each as (constant, coefficient of u) in
     quarters.  ``contracted`` is q^3 and w, in quarters, for a ray that
     contracts a divisor to a point.
     """
@@ -294,9 +296,9 @@ def _compile(ray_type: RayType) -> tuple[_Side, ...]:
     """The sides of one ray type, from its entry in TYPE_FACTS.
 
     A one-point domain fixes the unknown.  The terms come from the facts C,
-    A, B, c (H^3, (-K).H^2, (-K)^2.H, c2.H) as :func:`_solve_sides` defines
-    them; a point contraction's divisor is m D = p H - q (-K) with p the
-    index r its side fixes, and (m D)^3 = w.
+    A, B (H^3, (-K).H^2, (-K)^2.H) as :func:`_solve_sides` defines them; the
+    c2.H fact is not read.  A point contraction's divisor is m D = p H - q (-K)
+    with p the index r its side fixes, and (m D)^3 = w.
     """
     t = TYPE_FACTS[ray_type]
     q, w = t.contracted or (0, 0)
@@ -312,9 +314,9 @@ def _compile(ray_type: RayType) -> tuple[_Side, ...]:
         terms = {}
         for n in (1, 2, 3):
             per_part = [
-                (C, n * n * A - n**3 * C, n * n * A - n * B, n * c, n * B,
+                (C, n * n * A - n**3 * C, n * n * A - n * B, n * B,
                  p**3 * C - 3 * p * p * q * A + 3 * p * q * q * B)
-                for C, A, B, c in zip(*facts)
+                for C, A, B, _ in zip(*facts)
             ]
             terms[n] = tuple(zip(*per_part))
         cube = (q**3, 4 * w) if t.contracted else None
@@ -366,37 +368,25 @@ def _integer_solution(rows, has1: bool, has2: bool) -> Optional[tuple[int, int]]
 def _solve_sides(side1: _Side, side2: _Side) -> Optional[SolutionRecord]:
     """The record of one pair of sides, in the basis of their pullbacks.
 
-    With -K = n1 H1 + n2 H2 (n1 = mu2, n2 = mu1) and C, A, B, c the facts
-    H^3, (-K).H^2, (-K)^2.H, c2.H of each side, the (-K).H^2 facts give the
-    form entries n1^2 n2 H1^2.H2 = P1 and n2^2 n1 H1.H2^2 = P2, where
-    P = n^2 A - n^3 C, and turn the other facts into linear equations:
+    With -K = n1 H1 + n2 H2 (n1 = mu2, n2 = mu1) and C, A, B the facts H^3,
+    (-K).H^2, (-K)^2.H of each side, the (-K).H^2 facts give the form entries
+    n1^2 n2 H1^2.H2 = P1 and n2^2 n1 H1.H2^2 = P2, where P = n^2 A - n^3 C,
+    and turn the other facts into linear equations:
 
-      24-balance:   N1 + N2 = 24,  N = n c
       (-K)^2.H_i:   P1 + P2 + Q_i = 0,  Q = n^2 A - n B
       D_i^3:        M_i - q^3 (K1 + K2) = w,  K = n B,
                     M = p^3 C - 3 p^2 q A + 3 p q^2 B
 
-    Every term is in quarters, as the facts are.  Only an inconsistent system,
-    an unknown outside its domain or the mirror twin of an E1+E1 record gives
-    None.  The system implies the rest, so a fractional form entry raises
-    here, and an odd cube or a negative genus in the constructors.
+    Every term is in quarters, as the facts are.  None means one of three
+    exits: the system has no integer solution, an unknown lies outside its
+    domain, or the record is the mirror twin of a kept E1+E1 record.  The
+    system implies the rest, so a fractional form entry raises here, and an
+    odd cube or a negative genus in the constructors.
     """
     n1, n2 = side2.mu, side1.mu
-    C1, P1, Q1, N1, K1, M1 = side1.terms[n1]
-    C2, P2, Q2, N2, K2, M2 = side2.terms[n2]
-    a, b, c = balance = (N1[1], N2[1], N1[0] + N2[0] - 24 * 4)
-    # the balance alone ends 82 of the 219 side pairs of enumerate_all(2)
-    if not (a and b):
-        coefficient, side = (a, side1) if a else (b, side2)
-        if not coefficient:
-            if c:
-                return None
-        else:
-            u, remainder = divmod(-c, coefficient)
-            if remainder or not side.admits(u):
-                return None
+    C1, P1, Q1, K1, M1 = side1.terms[n1]
+    C2, P2, Q2, K2, M2 = side2.terms[n2]
     rows = [
-        balance,
         (P1[1] + Q1[1], P2[1], P1[0] + Q1[0] + P2[0]),
         (P1[1], P2[1] + Q2[1], P1[0] + P2[0] + Q2[0]),
     ]

@@ -143,6 +143,14 @@ def _check_values(values) -> None:
         raise ConstraintError(f"form entries must be integers, got {tuple(values)!r}")
 
 
+def _check_keys(keys) -> None:
+    if not all(
+        type(key) is tuple and len(key) == 3 and INTEGER.issuperset(map(type, key))
+        for key in keys
+    ):
+        raise ConstraintError(f"form indices must be integers, got {tuple(keys)!r}")
+
+
 class TrilinearForm(ValueObject):
     """A symmetric trilinear form on Z^rho given by its values on basis triples.
 
@@ -159,11 +167,7 @@ class TrilinearForm(ValueObject):
         if rho not in (2, 3):
             raise DimensionMismatchError(f"rank must be 2 or 3, got {rho}")
         _check_values(entries.values())
-        if not all(
-            type(key) is tuple and len(key) == 3 and INTEGER.issuperset(map(type, key))
-            for key in entries
-        ):
-            raise ConstraintError(f"form indices must be integers, got {tuple(entries)!r}")
+        _check_keys(entries)
         normalized: dict[tuple[int, int, int], int] = {}
         for key, value in entries.items():
             sorted_key = _SORTED_KEY.get(key)  # None: an index outside 1..3
@@ -191,6 +195,7 @@ class TrilinearForm(ValueObject):
         cls, rho: int, nonzero: Mapping[tuple[int, int, int], int]
     ) -> "TrilinearForm":
         """Build a form from its nonzero entries, filling the rest with 0."""
+        _check_keys(nonzero)  # first: entries would file (1, 1, True) under (1, 1, 1)
         entries = dict.fromkeys(_MULTISET_KEYS.get(rho, ()), 0)  # cls checks rho
         for key, value in nonzero.items():
             entries[tuple(sorted(key))] = value

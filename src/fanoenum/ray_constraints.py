@@ -13,14 +13,15 @@ data each side fixes ((r, L^3) of an E1 target, r of a point contraction's
 target), and four facts about the pullback H of the ample generator on the
 target, each affine in u: H^3, (-K).H^2, (-K)^2.H and c_2(X).H.  A divisor
 contracted to a point adds its cube.  Three readers use the table: the
-engine of :mod:`fanoenum.enumerator` compiles its sides from it,
-:func:`mu_of`, :class:`RaySpec` and :func:`c2_dot_H` look values up in it,
-and the lattice-index elimination takes its c2.H value sets from it.
+engine of :mod:`fanoenum.enumerator` compiles its sides from every fact but
+c2.H, :func:`mu_of`, :class:`RaySpec` and :func:`c2_dot_H` look values up in
+it, and the lattice-index elimination takes its c2.H value sets from it.
 
-The c2 values satisfy one global relation (24 = mu2 c2.H1 + mu1 c2.H2 when
-the two pullbacks form a basis), which is what makes exhaustive integer
-enumeration possible; the elimination shows that the two pullbacks always
-form a basis of the Picard lattice (index 1).
+The c2 values satisfy one global relation, the 24-balance -K.c2 = 24
+(24 = mu2 c2.H1 + mu1 c2.H2 when the two pullbacks form a basis).  The
+engine does not use it, so :func:`balance_check` is a check on its records
+that shares no equation with it; the elimination uses it to show that the
+two pullbacks always form a basis of the Picard lattice (index 1).
 """
 
 from __future__ import annotations
@@ -231,8 +232,10 @@ class RaySpec(_RayFields):
                 genus=None, delta_bidegree=None) -> "RaySpec":
         numbers = (r, L3, degB, deg_delta, d2, e, genus)
         if delta_bidegree is not None:
-            delta_bidegree = tuple(delta_bidegree)
-            if len(delta_bidegree) != 2 or not INTEGER.issuperset(map(type, delta_bidegree)):
+            if isinstance(delta_bidegree, Iterable):
+                delta_bidegree = tuple(delta_bidegree)
+            if (type(delta_bidegree) is not tuple or len(delta_bidegree) != 2
+                    or not INTEGER.issuperset(map(type, delta_bidegree))):
                 raise ConstraintError(
                     f"delta_bidegree must be two integers, got {delta_bidegree!r}"
                 )
@@ -304,19 +307,20 @@ _UNCARRIED = {
 def c2_dot_H(spec: RaySpec) -> int:
     """c_2(X) . H for the pullback H of the ample generator along the ray.
 
-    The c2.H fact of the type's side in :data:`TYPE_FACTS`, at the spec's
-    value of the unknown.  Missing fields raise IncompleteSpecError; the
-    index r of a divisorial ray is one some side of its type has, as
-    :class:`RaySpec` checks it.
+    The c2.H fact, at the spec's value of the unknown, of the first side of
+    the type in :data:`TYPE_FACTS` whose fixed fields all equal the spec's;
+    a field the spec leaves None matches any value.  Missing fields raise
+    IncompleteSpecError; the index r of a divisorial ray is one some side of
+    its type has, as :class:`RaySpec` checks it.
     """
     t = spec.ray_type
     facts = TYPE_FACTS[t]
-    sides = facts.sides
-    if facts.family == "E":  # every side fixes r, and c2.H depends on r alone
-        if spec.r is None:
-            raise IncompleteSpecError(f"c2 . H for an {t.display} ray needs r")
-        sides = [side for side in sides if dict(side[0])["r"] == spec.r]
-    constant, slope = sides[0][1][3]
+    if facts.family == "E" and spec.r is None:  # every divisorial side fixes r
+        raise IncompleteSpecError(f"c2 . H for an {t.display} ray needs r")
+    constant, slope = next(
+        c2 for fixed, (*_, c2) in facts.sides
+        if all(getattr(spec, name) in (value, None) for name, value in fixed)
+    )
     u = facts.low if facts.low == facts.high else getattr(spec, facts.unknown)
     if u is None:
         if slope:

@@ -76,7 +76,7 @@ def test_integer_solution_is_exact():
         solve([(1, 1, -5), (2, 2, -10)], True, True)
 
 
-_C, _K = 0, 4  # positions of the H^3 and (-K)^3 terms among a side's C, P, Q, N, K, M
+_C, _K = 0, 3  # positions of the H^3 and (-K)^3 terms among a side's C, P, Q, K, M
 
 
 def _shifted(side, term, quarters):

@@ -117,7 +117,8 @@ def test_conic_del_pezzo_pairs():
     records = solve_C_D()
     assert set(_ids(records)) == {"2-2", "2-18", "2-34"}
     pairs = {tuple(ray.ray_type for ray in rec.rays) for rec in records}
-    # (C2, D1), (C2, D2) and (C1, D3) all fail the c2 balance
+    # (C2, D1), (C2, D2) and (C1, D3) each leave a (-K)^2.H row with no
+    # unknown and a nonzero constant
     assert pairs == {
         (RayType.C1, RayType.D1),
         (RayType.C1, RayType.D2),

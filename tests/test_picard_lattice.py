@@ -95,13 +95,19 @@ def test_out_of_range_entries_are_an_error(entries):
         [(1, 1, 1), (1, 2), (1, 2, 2), (2, 2, 2)],
         [(1, 1, 1), (1, 1, 1, 1), (1, 2, 2), (2, 2, 2)],
         [(1, 1, 1), 5, (1, 2, 2), (2, 2, 2)],
+        [(1, 1, 1), (1, 1, "2"), (1, 2, 2), (2, 2, 2)],
+        [(1, 1, True), (1, 1, 2), (1, 2, 2), (2, 2, 2)],
     ],
-    ids=["str-and-float", "integral-float", "bool", "pair", "quadruple", "int"],
+    ids=["str-and-float", "integral-float", "bool", "pair", "quadruple", "int", "str",
+         "bool-last"],
 )
 def test_trilinear_form_takes_only_int_indices(keys):
-    # int() would read ('1', '1', '1') as (1, 1, 1) and (1.9, 1, 2) as (1, 1, 2)
-    with pytest.raises(ConstraintError, match="form indices must be integers"):
-        TrilinearForm(2, dict(zip(keys, (0, 4, 0, 0))))
+    # int() would read ('1', '1', '1') as (1, 1, 1) and (1.9, 1, 2) as (1, 1, 2),
+    # and a dict finds the entry (1, 1, 1) under the key (1, 1, True)
+    entries = dict(zip(keys, (0, 4, 0, 0)))
+    for build in (TrilinearForm, TrilinearForm.from_nonzero):
+        with pytest.raises(ConstraintError, match="form indices must be integers"):
+            build(2, entries)
 
 
 def test_conflicting_entries_are_an_error():

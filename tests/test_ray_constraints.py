@@ -78,9 +78,11 @@ def test_rayspec_validations():
         (RayType.E5, {"r": 3, "delta_bidegree": (1, 1)}, "E5 rays carry no delta_bidegree"),
         (RayType.E1, {"L3": 7, "degB": 2}, "an E1 target's L3 needs its index r, got L3=7"),
         ("E1", {}, "'E1' is not an extremal-ray type"),
+        (RayType.C1, {"delta_bidegree": 5}, "delta_bidegree must be two integers, got 5"),
     ],
     ids=["D2-d2-5", "D1-d2-8", "E2-r-6", "E1-r-2-L3-7", "C1-r", "C2-genus", "D1-deg_delta",
-         "E1-e", "E34-degB", "E5-bidegree", "E1-L3-without-r", "not-a-type"],
+         "E1-e", "E34-degB", "E5-bidegree", "E1-L3-without-r", "not-a-type",
+         "C1-bidegree-int"],
 )
 def test_rayspec_rejects_what_the_type_facts_rule_out(ray_type, fields, message):
     with pytest.raises(ConstraintError, match=message):
