@@ -9,6 +9,8 @@ import hashlib
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanoenum import enumerator
 from fanoenum.chern_calculus import (
@@ -61,6 +63,52 @@ def test_bundle_formulas_agree_with_the_primitive_records():
         assert by_id[table_id].kx3 == bundle
 
 
+# Every side pair, over all 45 pairings of ray types, that gives a record:
+# (type, side index, type, side index) -> the table row that labels it.
+RECORD_SIDE_PAIRS = {
+    ("D1", 0, "E1", 0): "2-1", ("C1", 0, "D1", 0): "2-2", ("D1", 0, "E1", 1): "2-3",
+    ("D1", 0, "E1", 6): "2-4", ("D1", 0, "E1", 2): "2-5", ("C1", 0, "C1", 0): "2-6",
+    ("D1", 0, "E1", 5): "2-7", ("C1", 0, "E34", 1): "2-8", ("C1", 0, "E1", 6): "2-9",
+    ("D1", 0, "E1", 3): "2-10", ("C1", 0, "E1", 2): "2-11", ("E1", 6, "E1", 6): "2-12",
+    ("C1", 0, "E1", 5): "2-13", ("D1", 0, "E1", 4): "2-14", ("E1", 6, "E34", 1): "2-15",
+    ("C1", 0, "E1", 3): "2-16", ("E1", 6, "E1", 5): "2-17", ("C1", 0, "D2", 0): "2-18",
+    ("E1", 6, "E1", 3): "2-19", ("C1", 0, "E1", 4): "2-20", ("E1", 5, "E1", 5): "2-21",
+    ("E1", 6, "E1", 4): "2-22", ("E1", 5, "E34", 1): "2-23", ("C1", 0, "C2", 0): "2-24",
+    ("D2", 0, "E1", 6): "2-25", ("E1", 5, "E1", 4): "2-26", ("C2", 0, "E1", 6): "2-27",
+    ("E1", 6, "E5", 1): "2-28", ("D2", 0, "E1", 5): "2-29", ("E1", 6, "E2", 2): "2-30",
+    ("C2", 0, "E1", 5): "2-31", ("C2", 0, "C2", 0): "2-32", ("D3", 0, "E1", 6): "2-33",
+    ("C2", 0, "D3", 0): "2-34", ("C2", 0, "E2", 3): "2-35", ("C2", 0, "E5", 2): "2-36",
+}
+
+
+def _side_pair_outcomes(pairings):
+    """How many side pairs the pairings hold, and the labels of their records.
+
+    A side pair that raises fails the test that calls this.
+    """
+    visited, records = 0, {}
+    for type1, type2 in pairings:
+        for i, side1 in enumerate(enumerator._SIDES[type1]):
+            for j, side2 in enumerate(enumerator._SIDES[type2]):
+                visited += 1
+                record = enumerator._solve_sides(side1, side2)
+                if record is not None:
+                    records[type1.value, i, type2.value, j] = record
+    return visited, dict(zip(records, (row.table_id for row in label(records.values()))))
+
+
+@pytest.mark.parametrize(
+    "pairings,side_pairs",
+    [
+        (tuple(combinations_with_replacement(RayType, 2)), 399),
+        (enumerator._RANK2_PAIRINGS, 219),
+    ],
+    ids=["all-45-pairings", "rank2-pairings"],
+)
+def test_exactly_the_36_known_side_pairs_give_records(pairings, side_pairs):
+    assert _side_pair_outcomes(pairings) == (side_pairs, RECORD_SIDE_PAIRS)
+
+
 def test_integer_solution_is_exact():
     solve = enumerator._integer_solution
     # u1 + u2 = 5, u1 - u2 = 1
@@ -74,6 +122,52 @@ def test_integer_solution_is_exact():
     # rows that leave an unknown free would need a sweep
     with pytest.raises(InconsistencyError):
         solve([(1, 1, -5), (2, 2, -10)], True, True)
+
+
+def _reference_integer_solution(rows, has1, has2):
+    """The elimination ``_integer_solution`` once was, kept as its oracle."""
+    pivot = next((row for row in rows if row[0]), None) if has1 else None
+    if pivot is None:
+        rest = [row[1:] for row in rows]
+    else:
+        a, b, c = pivot
+        rest = [(a * e - d * b, a * f - d * c) for d, e, f in rows]
+    u2 = 0
+    pivot2 = next((row for row in rest if row[0]), None) if has2 else None
+    if pivot2 is not None:
+        u2, remainder = divmod(-pivot2[1], pivot2[0])
+        if remainder:
+            return None
+    for e, f in rest:
+        if e * u2 + f:
+            return None
+    if (has1 and pivot is None) or (has2 and pivot2 is None):
+        raise InconsistencyError("the facts of a pairing leave an unknown free")
+    if pivot is None:
+        return 0, u2
+    u1, remainder = divmod(-(b * u2 + c), a)
+    return None if remainder else (u1, u2)
+
+
+def _outcome(solve, rows, has1, has2):
+    try:
+        return solve(rows, has1, has2)
+    except InconsistencyError:
+        return InconsistencyError
+
+
+_ENTRY = st.integers(-6, 6)
+
+
+@settings(max_examples=500)
+@given(st.lists(st.tuples(_ENTRY, _ENTRY, _ENTRY), min_size=1, max_size=4),
+       st.booleans(), st.booleans())
+def test_integer_solution_agrees_with_its_reference(rows, has1, has2):
+    # an unknown its side lacks has a zero column
+    rows = [(a if has1 else 0, b if has2 else 0, c) for a, b, c in rows]
+    assert _outcome(enumerator._integer_solution, rows, has1, has2) == _outcome(
+        _reference_integer_solution, rows, has1, has2
+    )
 
 
 _C, _K = 0, 3  # positions of the H^3 and (-K)^3 terms among a side's C, P, Q, K, M

@@ -55,10 +55,20 @@ def test_rank3_product():
     assert triple_product(form, h, h, h) == 12
 
 
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_a_class_of_the_other_rank_is_an_error_in_every_slot(slot):
+    for form, good, bad in (
+        (TrilinearForm.rank2(0, 1, 1, 0), (1, 1), (1, 1, 1)),
+        (TrilinearForm.from_nonzero(3, {(1, 2, 3): 1}), (1, 1, 1), (1, 1)),
+    ):
+        classes = [DivisorClass(good)] * 3
+        classes[slot] = DivisorClass(bad)
+        with pytest.raises(DimensionMismatchError, match="fed to a rank-"):
+            triple_product(form, *classes)
+
+
 def test_rank_mismatch_is_an_error():
     form = TrilinearForm.rank2(0, 1, 1, 0)
-    with pytest.raises(DimensionMismatchError):
-        triple_product(form, DivisorClass((1, 1, 1)), DivisorClass((1, 1)), DivisorClass((1, 1)))
     with pytest.raises(DimensionMismatchError, match="got 1 coordinates"):
         DivisorClass((1,))
     with pytest.raises(DimensionMismatchError, match="rank must be 2 or 3, got 4"):
@@ -222,6 +232,38 @@ entries2 = st.fixed_dictionaries(
     }
 )
 coords2 = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+
+
+def _reference_triple_product(form, x, y, z):
+    """x . y . z by the multilinear loop over every ordered index triple.
+
+    This was triple_product's own evaluation; it is kept as the oracle of
+    the closed-form rank-2 path.
+    """
+    indices = range(1, form.rho + 1)
+    total = 0
+    for i in indices:
+        xi = x.coords[i - 1]
+        if xi == 0:
+            continue
+        for j in indices:
+            yj = y.coords[j - 1]
+            if yj == 0:
+                continue
+            for k in indices:
+                zk = z.coords[k - 1]
+                if zk == 0:
+                    continue
+                total += xi * yj * zk * form.value(i, j, k)
+    return total
+
+
+@settings(max_examples=300)
+@given(entries2, coords2, coords2, coords2)
+def test_triple_product_agrees_with_the_multilinear_sum(entries, xc, yc, zc):
+    form = TrilinearForm(2, entries)
+    x, y, z = DivisorClass(xc), DivisorClass(yc), DivisorClass(zc)
+    assert triple_product(form, x, y, z) == _reference_triple_product(form, x, y, z)
 
 
 @settings(max_examples=100)
