@@ -50,7 +50,7 @@ from .picard_lattice import (
     triple_product,
 )
 from .ray_constraints import (
-    C_TYPES, D_TYPES, POINT_TYPES, TYPE_FACTS, RaySpec, RayType, mu_of
+    _RAY_ORDER, C_TYPES, D_TYPES, POINT_TYPES, TYPE_FACTS, RaySpec, RayType, mu_of
 )
 
 __all__ = [
@@ -110,7 +110,7 @@ class SolutionRecord(_RecordFields):
             raise InconsistencyError(
                 f"stored (-K)^3 = {kx3} disagrees with the intersection form"
             )
-        orders = [spec.ray_type.order for spec in rays]
+        orders = [_RAY_ORDER[spec.ray_type] for spec in rays]
         if orders != sorted(orders):
             raise InconsistencyError("rays are not in canonical order")
         return tuple.__new__(cls, (rays, form, minus_k, kx3))
@@ -125,15 +125,15 @@ class SolutionRecord(_RecordFields):
 
     @property
     def ray_types(self) -> tuple[RayType, ...]:
-        return tuple(spec.ray_type for spec in self.rays)
+        return tuple([spec.ray_type for spec in self.rays])
 
     @property
     def genus(self) -> Optional[int]:
-        return next((s.genus for s in self.rays if s.ray_type is RayType.E1), None)
+        return next((s.genus for s in self.rays if s.ray_type is _E1), None)
 
     @property
     def descriptions(self) -> tuple[str, ...]:
-        return _TEXTS.get((self.rho, self.ray_types)) or _descriptions(self.rays)
+        return _TEXTS.get((self.form.rho, self.ray_types)) or _descriptions(self.rays)
 
     @property
     def char_note(self) -> Optional[str]:
@@ -142,6 +142,11 @@ class SolutionRecord(_RecordFields):
     @property
     def description(self) -> str:
         return ", or ".join(self.descriptions)
+
+
+# Read once: on Python 3.11 each RayType.X read goes through EnumType's
+# __getattr__ hook and costs several times a module global.
+_E1, _E2 = RayType.E1, RayType.E2
 
 
 # ------------------------------------------------------------ descriptions --
@@ -240,12 +245,13 @@ def _descriptions(rays: tuple[RaySpec, ...]) -> tuple[str, ...]:
     """
     texts = []
     for spec, other in zip(rays, rays[::-1]):
-        if spec.ray_type is RayType.E1:
+        ray_type = spec.ray_type
+        if ray_type is _E1:
             with_ci = other.ray_type in D_TYPES
             texts.append(
                 _blowup_description(spec.r, spec.L3, spec.degB, spec.genus, with_ci)
             )
-        elif spec.ray_type is RayType.E2:
+        elif ray_type is _E2:
             texts.append("blowup of %s at a point" % _target_name(spec.r, spec.L3))
     return tuple(dict.fromkeys(texts))
 
@@ -286,11 +292,6 @@ class _Side(ValueObject):
         set_field(self, "terms", terms)
         set_field(self, "contracted", contracted)
 
-    def admits(self, u: int) -> bool:
-        if self.slot is None:
-            return True
-        return self.low <= u and (self.high is None or u <= self.high)
-
 
 def _compile(ray_type: RayType) -> tuple[_Side, ...]:
     """The sides of one ray type, from its entry in TYPE_FACTS.
@@ -328,6 +329,8 @@ def _compile(ray_type: RayType) -> tuple[_Side, ...]:
 
 _SIDES = {ray_type: _compile(ray_type) for ray_type in RayType}
 _GENUS, _E = RaySpec._fields.index("genus"), RaySpec._fields.index("e")
+_CONIC_TYPES = frozenset(C_TYPES)
+_TWISTED = frozenset((RayType.E2, RayType.E5))  # opposite a conic bundle, P(O + O(e))
 # -K of each pair of ray lengths, in the basis of the two pullbacks
 _MINUS_K = {(m1, m2): anticanonical_class(m1, m2) for m1 in (1, 2, 3) for m2 in (1, 2, 3)}
 
@@ -342,18 +345,28 @@ def _integer_solution(rows, has1: bool, has2: bool) -> Optional[tuple[int, int]]
     and stays 0; one the rows leave free raises InconsistencyError, because
     the engine would have to sweep it.
     """
-    pivot = next((row for row in rows if row[0]), None) if has1 else None
+    pivot = None
+    if has1:
+        for row in rows:
+            if row[0]:
+                pivot = row
+                break
     if pivot is None:
-        rest = [row[1:] for row in rows]
+        rest = [(e, f) for _, e, f in rows]
     else:
         a, b, c = pivot
         rest = [(a * e - d * b, a * f - d * c) for d, e, f in rows]
     u2 = 0
-    pivot2 = next((row for row in rest if row[0]), None) if has2 else None
-    if pivot2 is not None:
-        u2, remainder = divmod(-pivot2[1], pivot2[0])
-        if remainder:
-            return None
+    pivot2 = None
+    if has2:
+        for row in rest:
+            if row[0]:
+                pivot2 = row
+                break
+        if pivot2 is not None:
+            u2, remainder = divmod(-pivot2[1], pivot2[0])
+            if remainder:
+                return None
     for e, f in rest:
         if e * u2 + f:
             return None
@@ -381,7 +394,9 @@ def _solve_sides(side1: _Side, side2: _Side) -> Optional[SolutionRecord]:
     exits: the system has no integer solution, an unknown lies outside its
     domain, or the record is the mirror twin of a kept E1+E1 record.  The
     system implies the rest, so a fractional form entry raises here, and an
-    odd cube or a negative genus in the constructors.
+    odd cube or a negative genus in the constructors.  It runs once per side
+    pair of every pairing, most of which give no record, so it is written
+    in straight lines.
     """
     n1, n2 = side2.mu, side1.mu
     C1, P1, Q1, K1, M1 = side1.terms[n1]
@@ -396,37 +411,46 @@ def _solve_sides(side1: _Side, side2: _Side) -> Optional[SolutionRecord]:
     if side2.contracted:
         q3, w = side2.contracted
         rows.append((-q3 * K1[1], M2[1] - q3 * K2[1], M2[0] - q3 * (K1[0] + K2[0]) - w))
-    solution = _integer_solution(rows, side1.slot is not None, side2.slot is not None)
-    if solution is None or not (side1.admits(solution[0]) and side2.admits(solution[1])):
+    slot1, slot2 = side1.slot, side2.slot
+    solution = _integer_solution(rows, slot1 is not None, slot2 is not None)
+    if solution is None:
         return None
     u1, u2 = solution
-    quotients = (
-        (C1[0] + C1[1] * u1, 4),
-        (P1[0] + P1[1] * u1, 4 * n1 * n1 * n2),
-        (P2[0] + P2[1] * u2, 4 * n2 * n2 * n1),
-        (C2[0] + C2[1] * u2, 4),
-        (K1[0] + K1[1] * u1 + K2[0] + K2[1] * u2, 4),
-    )
-    if any(value % divisor for value, divisor in quotients):
+    if slot1 is not None:
+        high = side1.high
+        if u1 < side1.low or (high is not None and u1 > high):
+            return None
+    if slot2 is not None:
+        high = side2.high
+        if u2 < side2.low or (high is not None and u2 > high):
+            return None
+    h111, r111 = divmod(C1[0] + C1[1] * u1, 4)
+    h112, r112 = divmod(P1[0] + P1[1] * u1, 4 * n1 * n1 * n2)
+    h122, r122 = divmod(P2[0] + P2[1] * u2, 4 * n2 * n2 * n1)
+    h222, r222 = divmod(C2[0] + C2[1] * u2, 4)
+    kx3, rkx3 = divmod(K1[0] + K1[1] * u1 + K2[0] + K2[1] * u2, 4)
+    if r111 or r112 or r122 or r222 or rkx3:
         raise InconsistencyError("the facts of a pairing give a fractional form entry")
-    h111, h112, h122, h222, kx3 = (value // divisor for value, divisor in quotients)
+    type1, type2 = side1.ray_type, side2.ray_type
     fields1, fields2 = list(side1.template), list(side2.template)
-    for fields, side, u in ((fields1, side1, u1), (fields2, side2, u2)):
-        if side.slot is not None:
-            fields[side.slot] = u
-        if side.ray_type is RayType.E1:
-            _, r, L3, degB = fields[:4]
-            fields[_GENUS] = genus_from_blowup(kx3, antican_cube_by_index(r, L3), r, degB)
-    if side1.ray_type is side2.ray_type is RayType.E1 and (
-        (fields1[1], fields1[3]) < (fields2[1], fields2[3])  # (r, degB)
-    ):
-        return None  # the mirror twin of a kept solution
-    if side1.ray_type in C_TYPES and side2.ray_type in (RayType.E2, RayType.E5):
+    if slot1 is not None:
+        fields1[slot1] = u1
+    if slot2 is not None:
+        fields2[slot2] = u2
+    if type1 is _E1:
+        _, r, L3, degB = fields1[:4]
+        fields1[_GENUS] = genus_from_blowup(kx3, antican_cube_by_index(r, L3), r, degB)
+    if type2 is _E1:
+        _, r, L3, degB = fields2[:4]
+        fields2[_GENUS] = genus_from_blowup(kx3, antican_cube_by_index(r, L3), r, degB)
+        if type1 is _E1 and (fields1[1], fields1[3]) < (fields2[1], fields2[3]):  # (r, degB)
+            return None  # the mirror twin of a kept solution
+    elif type2 in _TWISTED and type1 in _CONIC_TYPES:
         fields2[_E] = h122
     return SolutionRecord(
         (RaySpec(*fields1), RaySpec(*fields2)),
         TrilinearForm.rank2(h111, h112, h122, h222),
-        _MINUS_K[side1.mu, side2.mu],
+        _MINUS_K[n2, n1],
         kx3,
     )
 
@@ -565,7 +589,7 @@ def _classification_order(record: SolutionRecord) -> tuple[int, int]:
     A record without an E1 ray, or whose E1 ray carries no r (rank 3),
     counts as r = 0.
     """
-    r = max((s.r or 0 for s in record.rays if s.ray_type is RayType.E1), default=0)
+    r = max((s.r or 0 for s in record.rays if s.ray_type is _E1), default=0)
     return record.kx3, -r
 
 

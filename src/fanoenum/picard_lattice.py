@@ -157,7 +157,8 @@ class TrilinearForm(ValueObject):
     ``entries`` maps each sorted index triple (i, j, k), 1-based with
     i <= j <= k <= rho, to the integer H_i . H_j . H_k.  Every multiset must be
     present -- a missing entry is an error, not an implicit zero -- so that a
-    form is unambiguous data.  Use :meth:`from_nonzero` when writing down sparse
+    form is unambiguous data.  ``entries`` holds them in the order of the
+    sorted triples, so equal forms list equal entries in the same order.  Use :meth:`from_nonzero` when writing down sparse
     forms by hand.
     """
 
@@ -243,26 +244,40 @@ def triple_product(
     """Evaluate x . y . z under ``form`` by full multilinear expansion.
 
     The sum runs over all ordered index triples; symmetry of the stored form
-    makes the result independent of argument order.
+    makes the result independent of argument order.  On rank 2 the eight
+    triples are written out over the four entries, which the form holds in
+    canonical key order; every record's cube is checked this way.
     """
-    for cls_ in (x, y, z):
-        if cls_.rho != form.rho:
-            raise DimensionMismatchError(
-                f"class of rank {cls_.rho} fed to a rank-{form.rho} form"
-            )
+    xc, yc, zc = x.coords, y.coords, z.coords
+    rho = form.rho
+    if not len(xc) == len(yc) == len(zc) == rho:
+        for cls_ in (x, y, z):
+            if cls_.rho != rho:
+                raise DimensionMismatchError(
+                    f"class of rank {cls_.rho} fed to a rank-{rho} form"
+                )
     entries = form.entries
-    indices = range(1, form.rho + 1)
+    if rho == 2:
+        (x1, x2), (y1, y2), (z1, z2) = xc, yc, zc
+        h111, h112, h122, h222 = entries.values()
+        return (
+            x1 * y1 * z1 * h111
+            + (x1 * y1 * z2 + x1 * y2 * z1 + x2 * y1 * z1) * h112
+            + (x1 * y2 * z2 + x2 * y1 * z2 + x2 * y2 * z1) * h122
+            + x2 * y2 * z2 * h222
+        )
+    indices = range(1, 4)
     total = 0
     for i in indices:
-        xi = x.coords[i - 1]
+        xi = xc[i - 1]
         if xi == 0:
             continue
         for j in indices:
-            yj = y.coords[j - 1]
+            yj = yc[j - 1]
             if yj == 0:
                 continue
             for k in indices:
-                zk = z.coords[k - 1]
+                zk = zc[k - 1]
                 if zk == 0:
                     continue
                 total += xi * yj * zk * entries[_SORTED_KEY[i, j, k]]

@@ -247,11 +247,11 @@ class RaySpec(_RayFields):
         uncarried = _UNCARRIED.get(ray_type)
         if uncarried is None:
             raise ConstraintError(f"{ray_type!r} is not an extremal-ray type")
-        for name in uncarried:
-            if getattr(self, name) is not None:
+        for index in uncarried:
+            if self[index] is not None:
+                name = _RayFields._fields[index]
                 raise ConstraintError(
-                    f"{ray_type.display} rays carry no {name}, "
-                    f"got {name}={getattr(self, name)!r}"
+                    f"{ray_type.display} rays carry no {name}, got {name}={self[index]!r}"
                 )
         # a set field is now one the type carries
         if deg_delta is not None and not TYPE_FACTS[ray_type].admits(deg_delta):
@@ -291,7 +291,7 @@ class RaySpec(_RayFields):
 
 
 # The fields each type carries, as the RaySpec docstring lists them, and
-# from them, once, the fields each type must leave None.
+# from them, once, the positions of the fields each type must leave None.
 _CARRIED = {
     **dict.fromkeys(C_TYPES, ("deg_delta", "delta_bidegree")),
     **dict.fromkeys(D_TYPES, ("d2",)),
@@ -299,7 +299,7 @@ _CARRIED = {
     **dict.fromkeys(POINT_TYPES, ("r", "L3", "e")),
 }
 _UNCARRIED = {
-    t: tuple(name for name in RaySpec._fields[1:] if name not in carried)
+    t: tuple(i for i, name in enumerate(RaySpec._fields) if i and name not in carried)
     for t, carried in _CARRIED.items()
 }
 

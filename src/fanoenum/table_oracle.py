@@ -271,15 +271,15 @@ def _project(record, ids: Mapping[tuple, str]) -> TableRow:
     invariants = {
         name: values for name, values in zip(_INVARIANT_FIELDS, columns) if values != unset
     }
-    rho, kx3 = record.rho, record.kx3
+    rho, kx3 = record.form.rho, record.kx3
     return TableRow(
-        table_id=ids.get(_row_key(rho, kx3, tags, invariants), ""),
-        rho=rho,
-        kx3=kx3,
-        primitive=rho == 3 or "E1" not in tags,
-        ray_types=tags,
-        invariants=invariants,
-        descriptions=tuple(record.descriptions),
+        ids.get(_row_key(rho, kx3, tags, invariants), ""),
+        rho,
+        kx3,
+        rho == 3 or "E1" not in tags,
+        tags,
+        invariants,
+        tuple(record.descriptions),
     )
 
 
