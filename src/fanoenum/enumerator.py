@@ -2,19 +2,19 @@
 
 Every rank-2 pairing of extremal-ray types is solved by one engine, driven
 by sides compiled from :data:`fanoenum.ray_constraints.TYPE_FACTS`.  A side
-is one ray type with its data fixed but for at most one unknown u (deg Delta
-for C1, d2 for D1, deg B for E1, L^3 for E2/E3E4/E5); the engine reads three
-of the table's facts about the pullback H of its ray, each affine in u: H^3,
-(-K).H^2 and (-K)^2.H, in quarters.  The two pullbacks form a basis of the
+is one ray type with its data fixed but for one unknown u (deg Delta for C
+types, d2 for D types, deg B for E1, L^3 for E2/E3E4/E5); the engine reads
+three of the table's facts about the pullback H of its ray, each affine in u:
+H^3, (-K).H^2 and (-K)^2.H, in quarters.  The two pullbacks form a basis of the
 Picard lattice (index 1, see
 :func:`fanoenum.ray_constraints.lattice_index_candidates`), so in that basis
 the facts of the two sides fill the intersection form and leave a linear
-system in at most two unknowns: the two (-K)^2.H facts and the cube of each
-divisor contracted to a point.  The engine solves it exactly in integers,
-sweeping nothing but the finite type domains: the domains decide, and the
-constructors assert what the system implies.  It reads no c2.H fact, so the
-24-balance -K.c2 = 24 (:func:`fanoenum.ray_constraints.balance_check`) is a
-check on its records that shares no row with it.  Each solution becomes a
+system in two unknowns: the two (-K)^2.H facts and the cube of each divisor
+contracted to a point.  The engine solves it exactly in integers and sweeps
+nothing: the type domains decide, and the constructors assert what the
+system implies.  It reads no c2.H fact, so the 24-balance -K.c2 = 24
+(:func:`fanoenum.ray_constraints.balance_check`) is a check on its records
+that shares no row with it.  Each solution becomes a
 :class:`SolutionRecord` of the rays, the full intersection
 form, the anticanonical class and its cube; the record derives the rank,
 genus, descriptions and characteristic note from these.  The ``solve_*``
@@ -259,10 +259,10 @@ def _descriptions(rays: tuple[RaySpec, ...]) -> tuple[str, ...]:
 # -------------------------------------------------------------- side table --
 
 class _Side(ValueObject):
-    """One ray of a pairing, every datum fixed but at most one unknown u.
+    """One ray of a pairing, every datum fixed but one unknown u.
 
     ``template`` holds the ray's RaySpec fields in order, each fixed one set
-    and every other None; ``slot`` is the position u fills, if any, with
+    and every other None; ``slot`` is the position u fills, with
     low <= u <= high (high None: unbounded).  ``terms[n]``, for n the
     coefficient of the ray's pullback in -K, holds the side's terms C, P, Q,
     K, M of :func:`_solve_sides`, each as (constant, coefficient of u) in
@@ -277,7 +277,7 @@ class _Side(ValueObject):
         ray_type: RayType,
         mu: int,
         template: tuple,
-        slot: Optional[int],
+        slot: int,
         low: int,
         high: Optional[int],
         terms: dict[int, tuple[tuple[int, int], ...]],
@@ -296,9 +296,10 @@ class _Side(ValueObject):
 def _compile(ray_type: RayType) -> tuple[_Side, ...]:
     """The sides of one ray type, from its entry in TYPE_FACTS.
 
-    A one-point domain fixes the unknown.  The terms come from the facts C,
-    A, B (H^3, (-K).H^2, (-K)^2.H) as :func:`_solve_sides` defines them; the
-    c2.H fact is not read.  A point contraction's divisor is m D = p H - q (-K)
+    A datum the type fixes, such as C2's deg Delta = 0, is still the unknown,
+    and its one-point domain pins it.  The terms come from the facts C, A, B
+    (H^3, (-K).H^2, (-K)^2.H) as :func:`_solve_sides` defines them; the c2.H
+    fact is not read.  A point contraction's divisor is m D = p H - q (-K)
     with p the index r its side fixes, and (m D)^3 = w.
     """
     t = TYPE_FACTS[ray_type]
@@ -307,11 +308,7 @@ def _compile(ray_type: RayType) -> tuple[_Side, ...]:
     for fixed, facts in t.sides:
         template = dict.fromkeys(RaySpec._fields)
         template.update(fixed, ray_type=ray_type)
-        slot = RaySpec._fields.index(t.unknown)
         p = template["r"] if t.contracted else 0
-        if t.low == t.high:
-            template[t.unknown], slot = t.low, None
-            facts = [(c + k * t.low, 0) for c, k in facts]
         terms = {}
         for n in (1, 2, 3):
             per_part = [
@@ -322,7 +319,8 @@ def _compile(ray_type: RayType) -> tuple[_Side, ...]:
             terms[n] = tuple(zip(*per_part))
         cube = (q**3, 4 * w) if t.contracted else None
         sides.append(_Side(
-            ray_type, mu_of(ray_type), tuple(template.values()), slot, t.low, t.high, terms, cube
+            ray_type, mu_of(ray_type), tuple(template.values()),
+            RaySpec._fields.index(t.unknown), t.low, t.high, terms, cube,
         ))
     return tuple(sides)
 
@@ -338,42 +336,31 @@ _MINUS_K = {(m1, m2): anticanonical_class(m1, m2) for m1 in (1, 2, 3) for m2 in 
 # ------------------------------------------------------------------ engine --
 
 
-def _integer_solution(rows, has1: bool, has2: bool) -> Optional[tuple[int, int]]:
+def _integer_solution(rows) -> Optional[tuple[int, int]]:
     """Integers (u1, u2) with a u1 + b u2 + c = 0 for every row (a, b, c).
 
-    None when there are none.  An unknown its side lacks has a zero column
-    and stays 0; one the rows leave free raises InconsistencyError, because
-    the engine would have to sweep it.
+    None when there are none; rows that leave an unknown free raise
+    InconsistencyError, because the engine would have to sweep it.
     """
-    pivot = None
-    if has1:
-        for row in rows:
-            if row[0]:
-                pivot = row
-                break
-    if pivot is None:
-        rest = [(e, f) for _, e, f in rows]
+    a = e2 = u2 = 0  # a and e2 stay 0 when no row pivots on u1 or u2
+    for row in rows:
+        if row[0]:
+            a, b, c = row
+            rest = [(a * e - d * b, a * f - d * c) for d, e, f in rows]
+            break
     else:
-        a, b, c = pivot
-        rest = [(a * e - d * b, a * f - d * c) for d, e, f in rows]
-    u2 = 0
-    pivot2 = None
-    if has2:
-        for row in rest:
-            if row[0]:
-                pivot2 = row
-                break
-        if pivot2 is not None:
-            u2, remainder = divmod(-pivot2[1], pivot2[0])
+        rest = [(e, f) for _, e, f in rows]
+    for e2, f2 in rest:
+        if e2:
+            u2, remainder = divmod(-f2, e2)
             if remainder:
                 return None
+            break
     for e, f in rest:
         if e * u2 + f:
             return None
-    if (has1 and pivot is None) or (has2 and pivot2 is None):
+    if not a or not e2:
         raise InconsistencyError("the facts of a pairing leave an unknown free")
-    if pivot is None:
-        return 0, u2
     u1, remainder = divmod(-(b * u2 + c), a)
     return None if remainder else (u1, u2)
 
@@ -390,13 +377,12 @@ def _solve_sides(side1: _Side, side2: _Side) -> Optional[SolutionRecord]:
       D_i^3:        M_i - q^3 (K1 + K2) = w,  K = n B,
                     M = p^3 C - 3 p^2 q A + 3 p q^2 B
 
-    Every term is in quarters, as the facts are.  None means one of three
-    exits: the system has no integer solution, an unknown lies outside its
-    domain, or the record is the mirror twin of a kept E1+E1 record.  The
-    system implies the rest, so a fractional form entry raises here, and an
-    odd cube or a negative genus in the constructors.  It runs once per side
-    pair of every pairing, most of which give no record, so it is written
-    in straight lines.
+    Every term is in quarters, as the facts are.  None means one of two
+    exits: the system has no integer solution, or an unknown lies outside
+    its domain.  The system implies the rest, so a fractional form entry
+    raises here, and an odd cube or a negative genus in the constructors.
+    It runs once per side pair of every pairing, most of which give no
+    record, so it is written in straight lines.
     """
     n1, n2 = side2.mu, side1.mu
     C1, P1, Q1, K1, M1 = side1.terms[n1]
@@ -411,19 +397,16 @@ def _solve_sides(side1: _Side, side2: _Side) -> Optional[SolutionRecord]:
     if side2.contracted:
         q3, w = side2.contracted
         rows.append((-q3 * K1[1], M2[1] - q3 * K2[1], M2[0] - q3 * (K1[0] + K2[0]) - w))
-    slot1, slot2 = side1.slot, side2.slot
-    solution = _integer_solution(rows, slot1 is not None, slot2 is not None)
+    solution = _integer_solution(rows)
     if solution is None:
         return None
     u1, u2 = solution
-    if slot1 is not None:
-        high = side1.high
-        if u1 < side1.low or (high is not None and u1 > high):
-            return None
-    if slot2 is not None:
-        high = side2.high
-        if u2 < side2.low or (high is not None and u2 > high):
-            return None
+    high = side1.high
+    if u1 < side1.low or (high is not None and u1 > high):
+        return None
+    high = side2.high
+    if u2 < side2.low or (high is not None and u2 > high):
+        return None
     h111, r111 = divmod(C1[0] + C1[1] * u1, 4)
     h112, r112 = divmod(P1[0] + P1[1] * u1, 4 * n1 * n1 * n2)
     h122, r122 = divmod(P2[0] + P2[1] * u2, 4 * n2 * n2 * n1)
@@ -433,18 +416,14 @@ def _solve_sides(side1: _Side, side2: _Side) -> Optional[SolutionRecord]:
         raise InconsistencyError("the facts of a pairing give a fractional form entry")
     type1, type2 = side1.ray_type, side2.ray_type
     fields1, fields2 = list(side1.template), list(side2.template)
-    if slot1 is not None:
-        fields1[slot1] = u1
-    if slot2 is not None:
-        fields2[slot2] = u2
+    fields1[side1.slot] = u1
+    fields2[side2.slot] = u2
     if type1 is _E1:
         _, r, L3, degB = fields1[:4]
         fields1[_GENUS] = genus_from_blowup(kx3, antican_cube_by_index(r, L3), r, degB)
     if type2 is _E1:
         _, r, L3, degB = fields2[:4]
         fields2[_GENUS] = genus_from_blowup(kx3, antican_cube_by_index(r, L3), r, degB)
-        if type1 is _E1 and (fields1[1], fields1[3]) < (fields2[1], fields2[3]):  # (r, degB)
-            return None  # the mirror twin of a kept solution
     elif type2 in _TWISTED and type1 in _CONIC_TYPES:
         fields2[_E] = h122
     return SolutionRecord(
@@ -456,12 +435,18 @@ def _solve_sides(side1: _Side, side2: _Side) -> Optional[SolutionRecord]:
 
 
 def _solve(pairings) -> tuple[SolutionRecord, ...]:
-    """Every record of the given type pairings, each in canonical type order."""
+    """Every record of the given type pairings, each in canonical type order.
+
+    A pairing of a type with itself visits each unordered pair of its sides
+    once, the side of higher index first: the other order gives the mirror
+    record, rays and basis swapped, or None when this one is None.  The E1
+    sides go by target index r, so an E1+E1 record lists the larger r first.
+    """
     return tuple(
         record
         for type1, type2 in pairings
-        for side1 in _SIDES[type1]
-        for side2 in _SIDES[type2]
+        for i, side1 in enumerate(_SIDES[type1])
+        for side2 in (_SIDES[type2][: i + 1] if type1 is type2 else _SIDES[type2])
         if (record := _solve_sides(side1, side2)) is not None
     )
 

@@ -6,7 +6,7 @@ captured from the hand-eliminated solvers the engine replaced, and equal the
 """
 
 import hashlib
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +18,10 @@ from fanoenum.chern_calculus import (
     antican_cube_p1_bundle_over_surface,
 )
 from fanoenum.enumerator import enumerate_all, solve_C_E_primitive
-from fanoenum.errors import ConstraintError, InconsistencyError, ParityError
+from fanoenum.errors import (
+    ConstraintError, FanoEngineError, InconsistencyError, ParityError
+)
+from fanoenum.picard_lattice import DivisorClass
 from fanoenum.ray_constraints import RayType
 from fanoenum.table_oracle import emit, label, record_to_row
 
@@ -81,59 +84,141 @@ RECORD_SIDE_PAIRS = {
 }
 
 
+def _side_pairs(pairings):
+    """(type, index, type, index, side, side) for each side pair ``_solve`` visits.
+
+    A pairing of a type with itself visits each unordered pair once, the
+    side of higher index first.
+    """
+    for type1, type2 in pairings:
+        sides1, sides2 = enumerator._SIDES[type1], enumerator._SIDES[type2]
+        for i, side1 in enumerate(sides1):
+            for j, side2 in enumerate(sides2[: i + 1] if type1 is type2 else sides2):
+                yield type1, i, type2, j, side1, side2
+
+
 def _side_pair_outcomes(pairings):
-    """How many side pairs the pairings hold, and the labels of their records.
+    """How many side pairs ``_solve`` visits, and the labels of their records.
 
     A side pair that raises fails the test that calls this.
     """
     visited, records = 0, {}
-    for type1, type2 in pairings:
-        for i, side1 in enumerate(enumerator._SIDES[type1]):
-            for j, side2 in enumerate(enumerator._SIDES[type2]):
-                visited += 1
-                record = enumerator._solve_sides(side1, side2)
-                if record is not None:
-                    records[type1.value, i, type2.value, j] = record
+    for type1, i, type2, j, side1, side2 in _side_pairs(pairings):
+        visited += 1
+        record = enumerator._solve_sides(side1, side2)
+        if record is not None:
+            records[type1.value, i, type2.value, j] = record
     return visited, dict(zip(records, (row.table_id for row in label(records.values()))))
 
 
 @pytest.mark.parametrize(
     "pairings,side_pairs",
     [
-        (tuple(combinations_with_replacement(RayType, 2)), 399),
-        (enumerator._RANK2_PAIRINGS, 219),
+        (tuple(combinations_with_replacement(RayType, 2)), 351),
+        (enumerator._RANK2_PAIRINGS, 198),
     ],
     ids=["all-45-pairings", "rank2-pairings"],
 )
 def test_exactly_the_36_known_side_pairs_give_records(pairings, side_pairs):
     assert _side_pair_outcomes(pairings) == (side_pairs, RECORD_SIDE_PAIRS)
+    assert enumerator._solve(pairings) == tuple(
+        record
+        for *_, side1, side2 in _side_pairs(pairings)
+        if (record := enumerator._solve_sides(side1, side2)) is not None
+    )
+
+
+def _moved(side, term, part, quarters):
+    """``side`` with the constant (part 0) or slope (part 1) of a term moved."""
+    terms = {}
+    for n, parts in side.terms.items():
+        parts = list(parts)
+        moved = list(parts[term])
+        moved[part] += quarters
+        parts[term] = tuple(moved)
+        terms[n] = tuple(parts)
+    return side._replace(terms=terms)
+
+
+def _solve_or_error(side1, side2):
+    try:
+        return enumerator._solve_sides(side1, side2)
+    except FanoEngineError as exc:
+        return type(exc)
+
+
+def _mirror(record):
+    """The record of the same family with its two rays, and so its basis, swapped."""
+    return enumerator.SolutionRecord(
+        record.rays[::-1],
+        record.form.transposed((2, 1)),
+        DivisorClass(record.minus_k.coords[::-1]),
+        record.kx3,
+    )
+
+
+def _same_type_side_pairs():
+    """(side i, side j) for every two sides i > j of one ray type."""
+    for ray_type in RayType:
+        for low, high in combinations(enumerator._SIDES[ray_type], 2):
+            yield high, low
+
+
+@pytest.mark.parametrize("mutants", [False, True], ids=["as-compiled", "mutated"])
+def test_the_other_order_of_two_sides_of_one_type_gives_the_mirror_record(mutants):
+    # Why _solve visits each unordered pair of sides of one type once: the
+    # order it skips gives the mirror record or nothing.  The same holds
+    # when any term of either side moves by 4 quarters, so the symmetry is
+    # the system's, not the facts'; both orders may then raise alike.
+    cases = records = 0
+    for high, low in _same_type_side_pairs():
+        variants = [(high, low)]
+        if mutants:
+            variants = [
+                (_moved(high, term, part, quarters), low) if which else
+                (high, _moved(low, term, part, quarters))
+                for which in (0, 1) for term in range(5) for part in (0, 1)
+                for quarters in (-4, 4)
+            ]
+        for side_high, side_low in variants:
+            kept = _solve_or_error(side_high, side_low)
+            skipped = _solve_or_error(side_low, side_high)
+            if isinstance(kept, enumerator.SolutionRecord):
+                assert skipped == _mirror(kept)
+                records += 1
+            else:
+                assert skipped == kept
+            cases += 1
+    # 48 side pairs, 4 of them records; 40 mutants of each, by side, term,
+    # constant or slope, and sign
+    assert cases == 48 * (40 if mutants else 1)
+    assert records == 4 or mutants and records > 4
 
 
 def test_integer_solution_is_exact():
     solve = enumerator._integer_solution
     # u1 + u2 = 5, u1 - u2 = 1
-    assert solve([(1, 1, -5), (1, -1, -1)], True, True) == (3, 2)
+    assert solve([(1, 1, -5), (1, -1, -1)]) == (3, 2)
     # 2 u1 = 3 has no integer solution; u1 = 1 and u1 = 2 contradict
-    assert solve([(2, 0, -3)], True, False) is None
-    assert solve([(1, 0, -1), (1, 0, -2)], True, False) is None
-    # a side without an unknown stays at 0, and its constant rows must vanish
-    assert solve([(0, 0, 0), (0, 3, -6)], False, True) == (0, 2)
-    assert solve([(0, 0, 1)], False, False) is None
+    assert solve([(2, 0, -3), (0, 1, 0)]) is None
+    assert solve([(1, 0, -1), (1, 0, -2), (0, 1, 0)]) is None
     # rows that leave an unknown free would need a sweep
     with pytest.raises(InconsistencyError):
-        solve([(1, 1, -5), (2, 2, -10)], True, True)
+        solve([(1, 1, -5), (2, 2, -10)])
+    with pytest.raises(InconsistencyError):
+        solve([(0, 1, -2)])
 
 
-def _reference_integer_solution(rows, has1, has2):
+def _reference_integer_solution(rows):
     """The elimination ``_integer_solution`` once was, kept as its oracle."""
-    pivot = next((row for row in rows if row[0]), None) if has1 else None
+    pivot = next((row for row in rows if row[0]), None)
     if pivot is None:
         rest = [row[1:] for row in rows]
     else:
         a, b, c = pivot
         rest = [(a * e - d * b, a * f - d * c) for d, e, f in rows]
     u2 = 0
-    pivot2 = next((row for row in rest if row[0]), None) if has2 else None
+    pivot2 = next((row for row in rest if row[0]), None)
     if pivot2 is not None:
         u2, remainder = divmod(-pivot2[1], pivot2[0])
         if remainder:
@@ -141,17 +226,15 @@ def _reference_integer_solution(rows, has1, has2):
     for e, f in rest:
         if e * u2 + f:
             return None
-    if (has1 and pivot is None) or (has2 and pivot2 is None):
+    if pivot is None or pivot2 is None:
         raise InconsistencyError("the facts of a pairing leave an unknown free")
-    if pivot is None:
-        return 0, u2
     u1, remainder = divmod(-(b * u2 + c), a)
     return None if remainder else (u1, u2)
 
 
-def _outcome(solve, rows, has1, has2):
+def _outcome(solve, rows):
     try:
-        return solve(rows, has1, has2)
+        return solve(rows)
     except InconsistencyError:
         return InconsistencyError
 
@@ -160,28 +243,14 @@ _ENTRY = st.integers(-6, 6)
 
 
 @settings(max_examples=500)
-@given(st.lists(st.tuples(_ENTRY, _ENTRY, _ENTRY), min_size=1, max_size=4),
-       st.booleans(), st.booleans())
-def test_integer_solution_agrees_with_its_reference(rows, has1, has2):
-    # an unknown its side lacks has a zero column
-    rows = [(a if has1 else 0, b if has2 else 0, c) for a, b, c in rows]
-    assert _outcome(enumerator._integer_solution, rows, has1, has2) == _outcome(
-        _reference_integer_solution, rows, has1, has2
+@given(st.lists(st.tuples(_ENTRY, _ENTRY, _ENTRY), min_size=1, max_size=4))
+def test_integer_solution_agrees_with_its_reference(rows):
+    assert _outcome(enumerator._integer_solution, rows) == _outcome(
+        _reference_integer_solution, rows
     )
 
 
 _C, _K = 0, 3  # positions of the H^3 and (-K)^3 terms among a side's C, P, Q, K, M
-
-
-def _shifted(side, term, quarters):
-    """``side`` with the constant of one of its terms moved by ``quarters``."""
-    terms = {}
-    for n, parts in side.terms.items():
-        parts = list(parts)
-        constant, coefficient = parts[term]
-        parts[term] = (constant + quarters, coefficient)
-        terms[n] = tuple(parts)
-    return side._replace(terms=terms)
 
 
 @pytest.mark.parametrize(
@@ -204,4 +273,4 @@ def test_a_side_pair_raises_on_what_its_system_implies(
     assert conic.contracted is other.contracted is None
     assert record_to_row(enumerator._solve_sides(conic, other)).table_id == table_id
     with pytest.raises(error, match=message):
-        enumerator._solve_sides(_shifted(conic, term, quarters), other)
+        enumerator._solve_sides(_moved(conic, term, 0, quarters), other)

@@ -36,11 +36,11 @@ def test_c2_dot_H_equals_the_compiled_c2_term(ray_type, index):
     # c2_dot_H finds, by the spec's fixed fields, the entry the side was compiled from
     side = enumerator._SIDES[ray_type][index]
     constant, slope = TYPE_FACTS[ray_type].sides[index][1][3]
-    admissible = [side.low] if side.slot is None else range(side.low, side.low + 4)
-    for u in admissible:
+    # up to four values of the unknown in the side's domain
+    high = side.low + 3 if side.high is None else min(side.high, side.low + 3)
+    for u in range(side.low, high + 1):
         fields = list(side.template)
-        if side.slot is not None:
-            fields[side.slot] = u
+        fields[side.slot] = u
         assert c2_dot_H(RaySpec(*fields)) * 4 == constant + slope * u
 
 
