@@ -102,9 +102,10 @@ _EMIT_CHOICES = ("markdown", "json", "csv")
 
 
 def _path(text: str) -> str:
-    # open() raises ValueError, not OSError, on a NUL byte or a lone surrogate
+    # open() raises ValueError, not OSError, on a NUL byte or a lone surrogate,
+    # and an empty path names no file
     try:
-        valid = b"\0" not in os.fsencode(text)
+        valid = text != "" and b"\0" not in os.fsencode(text)
     except UnicodeEncodeError:
         valid = False
     if not valid:
@@ -134,7 +135,7 @@ def _computed_rows(rho: int, primitive_only: bool):
 
 
 def _write_payload(payload: bytes, out: Optional[str]) -> None:
-    if out:
+    if out is not None:
         Path(out).write_bytes(payload)
         return
     sys.stdout.buffer.write(payload)

@@ -452,9 +452,11 @@ def lattice_index_candidates(
     For each candidate a >= 1 the relation 24a = mu2 (c2 . H1) + mu1 (c2 . H2)
     is tested for solvability with c2-values in the per-type admissible sets
     (the E1 set shrinking with a through the centre-degree bound), after the
-    primitivity and cube-parity filters.  ``type2`` may be a single type, a
-    collection of types (the admissible alternatives of one elimination step),
-    or None for every type of length mu2 admissible in context.
+    primitivity and cube-parity filters.  The relation bounds the sweep: a
+    is at most (mu2 M1 + mu1 M2) / 24 for M the largest c2-value of a type
+    at any index.  ``type2`` may be a single type, a collection of types
+    (the admissible alternatives of one elimination step), or None for every
+    type of length mu2 admissible in context.
 
     An empty result raises InconsistencyError: either the pairing can occur on
     no variety at all, or the constraint encoding is broken.
@@ -464,8 +466,12 @@ def lattice_index_candidates(
             f"ray type {type1.value} has length {mu_of(type1)}, not mu1={mu1}"
         )
     second_types = _resolve_second_types(type1, mu2, type2)
+    # The E1 cap (r - mu/a)^2 L^3 on deg B grows as mu/a falls to 0, as
+    # 0 < mu/a <= 3 < 2r, so the value sets at mu = 0 hold those at every a.
+    largest = max(max(_value_set(t2, 0, 1)) for t2 in second_types)
+    bound = (mu2 * max(_value_set(type1, 0, 1)) + mu1 * largest) // 24
     surviving: set[int] = set()
-    for a in range(1, 9):
+    for a in range(1, bound + 1):
         if not _primitivity_allows(a, mu1, mu2):
             continue
         feasible = False

@@ -443,6 +443,19 @@ def test_emit_into_missing_directory_is_an_error(tmp_path, capsys):
     _assert_one_error_line(capsys)
 
 
+def test_emit_to_an_empty_path_is_a_usage_error(capsys):
+    # an empty --out names no file; it does not mean stdout
+    with pytest.raises(SystemExit) as excinfo:
+        run(["emit", "--rho", "3", "--format", "csv", "--out", ""])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: fanoenum emit")
+    assert captured.err.endswith(
+        "error: argument --out: '' is not a path this system can open\n"
+    )
+
+
 # Tokens of real argvs: subcommands, options, their values and formula names.
 ARGV_TOKENS = (
     "enumerate", "verify", "chern", "emit",

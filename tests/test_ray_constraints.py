@@ -19,6 +19,10 @@ from fanoenum.ray_constraints import (
     D_TYPES,
     RaySpec,
     RayType,
+    _cube_identity_allows,
+    _primitivity_allows,
+    _resolve_second_types,
+    _value_set,
     balance_check,
     c2_dot_H,
     degB_upper_bound,
@@ -261,6 +265,35 @@ def _candidates_or_error(mu1, mu2, type1, type2):
         return lattice_index_candidates(mu1, mu2, type1, type2)
     except InconsistencyError:
         return InconsistencyError
+
+
+def _reference_candidates(mu1, mu2, type1, type2):
+    """``lattice_index_candidates`` as a sweep of a over 1..199, kept as its oracle."""
+    surviving = set()
+    for a in range(1, 200):
+        if not _primitivity_allows(a, mu1, mu2):
+            continue
+        for t2 in _resolve_second_types(type1, mu2, type2):
+            if _cube_identity_allows(a, type1, mu1, t2, mu2):
+                set2 = _value_set(t2, mu1, a)
+                for v1 in _value_set(type1, mu2, a):
+                    v2, remainder = divmod(24 * a - mu2 * v1, mu1)
+                    if not remainder and v2 in set2:
+                        surviving.add(a)
+    return frozenset(surviving) or InconsistencyError
+
+
+@pytest.mark.parametrize(
+    "mu1,mu2,type1,type2",
+    [(mu_of(t1), mu_of(t2), t1, t2) for t1 in RayType for t2 in RayType]
+    + [config for config in NINE_CONFIGURATIONS if config[3] is None],
+    ids=lambda value: getattr(value, "value", str(value)),
+)
+def test_the_derived_index_bound_cuts_no_survivor_off(mu1, mu2, type1, type2):
+    # the sweep stops at (mu2 M1 + mu1 M2) / 24; none past it survives
+    assert _candidates_or_error(mu1, mu2, type1, type2) == _reference_candidates(
+        mu1, mu2, type1, type2
+    )
 
 
 @pytest.mark.parametrize(
