@@ -3,8 +3,8 @@
 The package encodes the intersection-theoretic constraints attached to pairs
 of extremal rays on a smooth Fano threefold, solves the resulting integer
 systems exhaustively, and diffs the outcome against the embedded
-classification table.  Everything is exact integer arithmetic (the rational
-bound ``degB_upper_bound`` returns a Fraction); results are deterministic.
+classification table.  Everything is exact integer arithmetic; results are
+deterministic.
 
 ``import fanoenum`` loads no module of the package.  A submodule loads on its
 first use (``fanoenum.table_oracle``); the first use of any public name, or

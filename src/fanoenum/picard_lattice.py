@@ -196,10 +196,11 @@ class TrilinearForm(ValueObject):
         cls, rho: int, nonzero: Mapping[tuple[int, int, int], int]
     ) -> "TrilinearForm":
         """Build a form from its nonzero entries, filling the rest with 0."""
-        _check_keys(nonzero)  # first: entries would file (1, 1, True) under (1, 1, 1)
-        entries = dict.fromkeys(_MULTISET_KEYS.get(rho, ()), 0)  # cls checks rho
-        for key, value in nonzero.items():
-            entries[tuple(sorted(key))] = value
+        _check_keys(nonzero)  # first: (1, 1, True) would cover (1, 1, 1)
+        covered = {_SORTED_KEY.get(key) for key in nonzero}
+        # cls checks rho, and normalises the given keys, conflicts included
+        entries = {key: 0 for key in _MULTISET_KEYS.get(rho, ()) if key not in covered}
+        entries.update(nonzero)
         return cls(rho, entries)
 
     @classmethod

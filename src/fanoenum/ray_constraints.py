@@ -15,7 +15,8 @@ target, each affine in u: H^3, (-K).H^2, (-K)^2.H and c_2(X).H.  A divisor
 contracted to a point adds its cube.  Three readers use the table: the
 engine of :mod:`fanoenum.enumerator` compiles its sides from every fact but
 c2.H, :func:`mu_of`, :class:`RaySpec` and :func:`c2_dot_H` look values up in
-it, and the lattice-index elimination takes its c2.H value sets from it.
+it, and the lattice-index elimination takes from it its c2.H value sets and
+the H^3 and (-K).H^2 facts of its cube filter.
 
 The c2 values satisfy one global relation, the 24-balance -K.c2 = 24
 (24 = mu2 c2.H1 + mu1 c2.H2 when the two pullbacks form a basis).  The
@@ -27,14 +28,12 @@ two pullbacks always form a basis of the Picard lattice (index 1).
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Union
+from math import gcd
+from typing import Iterable, NamedTuple, Optional
 
 from .chern_calculus import FANO_TARGETS
 from .errors import ConstraintError, IncompleteSpecError, InconsistencyError
 from .picard_lattice import INTEGER, ValueObject, set_field
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 __all__ = [
     "RayType",
@@ -340,20 +339,16 @@ def balance_check(mu1: int, mu2: int, c2_h1: int, c2_h2: int) -> bool:
     return 24 == mu2 * c2_h1 + mu1 * c2_h2
 
 
-def degB_upper_bound(r1: int, mu2: int, a: int, L1_cubed: int) -> Fraction:
-    """Exact upper bound (r1 - mu2/a)^2 * L1^3 for the degree of an E1 centre.
+def degB_upper_bound(r1: int, mu2: int, a: int, L1_cubed: int) -> int:
+    """The floor of (r1 - mu2/a)^2 * L1^3, a bound on the degree of an E1 centre.
 
     Derived from the nefness of the second ray's supporting divisor evaluated
     on the blowup geometry; ``a`` is the candidate index of the sublattice
-    spanned by the two pullbacks.  Returned as an exact Fraction so callers
-    can floor it themselves.
+    spanned by the two pullbacks.  deg B is an integer, so the floor bounds it.
     """
-    # imported here: fractions pulls in decimal, and no CLI command needs it
-    from fractions import Fraction
-
     if a == 0:
         raise ZeroDivisionError("the lattice index a must be nonzero")
-    return (r1 - Fraction(mu2, a)) ** 2 * L1_cubed
+    return (r1 * a - mu2) ** 2 * L1_cubed // (a * a)
 
 
 def _value_set(ray_type: RayType, mu_other: int, a: int) -> frozenset[int]:
@@ -373,8 +368,7 @@ def _value_set(ray_type: RayType, mu_other: int, a: int) -> frozenset[int]:
             high = facts.low
         elif ray_type is RayType.E1:
             fields = dict(fixed)
-            bound = degB_upper_bound(fields["r"], mu_other, a, fields["L3"])
-            high = int(bound)  # floor for positive fractions
+            high = degB_upper_bound(fields["r"], mu_other, a, fields["L3"])
         elif high is None:
             high = (k0 - 4) // -k1  # k0 + k1 u >= 4 in quarters, k1 < 0
         values.update((c0 + c1 * u) // 4 for u in range(facts.low, high + 1))
@@ -387,42 +381,40 @@ def _primitivity_allows(a: int, mu1: int, mu2: int) -> bool:
     With -aK = mu2 H1 + mu1 H2, a prime p dividing a and exactly one of the
     two coefficients would make the opposite basis class divisible by p in
     Pic, contradicting primitivity of the pullback of an ample generator.
+    The ray lengths 1 to 3 are squarefree, so no such p exists exactly when
+    gcd(a, mu1) = gcd(a, mu2).
     """
-    for p in (2, 3):
-        if a % p == 0:
-            if mu2 % p == 0 and mu1 % p != 0:
-                return False
-            if mu1 % p == 0 and mu2 % p != 0:
-                return False
-    return True
+    return gcd(a, mu1) == gcd(a, mu2)
+
+
+# (-K).H^2 in quarters of each type whose H^3 is identically 0 (C: 8, D: 0)
+_ZERO_CUBE_ANTICAN = {
+    t: facts.sides[0][1][1][0] for t, facts in TYPE_FACTS.items()
+    if all(cube == (0, 0) for _, (cube, *_) in facts.sides)
+}
 
 
 def _cube_identity_allows(a: int, type1: RayType, mu1: int, type2: RayType, mu2: int) -> bool:
     """Parity filter from cubing -aK when both pullbacks have zero cube.
 
-    For fibration rays (C or D types) H^3 = 0; a C-type H additionally
-    satisfies H^2 = (2/mu) * (fibre line), so cubing -aK = mu2 H1 + mu1 H2
-    evaluates exactly:  a^2 (-K)^3 = 6(mu1^2 + mu2^2) for C+C pairs and
-    6 mu_D^2 for C+D pairs.  Since (-K)^3 is a positive even integer, a is
-    constrained; this is what rules out a = 2 for a C1 + D3 pair.
+    With H1^3 = 0, a (-K).H1^2 = H1^2 . (mu2 H1 + mu1 H2) = mu1 H1^2.H2, and
+    likewise for H2, so cubing -aK = mu2 H1 + mu1 H2 gives
+    a^2 (-K)^3 = 3 (mu2^2 A1 + mu1^2 A2) for the constant (-K).H^2 = A of
+    each type in :data:`TYPE_FACTS`.  (-K)^3 is a positive even integer, so
+    a is constrained: this rules out a = 2 for a C1 + D3 pair, and every a
+    for two del Pezzo fibrations, whose A is 0.
     """
-    if type1 in C_TYPES and type2 in C_TYPES:
-        numerator = 6 * (mu1 * mu1 + mu2 * mu2)
-    elif type1 in C_TYPES and type2 in D_TYPES:
-        numerator = 6 * mu2 * mu2
-    elif type1 in D_TYPES and type2 in C_TYPES:
-        numerator = 6 * mu1 * mu1
-    else:
+    A1 = _ZERO_CUBE_ANTICAN.get(type1)
+    A2 = _ZERO_CUBE_ANTICAN.get(type2)
+    if A1 is None or A2 is None:
         return True
-    if numerator % (a * a) != 0:
-        return False
-    return (numerator // (a * a)) % 2 == 0
+    quarters = 3 * (mu2 * mu2 * A1 + mu1 * mu1 * A2)  # 4 a^2 (-K)^3, A in quarters
+    return quarters > 0 and quarters % (8 * a * a) == 0
 
 
-TypeFilter = Union[RayType, Iterable[RayType], None]
-
-
-def _resolve_second_types(type1: RayType, mu2: int, type2: TypeFilter) -> tuple[RayType, ...]:
+def _resolve_second_types(
+    type1: RayType, mu2: int, type2: RayType | Iterable[RayType] | None
+) -> tuple[RayType, ...]:
     if type2 is None:
         candidates = tuple(t for t in RayType if mu_of(t) == mu2)
         if type1 in C_TYPES:
@@ -445,7 +437,7 @@ def _resolve_second_types(type1: RayType, mu2: int, type2: TypeFilter) -> tuple[
 
 
 def lattice_index_candidates(
-    mu1: int, mu2: int, type1: RayType, type2: TypeFilter = None
+    mu1: int, mu2: int, type1: RayType, type2: RayType | Iterable[RayType] | None = None
 ) -> frozenset[int]:
     """Surviving indices a of Z H1 + Z H2 inside Pic(X); must come out {1}.
 
@@ -474,17 +466,15 @@ def lattice_index_candidates(
     for a in range(1, bound + 1):
         if not _primitivity_allows(a, mu1, mu2):
             continue
-        feasible = False
-        for t2 in second_types:
-            if not _cube_identity_allows(a, type1, mu1, t2, mu2):
-                continue
-            set1 = _value_set(type1, mu2, a)
-            set2 = _value_set(t2, mu1, a)
-            if any((24 * a - mu2 * v1) % mu1 == 0 and (24 * a - mu2 * v1) // mu1 in set2
-                   for v1 in set1):
-                feasible = True
-                break
-        if feasible:
+        # the c2 . H2 values that 24a = mu2 (c2 . H1) + mu1 (c2 . H2) asks for
+        wanted = {
+            (24 * a - mu2 * v1) // mu1
+            for v1 in _value_set(type1, mu2, a)
+            if (24 * a - mu2 * v1) % mu1 == 0
+        }
+        if any(_cube_identity_allows(a, type1, mu1, t2, mu2)
+               and not wanted.isdisjoint(_value_set(t2, mu1, a))
+               for t2 in second_types):
             surviving.add(a)
     if not surviving:
         raise InconsistencyError(

@@ -231,10 +231,17 @@ def _row_key(rho: int, kx3: int, ray_types: tuple, invariants: Mapping) -> tuple
 def _parse_truth(payload: bytes) -> tuple[tuple[TableRow, ...], Mapping[tuple, str]]:
     """parse_rows of the last payload seen and its row ids by _row_key.
 
-    Keying on content rather than on the path means a rewritten truth file is
-    always seen; one entry means the cache cannot grow.
+    A table id names one row: a repeated one raises ConstraintError.  Keying
+    on content rather than on the path means a rewritten truth file is always
+    seen; one entry means the cache cannot grow.
     """
     rows = parse_rows(payload)
+    first_rows: dict[str, int] = {}
+    for index, row in enumerate(rows):
+        if (first := first_rows.setdefault(row.table_id, index)) != index:
+            raise ConstraintError(
+                f"ground truth rows {first} and {index} share the table_id {row.table_id!r}"
+            )
     ids = {
         _row_key(row.rho, row.kx3, row.ray_types, row.invariants): row.table_id
         for row in rows

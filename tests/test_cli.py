@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fanoenum import table_oracle
 from fanoenum.cli import _CHERN_FORMULAS, run
 from fanoenum.table_oracle import emit, ground_truth
 
@@ -216,6 +217,22 @@ def test_cli_start_imports_no_heavy_stdlib_module():
     assert sorted(added & heavy) == []
 
 
+def test_the_package_and_its_certificate_load_neither_fractions_nor_decimal():
+    # every module of the package, the nine basis configurations of the
+    # lattice-index certificate and the rank-2 engine run in integers
+    statement = (
+        "import fanoenum.cli\n"
+        "from fanoenum import *\n"
+        "T = RayType\n"
+        "for config in [(1, 1, T.C1, None), (1, 2, T.C1, None), (1, 3, T.C1, T.D3),\n"
+        "               (2, 1, T.C2, None), (2, 2, T.C2, None), (2, 3, T.C2, T.D3),\n"
+        "               (1, 1, T.E1, None), (1, 2, T.E1, None), (1, 3, T.E1, T.D3)]:\n"
+        "    assert lattice_index_candidates(*config) == {1}, config\n"
+        "assert len(enumerate_all(2)) == 36"
+    )
+    assert sorted(_modules_loaded_by(statement) & {"fractions", "decimal"}) == []
+
+
 def _package_modules(modules):
     return sorted(name for name in modules if name.startswith("fanoenum."))
 
@@ -390,6 +407,23 @@ def test_bad_truth_row_is_named(tmp_path, monkeypatch, capsys):
     assert run(["emit"]) == 1
     assert capsys.readouterr().err == (
         "error: ground truth row 3 lacks the field 'table_id'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["enumerate", "--rho", "2"], ["emit", "--source", "computed"]],
+    ids=" ".join,
+)
+def test_a_repeated_table_id_is_one_error_line(tmp_path, monkeypatch, capsys, argv):
+    rows = json.loads(table_oracle._PACKAGED_TRUTH.read_bytes())
+    assert rows[0]["table_id"] == "2-1"
+    path = tmp_path / "truth.json"
+    path.write_text(json.dumps(rows + [rows[0]]))
+    monkeypatch.setenv("FANO_GROUND_TRUTH", str(path))
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: ground truth rows 0 and {len(rows)} share the table_id '2-1'\n"
     )
 
 

@@ -125,6 +125,13 @@ def test_conflicting_entries_are_an_error():
         TrilinearForm(2, {(1, 1, 1): 0, (1, 1, 2): 4, (2, 1, 1): 5, (1, 2, 2): 0, (2, 2, 2): 0})
 
 
+def test_from_nonzero_rejects_conflicting_entries_as_the_constructor_does():
+    with pytest.raises(ConstraintError, match=r"conflicting values for basis triple \(1, 1, 2\)"):
+        TrilinearForm.from_nonzero(2, {(1, 1, 2): 1, (1, 2, 1): 2})
+    agreeing = TrilinearForm.from_nonzero(2, {(1, 1, 2): 1, (1, 2, 1): 1})
+    assert agreeing == TrilinearForm.rank2(0, 1, 0, 0)
+
+
 def test_unsorted_keys_are_normalized():
     form = TrilinearForm(
         2, {(1, 1, 1): 0, (2, 1, 1): 4, (2, 2, 1): 5, (2, 2, 2): 0}

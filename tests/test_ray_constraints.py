@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanoenum.chern_calculus import l3_range
+from fanoenum.chern_calculus import FANO_TARGETS, l3_range
+from fanoenum.enumerator import _RANK2_PAIRINGS
 from fanoenum.errors import (
     ConstraintError,
     IncompleteSpecError,
@@ -207,10 +208,18 @@ def test_l3_range():
 
 def test_degB_upper_bound_exact_rationals():
     assert degB_upper_bound(1, 1, 1, 4) == 0
-    assert degB_upper_bound(4, 2, 3, 1) == Fraction(100, 9)
+    assert degB_upper_bound(4, 2, 3, 1) == 11  # the floor of 100/9
     assert degB_upper_bound(2, 1, 1, 5) == 5
     with pytest.raises(ZeroDivisionError):
         degB_upper_bound(4, 1, 0, 1)
+    # the floor of the exact bound (r - mu/a)^2 L^3 at every target and index
+    for r, cubes in FANO_TARGETS.items():
+        for L3 in cubes:
+            for mu in (1, 2, 3):
+                for a in range(1, 13):
+                    bound = degB_upper_bound(r, mu, a, L3)
+                    assert type(bound) is int
+                    assert bound <= (r - Fraction(mu, a)) ** 2 * L3 < bound + 1
 
 
 # The nine configurations of the basis elimination: six with a C-type first
@@ -249,6 +258,47 @@ def test_lattice_index_impossible_pairing():
     # a C2 + D2 pair satisfies the balance for no index at all
     with pytest.raises(InconsistencyError):
         lattice_index_candidates(2, 2, RayType.C2, RayType.D2)
+
+
+def _pairing(spelling):
+    return tuple(RayType(tag) for tag in spelling.split("+"))
+
+
+# The verdict of the certificate on each of the 45 unordered pairings of two
+# types, in either order, where it is not {1}.  Two del Pezzo fibrations
+# fail the cube identity at every index, as a^2 (-K)^3 = 0 for them.
+IMPOSSIBLE_PAIRINGS = [_pairing(p) for p in (
+    "C2+D2", "C2+E34", "D1+D1", "D1+D2", "D1+D3", "D1+E34", "D2+D2", "D2+D3",
+    "D2+E34", "D2+E5", "D3+D3", "D3+E34", "E34+E5",
+)]
+LARGER_INDICES = {
+    _pairing("D3+E5"): {2},
+    _pairing("E2+E2"): {1, 2, 3, 4},
+    _pairing("E2+E34"): {1, 3},
+    _pairing("E34+E34"): {1, 2},
+    _pairing("E5+E5"): {1, 2},
+}
+# Index 1, yet outside the pairings the engine solves.
+EXCLUDED_AT_INDEX_ONE = [_pairing(p) for p in ("D1+E2", "D1+E5", "D2+E2", "D3+E2", "E2+E5")]
+
+
+def test_the_certificate_on_every_pairing_of_two_types():
+    pairings = [(t1, t2) for i, t1 in enumerate(RayType) for t2 in list(RayType)[i:]]
+    assert len(pairings) == 45
+    expected = {pair: {1} for pair in pairings}
+    expected.update(dict.fromkeys(IMPOSSIBLE_PAIRINGS, InconsistencyError))
+    expected.update(LARGER_INDICES)
+    # the engine's pairings, but for two the certificate rules out, and five more
+    solved = set(_RANK2_PAIRINGS) - set(IMPOSSIBLE_PAIRINGS)
+    assert len(solved) == 22
+    assert {pair for pair, verdict in expected.items() if verdict == {1}} == (
+        solved | set(EXCLUDED_AT_INDEX_ONE)
+    )
+    for (t1, t2), verdict in expected.items():
+        for first, second in ((t1, t2), (t2, t1)):
+            assert _candidates_or_error(mu_of(first), mu_of(second), first, second) == (
+                verdict if verdict is InconsistencyError else frozenset(verdict)
+            ), (first.value, second.value)
 
 
 def test_lattice_index_validates_lengths():

@@ -486,6 +486,11 @@ JSON_VALUES = st.recursive(
 
 PACKAGED_TRUTH = table_oracle._PACKAGED_TRUTH.read_text()
 
+
+def test_the_packaged_truth_is_in_the_layout_emit_writes():
+    data = table_oracle._PACKAGED_TRUTH.read_bytes()
+    assert emit(parse_rows(data), "json") == data
+
 # A one-ray row whose degB list holds an object, which would make its table
 # key unhashable.
 ROW_WITH_A_DICT_DEGREE = dict(
