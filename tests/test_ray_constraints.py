@@ -350,7 +350,7 @@ def test_the_derived_index_bound_cuts_no_survivor_off(mu1, mu2, type1, type2):
     "c_type,d_type", [(c, d) for c in C_TYPES for d in D_TYPES], ids=lambda t: t.value
 )
 def test_lattice_index_is_symmetric_in_a_conic_and_a_del_pezzo_ray(c_type, d_type):
-    # the D-first call runs the cube identity's own branch for a D ray first
+    # the D-first call reads the cube identity's two facts in the other order
     mu_c, mu_d = mu_of(c_type), mu_of(d_type)
     assert _candidates_or_error(mu_d, mu_c, d_type, c_type) == _candidates_or_error(
         mu_c, mu_d, c_type, d_type
