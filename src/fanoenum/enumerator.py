@@ -18,9 +18,11 @@ that shares no row with it.  Each solution becomes a
 :class:`SolutionRecord` of the rays, the full intersection
 form, the anticanonical class and its cube; the record derives the rank,
 genus, descriptions and characteristic note from these.  The ``solve_*``
-entry points select pairings for the engine.  No solver reads the
-classification table: :mod:`fanoenum.table_oracle` labels records with its
-row ids when they are projected onto rows.
+entry points select among the 24 of the 45 pairings with a conic bundle or
+an E1 ray: ``tests/test_index_oracle.py`` solves all 45 at every lattice
+index without the engine, and finds no solution outside them.  No
+solver reads the classification table: :mod:`fanoenum.table_oracle` labels
+records with its row ids when they are projected onto rows.
 """
 
 from __future__ import annotations
@@ -453,6 +455,8 @@ def _solve(pairings) -> tuple[SolutionRecord, ...]:
 
 # ------------------------------------------------------- rank-2 selections --
 
+# The pairings with a conic bundle or an E1 ray: tests/test_index_oracle.py
+# finds no solution in the other 21, nor in six of these, at any index.
 _C_C = ((RayType.C1, RayType.C1), (RayType.C1, RayType.C2), (RayType.C2, RayType.C2))
 _C_D = tuple((c, d) for c in C_TYPES for d in D_TYPES)
 _C_E = tuple((c, e) for e in POINT_TYPES for c in C_TYPES)

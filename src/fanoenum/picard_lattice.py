@@ -209,11 +209,11 @@ class TrilinearForm(ValueObject):
 
         The keys are the canonical ones, so only the values are checked.
         """
-        values = (h111, h112, h122, h222)
-        _check_values(values)
+        entries = {(1, 1, 1): h111, (1, 1, 2): h112, (1, 2, 2): h122, (2, 2, 2): h222}
+        _check_values(entries.values())
         form = object.__new__(cls)
         set_field(form, "rho", 2)
-        set_field(form, "entries", dict(zip(_MULTISET_KEYS[2], values)))
+        set_field(form, "entries", entries)
         return form
 
     def __hash__(self) -> int:

@@ -22,7 +22,9 @@ The c2 values satisfy one global relation, the 24-balance -K.c2 = 24
 (24 = mu2 c2.H1 + mu1 c2.H2 when the two pullbacks form a basis).  The
 engine does not use it, so :func:`balance_check` is a check on its records
 that shares no equation with it; the elimination uses it to show that the
-two pullbacks always form a basis of the Picard lattice (index 1).
+two pullbacks form a basis of the Picard lattice (index 1) on every pairing
+that gives a family.  ``tests/test_index_oracle.py`` proves the rest: above
+index 1 the balance fails on every solution of every pairing.
 """
 
 from __future__ import annotations
@@ -231,7 +233,7 @@ class RaySpec(_RayFields):
                 genus=None, delta_bidegree=None) -> "RaySpec":
         numbers = (r, L3, degB, deg_delta, d2, e, genus)
         if delta_bidegree is not None:
-            if isinstance(delta_bidegree, Iterable):
+            if type(delta_bidegree) is list:
                 delta_bidegree = tuple(delta_bidegree)
             if (type(delta_bidegree) is not tuple or len(delta_bidegree) != 2
                     or not INTEGER.issuperset(map(type, delta_bidegree))):
@@ -346,8 +348,6 @@ def degB_upper_bound(r1: int, mu2: int, a: int, L1_cubed: int) -> int:
     on the blowup geometry; ``a`` is the candidate index of the sublattice
     spanned by the two pullbacks.  deg B is an integer, so the floor bounds it.
     """
-    if a == 0:
-        raise ZeroDivisionError("the lattice index a must be nonzero")
     return (r1 * a - mu2) ** 2 * L1_cubed // (a * a)
 
 
@@ -416,16 +416,8 @@ def _resolve_second_types(
     type1: RayType, mu2: int, type2: RayType | Iterable[RayType] | None
 ) -> tuple[RayType, ...]:
     if type2 is None:
-        candidates = tuple(t for t in RayType if mu_of(t) == mu2)
-        if type1 in C_TYPES:
-            # The basis argument treats C-first configurations under the
-            # primitivity assumption, which excludes E1 rays outright.
-            candidates = tuple(t for t in candidates if t is not RayType.E1)
-        return candidates
-    if isinstance(type2, RayType):
-        candidates = (type2,)
-    else:
-        candidates = tuple(type2)
+        return tuple(t for t in RayType if mu_of(t) == mu2)
+    candidates = (type2,) if isinstance(type2, RayType) else tuple(type2)
     for t in candidates:
         if mu_of(t) != mu2:
             raise ConstraintError(
@@ -439,7 +431,7 @@ def _resolve_second_types(
 def lattice_index_candidates(
     mu1: int, mu2: int, type1: RayType, type2: RayType | Iterable[RayType] | None = None
 ) -> frozenset[int]:
-    """Surviving indices a of Z H1 + Z H2 inside Pic(X); must come out {1}.
+    """Surviving indices a of Z H1 + Z H2 inside Pic(X).
 
     For each candidate a >= 1 the relation 24a = mu2 (c2 . H1) + mu1 (c2 . H2)
     is tested for solvability with c2-values in the per-type admissible sets
@@ -448,7 +440,9 @@ def lattice_index_candidates(
     is at most (mu2 M1 + mu1 M2) / 24 for M the largest c2-value of a type
     at any index.  ``type2`` may be a single type, a collection of types
     (the admissible alternatives of one elimination step), or None for every
-    type of length mu2 admissible in context.
+    type of length mu2.  It is {1} on every pairing that gives a family.  An
+    index above 1 survives on D3+E5, E2+E2, E2+E34, E34+E34 and E5+E5, which
+    ``tests/test_index_oracle.py`` shows have no solution at any index.
 
     An empty result raises InconsistencyError: either the pairing can occur on
     no variety at all, or the constraint encoding is broken.

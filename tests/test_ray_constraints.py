@@ -103,8 +103,13 @@ def test_rayspec_rejects_what_the_type_facts_rule_out(ray_type, fields, message)
         ({"delta_bidegree": (2.6, "5")}, "delta_bidegree must be two integers"),
         ({"delta_bidegree": (2, False)}, "delta_bidegree must be two integers"),
         ({"delta_bidegree": (2, 5, 1)}, "delta_bidegree must be two integers"),
+        ({"delta_bidegree": {2: 0, 5: 0}}, "delta_bidegree must be two integers"),
+        ({"delta_bidegree": {2, 5}}, "delta_bidegree must be two integers"),
+        ({"delta_bidegree": iter((2, 5))}, "delta_bidegree must be two integers"),
+        ({"delta_bidegree": range(2, 4)}, "delta_bidegree must be two integers"),
     ],
-    ids=["float", "bool", "str", "bidegree-float-str", "bidegree-bool", "bidegree-triple"],
+    ids=["float", "bool", "str", "bidegree-float-str", "bidegree-bool", "bidegree-triple",
+         "bidegree-dict", "bidegree-set", "bidegree-iterator", "bidegree-range"],
 )
 def test_rayspec_takes_only_int_fields(fields, message):
     with pytest.raises(ConstraintError, match=message):
@@ -241,6 +246,14 @@ NINE_CONFIGURATIONS = [
 @pytest.mark.parametrize("mu1,mu2,t1,t2", NINE_CONFIGURATIONS)
 def test_lattice_index_is_always_one(mu1, mu2, t1, t2):
     assert lattice_index_candidates(mu1, mu2, t1, t2) == frozenset({1})
+
+
+@pytest.mark.parametrize("conic", C_TYPES, ids=lambda t: t.value)
+def test_a_conic_bundle_first_call_admits_an_e1_second_ray(conic):
+    # type2=None means every type of the second length; the certificate
+    # still proves index 1 with E1 among the candidates
+    assert RayType.E1 in _resolve_second_types(conic, 1, None)
+    assert lattice_index_candidates(mu_of(conic), 1, conic) == frozenset({1})
 
 
 def test_lattice_index_explicit_alternatives():
