@@ -48,7 +48,6 @@ from .picard_lattice import (
     TrilinearForm,
     ValueObject,
     anticanonical_class,
-    set_field,
     triple_product,
 )
 from .ray_constraints import (
@@ -273,26 +272,6 @@ class _Side(ValueObject):
     """
 
     __slots__ = ("ray_type", "mu", "template", "slot", "low", "high", "terms", "contracted")
-
-    def __init__(
-        self,
-        ray_type: RayType,
-        mu: int,
-        template: tuple,
-        slot: int,
-        low: int,
-        high: Optional[int],
-        terms: dict[int, tuple[tuple[int, int], ...]],
-        contracted: Optional[tuple[int, int]],
-    ) -> None:
-        set_field(self, "ray_type", ray_type)
-        set_field(self, "mu", mu)
-        set_field(self, "template", template)
-        set_field(self, "slot", slot)
-        set_field(self, "low", low)
-        set_field(self, "high", high)
-        set_field(self, "terms", terms)
-        set_field(self, "contracted", contracted)
 
 
 def _compile(ray_type: RayType) -> tuple[_Side, ...]:

@@ -31,11 +31,12 @@ __all__ = [
 INTEGER = frozenset({int})
 
 # How a ValueObject constructor sets its fields: one call per field through
-# this module-level name measured faster than a frozen dataclass, a loop over
-# the fields, or a fresh lookup of object.__setattr__ (not specialised for a
-# type in Python 3.11).  It still costs ~0.2 us a field, so the records the
-# engine builds per solution, RaySpec and SolutionRecord, are checked named
-# tuples instead.
+# this module-level name measured faster than a frozen dataclass or a fresh
+# lookup of object.__setattr__ (not specialised for a type in Python 3.11).
+# It still costs ~0.2 us a field, so the records the engine builds per
+# solution, RaySpec and SolutionRecord, are checked named tuples instead.
+# The default constructor's loop over the fields serves only the tables
+# built once at import.
 set_field = object.__setattr__
 
 
@@ -47,18 +48,27 @@ class ValueObject:
     enumerator._Side, built once at import, because a named-tuple class
     costs more to import and its field reads are slower than slot reads.
     Each subclass lists its fields in ``__slots__``, in the order of its
-    constructor's parameters, and its constructor sets each one with
+    constructor's parameters.  The default constructor takes one value per
+    field, in that order, and checks none; DivisorClass and TrilinearForm
+    write their own, which check theirs and set each field with
     ``set_field``.  Equality, hash, repr, pickling and ``_replace`` follow
     the fields; ``_replace`` goes through the constructor, so its checks hold.
     """
 
     __slots__ = ()
 
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            set_field(self, name, value)
+
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
     def _replace(self, **changes):
-        return type(self)(**dict(zip(self.__slots__, self._values()), **changes))
+        values = tuple(changes.pop(name, getattr(self, name)) for name in self.__slots__)
+        if changes:
+            raise TypeError(f"{type(self).__name__} has no field {', '.join(map(repr, changes))}")
+        return type(self)(*values)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -93,7 +103,10 @@ class DivisorClass(ValueObject):
     __slots__ = ("coords",)
 
     def __init__(self, coords: tuple[int, ...]) -> None:
-        coords = tuple(coords)
+        if type(coords) is list:
+            coords = tuple(coords)
+        elif type(coords) is not tuple:  # a dict or set would give its keys, in its order
+            raise ConstraintError(f"coordinates must be a tuple of integers, got {coords!r}")
         if len(coords) not in (2, 3):
             raise DimensionMismatchError(
                 f"divisor classes must have rank 2 or 3, got {len(coords)} coordinates"
@@ -158,8 +171,8 @@ class TrilinearForm(ValueObject):
     i <= j <= k <= rho, to the integer H_i . H_j . H_k.  Every multiset must be
     present -- a missing entry is an error, not an implicit zero -- so that a
     form is unambiguous data.  ``entries`` holds them in the order of the
-    sorted triples, so equal forms list equal entries in the same order.  Use :meth:`from_nonzero` when writing down sparse
-    forms by hand.
+    sorted triples, so equal forms list equal entries in the same order.
+    Use :meth:`from_nonzero` when writing down sparse forms by hand.
     """
 
     __slots__ = ("rho", "entries")
@@ -244,10 +257,10 @@ def triple_product(
 ) -> int:
     """Evaluate x . y . z under ``form`` by full multilinear expansion.
 
-    The sum runs over all ordered index triples; symmetry of the stored form
-    makes the result independent of argument order.  On rank 2 the eight
-    triples are written out over the four entries, which the form holds in
-    canonical key order; every record's cube is checked this way.
+    The sum runs over all 27 ordered index triples on rank 3; symmetry of the
+    stored form makes the result independent of argument order.  On rank 2
+    the eight triples are written out over the four entries, which the form
+    holds in canonical key order; every record's cube is checked this way.
     """
     xc, yc, zc = x.coords, y.coords, z.coords
     rho = form.rho
@@ -267,22 +280,10 @@ def triple_product(
             + (x1 * y2 * z2 + x2 * y1 * z2 + x2 * y2 * z1) * h122
             + x2 * y2 * z2 * h222
         )
-    indices = range(1, 4)
-    total = 0
-    for i in indices:
-        xi = xc[i - 1]
-        if xi == 0:
-            continue
-        for j in indices:
-            yj = yc[j - 1]
-            if yj == 0:
-                continue
-            for k in indices:
-                zk = zc[k - 1]
-                if zk == 0:
-                    continue
-                total += xi * yj * zk * entries[_SORTED_KEY[i, j, k]]
-    return total
+    return sum(
+        xc[i - 1] * yc[j - 1] * zc[k - 1] * entries[key]
+        for (i, j, k), key in _SORTED_KEY.items()
+    )
 
 
 def anticanonical_class(mu1: int, mu2: int) -> DivisorClass:

@@ -35,7 +35,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .chern_calculus import FANO_TARGETS
 from .errors import ConstraintError, IncompleteSpecError, InconsistencyError
-from .picard_lattice import INTEGER, ValueObject, set_field
+from .picard_lattice import INTEGER, ValueObject
 
 __all__ = [
     "RayType",
@@ -107,15 +107,6 @@ class TypeFacts(ValueObject):
 
     __slots__ = ("mu", "family", "unknown", "low", "high", "sides", "contracted")
 
-    def __init__(self, mu, family, unknown, low, high, sides, contracted=None) -> None:
-        set_field(self, "mu", mu)
-        set_field(self, "family", family)
-        set_field(self, "unknown", unknown)
-        set_field(self, "low", low)
-        set_field(self, "high", high)
-        set_field(self, "sides", sides)
-        set_field(self, "contracted", contracted)
-
     def admits(self, u: int) -> bool:
         return self.low <= u and (self.high is None or u <= self.high)
 
@@ -155,11 +146,11 @@ def _point_type(mu: int, indices: tuple[int, ...], c2_numerator: int, q: int, w:
 
 
 TYPE_FACTS = {
-    RayType.C1: TypeFacts(1, "C", "deg_delta", 1, None, _CONIC),
-    RayType.C2: TypeFacts(2, "C", "deg_delta", 0, 0, _CONIC),
-    RayType.D1: TypeFacts(1, "D", "d2", 1, 7, _DEL_PEZZO),
-    RayType.D2: TypeFacts(2, "D", "d2", 8, 8, _DEL_PEZZO),
-    RayType.D3: TypeFacts(3, "D", "d2", 9, 9, _DEL_PEZZO),
+    RayType.C1: TypeFacts(1, "C", "deg_delta", 1, None, _CONIC, None),
+    RayType.C2: TypeFacts(2, "C", "deg_delta", 0, 0, _CONIC, None),
+    RayType.D1: TypeFacts(1, "D", "d2", 1, 7, _DEL_PEZZO, None),
+    RayType.D2: TypeFacts(2, "D", "d2", 8, 8, _DEL_PEZZO, None),
+    RayType.D3: TypeFacts(3, "D", "d2", 9, 9, _DEL_PEZZO, None),
     # E1: H^3 = L^3, (-K).H^2 = r L^3, (-K)^2.H = r^2 L^3 - deg B,
     # c2.H = 24/r + deg B, for a target (r, L^3) in FANO_TARGETS.
     RayType.E1: TypeFacts(1, "E", "degB", 1, None, tuple(
@@ -167,7 +158,7 @@ TYPE_FACTS = {
          _quarters((L3, 0), (r * L3, 0), (r * r * L3, -1), (24 // r, 1)))
         for r, cubes in FANO_TARGETS.items()
         for L3 in cubes
-    )),
+    ), None),
     RayType.E2: _point_type(2, _INDICES_DIVIDING_24, 24, 1, 8),  # 2 D = r H - (-K), D^3 = 1
     RayType.E34: _point_type(1, _INDICES_DIVIDING_24, 24, 1, 2),  # D = r H - (-K), D^3 = 2
     RayType.E5: _point_type(1, (1, 3, 5, 9, 15, 45), 45, 2, 4),  # D = r H - 2 (-K), D^3 = 4
@@ -188,6 +179,8 @@ _INT_OR_NONE = INTEGER | {type(None)}  # an optional integer field's types
 
 def mu_of(ray_type: RayType) -> int:
     """The length of an extremal ray of the given type."""
+    if not isinstance(ray_type, RayType):
+        raise ConstraintError(f"{ray_type!r} is not an extremal-ray type")
     return TYPE_FACTS[ray_type].mu
 
 
@@ -259,6 +252,17 @@ class RaySpec(_RayFields):
             raise ConstraintError(
                 f"a {ray_type.value} conic bundle has no deg_delta={deg_delta}"
             )
+        if delta_bidegree is not None:  # over P^1 x P^1, deg Delta is a + b
+            if deg_delta is not None:
+                raise ConstraintError(
+                    f"a conic bundle has deg_delta or delta_bidegree, not both, got "
+                    f"deg_delta={deg_delta}, delta_bidegree={delta_bidegree}"
+                )
+            a, b = delta_bidegree
+            if min(a, b) < 0 or not TYPE_FACTS[ray_type].admits(a + b):
+                raise ConstraintError(
+                    f"a {ray_type.value} conic bundle has no delta_bidegree={delta_bidegree}"
+                )
         if d2 is not None and not TYPE_FACTS[ray_type].admits(d2):
             raise ConstraintError(f"a {ray_type.value} del Pezzo fibration has no d2={d2}")
         if r is not None:
@@ -412,24 +416,8 @@ def _cube_identity_allows(a: int, type1: RayType, mu1: int, type2: RayType, mu2:
     return quarters > 0 and quarters % (8 * a * a) == 0
 
 
-def _resolve_second_types(
-    type1: RayType, mu2: int, type2: RayType | Iterable[RayType] | None
-) -> tuple[RayType, ...]:
-    if type2 is None:
-        return tuple(t for t in RayType if mu_of(t) == mu2)
-    candidates = (type2,) if isinstance(type2, RayType) else tuple(type2)
-    for t in candidates:
-        if mu_of(t) != mu2:
-            raise ConstraintError(
-                f"ray type {t.value} has length {mu_of(t)}, not mu2={mu2}"
-            )
-    if not candidates:
-        raise ConstraintError("empty set of admissible second-ray types")
-    return candidates
-
-
 def lattice_index_candidates(
-    mu1: int, mu2: int, type1: RayType, type2: RayType | Iterable[RayType] | None = None
+    mu1: int, mu2: int, type1: RayType, type2: Optional[RayType] = None
 ) -> frozenset[int]:
     """Surviving indices a of Z H1 + Z H2 inside Pic(X).
 
@@ -438,11 +426,11 @@ def lattice_index_candidates(
     (the E1 set shrinking with a through the centre-degree bound), after the
     primitivity and cube-parity filters.  The relation bounds the sweep: a
     is at most (mu2 M1 + mu1 M2) / 24 for M the largest c2-value of a type
-    at any index.  ``type2`` may be a single type, a collection of types
-    (the admissible alternatives of one elimination step), or None for every
-    type of length mu2.  It is {1} on every pairing that gives a family.  An
-    index above 1 survives on D3+E5, E2+E2, E2+E34, E34+E34 and E5+E5, which
-    ``tests/test_index_oracle.py`` shows have no solution at any index.
+    at any index.  ``type2`` is one type, or None for every type of length
+    mu2, whose verdict is the union of theirs.  It is {1} on every pairing
+    that gives a family.  An index above 1 survives on D3+E5, E2+E2,
+    E2+E34, E34+E34 and E5+E5, which ``tests/test_index_oracle.py`` shows
+    have no solution at any index.
 
     An empty result raises InconsistencyError: either the pairing can occur on
     no variety at all, or the constraint encoding is broken.
@@ -451,7 +439,14 @@ def lattice_index_candidates(
         raise ConstraintError(
             f"ray type {type1.value} has length {mu_of(type1)}, not mu1={mu1}"
         )
-    second_types = _resolve_second_types(type1, mu2, type2)
+    if type2 is None:
+        second_types = tuple(t for t in RayType if TYPE_FACTS[t].mu == mu2)
+    elif mu_of(type2) != mu2:
+        raise ConstraintError(
+            f"ray type {type2.value} has length {mu_of(type2)}, not mu2={mu2}"
+        )
+    else:
+        second_types = (type2,)
     # The E1 cap (r - mu/a)^2 L^3 on deg B grows as mu/a falls to 0, as
     # 0 < mu/a <= 3 < 2r, so the value sets at mu = 0 hold those at every a.
     largest = max(max(_value_set(t2, 0, 1)) for t2 in second_types)

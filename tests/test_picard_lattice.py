@@ -1,5 +1,6 @@
 """Known values and algebraic properties of the lattice arithmetic."""
 
+import itertools
 import pickle
 
 import pytest
@@ -154,6 +155,11 @@ def test_divisor_class_takes_only_ints():
             DivisorClass(coords)
     with pytest.raises(ConstraintError, match="coordinates must be integers"):
         2.5 * DivisorClass((1, 2))
+    # a list is read in order; a dict would give its keys, a set its own order
+    assert DivisorClass([3, 1]).coords == (3, 1)
+    for coords in [{1: 0, 2: 0}, {3, 1, 2}, iter((1, 2))]:
+        with pytest.raises(ConstraintError, match="coordinates must be a tuple of integers"):
+            DivisorClass(coords)
 
 
 @pytest.mark.parametrize(
@@ -239,13 +245,17 @@ entries2 = st.fixed_dictionaries(
     }
 )
 coords2 = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+entries3 = st.fixed_dictionaries(
+    {key: st.integers(-20, 20) for key in itertools.combinations_with_replacement((1, 2, 3), 3)}
+)
+coords3 = st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9))
 
 
 def _reference_triple_product(form, x, y, z):
     """x . y . z by the multilinear loop over every ordered index triple.
 
     This was triple_product's own evaluation; it is kept as the oracle of
-    the closed-form rank-2 path.
+    the closed-form rank-2 path and of the rank-3 sum.
     """
     indices = range(1, form.rho + 1)
     total = 0
@@ -269,6 +279,14 @@ def _reference_triple_product(form, x, y, z):
 @given(entries2, coords2, coords2, coords2)
 def test_triple_product_agrees_with_the_multilinear_sum(entries, xc, yc, zc):
     form = TrilinearForm(2, entries)
+    x, y, z = DivisorClass(xc), DivisorClass(yc), DivisorClass(zc)
+    assert triple_product(form, x, y, z) == _reference_triple_product(form, x, y, z)
+
+
+@settings(max_examples=300)
+@given(entries3, coords3, coords3, coords3)
+def test_triple_product_agrees_with_the_multilinear_sum_on_rank_3(entries, xc, yc, zc):
+    form = TrilinearForm(3, entries)
     x, y, z = DivisorClass(xc), DivisorClass(yc), DivisorClass(zc)
     assert triple_product(form, x, y, z) == _reference_triple_product(form, x, y, z)
 

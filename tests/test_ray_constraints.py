@@ -22,7 +22,6 @@ from fanoenum.ray_constraints import (
     RayType,
     _cube_identity_allows,
     _primitivity_allows,
-    _resolve_second_types,
     _value_set,
     balance_check,
     c2_dot_H,
@@ -84,10 +83,16 @@ def test_rayspec_validations():
         (RayType.E1, {"L3": 7, "degB": 2}, "an E1 target's L3 needs its index r, got L3=7"),
         ("E1", {}, "'E1' is not an extremal-ray type"),
         (RayType.C1, {"delta_bidegree": 5}, "delta_bidegree must be two integers, got 5"),
+        (RayType.C2, {"delta_bidegree": (2, 5)}, r"a C2 conic bundle has no delta_bidegree=\(2,"),
+        (RayType.C1, {"delta_bidegree": (0, 0)}, r"a C1 conic bundle has no delta_bidegree=\(0,"),
+        (RayType.C1, {"delta_bidegree": (-3, -1)}, "a C1 conic bundle has no delta_bidegree="),
+        (RayType.C1, {"deg_delta": 3, "delta_bidegree": (2, 5)},
+         "deg_delta or delta_bidegree, not both, got deg_delta=3, delta_bidegree="),
     ],
     ids=["D2-d2-5", "D1-d2-8", "E2-r-6", "E1-r-2-L3-7", "C1-r", "C2-genus", "D1-deg_delta",
          "E1-e", "E34-degB", "E5-bidegree", "E1-L3-without-r", "not-a-type",
-         "C1-bidegree-int"],
+         "C1-bidegree-int", "C2-bidegree-2-5", "C1-bidegree-0-0", "C1-bidegree-negative",
+         "C1-deg_delta-and-bidegree"],
 )
 def test_rayspec_rejects_what_the_type_facts_rule_out(ray_type, fields, message):
     with pytest.raises(ConstraintError, match=message):
@@ -252,15 +257,12 @@ def test_lattice_index_is_always_one(mu1, mu2, t1, t2):
 def test_a_conic_bundle_first_call_admits_an_e1_second_ray(conic):
     # type2=None means every type of the second length; the certificate
     # still proves index 1 with E1 among the candidates
-    assert RayType.E1 in _resolve_second_types(conic, 1, None)
+    assert lattice_index_candidates(mu_of(conic), 1, conic, RayType.E1) == frozenset({1})
     assert lattice_index_candidates(mu_of(conic), 1, conic) == frozenset({1})
 
 
 def test_lattice_index_explicit_alternatives():
     # the elimination steps with the second type spelled out
-    assert lattice_index_candidates(
-        2, 2, RayType.C2, (RayType.E2, RayType.C2, RayType.D2)
-    ) == frozenset({1})
     assert lattice_index_candidates(2, 2, RayType.C2, RayType.E2) == frozenset({1})
     assert lattice_index_candidates(1, 1, RayType.C1, RayType.E5) == frozenset({1})
     assert lattice_index_candidates(1, 1, RayType.E1, RayType.E1) == frozenset({1})
@@ -315,12 +317,41 @@ def test_the_certificate_on_every_pairing_of_two_types():
 
 
 def test_lattice_index_validates_lengths():
-    with pytest.raises(ConstraintError):
+    with pytest.raises(ConstraintError, match=r"ray type C1 has length 1, not mu1=2"):
         lattice_index_candidates(2, 1, RayType.C1, None)
-    with pytest.raises(ConstraintError):
+    with pytest.raises(ConstraintError, match=r"ray type D3 has length 3, not mu2=2"):
         lattice_index_candidates(1, 2, RayType.C1, RayType.D3)
-    with pytest.raises(ConstraintError, match="empty set of admissible second-ray types"):
-        lattice_index_candidates(2, 2, RayType.C2, ())
+
+
+@pytest.mark.parametrize(
+    "type2", ["E1", (RayType.E1,), {RayType.E1: 0}, ()], ids=["str", "tuple", "dict", "empty"]
+)
+def test_lattice_index_takes_one_second_type_or_none(type2):
+    # a collection is not a type; its verdict, the union of its members',
+    # is spelled out one type at a time in the union test below
+    with pytest.raises(ConstraintError, match="is not an extremal-ray type"):
+        lattice_index_candidates(1, 1, RayType.C1, type2)
+
+
+def test_a_ray_type_is_checked_wherever_one_is_read():
+    with pytest.raises(ConstraintError, match="'C1' is not an extremal-ray type"):
+        lattice_index_candidates(1, 1, "C1")
+    with pytest.raises(ConstraintError, match="None is not an extremal-ray type"):
+        lattice_index_candidates(1, 1, None)
+    with pytest.raises(ConstraintError, match="'C1' is not an extremal-ray type"):
+        mu_of("C1")
+
+
+@pytest.mark.parametrize("mu2", [1, 2, 3])
+@pytest.mark.parametrize("type1", list(RayType), ids=lambda t: t.value)
+def test_every_type_of_a_length_gives_the_union_of_their_verdicts(type1, mu2):
+    mu1 = mu_of(type1)
+    verdicts = [
+        _candidates_or_error(mu1, mu2, type1, t2) for t2 in RayType if mu_of(t2) == mu2
+    ]
+    indices = [v for v in verdicts if v is not InconsistencyError]
+    union = frozenset().union(*indices) if indices else InconsistencyError
+    assert _candidates_or_error(mu1, mu2, type1, None) == union
 
 
 def _candidates_or_error(mu1, mu2, type1, type2):
@@ -332,11 +363,12 @@ def _candidates_or_error(mu1, mu2, type1, type2):
 
 def _reference_candidates(mu1, mu2, type1, type2):
     """``lattice_index_candidates`` as a sweep of a over 1..199, kept as its oracle."""
+    second_types = [t for t in RayType if mu_of(t) == mu2] if type2 is None else [type2]
     surviving = set()
     for a in range(1, 200):
         if not _primitivity_allows(a, mu1, mu2):
             continue
-        for t2 in _resolve_second_types(type1, mu2, type2):
+        for t2 in second_types:
             if _cube_identity_allows(a, type1, mu1, t2, mu2):
                 set2 = _value_set(t2, mu1, a)
                 for v1 in _value_set(type1, mu2, a):
