@@ -238,7 +238,10 @@ class RaySpec(_RayFields):
             for name, value in zip(cls._fields[1:], numbers):
                 if type(value) not in _INT_OR_NONE:
                     raise ConstraintError(f"{name} must be an integer, got {value!r}")
-        uncarried = _UNCARRIED.get(ray_type)
+        try:
+            uncarried = _UNCARRIED.get(ray_type)
+        except TypeError:  # an unhashable ray_type is no type either
+            uncarried = None
         if uncarried is None:
             raise ConstraintError(f"{ray_type!r} is not an extremal-ray type")
         for index in uncarried:
@@ -280,9 +283,12 @@ class RaySpec(_RayFields):
             raise ConstraintError(f"an E1 target's L3 needs its index r, got L3={L3}")
         if e is not None and e not in (1, 2):
             raise ConstraintError(f"the twist e must be 1 or 2, got {e}")
-        for name, value, minimum in (("degB", degB, 1), ("L3", L3, 1), ("genus", genus, 0)):
-            if value is not None and value < minimum:
-                raise ConstraintError(f"{name} must be >= {minimum}, got {value}")
+        if degB is not None and degB < 1:
+            raise ConstraintError(f"degB must be >= 1, got {degB}")
+        if L3 is not None and L3 < 1:
+            raise ConstraintError(f"L3 must be >= 1, got {L3}")
+        if genus is not None and genus < 0:
+            raise ConstraintError(f"genus must be >= 0, got {genus}")
         return self
 
     @classmethod
@@ -441,6 +447,8 @@ def lattice_index_candidates(
         )
     if type2 is None:
         second_types = tuple(t for t in RayType if TYPE_FACTS[t].mu == mu2)
+        if not second_types:
+            raise ConstraintError(f"no ray type has length mu2={mu2}")
     elif mu_of(type2) != mu2:
         raise ConstraintError(
             f"ray type {type2.value} has length {mu_of(type2)}, not mu2={mu2}"

@@ -4,7 +4,9 @@ The ground truth ships as a JSON array inside the package (one object per
 family) and can be swapped out with the ``FANO_GROUND_TRUTH`` environment
 variable pointing at an alternative file of the same shape.  The solvers
 never read it: a record is labelled with the id of the truth row that has
-its rank, cube and per-ray degree data when it is projected onto a row.  All
+its rank, cube and per-ray degree data when it is projected onto a row.
+:func:`diff` labels and compares a record in place, reading its rays'
+fields by position, and projects only a record it reports as extra.  All
 comparisons are exact on integers; descriptions are compared as multisets
 after a normalization that forgets case and punctuation.
 """
@@ -41,6 +43,11 @@ _INVARIANT_FIELDS = ("deg_delta", "d2", "r", "L3", "degB", "genus", "e", "delta_
 # A ray's type and its values of those fields, read from the RaySpec tuple
 # in one call.
 _RAY_DATA = operator.itemgetter(0, *map(RaySpec._fields.index, _INVARIANT_FIELDS))
+# Each of those fields, read from a RaySpec tuple by position.
+_FIELD = {name: operator.itemgetter(RaySpec._fields.index(name)) for name in _INVARIANT_FIELDS}
+# The degree data of a ray that a row key reads, in the order _ray_key takes it.
+_KEY_DEGREES = ("degB", "d2", "deg_delta")
+_KEY_DATA = operator.itemgetter(*map(RaySpec._fields.index, _KEY_DEGREES))
 
 _EMIT_FORMATS = ("json", "csv", "markdown")
 
@@ -211,6 +218,14 @@ def parse_rows(data: bytes) -> tuple[TableRow, ...]:
     return tuple(_parse_row(index, item) for index, item in enumerate(raw))
 
 
+def _ray_key(tag: str, degB, d2, deg_delta) -> tuple:
+    """A ray's part of a row key: its tag and degree data, a None read as 0 (-1 for deg Delta).
+
+    Truth rows and records both key their rays with this one rule.
+    """
+    return (tag, degB or 0, d2 or 0, -1 if deg_delta is None else deg_delta)
+
+
 def _row_key(rho: int, kx3: int, ray_types: tuple, invariants: Mapping) -> tuple:
     """The key that picks out a family's row: rank, cube, per-ray degree data.
 
@@ -219,11 +234,13 @@ def _row_key(rho: int, kx3: int, ray_types: tuple, invariants: Mapping) -> tuple
     the key forgets the order of the rays.
     """
     absent = (None,) * len(ray_types)
-    degrees = [invariants.get(name, absent) for name in ("degB", "d2", "deg_delta")]
-    per_ray = (
-        (tag, degB or 0, d2 or 0, -1 if deg_delta is None else deg_delta)
-        for tag, degB, d2, deg_delta in zip(ray_types, *degrees)
-    )
+    degrees = [invariants.get(name, absent) for name in _KEY_DEGREES]
+    return (rho, kx3, tuple(sorted(map(_ray_key, ray_types, *degrees))))
+
+
+def _record_key(rho: int, kx3: int, tags: tuple, rays: tuple) -> tuple:
+    """:func:`_row_key` of a record, read from its RaySpecs and their ``tags``."""
+    per_ray = [_ray_key(tag, *_KEY_DATA(spec)) for tag, spec in zip(tags, rays)]
     return (rho, kx3, tuple(sorted(per_ray)))
 
 
@@ -331,7 +348,8 @@ def diff(records, rows: Iterable[TableRow]) -> DiffReport:
     the table does not mention are ignored, so the table stays the single
     yardstick.  Descriptions compare as normalized multisets.  Records that
     are not TableRows are labelled as by :func:`label`, with one read of the
-    ground truth.
+    ground truth, and compared in place: their rays' fields are read by
+    position, and only a record reported as extra is projected to a row.
     """
     by_id = {row.table_id: row for row in rows}
     matched: set[str] = set()
@@ -340,25 +358,38 @@ def diff(records, rows: Iterable[TableRow]) -> DiffReport:
     ids = None
     for record in records:
         if isinstance(record, TableRow):
-            computed = record
+            rays = None
+            table_id, kx3, tags = record.table_id, record.kx3, record.ray_types
+            primitive, descriptions = record.primitive, record.descriptions
         else:
             ids = _load_truth()[1] if ids is None else ids
-            computed = _project(record, ids)
-        table_id = computed.table_id
+            rays = record.rays
+            tags = tuple([_TAG[spec[0]] for spec in rays])
+            rho, kx3 = record.form.rho, record.kx3
+            table_id = ids.get(_record_key(rho, kx3, tags, rays), "")
+            primitive = rho == 3 or "E1" not in tags
+            descriptions = tuple(record.descriptions)
         if not table_id or table_id not in by_id or table_id in matched:
-            extra.append(_record_label(computed))
+            extra.append(_record_label(record if rays is None else _project(record, ids)))
             continue
         matched.add(table_id)
         row = by_id[table_id]
-        if computed.kx3 != row.kx3:
-            mismatched.append((table_id, "kx3", row.kx3, computed.kx3))
-        if computed.ray_types != row.ray_types:
-            mismatched.append((table_id, "ray_types", row.ray_types, computed.ray_types))
-        if computed.primitive != row.primitive:
-            mismatched.append((table_id, "primitive", row.primitive, computed.primitive))
+        if kx3 != row.kx3:
+            mismatched.append((table_id, "kx3", row.kx3, kx3))
+        if tags != row.ray_types:
+            mismatched.append((table_id, "ray_types", row.ray_types, tags))
+        if primitive != row.primitive:
+            mismatched.append((table_id, "primitive", row.primitive, primitive))
         for key in sorted(row.invariants):
             expected_values = row.invariants[key]
-            actual_values = computed.invariants.get(key)
+            if rays is None:
+                actual_values = record.invariants.get(key)
+            else:
+                field = _FIELD.get(key)
+                actual_values = None if field is None else tuple(map(field, rays))
+                # equal columns hold no mismatch: only unequal ones need the walk
+                if actual_values == expected_values:
+                    continue
             for i, expected in enumerate(expected_values):
                 if expected is None:
                     continue
@@ -370,13 +401,13 @@ def diff(records, rows: Iterable[TableRow]) -> DiffReport:
                         (table_id, f"invariants.{key}[{i}]", expected, actual)
                     )
         # normalizing maps equal texts to equal texts: only unequal ones need it
-        if sorted(computed.descriptions) != sorted(row.descriptions) and (
-            _normalized_multiset(computed.descriptions)
-            != _normalized_multiset(row.descriptions)
+        expected_texts = row.descriptions
+        if (
+            descriptions != expected_texts
+            and sorted(descriptions) != sorted(expected_texts)
+            and _normalized_multiset(descriptions) != _normalized_multiset(expected_texts)
         ):
-            mismatched.append(
-                (table_id, "descriptions", row.descriptions, computed.descriptions)
-            )
+            mismatched.append((table_id, "descriptions", expected_texts, descriptions))
     missing = tuple(row.table_id for row in rows if row.table_id not in matched)
     return DiffReport(missing=missing, extra=tuple(extra), mismatched=tuple(mismatched))
 

@@ -82,6 +82,8 @@ def test_rayspec_validations():
         (RayType.E5, {"r": 3, "delta_bidegree": (1, 1)}, "E5 rays carry no delta_bidegree"),
         (RayType.E1, {"L3": 7, "degB": 2}, "an E1 target's L3 needs its index r, got L3=7"),
         ("E1", {}, "'E1' is not an extremal-ray type"),
+        ([1], {}, r"\[1\] is not an extremal-ray type"),
+        ({}, {}, r"\{\} is not an extremal-ray type"),
         (RayType.C1, {"delta_bidegree": 5}, "delta_bidegree must be two integers, got 5"),
         (RayType.C2, {"delta_bidegree": (2, 5)}, r"a C2 conic bundle has no delta_bidegree=\(2,"),
         (RayType.C1, {"delta_bidegree": (0, 0)}, r"a C1 conic bundle has no delta_bidegree=\(0,"),
@@ -91,6 +93,7 @@ def test_rayspec_validations():
     ],
     ids=["D2-d2-5", "D1-d2-8", "E2-r-6", "E1-r-2-L3-7", "C1-r", "C2-genus", "D1-deg_delta",
          "E1-e", "E34-degB", "E5-bidegree", "E1-L3-without-r", "not-a-type",
+         "list-type", "dict-type",
          "C1-bidegree-int", "C2-bidegree-2-5", "C1-bidegree-0-0", "C1-bidegree-negative",
          "C1-deg_delta-and-bidegree"],
 )
@@ -321,6 +324,8 @@ def test_lattice_index_validates_lengths():
         lattice_index_candidates(2, 1, RayType.C1, None)
     with pytest.raises(ConstraintError, match=r"ray type D3 has length 3, not mu2=2"):
         lattice_index_candidates(1, 2, RayType.C1, RayType.D3)
+    with pytest.raises(ConstraintError, match=r"no ray type has length mu2=4"):
+        lattice_index_candidates(1, 4, RayType.C1, None)
 
 
 @pytest.mark.parametrize(

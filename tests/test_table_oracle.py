@@ -465,6 +465,104 @@ def test_diff_matches_the_always_normalizing_reference(computed, truth):
     assert diff(computed, truth) == _reference_diff(computed, truth)
 
 
+# The records and truth rows of the three calls a library verify makes.
+VERIFY_CALLS = (
+    (enumerate_all(2), ground_truth(2)),
+    (enumerate_all(2, primitive_only=True), ground_truth(2, primitive_only=True)),
+    (enumerate_all(3, primitive_only=True), ground_truth(3, primitive_only=True)),
+)
+OTHER_RANK_RECORDS = {2: VERIFY_CALLS[2][0], 3: VERIFY_CALLS[0][0]}
+
+
+def _changed(value):
+    """An invariant element other than ``value``: one more, or 1 for None."""
+    if value is None:
+        return 1
+    if type(value) is tuple:
+        return (value[0] + 1, value[1])
+    return value + 1
+
+
+def _edited_column(draw, row):
+    """A column name and its values after one edit of ``row``'s invariants.
+
+    The values are None when the edit removes the column.
+    """
+    length = len(row.ray_types)
+    kind = draw(st.sampled_from(("change", "none", "remove", "alien", "length")))
+    if kind == "alien":  # a name that no RaySpec invariant field carries
+        name = draw(st.sampled_from(("ray_type", "rho", "h12")))
+        return name, tuple(draw(st.lists(st.none() | st.integers(0, 9), min_size=length,
+                                         max_size=length)))
+    name = draw(st.sampled_from(sorted(row.invariants) or table_oracle._INVARIANT_FIELDS))
+    values = list(row.invariants.get(name, (None,) * length))
+    if kind == "remove":
+        return name, None
+    if kind == "length":  # one element short or one too many
+        if draw(st.booleans()) or not values:
+            return name, (*values, draw(st.none() | st.integers(0, 9)))
+        return name, tuple(values[:-1])
+    if values:
+        at = draw(st.integers(0, len(values) - 1))
+        values[at] = _changed(values[at]) if kind == "change" else None
+    return name, tuple(values)
+
+
+@st.composite
+def verify_inputs(draw):
+    """The records and rows of one verify call, with records and rows edited.
+
+    Records are dropped, duplicated, reordered and joined by one of the other
+    rank; a few rows have an invariant column edited as :func:`_edited_column`
+    says, and their descriptions perturbed.
+    """
+    records, rows = draw(st.sampled_from(VERIFY_CALLS))
+    dropped = draw(st.sets(st.integers(0, len(records) - 1), max_size=3))
+    records = [record for index, record in enumerate(records) if index not in dropped]
+    records += draw(st.lists(st.sampled_from(records), max_size=2))
+    records += draw(st.lists(st.sampled_from(OTHER_RANK_RECORDS[rows[0].rho]), max_size=1))
+    records = draw(st.permutations(records))
+    rows = draw(rows_with_perturbed_descriptions(rows))
+    for index in draw(st.lists(st.integers(0, len(rows) - 1), max_size=4, unique=True)):
+        invariants = dict(rows[index].invariants)
+        name, values = _edited_column(draw, rows[index])
+        if values is None:
+            invariants.pop(name, None)
+        else:
+            invariants[name] = values
+        rows[index] = rows[index]._replace(invariants=invariants)
+    return records, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(verify_inputs())
+def test_diff_of_records_matches_diff_of_their_rows_and_the_reference(inputs):
+    records, rows = inputs
+    report = diff(records, rows)
+    assert report == diff(table_oracle.label(records), rows)
+    assert report == _reference_diff(records, rows)
+
+
+def test_diff_projects_only_the_records_it_reports_as_extra(monkeypatch):
+    projected = []
+    project = table_oracle._project
+
+    def counting_project(record, ids):
+        projected.append(record)
+        return project(record, ids)
+
+    monkeypatch.setattr(table_oracle, "_project", counting_project)
+    records = enumerate_all(2)
+    assert diff(records, ground_truth(2)).is_empty
+    assert projected == []
+    alien = records[0]._replace(rays=())
+    for added in (alien, records[5], enumerate_all(3, primitive_only=True)[0]):
+        projected.clear()
+        report = diff(records + (added,), ground_truth(2))
+        assert projected == [added]
+        assert len(report.extra) == 1 and not report.missing and not report.mismatched
+
+
 def _reference_normalize(text):
     cleaned = "".join(ch if ch.isalnum() else " " for ch in text.lower())
     return " ".join(cleaned.split())
