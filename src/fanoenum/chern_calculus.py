@@ -12,7 +12,6 @@ the rank-2/3 classification consumes, from plain integers to a plain integer:
 * ``conic_bundle_ksq_dot_pullback(ks_dot_d, delta_dot_d)``
 * ``genus_from_blowup(kx3, ky3, r, degB)``
 * ``antican_cube_by_index(r, L3=None)``
-* ``l3_range(r)``
 
 :data:`FANO_TARGETS` is the one table of the smooth Fano threefolds Y of
 index r >= 2 that a blowup or point contraction can land on: their indices
@@ -40,7 +39,6 @@ __all__ = [
     "conic_bundle_ksq_dot_pullback",
     "genus_from_blowup",
     "antican_cube_by_index",
-    "l3_range",
 ]
 
 # index r -> the generator cubes L^3 of a smooth Fano threefold of index r:
@@ -48,14 +46,6 @@ __all__ = [
 # 1..5 that contain enough curves for the blowup analysis (r = 2).
 # (-K_Y)^3 = r^3 L^3.
 FANO_TARGETS = {2: (1, 2, 3, 4, 5), 3: (2,), 4: (1,)}
-
-
-def l3_range(r: int) -> tuple[int, ...]:
-    """Admissible generator cubes L^3 for a smooth Fano threefold of index r."""
-    try:
-        return FANO_TARGETS[r]
-    except KeyError:
-        raise UnsupportedIndexError(f"no supported Fano index {r}") from None
 
 
 def antican_cube_p1_bundle_over_surface(c1_sq: int, c2: int, Ky_sq: int) -> int:
@@ -164,7 +154,8 @@ def antican_cube_by_index(r: int, L3: Optional[int] = None) -> int:
 
     Index 4 forces Y = P^3 (cube 64), index 3 forces the quadric (cube 54);
     index 2 needs the degree L3 = L^3 of the ample generator, giving 8*L3.
-    A given L3 must be one of :func:`l3_range`, whatever the index.
+    A given L3 must be one of its index's :data:`FANO_TARGETS`, whatever the
+    index.
     """
     cubes = FANO_TARGETS.get(r)
     if cubes is None:

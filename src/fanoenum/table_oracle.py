@@ -4,11 +4,13 @@ The ground truth ships as a JSON array inside the package (one object per
 family) and can be swapped out with the ``FANO_GROUND_TRUTH`` environment
 variable pointing at an alternative file of the same shape.  The solvers
 never read it: a record is labelled with the id of the truth row that has
-its rank, cube and per-ray degree data when it is projected onto a row.
-:func:`diff` labels and compares a record in place, reading its rays'
-fields by position, and projects only a record it reports as extra.  All
-comparisons are exact on integers; descriptions are compared as multisets
-after a normalization that forgets case and punctuation.
+its rank, cube and per-ray degree data.  :func:`label` and :func:`diff`
+read that id with a record's rank, cube, primitivity and ray tags in one
+place; :func:`label` projects the record onto a row, and :func:`diff` never
+does: it compares the record in place, reading its rays' fields by
+position.  All comparisons are exact on integers; descriptions are
+compared as multisets after a normalization that forgets case and
+punctuation.
 """
 
 from __future__ import annotations
@@ -40,9 +42,8 @@ __all__ = [
 
 # Per-ray integer data a row may carry, in emission order.
 _INVARIANT_FIELDS = ("deg_delta", "d2", "r", "L3", "degB", "genus", "e", "delta_bidegree")
-# A ray's type and its values of those fields, read from the RaySpec tuple
-# in one call.
-_RAY_DATA = operator.itemgetter(0, *map(RaySpec._fields.index, _INVARIANT_FIELDS))
+# A ray's values of those fields, read from the RaySpec tuple in one call.
+_RAY_DATA = operator.itemgetter(*map(RaySpec._fields.index, _INVARIANT_FIELDS))
 # Each of those fields, read from a RaySpec tuple by position.
 _FIELD = {name: operator.itemgetter(RaySpec._fields.index(name)) for name in _INVARIANT_FIELDS}
 # The degree data of a ray that a row key reads, in the order _ray_key takes it.
@@ -287,24 +288,22 @@ def ground_truth(rho: int, primitive_only: bool = False) -> tuple[TableRow, ...]
     return rows
 
 
+def _identify(record, ids: Mapping[tuple, str]) -> tuple:
+    """A record's row head: its id in ``ids`` (or ""), rank, cube, primitivity, tags."""
+    tags = tuple([_TAG[spec[0]] for spec in record.rays])
+    rho, kx3 = record.form.rho, record.kx3
+    table_id = ids.get(_record_key(rho, kx3, tags, record.rays), "")
+    return table_id, rho, kx3, rho == 3 or "E1" not in tags, tags
+
+
 def _project(record, ids: Mapping[tuple, str]) -> TableRow:
     """``record`` as a row, with the id that ``ids`` holds for its key, or ""."""
-    ray_types, *columns = zip(*map(_RAY_DATA, record.rays)) if record.rays else ((),)
-    tags = tuple(map(_TAG.__getitem__, ray_types))
-    unset = (None,) * len(tags)
+    unset = (None,) * len(record.rays)
+    columns = zip(*map(_RAY_DATA, record.rays))
     invariants = {
         name: values for name, values in zip(_INVARIANT_FIELDS, columns) if values != unset
     }
-    rho, kx3 = record.form.rho, record.kx3
-    return TableRow(
-        ids.get(_row_key(rho, kx3, tags, invariants), ""),
-        rho,
-        kx3,
-        rho == 3 or "E1" not in tags,
-        tags,
-        invariants,
-        tuple(record.descriptions),
-    )
+    return TableRow(*_identify(record, ids), invariants, tuple(record.descriptions))
 
 
 def record_to_row(record) -> TableRow:
@@ -334,10 +333,8 @@ def _normalized_multiset(descriptions: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(_normalize_description(d) for d in descriptions))
 
 
-def _record_label(row: TableRow) -> str:
-    rays = "+".join(row.ray_types)
-    table_id = row.table_id or "?"
-    return f"{table_id} (rho={row.rho}, (-K)^3={row.kx3}, rays={rays})"
+def _record_label(table_id: str, rho: int, kx3: int, tags: tuple) -> str:
+    return f"{table_id or '?'} (rho={rho}, (-K)^3={kx3}, rays={'+'.join(tags)})"
 
 
 def diff(records, rows: Iterable[TableRow]) -> DiffReport:
@@ -349,8 +346,9 @@ def diff(records, rows: Iterable[TableRow]) -> DiffReport:
     yardstick.  Descriptions compare as normalized multisets.  Records that
     are not TableRows are labelled as by :func:`label`, with one read of the
     ground truth, and compared in place: their rays' fields are read by
-    position, and only a record reported as extra is projected to a row.
+    position, and no record is projected to a row.  ``rows`` is read once.
     """
+    rows = tuple(rows)
     by_id = {row.table_id: row for row in rows}
     matched: set[str] = set()
     extra: list[str] = []
@@ -359,18 +357,14 @@ def diff(records, rows: Iterable[TableRow]) -> DiffReport:
     for record in records:
         if isinstance(record, TableRow):
             rays = None
-            table_id, kx3, tags = record.table_id, record.kx3, record.ray_types
-            primitive, descriptions = record.primitive, record.descriptions
+            table_id, rho, kx3, primitive, tags, _, descriptions = record
         else:
             ids = _load_truth()[1] if ids is None else ids
             rays = record.rays
-            tags = tuple([_TAG[spec[0]] for spec in rays])
-            rho, kx3 = record.form.rho, record.kx3
-            table_id = ids.get(_record_key(rho, kx3, tags, rays), "")
-            primitive = rho == 3 or "E1" not in tags
+            table_id, rho, kx3, primitive, tags = _identify(record, ids)
             descriptions = tuple(record.descriptions)
         if not table_id or table_id not in by_id or table_id in matched:
-            extra.append(_record_label(record if rays is None else _project(record, ids)))
+            extra.append(_record_label(table_id, rho, kx3, tags))
             continue
         matched.add(table_id)
         row = by_id[table_id]
@@ -402,10 +396,8 @@ def diff(records, rows: Iterable[TableRow]) -> DiffReport:
                     )
         # normalizing maps equal texts to equal texts: only unequal ones need it
         expected_texts = row.descriptions
-        if (
-            descriptions != expected_texts
-            and sorted(descriptions) != sorted(expected_texts)
-            and _normalized_multiset(descriptions) != _normalized_multiset(expected_texts)
+        if descriptions != expected_texts and (
+            _normalized_multiset(descriptions) != _normalized_multiset(expected_texts)
         ):
             mismatched.append((table_id, "descriptions", expected_texts, descriptions))
     missing = tuple(row.table_id for row in rows if row.table_id not in matched)

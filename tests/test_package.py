@@ -36,7 +36,6 @@ PUBLIC_NAMES = [
     "enumerate_all",
     "genus_from_blowup",
     "ground_truth",
-    "l3_range",
     "label",
     "lattice_index_candidates",
     "mu_of",

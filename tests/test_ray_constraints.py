@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanoenum.chern_calculus import FANO_TARGETS, l3_range
+from fanoenum.chern_calculus import FANO_TARGETS
 from fanoenum.enumerator import _RANK2_PAIRINGS
 from fanoenum.errors import (
     ConstraintError,
     IncompleteSpecError,
     InconsistencyError,
-    UnsupportedIndexError,
 )
 from fanoenum.ray_constraints import (
     C_TYPES,
@@ -207,16 +206,6 @@ def test_balance_check_examples():
     assert balance_check(1, 1, 13, 11)
     assert balance_check(2, 3, 6, 3)
     assert not balance_check(1, 1, 13, 12)
-
-
-def test_l3_range():
-    assert l3_range(4) == (1,)
-    assert l3_range(3) == (2,)
-    assert l3_range(2) == (1, 2, 3, 4, 5)
-    with pytest.raises(UnsupportedIndexError):
-        l3_range(1)
-    with pytest.raises(UnsupportedIndexError):
-        l3_range(5)
 
 
 def test_degB_upper_bound_exact_rationals():

@@ -395,7 +395,9 @@ def _reference_diff(records, rows):
         computed = record if isinstance(record, TableRow) else record_to_row(record)
         table_id = computed.table_id
         if not table_id or table_id not in by_id or table_id in matched:
-            extra.append(_record_label(computed))
+            extra.append(
+                _record_label(table_id, computed.rho, computed.kx3, computed.ray_types)
+            )
             continue
         matched.add(table_id)
         row = by_id[table_id]
@@ -543,7 +545,7 @@ def test_diff_of_records_matches_diff_of_their_rows_and_the_reference(inputs):
     assert report == _reference_diff(records, rows)
 
 
-def test_diff_projects_only_the_records_it_reports_as_extra(monkeypatch):
+def test_diff_projects_no_record(monkeypatch):
     projected = []
     project = table_oracle._project
 
@@ -556,11 +558,21 @@ def test_diff_projects_only_the_records_it_reports_as_extra(monkeypatch):
     assert diff(records, ground_truth(2)).is_empty
     assert projected == []
     alien = records[0]._replace(rays=())
-    for added in (alien, records[5], enumerate_all(3, primitive_only=True)[0]):
-        projected.clear()
+    added_and_labels = (
+        (alien, "? (rho=2, (-K)^3=4, rays=)"),
+        (records[5], "2-6 (rho=2, (-K)^3=12, rays=C1+C1)"),
+        (enumerate_all(3, primitive_only=True)[0], "3-1 (rho=3, (-K)^3=12, rays=C1+C1+C1)"),
+    )
+    for added, extra_label in added_and_labels:
         report = diff(records + (added,), ground_truth(2))
-        assert projected == [added]
-        assert len(report.extra) == 1 and not report.missing and not report.mismatched
+        assert projected == []
+        assert report == DiffReport(extra=(extra_label,))
+
+
+def test_diff_reads_iterators_of_records_and_rows_once():
+    records = enumerate_all(2)
+    report = diff(iter(records[1:]), iter(ground_truth(2)))
+    assert report == DiffReport(missing=("2-1",))
 
 
 def _reference_normalize(text):
