@@ -27,6 +27,7 @@ records with its row ids when they are projected onto rows.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from math import isqrt
 from typing import Iterable, NamedTuple, Optional
 
@@ -51,7 +52,7 @@ from .picard_lattice import (
     triple_product,
 )
 from .ray_constraints import (
-    _RAY_ORDER, C_TYPES, D_TYPES, POINT_TYPES, TYPE_FACTS, RaySpec, RayType, mu_of
+    _RAY_ORDER, C_TYPES, D_TYPES, POINT_TYPES, TWIST, TYPE_FACTS, RaySpec, RayType, mu_of
 )
 
 __all__ = [
@@ -309,7 +310,6 @@ def _compile(ray_type: RayType) -> tuple[_Side, ...]:
 _SIDES = {ray_type: _compile(ray_type) for ray_type in RayType}
 _GENUS, _E = RaySpec._fields.index("genus"), RaySpec._fields.index("e")
 _CONIC_TYPES = frozenset(C_TYPES)
-_TWISTED = frozenset((RayType.E2, RayType.E5))  # opposite a conic bundle, P(O + O(e))
 # -K of each pair of ray lengths, in the basis of the two pullbacks
 _MINUS_K = {(m1, m2): anticanonical_class(m1, m2) for m1 in (1, 2, 3) for m2 in (1, 2, 3)}
 
@@ -405,7 +405,7 @@ def _solve_sides(side1: _Side, side2: _Side) -> Optional[SolutionRecord]:
     if type2 is _E1:
         _, r, L3, degB = fields2[:4]
         fields2[_GENUS] = genus_from_blowup(kx3, antican_cube_by_index(r, L3), r, degB)
-    elif type2 in _TWISTED and type1 in _CONIC_TYPES:
+    elif type2 in TWIST and type1 in _CONIC_TYPES:  # X is P(O + O(e))
         fields2[_E] = h122
     return SolutionRecord(
         (RaySpec(*fields1), RaySpec(*fields2)),
@@ -434,16 +434,12 @@ def _solve(pairings) -> tuple[SolutionRecord, ...]:
 
 # ------------------------------------------------------- rank-2 selections --
 
-# The pairings with a conic bundle or an E1 ray: tests/test_index_oracle.py
-# finds no solution in the other 21, nor in six of these, at any index.
-_C_C = ((RayType.C1, RayType.C1), (RayType.C1, RayType.C2), (RayType.C2, RayType.C2))
-_C_D = tuple((c, d) for c in C_TYPES for d in D_TYPES)
-_C_E = tuple((c, e) for e in POINT_TYPES for c in C_TYPES)
-_WITH_E1 = tuple((t, RayType.E1) for t in C_TYPES + D_TYPES) + tuple(
-    (RayType.E1, t) for t in (RayType.E1,) + POINT_TYPES
+# The pairings with a conic bundle or an E1 ray, in canonical order; the
+# other 21, and six of these, have no solution (tests/test_index_oracle.py).
+_RANK2_PAIRINGS = tuple(
+    pair for pair in combinations_with_replacement(RayType, 2) if pair[0] in C_TYPES or _E1 in pair
 )
-_PRIMITIVE_PAIRINGS = _C_C + _C_D + _C_E
-_RANK2_PAIRINGS = _PRIMITIVE_PAIRINGS + _WITH_E1
+_PRIMITIVE_PAIRINGS = tuple(pair for pair in _RANK2_PAIRINGS if _E1 not in pair)
 
 
 def _with_e1(sub: RayType, allowed: tuple[RayType, ...]):
@@ -453,7 +449,12 @@ def _with_e1(sub: RayType, allowed: tuple[RayType, ...]):
         raise ConstraintError(
             f"expected one of {', '.join(t.value for t in allowed)}, got {got}"
         )
-    return ((sub, RayType.E1) if sub.order < RayType.E1.order else (RayType.E1, sub),)
+    return tuple(pair for pair in _RANK2_PAIRINGS if {sub, _E1} == set(pair))
+
+
+def _with_conic(family: str):
+    """The primitive pairings of a conic bundle with a ray of ``family``."""
+    return tuple(pair for pair in _PRIMITIVE_PAIRINGS if TYPE_FACTS[pair[1]].family == family)
 
 
 def solve_E1_C(sub: RayType) -> tuple[SolutionRecord, ...]:
@@ -473,17 +474,17 @@ def solve_E1_E(sub: RayType) -> tuple[SolutionRecord, ...]:
 
 def solve_C_C() -> tuple[SolutionRecord, ...]:
     """Two conic-bundle rays; X maps into P^2 x P^2."""
-    return _solve(_C_C)
+    return _solve(_with_conic("C"))
 
 
 def solve_C_D() -> tuple[SolutionRecord, ...]:
     """Conic-bundle ray + del Pezzo fibration ray; X maps into P^2 x P^1."""
-    return _solve(_C_D)
+    return _solve(_with_conic("D"))
 
 
 def solve_C_E_primitive() -> tuple[SolutionRecord, ...]:
     """Conic-bundle ray + divisorial ray with no E1 (the primitive cases)."""
-    return _solve(_C_E)
+    return _solve(_with_conic("E"))
 
 
 # ------------------------------------------------------------- rank three ---

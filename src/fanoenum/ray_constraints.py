@@ -51,8 +51,8 @@ __all__ = [
 class RayType(enum.Enum):
     """The nine extremal-ray types occurring on rank-2 Fano threefolds.
 
-    Declaration order is the canonical sort order used when normalizing the
-    ray pair of a solution record.
+    Declaration order is the canonical sort order of the rays of a solution
+    record and of the types of an engine pairing.
     """
 
     # members are singletons: hash by identity, not by Enum.__hash__, a
@@ -68,10 +68,6 @@ class RayType(enum.Enum):
     E2 = "E2"
     E34 = "E34"
     E5 = "E5"
-
-    @property
-    def order(self) -> int:
-        return _RAY_ORDER[self]
 
     @property
     def display(self) -> str:
@@ -167,6 +163,9 @@ TYPE_FACTS = {
 C_TYPES = tuple(t for t in RayType if TYPE_FACTS[t].family == "C")
 D_TYPES = tuple(t for t in RayType if TYPE_FACTS[t].family == "D")
 POINT_TYPES = tuple(t for t in RayType if TYPE_FACTS[t].contracted)  # a divisor to a point
+# An E2 or E5 divisor is a P^2 with normal bundle O(-e), the negative section
+# of P(O + O(e)) over P^2; an E3/E4 divisor is a quadric, never such a section.
+TWIST = {RayType.E2: 1, RayType.E5: 2}
 # Once, as RaySpec checks every ray: each divisorial type's target indices r,
 # each with the cubes L^3 an E1 target of index r has (None: any L^3 >= 1).
 _TARGETS = {
@@ -209,8 +208,8 @@ class RaySpec(_RayFields):
       resp. 9.
     * E1: ``r`` (index of the blowup target, 2..4), ``L3`` (generator cube),
       ``degB`` (centre degree), ``genus`` (centre genus).
-    * E2/E34/E5: ``r`` (formal index of the target), ``L3``; ``e`` in {1, 2}
-      for the P(O + O(e)) families.
+    * E2/E34/E5: ``r`` (formal index of the target), ``L3``; E2 and E5 also
+      ``e``, their :data:`TWIST`, on the P(O + O(e)) families.
 
     The fields are checked on construction, and ``_make``, ``_replace`` and
     unpickling construct.  Every set field is an ``int`` (a bool is not),
@@ -281,8 +280,10 @@ class RaySpec(_RayFields):
                 )
         elif L3 is not None and ray_type is RayType.E1:
             raise ConstraintError(f"an E1 target's L3 needs its index r, got L3={L3}")
-        if e is not None and e not in (1, 2):
-            raise ConstraintError(f"the twist e must be 1 or 2, got {e}")
+        if e is not None and e != TWIST[ray_type]:
+            raise ConstraintError(
+                f"the twist of an {ray_type.display} ray is e={TWIST[ray_type]}, got e={e}"
+            )
         if degB is not None and degB < 1:
             raise ConstraintError(f"degB must be >= 1, got {degB}")
         if L3 is not None and L3 < 1:
@@ -307,7 +308,8 @@ _CARRIED = {
     **dict.fromkeys(C_TYPES, ("deg_delta", "delta_bidegree")),
     **dict.fromkeys(D_TYPES, ("d2",)),
     RayType.E1: ("r", "L3", "degB", "genus"),
-    **dict.fromkeys(POINT_TYPES, ("r", "L3", "e")),
+    **dict.fromkeys(POINT_TYPES, ("r", "L3")),
+    **{t: ("r", "L3", "e") for t in TWIST},
 }
 _UNCARRIED = {
     t: tuple(i for i, name in enumerate(RaySpec._fields) if i and name not in carried)

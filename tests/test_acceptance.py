@@ -144,6 +144,7 @@ def test_criterion_5_solver_oracle_equivalence(capsys):
         oracles.test_oracle_E1_E5,
         oracles.test_oracle_C_C,
         oracles.test_oracle_C_D,
+        oracles.test_oracle_C_E_primitive,
         oracles.test_oracle_rho3_CCC,
     ]
     start = time.perf_counter()

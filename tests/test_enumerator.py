@@ -203,6 +203,35 @@ def test_the_solvers_need_no_ground_truth(tmp_path, monkeypatch):
         assert keys == sorted(set(keys))
 
 
+# The rank-2 case solvers, and of them the three without an E1 ray.
+RANK2_CALLS = [
+    call for call in SOLVER_CALLS if call[0].__name__.startswith(("solve_E1", "solve_C"))
+]
+PRIMITIVE_CALLS = [call for call in RANK2_CALLS if call[0].__name__.startswith("solve_C")]
+
+
+def test_the_rank2_solvers_split_the_pairings_enumerate_all_solves(monkeypatch):
+    found = {call: call[0](*call[1]) for call in RANK2_CALLS}
+    selected = {}
+    for call in RANK2_CALLS:
+        monkeypatch.setattr(
+            enumerator, "_solve", lambda pairings: selected.setdefault(call, pairings)
+        )
+        call[0](*call[1])
+    monkeypatch.undo()
+    assert len(RANK2_CALLS) == 12 and len(PRIMITIVE_CALLS) == 3
+    for calls, pairings, primitive_only in (
+        (RANK2_CALLS, enumerator._RANK2_PAIRINGS, False),
+        (PRIMITIVE_CALLS, enumerator._PRIMITIVE_PAIRINGS, True),
+    ):
+        chosen = [pair for call in calls for pair in selected[call]]
+        assert len(chosen) == len(set(chosen)) and set(chosen) == set(pairings)
+        records = [record for call in calls for record in found[call]]
+        assert enumerate_all(2, primitive_only) == tuple(
+            sorted(records, key=enumerator._classification_order)
+        )
+
+
 def test_enumeration_scope():
     with pytest.raises(UnsupportedScopeError):
         enumerate_all(3)
@@ -227,7 +256,7 @@ def all_records():
 
 def test_rays_are_canonically_ordered():
     for rec in all_records():
-        orders = [ray.ray_type.order for ray in rec.rays]
+        orders = [list(RayType).index(ray.ray_type) for ray in rec.rays]
         assert orders == sorted(orders), record_to_row(rec).table_id
 
 

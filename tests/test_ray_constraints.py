@@ -89,12 +89,15 @@ def test_rayspec_validations():
         (RayType.C1, {"delta_bidegree": (-3, -1)}, "a C1 conic bundle has no delta_bidegree="),
         (RayType.C1, {"deg_delta": 3, "delta_bidegree": (2, 5)},
          "deg_delta or delta_bidegree, not both, got deg_delta=3, delta_bidegree="),
+        (RayType.E34, {"r": 2, "L3": 2, "e": 1}, "E3/E4 rays carry no e"),
+        (RayType.E2, {"r": 4, "L3": 1, "e": 2}, "the twist of an E2 ray is e=1, got e=2"),
+        (RayType.E5, {"r": 5, "L3": 4, "e": 1}, "the twist of an E5 ray is e=2, got e=1"),
     ],
     ids=["D2-d2-5", "D1-d2-8", "E2-r-6", "E1-r-2-L3-7", "C1-r", "C2-genus", "D1-deg_delta",
          "E1-e", "E34-degB", "E5-bidegree", "E1-L3-without-r", "not-a-type",
          "list-type", "dict-type",
          "C1-bidegree-int", "C2-bidegree-2-5", "C1-bidegree-0-0", "C1-bidegree-negative",
-         "C1-deg_delta-and-bidegree"],
+         "C1-deg_delta-and-bidegree", "E34-e", "E2-e-2", "E5-e-1"],
 )
 def test_rayspec_rejects_what_the_type_facts_rule_out(ray_type, fields, message):
     with pytest.raises(ConstraintError, match=message):

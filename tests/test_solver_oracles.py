@@ -1,10 +1,11 @@
-"""Independent brute-force oracles for every case-analysis solver.
+"""Independent brute-force oracles for the case-analysis solvers.
 
 Each oracle below re-encodes one (A)(B)(C) constraint system directly from
 its defining relations -- exact Fractions, full bounded sweep of the integer
 domain (r in {2,3,4}, L^3 by index, degB in [1,24], degDelta in [0,12],
 d2 in [1,9], second-ray L^3 in [1,24]) -- sharing no code with the solvers.
-The tests then demand set equality between oracle and solver output.
+The tests then demand set equality between oracle and solver output.  Every
+rank-2 solver and solve_rho3_CCC has one; solve_rho3_CE has none yet.
 
 Solution tuples carry every solved integer plus the derived kx3 and genus, so
 agreement pins the whole record, not just its count.
@@ -15,6 +16,7 @@ from fractions import Fraction
 from fanoenum.enumerator import (
     solve_C_C,
     solve_C_D,
+    solve_C_E_primitive,
     solve_E1_C,
     solve_E1_D,
     solve_E1_E,
@@ -431,3 +433,78 @@ def test_oracle_C_D():
     assert expected == computed
     # the excluded pairings, independently: no C2+D1, C2+D2, or C1+D3 solution
     assert not [t for t in expected if (t[0], t[1]) in ((2, 1), (2, 2), (1, 3))]
+
+
+# ---------------------------------------------------- C + E, no E1 (primitive) ---
+
+
+# Each point contraction: length mu_E, q with m D = r H_E - q (-K), the cube
+# (m D)^3, the numerator of c2.H_E = n / r, and the indices r it may have.
+POINT_CONTRACTIONS = {
+    "E2": (2, 1, 8, 24, (1, 2, 3, 4)),
+    "E34": (1, 1, 2, 24, (1, 2, 3, 4)),
+    "E5": (1, 2, 4, 45, (1, 3, 5, 9, 15, 45)),
+}
+
+
+def oracle_C_E():
+    """Conic bundle (H_C) + point contraction (H_E), -K = mu_E H_C + mu_C H_E.
+
+    With s = r/q: h112 = 2/mu_C and h122 = (s - mu_C) L^3 / mu_E, and
+    (A) (-K)^2.H_C = 12 - degDelta
+    (B) (-K)^2.H_E = s^2 L^3
+    (C) 24 = mu_E (6 + degDelta) + mu_C c2.H_E
+    (D) (r H_E - q (-K))^3 = 8 (E2), 2 (E3/E4) or 4 (E5)
+    The twist e of an E2 or E5 ray is h122.
+    """
+    out = set()
+    for c_name, mu_c in (("C1", 1), ("C2", 2)):
+        for e_name, (mu_e, q, cube, c2_numerator, indices) in POINT_CONTRACTIONS.items():
+            for degD in range(0, 13):
+                if mu_c == 1 and degD < 1:
+                    continue
+                if mu_c == 2 and degD != 0:
+                    continue
+                for r in indices:
+                    for L3 in range(1, 25):
+                        s = Fraction(r, q)
+                        h112 = Fraction(2, mu_c)
+                        h122 = (s - mu_c) * L3 / mu_e
+                        if 2 * mu_e * mu_c * h112 + mu_c**2 * h122 != 12 - degD:
+                            continue
+                        if mu_e**2 * h112 + 2 * mu_e * mu_c * h122 + mu_c**2 * L3 != s * s * L3:
+                            continue
+                        if 24 != mu_e * (6 + degD) + mu_c * Fraction(c2_numerator, r):
+                            continue
+                        a, b = -q * mu_e, r - q * mu_c
+                        if 3 * a * a * b * h112 + 3 * a * b * b * h122 + b**3 * L3 != cube:
+                            continue
+                        kx3 = 3 * mu_e**2 * mu_c * h112 + 3 * mu_e * mu_c**2 * h122 + mu_c**3 * L3
+                        assert kx3 == int(kx3)
+                        e = int(h122) if e_name in ("E2", "E5") else None
+                        out.add((c_name, degD, e_name, r, L3, e, int(kx3)))
+    return out
+
+
+def test_oracle_C_E_primitive():
+    expected = oracle_C_E()
+    assert expected == {
+        ("C1", 6, "E34", 2, 2, None, 14),
+        ("C2", 0, "E2", 4, 1, 1, 56),
+        ("C2", 0, "E5", 5, 4, 2, 62),
+    }
+    computed = set()
+    for rec in solve_C_E_primitive():
+        c_ray, e_ray = rec.rays
+        computed.add(
+            (
+                c_ray.ray_type.value,
+                c_ray.deg_delta or 0,
+                e_ray.ray_type.value,
+                e_ray.r,
+                e_ray.L3,
+                e_ray.e,
+                rec.kx3,
+            )
+        )
+    assert expected == computed
