@@ -6,13 +6,13 @@ is one ray type with its data fixed but for one unknown u (deg Delta for C
 types, d2 for D types, deg B for E1, L^3 for E2/E3E4/E5); the engine reads
 three of the table's facts about the pullback H of its ray, each affine in u:
 H^3, (-K).H^2 and (-K)^2.H, in quarters.  The two pullbacks form a basis of the
-Picard lattice (index 1, see
-:func:`fanoenum.ray_constraints.lattice_index_candidates`), so in that basis
-the facts of the two sides fill the intersection form and leave a linear
-system in two unknowns: the two (-K)^2.H facts and the cube of each divisor
-contracted to a point.  The engine solves it exactly in integers and sweeps
-nothing: the type domains decide, and the constructors assert what the
-system implies.  It reads no c2.H fact, so the 24-balance -K.c2 = 24
+Picard lattice (index 1, proved by ``tests/test_index_oracle.py`` and checked
+as acceptance criterion 4), so in that basis the facts of the two sides fill
+the intersection form and leave a linear system in two unknowns: the two
+(-K)^2.H facts and the cube of each divisor contracted to a point.  The
+engine solves it exactly in integers and sweeps nothing: the type domains
+decide, and the constructors assert what the system implies.  It reads no
+c2.H fact, so the 24-balance -K.c2 = 24
 (:func:`fanoenum.ray_constraints.balance_check`) is a check on its records
 that shares no row with it.  Each solution becomes a
 :class:`SolutionRecord` of the rays, the full intersection

@@ -290,7 +290,8 @@ def anticanonical_class(mu1: int, mu2: int) -> DivisorClass:
     """The rank-2 anticanonical class in the basis dual to the two extremal rays.
 
     With H_i the pullback of the ample generator along the contraction of the
-    ray R_i of length mu_i, the lattice-index argument pins
+    ray R_i of length mu_i, the two pullbacks have index 1 in Pic(X)
+    (``tests/test_index_oracle.py``, acceptance criterion 4), which pins
     -K = mu2*H_1 + mu1*H_2, so the coordinates are (mu2, mu1).
     """
     for mu in (mu1, mu2):

@@ -12,29 +12,26 @@ data leave open (deg Delta, d2, deg B or L^3) with the domain of u, the
 data each side fixes ((r, L^3) of an E1 target, r of a point contraction's
 target), and four facts about the pullback H of the ample generator on the
 target, each affine in u: H^3, (-K).H^2, (-K)^2.H and c_2(X).H.  A divisor
-contracted to a point adds its cube.  Three readers use the table: the
-engine of :mod:`fanoenum.enumerator` compiles its sides from every fact but
-c2.H, :func:`mu_of`, :class:`RaySpec` and :func:`c2_dot_H` look values up in
-it, and the lattice-index elimination takes from it its c2.H value sets and
-the H^3 and (-K).H^2 facts of its cube filter.
+contracted to a point adds its cube.  The engine of
+:mod:`fanoenum.enumerator` compiles its sides from every fact but c2.H, and
+:func:`mu_of`, :class:`RaySpec` and :func:`c2_dot_H` look values up in it.
 
 The c2 values satisfy one global relation, the 24-balance -K.c2 = 24
 (24 = mu2 c2.H1 + mu1 c2.H2 when the two pullbacks form a basis).  The
 engine does not use it, so :func:`balance_check` is a check on its records
-that shares no equation with it; the elimination uses it to show that the
-two pullbacks form a basis of the Picard lattice (index 1) on every pairing
-that gives a family.  ``tests/test_index_oracle.py`` proves the rest: above
-index 1 the balance fails on every solution of every pairing.
+that shares no equation with it.  That the two pullbacks form a basis of
+the Picard lattice (index 1) is proved outside the package:
+``tests/test_index_oracle.py`` solves every pairing at every index, and the
+balance fails on every solution above index 1 (acceptance criterion 4).
 """
 
 from __future__ import annotations
 
 import enum
-from math import gcd
 from typing import Iterable, NamedTuple, Optional
 
 from .chern_calculus import FANO_TARGETS
-from .errors import ConstraintError, IncompleteSpecError, InconsistencyError
+from .errors import ConstraintError, IncompleteSpecError
 from .picard_lattice import INTEGER, ValueObject
 
 __all__ = [
@@ -44,7 +41,6 @@ __all__ = [
     "c2_dot_H",
     "balance_check",
     "degB_upper_bound",
-    "lattice_index_candidates",
 ]
 
 
@@ -363,14 +359,13 @@ def degB_upper_bound(r1: int, mu2: int, a: int, L1_cubed: int) -> int:
     return (r1 * a - mu2) ** 2 * L1_cubed // (a * a)
 
 
-def _value_set(ray_type: RayType, mu_other: int, a: int) -> frozenset[int]:
+def _value_set(ray_type: RayType, mu_other: int) -> frozenset[int]:
     """All values c2 . H can take for a ray of the given type.
 
     Each side of the type in :data:`TYPE_FACTS` gives c2.H affine in its
     unknown u over the domain of u.  An unbounded u is capped by
     (-K)^2 . H >= 1, as -K is ample and H is nef and nonzero: for C1 that is
-    deg Delta <= 11.  deg B is capped instead by degB_upper_bound, so the E1
-    set shrinks with the candidate index a.
+    deg Delta <= 11.  deg B is capped instead by degB_upper_bound.
     """
     facts = TYPE_FACTS[ray_type]
     values: set[int] = set()
@@ -380,104 +375,8 @@ def _value_set(ray_type: RayType, mu_other: int, a: int) -> frozenset[int]:
             high = facts.low
         elif ray_type is RayType.E1:
             fields = dict(fixed)
-            high = degB_upper_bound(fields["r"], mu_other, a, fields["L3"])
+            high = degB_upper_bound(fields["r"], mu_other, 1, fields["L3"])
         elif high is None:
             high = (k0 - 4) // -k1  # k0 + k1 u >= 4 in quarters, k1 < 0
         values.update((c0 + c1 * u) // 4 for u in range(facts.low, high + 1))
     return frozenset(values)
-
-
-def _primitivity_allows(a: int, mu1: int, mu2: int) -> bool:
-    """Divisibility filter from primitivity of the two pullbacks.
-
-    With -aK = mu2 H1 + mu1 H2, a prime p dividing a and exactly one of the
-    two coefficients would make the opposite basis class divisible by p in
-    Pic, contradicting primitivity of the pullback of an ample generator.
-    The ray lengths 1 to 3 are squarefree, so no such p exists exactly when
-    gcd(a, mu1) = gcd(a, mu2).
-    """
-    return gcd(a, mu1) == gcd(a, mu2)
-
-
-# (-K).H^2 in quarters of each type whose H^3 is identically 0 (C: 8, D: 0)
-_ZERO_CUBE_ANTICAN = {
-    t: facts.sides[0][1][1][0] for t, facts in TYPE_FACTS.items()
-    if all(cube == (0, 0) for _, (cube, *_) in facts.sides)
-}
-
-
-def _cube_identity_allows(a: int, type1: RayType, mu1: int, type2: RayType, mu2: int) -> bool:
-    """Parity filter from cubing -aK when both pullbacks have zero cube.
-
-    With H1^3 = 0, a (-K).H1^2 = H1^2 . (mu2 H1 + mu1 H2) = mu1 H1^2.H2, and
-    likewise for H2, so cubing -aK = mu2 H1 + mu1 H2 gives
-    a^2 (-K)^3 = 3 (mu2^2 A1 + mu1^2 A2) for the constant (-K).H^2 = A of
-    each type in :data:`TYPE_FACTS`.  (-K)^3 is a positive even integer, so
-    a is constrained: this rules out a = 2 for a C1 + D3 pair, and every a
-    for two del Pezzo fibrations, whose A is 0.
-    """
-    A1 = _ZERO_CUBE_ANTICAN.get(type1)
-    A2 = _ZERO_CUBE_ANTICAN.get(type2)
-    if A1 is None or A2 is None:
-        return True
-    quarters = 3 * (mu2 * mu2 * A1 + mu1 * mu1 * A2)  # 4 a^2 (-K)^3, A in quarters
-    return quarters > 0 and quarters % (8 * a * a) == 0
-
-
-def lattice_index_candidates(
-    mu1: int, mu2: int, type1: RayType, type2: Optional[RayType] = None
-) -> frozenset[int]:
-    """Surviving indices a of Z H1 + Z H2 inside Pic(X).
-
-    For each candidate a >= 1 the relation 24a = mu2 (c2 . H1) + mu1 (c2 . H2)
-    is tested for solvability with c2-values in the per-type admissible sets
-    (the E1 set shrinking with a through the centre-degree bound), after the
-    primitivity and cube-parity filters.  The relation bounds the sweep: a
-    is at most (mu2 M1 + mu1 M2) / 24 for M the largest c2-value of a type
-    at any index.  ``type2`` is one type, or None for every type of length
-    mu2, whose verdict is the union of theirs.  It is {1} on every pairing
-    that gives a family.  An index above 1 survives on D3+E5, E2+E2,
-    E2+E34, E34+E34 and E5+E5, which ``tests/test_index_oracle.py`` shows
-    have no solution at any index.
-
-    An empty result raises InconsistencyError: either the pairing can occur on
-    no variety at all, or the constraint encoding is broken.
-    """
-    if mu_of(type1) != mu1:
-        raise ConstraintError(
-            f"ray type {type1.value} has length {mu_of(type1)}, not mu1={mu1}"
-        )
-    if type2 is None:
-        second_types = tuple(t for t in RayType if TYPE_FACTS[t].mu == mu2)
-        if not second_types:
-            raise ConstraintError(f"no ray type has length mu2={mu2}")
-    elif mu_of(type2) != mu2:
-        raise ConstraintError(
-            f"ray type {type2.value} has length {mu_of(type2)}, not mu2={mu2}"
-        )
-    else:
-        second_types = (type2,)
-    # The E1 cap (r - mu/a)^2 L^3 on deg B grows as mu/a falls to 0, as
-    # 0 < mu/a <= 3 < 2r, so the value sets at mu = 0 hold those at every a.
-    largest = max(max(_value_set(t2, 0, 1)) for t2 in second_types)
-    bound = (mu2 * max(_value_set(type1, 0, 1)) + mu1 * largest) // 24
-    surviving: set[int] = set()
-    for a in range(1, bound + 1):
-        if not _primitivity_allows(a, mu1, mu2):
-            continue
-        # the c2 . H2 values that 24a = mu2 (c2 . H1) + mu1 (c2 . H2) asks for
-        wanted = {
-            (24 * a - mu2 * v1) // mu1
-            for v1 in _value_set(type1, mu2, a)
-            if (24 * a - mu2 * v1) % mu1 == 0
-        }
-        if any(_cube_identity_allows(a, type1, mu1, t2, mu2)
-               and not wanted.isdisjoint(_value_set(t2, mu1, a))
-               for t2 in second_types):
-            surviving.add(a)
-    if not surviving:
-        raise InconsistencyError(
-            f"no lattice index is consistent with ({mu1}, {mu2}, {type1.value}, "
-            f"{[t.value for t in second_types]}); impossible pairing or encoding bug"
-        )
-    return frozenset(surviving)

@@ -7,13 +7,15 @@ reads as a checklist:
   1. the rank-2 table (36 families) is reproduced exactly, in under 1s;
   2. the primitive rank-3 table (4 families) is reproduced exactly, <1s;
   3. the recorded Chern-formula evaluations reproduce exactly;
-  4. the lattice index is 1 in all nine basis-elimination configurations;
+  4. the lattice index is 1 in all nine basis-elimination configurations,
+     by the index oracle of ``test_index_oracle``;
   5. every solver agrees with an independent brute-force sweep, <10s;
   6. structural invariants hold for every emitted record.
 """
 
 import time
 
+import test_index_oracle as index_oracle
 import test_solver_oracles as oracles
 
 from fanoenum.chern_calculus import (
@@ -29,7 +31,7 @@ from fanoenum.ray_constraints import (
     RayType,
     balance_check,
     c2_dot_H,
-    lattice_index_candidates,
+    mu_of,
 )
 from fanoenum.table_oracle import diff, ground_truth, label
 
@@ -111,6 +113,9 @@ def test_criterion_3_chern_formula_evaluations(capsys):
 
 
 def test_criterion_4_lattice_index_elimination(capsys):
+    # The index oracle solves every pairing at every index up to 8.  In each
+    # configuration (mu1, mu2, first type, second type or None for every
+    # type of length mu2), every solution above index 1 fails the balance.
     configurations = [
         (1, 1, RayType.C1, None),
         (1, 2, RayType.C1, None),
@@ -122,13 +127,35 @@ def test_criterion_4_lattice_index_elimination(capsys):
         (1, 2, RayType.E1, None),
         (1, 3, RayType.E1, RayType.D3),
     ]
-    ok = all(
-        lattice_index_candidates(mu1, mu2, t1, t2) == frozenset({1})
-        for mu1, mu2, t1, t2 in configurations
+    larger = {
+        config: [
+            key for key in index_oracle.SOLUTIONS
+            if key[4] > 1 and _in_configuration(key[0], key[2], config)
+        ]
+        for config in configurations
+    }
+    unbalanced = all(
+        not index_oracle.balances(*key) for keys in larger.values() for key in keys
+    )
+    # the eight solutions above index 1 lie in the three E1 configurations
+    with_larger = [config for config, keys in larger.items() if keys]
+    ok = (
+        unbalanced
+        and with_larger == configurations[6:]
+        and sum(map(len, larger.values())) == 8
     )
     with capsys.disabled():
         _report("criterion 4: lattice index is 1 in all nine basis "
                 "configurations", ok)
+
+
+def _in_configuration(type1, type2, configuration):
+    """Whether the pairing of type1 and type2, in either order, fits the configuration."""
+    _, mu2, first, second = configuration
+    return any(
+        t1 is first and mu_of(t2) == mu2 and second in (None, t2)
+        for t1, t2 in ((type1, type2), (type2, type1))
+    )
 
 
 def test_criterion_5_solver_oracle_equivalence(capsys):

@@ -217,17 +217,11 @@ def test_cli_start_imports_no_heavy_stdlib_module():
     assert sorted(added & heavy) == []
 
 
-def test_the_package_and_its_certificate_load_neither_fractions_nor_decimal():
-    # every module of the package, the nine basis configurations of the
-    # lattice-index certificate and the rank-2 engine run in integers
+def test_the_package_and_its_engine_load_neither_fractions_nor_decimal():
+    # every module of the package and the rank-2 engine run in integers
     statement = (
         "import fanoenum.cli\n"
         "from fanoenum import *\n"
-        "T = RayType\n"
-        "for config in [(1, 1, T.C1, None), (1, 2, T.C1, None), (1, 3, T.C1, T.D3),\n"
-        "               (2, 1, T.C2, None), (2, 2, T.C2, None), (2, 3, T.C2, T.D3),\n"
-        "               (1, 1, T.E1, None), (1, 2, T.E1, None), (1, 3, T.E1, T.D3)]:\n"
-        "    assert lattice_index_candidates(*config) == {1}, config\n"
         "assert len(enumerate_all(2)) == 36"
     )
     assert sorted(_modules_loaded_by(statement) & {"fractions", "decimal"}) == []

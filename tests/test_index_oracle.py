@@ -20,16 +20,21 @@ shares no code with the engine; the engine is read only to compare the
 index-1 solutions with its records.  A solution has integer unknowns in the
 type domains, integral form entries and a positive even (-K)^3.  At every
 index above 1 each solution fails the 24-balance, so the engine's 24
-pairings at index 1 are a shortcut this file proves.
+pairings at index 1 are a shortcut this file proves.  On fact tables with
+one fact moved the two agree as well, except where the engine raises in a
+mode that ``ENGINE_REFUSALS`` names.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import gcd
 
+import pytest
 from test_engine import RECORD_SIDE_PAIRS
 
 from fanoenum import enumerator
+from fanoenum.errors import ConstraintError, InconsistencyError, ParityError
 from fanoenum.ray_constraints import TYPE_FACTS, RayType, _value_set
 
 PAIRINGS = tuple(combinations_with_replacement(RayType, 2))
@@ -141,6 +146,22 @@ def _key(type1, i, type2, j, a):
     return type1.value, i, type2.value, j, a
 
 
+def c2_values(type1, i, type2, j, a):
+    """(c2.H1, c2.H2) of a solution of :data:`SOLUTIONS`: each side's fact at its unknown."""
+    *_, u1, u2 = SOLUTIONS[type1, i, type2, j, a]
+    (c1, k1), (c2, k2) = TYPE_FACTS[type1].sides[i][1][3], TYPE_FACTS[type2].sides[j][1][3]
+    return Fraction(c1 + k1 * u1, 4), Fraction(c2 + k2 * u2, 4)
+
+
+def balances(type1, i, type2, j, a):
+    """Whether a solution of :data:`SOLUTIONS` meets the 24-balance at its index.
+
+    -K . c2 = 24 with -aK = mu2 H1 + mu1 H2 reads 24 a = mu2 c2.H1 + mu1 c2.H2.
+    """
+    c2_h1, c2_h2 = c2_values(type1, i, type2, j, a)
+    return 24 * a == TYPE_FACTS[type2].mu * c2_h1 + TYPE_FACTS[type1].mu * c2_h2
+
+
 def test_the_oracle_visits_every_side_pair_the_engine_does():
     assert len(PAIRINGS) == 45
     assert sum(len(_side_pairs(*pair)) for pair in PAIRINGS) == 351
@@ -166,12 +187,8 @@ def test_above_index_one_there_are_eight_solutions_and_the_balance_rejects_each(
     larger = [key for key in SOLUTIONS if key[4] > 1]
     assert {_key(*key) for key in larger} == LARGER_INDEX_SOLUTIONS
     assert len(larger) == 8
-    for type1, i, type2, j, a in larger:
-        *_, u1, u2 = SOLUTIONS[type1, i, type2, j, a]
-        facts1, facts2 = TYPE_FACTS[type1], TYPE_FACTS[type2]
-        (c1, k1), (c2, k2) = facts1.sides[i][1][3], facts2.sides[j][1][3]
-        c2_h1, c2_h2 = Fraction(c1 + k1 * u1, 4), Fraction(c2 + k2 * u2, 4)
-        assert 24 * a != facts2.mu * c2_h1 + facts1.mu * c2_h2
+    for key in larger:
+        assert not balances(*key)
     # the four D+E1 solutions fail primitivity as well
     del_pezzo_first = [key for key in larger if TYPE_FACTS[key[0]].family == "D"]
     assert len(del_pezzo_first) == 4
@@ -180,11 +197,13 @@ def test_above_index_one_there_are_eight_solutions_and_the_balance_rejects_each(
 
 
 def test_the_sweep_reaches_every_index_the_balance_admits():
-    # the certificate's bound (mu2 M1 + mu1 M2) / 24, M the largest c2 value
+    # the balance bounds the index by (mu2 M1 + mu1 M2) / 24, M the largest c2
+    # value; the E1 cap (r - mu/a)^2 L^3 on deg B grows as mu/a falls to 0, so
+    # the value sets at mu = 0 hold those at every index
     bounds = {
         (type1, type2): (
-            TYPE_FACTS[type2].mu * max(_value_set(type1, 0, 1))
-            + TYPE_FACTS[type1].mu * max(_value_set(type2, 0, 1))
+            TYPE_FACTS[type2].mu * max(_value_set(type1, 0))
+            + TYPE_FACTS[type1].mu * max(_value_set(type2, 0))
         ) // 24
         for type1 in RayType
         for type2 in RayType
@@ -204,3 +223,63 @@ def test_only_the_record_pairings_have_a_solution_at_any_index():
         "C2+D2", "C2+E34", "C1+D3", "C2+D1", "C1+E2", "C1+E5",
     }
 
+
+# A mutant fact table moves one fact of one side, H^3, (-K).H^2 or (-K)^2.H
+# (fact 0, 1, 2), in its constant or slope (part 0 or 1), by 4 quarters.
+MUTANTS = [
+    (ray_type, index, fact, part, quarters)
+    for ray_type in RayType
+    for index in range(len(TYPE_FACTS[ray_type].sides))
+    for fact in range(3)
+    for part in (0, 1)
+    for quarters in (-4, 4)
+]
+# Every point-type fact has a zero constant, so only a moved constant gives
+# a point side's cube term M one: these two, on the E3/E4 side r = 2, do.
+SAMPLED_MUTANTS = random.Random(19).sample(MUTANTS, 20) + [
+    (RayType.E34, 1, 0, 0, -4), (RayType.E34, 1, 2, 0, 4)
+]
+# Where the engine may raise on a mutant side pair, by type and message:
+# what the constructors check and the two ways the system itself fails.
+ENGINE_REFUSALS = (
+    (ParityError, "must be even"),
+    (ConstraintError, "genus computed as"),
+    (ConstraintError, "the twist of an"),
+    (ConstraintError, "must lie in (0, 72]"),
+    (InconsistencyError, "leave an unknown free"),
+    (InconsistencyError, "fractional form entry"),
+)
+
+
+@pytest.mark.parametrize(
+    "ray_type,index,fact,part,quarters",
+    SAMPLED_MUTANTS,
+    ids=[f"{t.value}-{i}-fact{f}-part{p}-{q:+d}" for t, i, f, p, q in SAMPLED_MUTANTS],
+)
+def test_the_engine_and_the_oracle_agree_on_a_mutant_fact_table(
+    ray_type, index, fact, part, quarters, monkeypatch
+):
+    facts = TYPE_FACTS[ray_type]
+    sides = list(facts.sides)
+    fixed, moved = sides[index]
+    moved = [list(pair) for pair in moved]
+    moved[fact][part] += quarters
+    sides[index] = (fixed, tuple(map(tuple, moved)))
+    monkeypatch.setitem(TYPE_FACTS, ray_type, facts._replace(sides=tuple(sides)))
+    monkeypatch.setitem(enumerator._SIDES, ray_type, enumerator._compile(ray_type))
+    for type1, type2 in PAIRINGS:
+        if ray_type not in (type1, type2):
+            continue
+        for i, j in _side_pairs(type1, type2):
+            side1, side2 = enumerator._SIDES[type1][i], enumerator._SIDES[type2][j]
+            try:
+                record = enumerator._solve_sides(side1, side2)
+            except (ParityError, ConstraintError, InconsistencyError) as exc:
+                assert any(
+                    type(exc) is kind and message in str(exc)
+                    for kind, message in ENGINE_REFUSALS
+                ), exc
+                continue
+            solution = _oracle_solve(type1, i, type2, j, 1)
+            engine = record and (tuple(record.form.entries.values()), record.kx3)
+            assert engine == (solution and solution[:2]), _key(type1, i, type2, j, 1)

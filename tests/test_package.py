@@ -37,7 +37,6 @@ PUBLIC_NAMES = [
     "genus_from_blowup",
     "ground_truth",
     "label",
-    "lattice_index_candidates",
     "mu_of",
     "parse_rows",
     "record_to_row",

@@ -1,4 +1,11 @@
-"""Ray-type tables, the c2 balance, and the lattice-index elimination."""
+"""Ray-type tables, the c2 balance and the bound on an E1 centre's degree.
+
+That the two pullbacks have index 1 in Pic(X) is proved by the index oracle,
+``tests/test_index_oracle.py``, and checked as acceptance criterion 4.  The
+lattice-index tests here read that oracle configuration by configuration and
+pairing by pairing, beside the c2.H value sets and the index bound that the
+24-balance derives from them.
+"""
 
 import pickle
 from fractions import Fraction
@@ -7,25 +14,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import test_index_oracle as index_oracle
+
 from fanoenum.chern_calculus import FANO_TARGETS
-from fanoenum.enumerator import _RANK2_PAIRINGS
-from fanoenum.errors import (
-    ConstraintError,
-    IncompleteSpecError,
-    InconsistencyError,
-)
+from fanoenum.errors import ConstraintError, IncompleteSpecError
 from fanoenum.ray_constraints import (
     C_TYPES,
     D_TYPES,
+    TYPE_FACTS,
     RaySpec,
     RayType,
-    _cube_identity_allows,
-    _primitivity_allows,
     _value_set,
     balance_check,
     c2_dot_H,
     degB_upper_bound,
-    lattice_index_candidates,
     mu_of,
 )
 
@@ -229,7 +231,8 @@ def test_degB_upper_bound_exact_rationals():
 
 # The nine configurations of the basis elimination: six with a C-type first
 # ray (the primitive steps, keyed by the length pair) and three with an E1
-# first ray (the imprimitive claim, keyed by the second ray's length).
+# first ray (the imprimitive claim, keyed by the second ray's length).  A
+# second type of None stands for every type of the second length.
 NINE_CONFIGURATIONS = [
     (1, 1, RayType.C1, None),
     (1, 2, RayType.C1, None),
@@ -243,136 +246,73 @@ NINE_CONFIGURATIONS = [
 ]
 
 
+def _second_types(mu2, type2):
+    return [t for t in RayType if mu_of(t) == mu2] if type2 is None else [type2]
+
+
+def _oracle_keys(type1, second_types):
+    """The index oracle's solutions on a pairing of type1 with one of second_types."""
+    return [
+        key for key in index_oracle.SOLUTIONS
+        if any({key[0], key[2]} == {type1, t2} for t2 in second_types)
+    ]
+
+
+def _balanced_indices(type1, second_types):
+    """The indices of those solutions that meet the 24-balance."""
+    keys = _oracle_keys(type1, second_types)
+    return {key[4] for key in keys if index_oracle.balances(*key)}
+
+
+def _balance_survivors(mu1, mu2, type1, second_types, top=199):
+    """The indices a <= top with 24 a = mu2 v1 + mu1 v2 for some c2.H values
+    v1 of type1 and v2 of a second type.
+
+    The value sets at mu = 0 hold those at every index, as the E1 cap
+    (r - mu/a)^2 L^3 on deg B grows as mu/a falls to 0.
+    """
+    values2 = frozenset().union(*(_value_set(t2, 0) for t2 in second_types))
+    return {
+        a for a in range(1, top + 1)
+        if any((24 * a - mu2 * v1) % mu1 == 0 and (24 * a - mu2 * v1) // mu1 in values2
+               for v1 in _value_set(type1, 0))
+    }
+
+
 @pytest.mark.parametrize("mu1,mu2,t1,t2", NINE_CONFIGURATIONS)
 def test_lattice_index_is_always_one(mu1, mu2, t1, t2):
-    assert lattice_index_candidates(mu1, mu2, t1, t2) == frozenset({1})
+    # every oracle solution in the configuration that meets the balance has
+    # index 1; C1 + D3 has no solution at any index
+    assert mu_of(t1) == mu1
+    expected = set() if (t1, t2) == (RayType.C1, RayType.D3) else {1}
+    assert _balanced_indices(t1, _second_types(mu2, t2)) == expected
 
 
 @pytest.mark.parametrize("conic", C_TYPES, ids=lambda t: t.value)
 def test_a_conic_bundle_first_call_admits_an_e1_second_ray(conic):
-    # type2=None means every type of the second length; the certificate
-    # still proves index 1 with E1 among the candidates
-    assert lattice_index_candidates(mu_of(conic), 1, conic, RayType.E1) == frozenset({1})
-    assert lattice_index_candidates(mu_of(conic), 1, conic) == frozenset({1})
+    # a conic bundle beside the blow-up of a curve gives a family at index 1,
+    # and so does a conic bundle beside every type of length 1
+    assert _balanced_indices(conic, [RayType.E1]) == {1}
+    assert _balanced_indices(conic, _second_types(1, None)) == {1}
 
 
 def test_lattice_index_explicit_alternatives():
     # the elimination steps with the second type spelled out
-    assert lattice_index_candidates(2, 2, RayType.C2, RayType.E2) == frozenset({1})
-    assert lattice_index_candidates(1, 1, RayType.C1, RayType.E5) == frozenset({1})
-    assert lattice_index_candidates(1, 1, RayType.E1, RayType.E1) == frozenset({1})
-    assert lattice_index_candidates(1, 1, RayType.E1, RayType.E5) == frozenset({1})
+    assert _balanced_indices(RayType.C2, [RayType.E2]) == {1}
+    # C1 + E5 passes the balance at index 1 on its value sets, yet has no solution
+    assert _balance_survivors(1, 1, RayType.C1, [RayType.E5]) == {1}
+    assert _balanced_indices(RayType.C1, [RayType.E5]) == set()
+    # E1 + E1 and E1 + E5 have solutions at index 2 and 5 that fail the balance
+    for second, larger in ((RayType.E1, 2), (RayType.E5, 5)):
+        assert {key[4] for key in _oracle_keys(RayType.E1, [second])} == {1, larger}
+        assert _balanced_indices(RayType.E1, [second]) == {1}
 
 
 def test_lattice_index_impossible_pairing():
-    # a C2 + D2 pair satisfies the balance for no index at all
-    with pytest.raises(InconsistencyError):
-        lattice_index_candidates(2, 2, RayType.C2, RayType.D2)
-
-
-def _pairing(spelling):
-    return tuple(RayType(tag) for tag in spelling.split("+"))
-
-
-# The verdict of the certificate on each of the 45 unordered pairings of two
-# types, in either order, where it is not {1}.  Two del Pezzo fibrations
-# fail the cube identity at every index, as a^2 (-K)^3 = 0 for them.
-IMPOSSIBLE_PAIRINGS = [_pairing(p) for p in (
-    "C2+D2", "C2+E34", "D1+D1", "D1+D2", "D1+D3", "D1+E34", "D2+D2", "D2+D3",
-    "D2+E34", "D2+E5", "D3+D3", "D3+E34", "E34+E5",
-)]
-LARGER_INDICES = {
-    _pairing("D3+E5"): {2},
-    _pairing("E2+E2"): {1, 2, 3, 4},
-    _pairing("E2+E34"): {1, 3},
-    _pairing("E34+E34"): {1, 2},
-    _pairing("E5+E5"): {1, 2},
-}
-# Index 1, yet outside the pairings the engine solves.
-EXCLUDED_AT_INDEX_ONE = [_pairing(p) for p in ("D1+E2", "D1+E5", "D2+E2", "D3+E2", "E2+E5")]
-
-
-def test_the_certificate_on_every_pairing_of_two_types():
-    pairings = [(t1, t2) for i, t1 in enumerate(RayType) for t2 in list(RayType)[i:]]
-    assert len(pairings) == 45
-    expected = {pair: {1} for pair in pairings}
-    expected.update(dict.fromkeys(IMPOSSIBLE_PAIRINGS, InconsistencyError))
-    expected.update(LARGER_INDICES)
-    # the engine's pairings, but for two the certificate rules out, and five more
-    solved = set(_RANK2_PAIRINGS) - set(IMPOSSIBLE_PAIRINGS)
-    assert len(solved) == 22
-    assert {pair for pair, verdict in expected.items() if verdict == {1}} == (
-        solved | set(EXCLUDED_AT_INDEX_ONE)
-    )
-    for (t1, t2), verdict in expected.items():
-        for first, second in ((t1, t2), (t2, t1)):
-            assert _candidates_or_error(mu_of(first), mu_of(second), first, second) == (
-                verdict if verdict is InconsistencyError else frozenset(verdict)
-            ), (first.value, second.value)
-
-
-def test_lattice_index_validates_lengths():
-    with pytest.raises(ConstraintError, match=r"ray type C1 has length 1, not mu1=2"):
-        lattice_index_candidates(2, 1, RayType.C1, None)
-    with pytest.raises(ConstraintError, match=r"ray type D3 has length 3, not mu2=2"):
-        lattice_index_candidates(1, 2, RayType.C1, RayType.D3)
-    with pytest.raises(ConstraintError, match=r"no ray type has length mu2=4"):
-        lattice_index_candidates(1, 4, RayType.C1, None)
-
-
-@pytest.mark.parametrize(
-    "type2", ["E1", (RayType.E1,), {RayType.E1: 0}, ()], ids=["str", "tuple", "dict", "empty"]
-)
-def test_lattice_index_takes_one_second_type_or_none(type2):
-    # a collection is not a type; its verdict, the union of its members',
-    # is spelled out one type at a time in the union test below
-    with pytest.raises(ConstraintError, match="is not an extremal-ray type"):
-        lattice_index_candidates(1, 1, RayType.C1, type2)
-
-
-def test_a_ray_type_is_checked_wherever_one_is_read():
-    with pytest.raises(ConstraintError, match="'C1' is not an extremal-ray type"):
-        lattice_index_candidates(1, 1, "C1")
-    with pytest.raises(ConstraintError, match="None is not an extremal-ray type"):
-        lattice_index_candidates(1, 1, None)
-    with pytest.raises(ConstraintError, match="'C1' is not an extremal-ray type"):
-        mu_of("C1")
-
-
-@pytest.mark.parametrize("mu2", [1, 2, 3])
-@pytest.mark.parametrize("type1", list(RayType), ids=lambda t: t.value)
-def test_every_type_of_a_length_gives_the_union_of_their_verdicts(type1, mu2):
-    mu1 = mu_of(type1)
-    verdicts = [
-        _candidates_or_error(mu1, mu2, type1, t2) for t2 in RayType if mu_of(t2) == mu2
-    ]
-    indices = [v for v in verdicts if v is not InconsistencyError]
-    union = frozenset().union(*indices) if indices else InconsistencyError
-    assert _candidates_or_error(mu1, mu2, type1, None) == union
-
-
-def _candidates_or_error(mu1, mu2, type1, type2):
-    try:
-        return lattice_index_candidates(mu1, mu2, type1, type2)
-    except InconsistencyError:
-        return InconsistencyError
-
-
-def _reference_candidates(mu1, mu2, type1, type2):
-    """``lattice_index_candidates`` as a sweep of a over 1..199, kept as its oracle."""
-    second_types = [t for t in RayType if mu_of(t) == mu2] if type2 is None else [type2]
-    surviving = set()
-    for a in range(1, 200):
-        if not _primitivity_allows(a, mu1, mu2):
-            continue
-        for t2 in second_types:
-            if _cube_identity_allows(a, type1, mu1, t2, mu2):
-                set2 = _value_set(t2, mu1, a)
-                for v1 in _value_set(type1, mu2, a):
-                    v2, remainder = divmod(24 * a - mu2 * v1, mu1)
-                    if not remainder and v2 in set2:
-                        surviving.add(a)
-    return frozenset(surviving) or InconsistencyError
+    # a C2 + D2 pair satisfies the balance for no index at all, and the
+    # oracle solves it at none
+    assert _balance_survivors(2, 2, RayType.C2, [RayType.D2]) == set()
+    assert _oracle_keys(RayType.C2, [RayType.D2]) == []
 
 
 @pytest.mark.parametrize(
@@ -382,21 +322,45 @@ def _reference_candidates(mu1, mu2, type1, type2):
     ids=lambda value: getattr(value, "value", str(value)),
 )
 def test_the_derived_index_bound_cuts_no_survivor_off(mu1, mu2, type1, type2):
-    # the sweep stops at (mu2 M1 + mu1 M2) / 24; none past it survives
-    assert _candidates_or_error(mu1, mu2, type1, type2) == _reference_candidates(
-        mu1, mu2, type1, type2
-    )
+    # the balance bounds the index by (mu2 M1 + mu1 M2) / 24, M the largest
+    # c2 value, so no index past it survives; the value sets hold the c2
+    # values of every oracle solution, so each index at which the oracle
+    # meets the balance survives
+    seconds = _second_types(mu2, type2)
+    largest = max(max(_value_set(t2, 0)) for t2 in seconds)
+    bound = (mu2 * max(_value_set(type1, 0)) + mu1 * largest) // 24
+    survivors = _balance_survivors(mu1, mu2, type1, seconds)
+    assert max(survivors, default=0) <= bound
+    for key in _oracle_keys(type1, seconds):
+        for ray_type, value in zip((key[0], key[2]), index_oracle.c2_values(*key)):
+            assert value in _value_set(ray_type, 0), key
+    assert _balanced_indices(type1, seconds) <= survivors
 
 
 @pytest.mark.parametrize(
     "c_type,d_type", [(c, d) for c in C_TYPES for d in D_TYPES], ids=lambda t: t.value
 )
 def test_lattice_index_is_symmetric_in_a_conic_and_a_del_pezzo_ray(c_type, d_type):
-    # the D-first call reads the cube identity's two facts in the other order
+    # the D-first solve reads the two sides' facts in the other order: it
+    # gives the mirror solution at every index, and the balance the same indices
+    for i in range(len(TYPE_FACTS[c_type].sides)):
+        for j in range(len(TYPE_FACTS[d_type].sides)):
+            for a in range(1, index_oracle.TOP_INDEX + 1):
+                c_first = index_oracle._oracle_solve(c_type, i, d_type, j, a)
+                d_first = index_oracle._oracle_solve(d_type, j, c_type, i, a)
+                mirror = d_first and (d_first[0][::-1], d_first[1], d_first[3], d_first[2])
+                assert c_first == mirror, (i, j, a)
     mu_c, mu_d = mu_of(c_type), mu_of(d_type)
-    assert _candidates_or_error(mu_d, mu_c, d_type, c_type) == _candidates_or_error(
-        mu_c, mu_d, c_type, d_type
+    assert _balance_survivors(mu_d, mu_c, d_type, [c_type]) == _balance_survivors(
+        mu_c, mu_d, c_type, [d_type]
     )
+
+
+def test_a_ray_type_is_checked_wherever_one_is_read():
+    with pytest.raises(ConstraintError, match="'C1' is not an extremal-ray type"):
+        mu_of("C1")
+    with pytest.raises(ConstraintError, match="None is not an extremal-ray type"):
+        mu_of(None)
 
 
 # st.builds draws every field of a named tuple, optional ones too; through

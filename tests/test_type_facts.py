@@ -1,10 +1,12 @@
 """The readers of the one per-type fact table agree with each other.
 
 The engine compiles its sides from ``TYPE_FACTS`` and reads every fact but
-c2.H, ``c2_dot_H`` looks the c2.H fact up in it, and the lattice-index
-argument takes its value sets from it; each test ties two of these readers
-together.  As the engine reads no c2.H fact, ``balance_check`` on its records
-is a check that shares no equation with it.
+c2.H, ``c2_dot_H`` looks the c2.H fact up in it, and ``_value_set`` takes
+from it the c2.H values that bound the sweep of the index oracle
+(``tests/test_index_oracle.py``, which proves that the pullbacks have index
+1); each test ties two of these readers together.  As the engine reads no
+c2.H fact, ``balance_check`` on its records is a check that shares no
+equation with it.
 """
 
 import pickle
@@ -67,7 +69,7 @@ def test_only_the_balance_sees_a_shifted_c2_fact(ray_type, index, monkeypatch, t
 def test_every_computed_ray_lies_in_its_lattice_value_set():
     for record in enumerate_all(2):
         for ray, other in (record.rays, record.rays[::-1]):
-            assert c2_dot_H(ray) in _value_set(ray.ray_type, other.mu, 1), record_to_row(record).table_id
+            assert c2_dot_H(ray) in _value_set(ray.ray_type, other.mu), record_to_row(record).table_id
 
 
 @pytest.mark.parametrize("ray_type", list(RayType), ids=lambda t: t.value)
