@@ -6,7 +6,7 @@ compares every invariant the tables state, so a single perturbed number
 shows up immediately.
 """
 
-from fanoenum import diff, enumerate_all, ground_truth, record_to_row
+from fanoenum import diff, enumerate_all, ground_truth, label
 
 # The central check: the computed tables match the embedded ones exactly.
 for rho, primitive_only in ((2, False), (3, True)):
@@ -17,8 +17,9 @@ for rho, primitive_only in ((2, False), (3, True)):
 
 # To see what a failure looks like, doctor one computed row.  Records
 # re-validate themselves on construction, so the fault is injected in
-# the solver-independent row shape instead.
-rows = [record_to_row(rec) for rec in enumerate_all(2)]
+# the solver-independent row shape instead; label projects every record
+# with one read of the ground truth.
+rows = list(label(enumerate_all(2)))
 rows[6] = rows[6]._replace(kx3=rows[6].kx3 + 2)
 genus = dict(rows[8].invariants)
 genus["genus"] = (None, 4)

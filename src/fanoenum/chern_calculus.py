@@ -21,8 +21,6 @@ rounded away.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .errors import (
     ConstraintError,
     IncompleteSpecError,
@@ -149,7 +147,7 @@ def genus_from_blowup(kx3: int, ky3: int, r: int, degB: int) -> int:
     return genus
 
 
-def antican_cube_by_index(r: int, L3: Optional[int] = None) -> int:
+def antican_cube_by_index(r: int, L3: int | None = None) -> int:
     """(-K_Y)^3 = r^3 L^3 for a smooth Fano threefold Y of index r >= 2.
 
     Index 4 forces Y = P^3 (cube 64), index 3 forces the quadric (cube 54);

@@ -13,9 +13,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Sequence
 from functools import partial
-from pathlib import Path
-from typing import Optional, Sequence
 
 from .chern_calculus import (
     antican_cube_divisor_in_p2_bundle,
@@ -49,7 +48,14 @@ _CHERN_FORMULAS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, with every subcommand's parser or only ``command``'s.
+
+    A process runs one subcommand, so :func:`run` builds only the parser its
+    argv names.  That parser's metavar keeps the usage line of the full one;
+    the full one has none, so that argparse names the action ``command`` in
+    an invalid-choice error.
+    """
     parser = argparse.ArgumentParser(
         prog="fanoenum",
         description=(
@@ -57,8 +63,14 @@ def build_parser() -> argparse.ArgumentParser:
             "exact integer arithmetic and compare against the embedded table."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _SUBCOMMANDS if command is None else (command,):
+        _SUBCOMMANDS[name](sub)
+    return parser
 
+
+def _add_enumerate(sub) -> None:
     p_enum = sub.add_parser("enumerate", help="solve and print the families")
     p_enum.add_argument("--rho", type=int, choices=(2, 3), default=2)
     p_enum.add_argument(
@@ -78,24 +90,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_enum.set_defaults(handler=partial(_run_enumerate, p_enum))
 
+
+def _add_verify(sub) -> None:
     p_verify = sub.add_parser(
         "verify", help="diff computed families against the embedded table"
     )
     p_verify.add_argument("--rho", type=int, choices=(2, 3))
     p_verify.set_defaults(handler=_run_verify)
 
+
+def _add_chern(sub) -> None:
     p_chern = sub.add_parser("chern", help="evaluate one Chern-class formula")
     p_chern.add_argument("formula", choices=sorted(_CHERN_FORMULAS))
     p_chern.add_argument("values", type=int, nargs="+")
     p_chern.set_defaults(handler=partial(_run_chern, p_chern))
 
+
+def _add_emit(sub) -> None:
     p_emit = sub.add_parser("emit", help="export a table to a file or stdout")
     p_emit.add_argument("--rho", type=int, choices=(2, 3), default=2)
     p_emit.add_argument("--format", dest="fmt", choices=_EMIT_CHOICES, default="json")
     p_emit.add_argument("--source", choices=("truth", "computed"), default="truth")
     p_emit.add_argument("--out", type=_path, help="output path (default: stdout)")
     p_emit.set_defaults(handler=_run_emit)
-    return parser
+
+
+# Each subcommand and the function that adds its parser, in help order.
+_SUBCOMMANDS = {
+    "enumerate": _add_enumerate,
+    "verify": _add_verify,
+    "chern": _add_chern,
+    "emit": _add_emit,
+}
 
 
 _EMIT_CHOICES = ("markdown", "json", "csv")
@@ -134,9 +160,10 @@ def _computed_rows(rho: int, primitive_only: bool):
     return label(enumerate_all(rho, primitive_only=primitive_only))
 
 
-def _write_payload(payload: bytes, out: Optional[str]) -> None:
+def _write_payload(payload: bytes, out: str | None) -> None:
     if out is not None:
-        Path(out).write_bytes(payload)
+        with open(out, "wb") as file:
+            file.write(payload)
         return
     sys.stdout.buffer.write(payload)
     if not payload.endswith(b"\n"):
@@ -195,9 +222,11 @@ def _run_emit(args: argparse.Namespace) -> int:
     return 0
 
 
-def run(argv: Optional[Sequence[str]] = None) -> int:
+def run(argv: Sequence[str] | None = None) -> int:
     """Parse arguments and execute; returns the process exit code."""
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.handler(args)

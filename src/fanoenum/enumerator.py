@@ -27,9 +27,10 @@ records with its row ids when they are projected onto rows.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable
 from itertools import combinations_with_replacement
 from math import isqrt
-from typing import Iterable, NamedTuple, Optional
 
 from .chern_calculus import (
     antican_cube_by_index,
@@ -69,11 +70,8 @@ __all__ = [
 ]
 
 
-class _RecordFields(NamedTuple):
-    rays: tuple[RaySpec, ...]
-    form: TrilinearForm
-    minus_k: DivisorClass
-    kx3: int
+# A tuple[RaySpec, ...], a TrilinearForm, a DivisorClass and an int.
+_RecordFields = namedtuple("_RecordFields", ("rays", "form", "minus_k", "kx3"))
 
 
 class SolutionRecord(_RecordFields):
@@ -130,7 +128,7 @@ class SolutionRecord(_RecordFields):
         return tuple([spec.ray_type for spec in self.rays])
 
     @property
-    def genus(self) -> Optional[int]:
+    def genus(self) -> int | None:
         return next((s.genus for s in self.rays if s.ray_type is _E1), None)
 
     @property
@@ -138,7 +136,7 @@ class SolutionRecord(_RecordFields):
         return _TEXTS.get((self.form.rho, self.ray_types)) or _descriptions(self.rays)
 
     @property
-    def char_note(self) -> Optional[str]:
+    def char_note(self) -> str | None:
         return _CHAR_NOTES.get(self.ray_types)
 
     @property
@@ -175,7 +173,7 @@ def _curve_phrase(genus: int, degree: int) -> str:
     return "a curve of genus %d and degree %d" % (genus, degree)
 
 
-def _ci_clause(r: int, L3: int, degB: int) -> Optional[str]:
+def _ci_clause(r: int, L3: int, degB: int) -> str | None:
     """How the centre is cut out, when the degree data pin it down.
 
     Only used for blowups opposite a del Pezzo fibration, where the fibration
@@ -317,7 +315,7 @@ _MINUS_K = {(m1, m2): anticanonical_class(m1, m2) for m1 in (1, 2, 3) for m2 in 
 # ------------------------------------------------------------------ engine --
 
 
-def _integer_solution(rows) -> Optional[tuple[int, int]]:
+def _integer_solution(rows) -> tuple[int, int] | None:
     """Integers (u1, u2) with a u1 + b u2 + c = 0 for every row (a, b, c).
 
     None when there are none; rows that leave an unknown free raise
@@ -346,7 +344,7 @@ def _integer_solution(rows) -> Optional[tuple[int, int]]:
     return None if remainder else (u1, u2)
 
 
-def _solve_sides(side1: _Side, side2: _Side) -> Optional[SolutionRecord]:
+def _solve_sides(side1: _Side, side2: _Side) -> SolutionRecord | None:
     """The record of one pair of sides, in the basis of their pullbacks.
 
     With -K = n1 H1 + n2 H2 (n1 = mu2, n2 = mu1) and C, A, B the facts H^3,

@@ -14,7 +14,7 @@ tuple repetition and concatenation cannot pass for lattice arithmetic
 from __future__ import annotations
 
 import itertools
-from typing import Mapping
+from collections.abc import Mapping
 
 from .errors import ConstraintError, DimensionMismatchError
 

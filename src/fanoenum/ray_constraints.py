@@ -28,7 +28,8 @@ balance fails on every solution above index 1 (acceptance criterion 4).
 from __future__ import annotations
 
 import enum
-from typing import Iterable, NamedTuple, Optional
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .chern_calculus import FANO_TARGETS
 from .errors import ConstraintError, IncompleteSpecError
@@ -179,16 +180,13 @@ def mu_of(ray_type: RayType) -> int:
     return TYPE_FACTS[ray_type].mu
 
 
-class _RayFields(NamedTuple):
-    ray_type: RayType
-    r: Optional[int] = None
-    L3: Optional[int] = None
-    degB: Optional[int] = None
-    deg_delta: Optional[int] = None
-    d2: Optional[int] = None
-    e: Optional[int] = None
-    genus: Optional[int] = None
-    delta_bidegree: Optional[tuple[int, int]] = None
+# A RayType, then int | None for each field but delta_bidegree, a
+# tuple[int, int] | None.
+_RayFields = namedtuple(
+    "_RayFields",
+    ("ray_type", "r", "L3", "degB", "deg_delta", "d2", "e", "genus", "delta_bidegree"),
+    defaults=(None,) * 8,
+)
 
 
 class RaySpec(_RayFields):

@@ -22,9 +22,9 @@ import operator
 import os
 import re
 import types
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ConstraintError, UnsupportedScopeError
 from .ray_constraints import RaySpec, RayType
@@ -58,8 +58,13 @@ _RAY_DISPLAY = {ray_type.value: ray_type.display for ray_type in RayType}
 _TAG = {ray_type: ray_type.value for ray_type in RayType}
 
 
-class TableRow(NamedTuple):
-    """One classification-table row in a solver-independent shape.
+# A str, two ints, a bool, a tuple[str, ...], a Mapping[str, tuple] and a
+# tuple[str, ...].
+TableRow = namedtuple(
+    "TableRow",
+    ("table_id", "rho", "kx3", "primitive", "ray_types", "invariants", "descriptions"),
+)
+TableRow.__doc__ = """One classification-table row in a solver-independent shape.
 
     ``ray_types`` holds type tags ("C1" .. "E5", with "E34" for E3/E4) in
     canonical order; ``invariants`` maps a field name to a per-ray tuple
@@ -68,16 +73,12 @@ class TableRow(NamedTuple):
     the parsed truth is shared by every caller.
     """
 
-    table_id: str
-    rho: int
-    kx3: int
-    primitive: bool
-    ray_types: tuple[str, ...]
-    invariants: Mapping[str, tuple]
-    descriptions: tuple[str, ...]
+
+# Two tuple[str, ...] and a tuple[tuple[str, str, object, object], ...].
+_ReportFields = namedtuple("_ReportFields", ("missing", "extra", "mismatched"), defaults=((),) * 3)
 
 
-class DiffReport(NamedTuple):
+class DiffReport(_ReportFields):
     """Outcome of comparing computed records against table rows.
 
     ``missing`` lists table ids no record matched; ``extra`` labels records
@@ -86,9 +87,7 @@ class DiffReport(NamedTuple):
     report is truthy exactly when there is something to report.
     """
 
-    missing: tuple[str, ...] = ()
-    extra: tuple[str, ...] = ()
-    mismatched: tuple[tuple[str, str, object, object], ...] = ()
+    __slots__ = ()
 
     @property
     def is_empty(self) -> bool:
@@ -270,12 +269,13 @@ def _parse_truth(payload: bytes) -> tuple[tuple[TableRow, ...], Mapping[tuple, s
 # The package is installed unpacked (setuptools package-data), so its data
 # sits beside this file; importlib.resources would add a lookup to every read
 # and an import of its resource readers on first use.
-_PACKAGED_TRUTH = Path(__file__).with_name("data") / "ground_truth.json"
+_PACKAGED_TRUTH = os.path.join(os.path.dirname(__file__), "data", "ground_truth.json")
 
 
 def _load_truth() -> tuple[tuple[TableRow, ...], Mapping[tuple, str]]:
-    override = os.environ.get("FANO_GROUND_TRUTH")
-    return _parse_truth((Path(override) if override else _PACKAGED_TRUTH).read_bytes())
+    with open(os.environ.get("FANO_GROUND_TRUTH") or _PACKAGED_TRUTH, "rb") as file:
+        payload = file.read()
+    return _parse_truth(payload)
 
 
 def ground_truth(rho: int, primitive_only: bool = False) -> tuple[TableRow, ...]:
@@ -321,12 +321,13 @@ def label(records) -> tuple[TableRow, ...]:
     return tuple(_project(record, ids) for record in records)
 
 
-# In a str pattern \W is exactly "not isalnum() and not '_'".
-_NOT_ALNUM = re.compile(r"[\W_]+")
+# In a str pattern \W is exactly "not isalnum() and not '_'".  re compiles
+# it on first use and caches it: only a mismatch in diff needs it.
+_NOT_ALNUM = r"[\W_]+"
 
 
 def _normalize_description(text: str) -> str:
-    return _NOT_ALNUM.sub(" ", text.lower()).strip()
+    return re.sub(_NOT_ALNUM, " ", text.lower()).strip()
 
 
 def _normalized_multiset(descriptions: Iterable[str]) -> tuple[str, ...]:

@@ -199,11 +199,11 @@ def test_help_and_usage_texts_match_the_golden(argv):
     assert _cli_text(argv) == expected
 
 
-def _modules_loaded_by(statement):
-    """The modules a fresh interpreter holds after running ``statement``."""
+def _modules_loaded_by(statement, *options):
+    """The modules a fresh interpreter started with ``options`` holds after ``statement``."""
     script = f"{statement}\nimport sys\nprint(' '.join(sys.modules))"
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        [sys.executable, *options, "-c", script], capture_output=True, text=True, check=True
     )
     return set(proc.stdout.split())
 
@@ -278,6 +278,26 @@ def test_importing_the_engine_loads_neither_the_table_nor_json():
         "fanoenum.ray_constraints",
     ]
     assert "json" not in loaded
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import fanoenum.cli, fanoenum.enumerator, fanoenum.table_oracle",
+        "import runpy, sys\n"
+        "sys.argv = ['fanoenum', 'verify']\n"
+        "try:\n"
+        "    runpy.run_module('fanoenum', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code",
+    ],
+    ids=["import", "verify-process"],
+)
+def test_the_package_loads_neither_typing_nor_pathlib(statement):
+    # -S: without site, which may import both before the package does
+    loaded = _modules_loaded_by(statement, "-S")
+    assert "fanoenum.table_oracle" in loaded
+    assert sorted(loaded & {"typing", "pathlib"}) == []
 
 
 def test_a_submodule_is_an_attribute_before_any_public_name():
@@ -410,7 +430,7 @@ def test_bad_truth_row_is_named(tmp_path, monkeypatch, capsys):
     ids=" ".join,
 )
 def test_a_repeated_table_id_is_one_error_line(tmp_path, monkeypatch, capsys, argv):
-    rows = json.loads(table_oracle._PACKAGED_TRUTH.read_bytes())
+    rows = json.loads(Path(table_oracle._PACKAGED_TRUTH).read_bytes())
     assert rows[0]["table_id"] == "2-1"
     path = tmp_path / "truth.json"
     path.write_text(json.dumps(rows + [rows[0]]))
@@ -469,6 +489,14 @@ def test_emit_into_missing_directory_is_an_error(tmp_path, capsys):
     target = tmp_path / "absent" / "table.json"
     assert run(["emit", "--out", str(target)]) == 1
     _assert_one_error_line(capsys)
+
+
+def test_emit_to_a_path_ending_in_a_slash_writes_nothing(tmp_path, capsys):
+    # the trailing slash names a directory: it is not dropped
+    target = f"{tmp_path / 'table.json'}/"
+    assert run(["emit", "--out", target]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {target!r}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_emit_to_an_empty_path_is_a_usage_error(capsys):

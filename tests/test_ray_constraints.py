@@ -138,6 +138,14 @@ def test_rayspec_is_a_tuple_of_its_fields():
     spec = RaySpec(RayType.E1, r=3, L3=2, degB=4, genus=0)
     assert spec == (RayType.E1, 3, 2, 4, None, None, None, 0, None)
     assert RaySpec._make(spec) == spec and spec.mu == 1
+    assert RaySpec._fields == (
+        "ray_type", "r", "L3", "degB", "deg_delta", "d2", "e", "genus", "delta_bidegree"
+    )
+    assert RaySpec._field_defaults == dict.fromkeys(RaySpec._fields[1:])
+    assert repr(spec) == (
+        "RaySpec(ray_type=<RayType.E1: 'E1'>, r=3, L3=2, degB=4, deg_delta=None, d2=None,"
+        " e=None, genus=0, delta_bidegree=None)"
+    )
     with pytest.raises(AttributeError):
         spec.r = 4
 

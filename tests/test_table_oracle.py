@@ -1,15 +1,17 @@
 """Embedded classification tables, the diff machinery, and serialization."""
 
 import json
+import pickle
 import types
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fanoenum import table_oracle
 from fanoenum.enumerator import enumerate_all
-from fanoenum.errors import ConstraintError, UnsupportedScopeError
+from fanoenum.errors import ConstraintError, ParityError, UnsupportedScopeError
 from fanoenum.ray_constraints import RayType
 from fanoenum.table_oracle import (
     DiffReport,
@@ -159,6 +161,68 @@ def test_empty_report_renders_quietly():
     report = diff(enumerate_all(2), ground_truth(2))
     assert not report
     assert report.render() == "no differences"
+
+
+def _record_2_34():
+    return next(r for r in enumerate_all(2) if record_to_row(r).table_id == "2-34")
+
+
+# value, repr, _fields, _field_defaults, a bad _replace and the error it
+# raises.  A labelled row holds a dict: a parsed one's read-only mapping does
+# not pickle.
+NAMED_TUPLES = {
+    "record": (
+        _record_2_34,
+        "SolutionRecord(rays=(RaySpec(ray_type=<RayType.C2: 'C2'>, r=None, L3=None,"
+        " degB=None, deg_delta=0, d2=None, e=None, genus=None, delta_bidegree=None),"
+        " RaySpec(ray_type=<RayType.D3: 'D3'>, r=None, L3=None, degB=None,"
+        " deg_delta=None, d2=9, e=None, genus=None, delta_bidegree=None)),"
+        " form=TrilinearForm(rho=2, entries={(1, 1, 1): 0, (1, 1, 2): 1, (1, 2, 2): 0,"
+        " (2, 2, 2): 0}), minus_k=DivisorClass(coords=(3, 2)), kx3=54)",
+        ("rays", "form", "minus_k", "kx3"),
+        {},
+        {"kx3": 55},
+        ParityError,
+    ),
+    "row": (
+        lambda: record_to_row(_record_2_34()),
+        "TableRow(table_id='2-34', rho=2, kx3=54, primitive=True, ray_types=('C2', 'D3'),"
+        " invariants={'deg_delta': (0, None), 'd2': (None, 9)},"
+        " descriptions=('P^2 x P^1',))",
+        ("table_id", "rho", "kx3", "primitive", "ray_types", "invariants", "descriptions"),
+        {},
+        {"rank": 2},
+        ValueError,
+    ),
+    "empty-report": (
+        DiffReport,
+        "DiffReport(missing=(), extra=(), mismatched=())",
+        ("missing", "extra", "mismatched"),
+        {"missing": (), "extra": (), "mismatched": ()},
+        {"missed": ()},
+        ValueError,
+    ),
+    "report": (
+        lambda: DiffReport(("2-1",), ("x",), (("2-2", "kx3", 6, 8),)),
+        "DiffReport(missing=('2-1',), extra=('x',), mismatched=(('2-2', 'kx3', 6, 8),))",
+        ("missing", "extra", "mismatched"),
+        {"missing": (), "extra": (), "mismatched": ()},
+        {"missed": ()},
+        ValueError,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NAMED_TUPLES)
+def test_records_rows_and_reports_keep_their_named_tuple_behaviour(name):
+    make, text, fields, defaults, bad, error = NAMED_TUPLES[name]
+    value = make()
+    copy = pickle.loads(pickle.dumps(value))
+    assert copy == value and type(copy) is type(value)
+    assert repr(value) == text
+    assert type(value)._fields == fields and type(value)._field_defaults == defaults
+    with pytest.raises(error):
+        value._replace(**bad)
 
 
 # The four full tables: truth and computed rows of both ranks.  Rank 3 holds
@@ -594,11 +658,11 @@ JSON_VALUES = st.recursive(
     max_leaves=8,
 )
 
-PACKAGED_TRUTH = table_oracle._PACKAGED_TRUTH.read_text()
+PACKAGED_TRUTH = Path(table_oracle._PACKAGED_TRUTH).read_text()
 
 
 def test_the_packaged_truth_is_in_the_layout_emit_writes():
-    data = table_oracle._PACKAGED_TRUTH.read_bytes()
+    data = Path(table_oracle._PACKAGED_TRUTH).read_bytes()
     assert emit(parse_rows(data), "json") == data
 
 # A one-ray row whose degB list holds an object, which would make its table
