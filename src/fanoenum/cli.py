@@ -64,7 +64,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         ),
     )
     metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    # with prog given, argparse builds no HelpFormatter to work it out
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar=metavar, prog=parser.prog
+    )
     for name in _SUBCOMMANDS if command is None else (command,):
         _SUBCOMMANDS[name](sub)
     return parser

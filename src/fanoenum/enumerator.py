@@ -318,8 +318,11 @@ _MINUS_K = {(m1, m2): anticanonical_class(m1, m2) for m1 in (1, 2, 3) for m2 in 
 def _integer_solution(rows) -> tuple[int, int] | None:
     """Integers (u1, u2) with a u1 + b u2 + c = 0 for every row (a, b, c).
 
-    None when there are none; rows that leave an unknown free raise
+    None when there are none, even where the rows would also leave an
+    unknown free; otherwise rows that leave an unknown free raise
     InconsistencyError, because the engine would have to sweep it.
+    :func:`_solve_sides` calls it only on a system whose first two rows are
+    dependent: it solves the others by Cramer's rule.
     """
     a = e2 = u2 = 0  # a and e2 stay 0 when no row pivots on u1 or u2
     for row in rows:
@@ -356,30 +359,43 @@ def _solve_sides(side1: _Side, side2: _Side) -> SolutionRecord | None:
       D_i^3:        M_i - q^3 (K1 + K2) = w,  K = n B,
                     M = p^3 C - 3 p^2 q A + 3 p q^2 B
 
-    Every term is in quarters, as the facts are.  None means one of two
-    exits: the system has no integer solution, or an unknown lies outside
-    its domain.  The system implies the rest, so a fractional form entry
-    raises here, and an odd cube or a negative genus in the constructors.
-    It runs once per side pair of every pairing, most of which give no
-    record, so it is written in straight lines.
+    Every term is in quarters, as the facts are.  When the two (-K)^2.H
+    rows are independent (180 of the 198 rank-2 side pairs), Cramer's rule
+    on them gives the one rational solution, and each D^3 row only checks
+    it.  Otherwise :func:`_integer_solution` eliminates over every row, and
+    it alone decides between no solution and an unknown left free.  None
+    means one of two exits: the system has no integer solution, or an
+    unknown lies outside its domain.  The system implies the rest, so a
+    fractional form entry raises here, and an odd cube or a negative genus
+    in the constructors.  It runs once per side pair of every pairing, most
+    of which give no record, so it is written in straight lines.
     """
     n1, n2 = side2.mu, side1.mu
     C1, P1, Q1, K1, M1 = side1.terms[n1]
     C2, P2, Q2, K2, M2 = side2.terms[n2]
-    rows = [
-        (P1[1] + Q1[1], P2[1], P1[0] + Q1[0] + P2[0]),
-        (P1[1], P2[1] + Q2[1], P1[0] + P2[0] + Q2[0]),
-    ]
+    a1, b1, c1 = P1[1] + Q1[1], P2[1], P1[0] + Q1[0] + P2[0]
+    a2, b2, c2 = P1[1], P2[1] + Q2[1], P1[0] + P2[0] + Q2[0]
+    cubes = []
     if side1.contracted:
         q3, w = side1.contracted
-        rows.append((M1[1] - q3 * K1[1], -q3 * K2[1], M1[0] - q3 * (K1[0] + K2[0]) - w))
+        cubes.append((M1[1] - q3 * K1[1], -q3 * K2[1], M1[0] - q3 * (K1[0] + K2[0]) - w))
     if side2.contracted:
         q3, w = side2.contracted
-        rows.append((-q3 * K1[1], M2[1] - q3 * K2[1], M2[0] - q3 * (K1[0] + K2[0]) - w))
-    solution = _integer_solution(rows)
-    if solution is None:
-        return None
-    u1, u2 = solution
+        cubes.append((-q3 * K1[1], M2[1] - q3 * K2[1], M2[0] - q3 * (K1[0] + K2[0]) - w))
+    det = a1 * b2 - a2 * b1
+    if det:
+        u1, r1 = divmod(b1 * c2 - b2 * c1, det)
+        u2, r2 = divmod(a2 * c1 - a1 * c2, det)
+        if r1 or r2:
+            return None
+        for a, b, c in cubes:
+            if a * u1 + b * u2 + c:
+                return None
+    else:
+        solution = _integer_solution([(a1, b1, c1), (a2, b2, c2), *cubes])
+        if solution is None:
+            return None
+        u1, u2 = solution
     high = side1.high
     if u1 < side1.low or (high is not None and u1 > high):
         return None

@@ -74,6 +74,24 @@ TableRow.__doc__ = """One classification-table row in a solver-independent shape
     """
 
 
+def _read_only_row(*fields) -> TableRow:
+    """A row whose ``invariants`` dict is wrapped read-only, as parsed rows are."""
+    *head, invariants, descriptions = fields
+    return TableRow(*head, types.MappingProxyType(invariants), descriptions)
+
+
+def _reduce_row(row: TableRow, protocol: int):
+    # A mappingproxy does not pickle: a parsed row pickles and copies its
+    # invariants as a dict, and _read_only_row wraps the copy again.  Other
+    # rows hold a dict and reduce as any named tuple does.
+    if type(row.invariants) is types.MappingProxyType:
+        return _read_only_row, (*row[:5], dict(row.invariants), row.descriptions)
+    return tuple.__reduce_ex__(row, protocol)
+
+
+TableRow.__reduce_ex__ = _reduce_row
+
+
 # Two tuple[str, ...] and a tuple[tuple[str, str, object, object], ...].
 _ReportFields = namedtuple("_ReportFields", ("missing", "extra", "mismatched"), defaults=((),) * 3)
 
@@ -146,27 +164,21 @@ def _freeze(index: int, name: str, values: list, length: int) -> tuple:
     return tuple(values)
 
 
-def _strings(value) -> bool:
-    return type(value) is list and all(type(v) is str for v in value)
-
-
-def _lists(value) -> bool:
-    return type(value) is dict and all(type(v) is list for v in value.values())
-
-
 _MISSING = object()
+_STRINGS, _LISTS = frozenset({str}), frozenset({list})
 
-# Each field of a row object: its name, the test its JSON value must pass,
-# what the test asks for, and the default of an optional field.  bool is a
-# subclass of int, so the integer tests compare types exactly.
+# Each field of a row object: its name, the exact type of its JSON value
+# (bool is a subclass of int, and not one), the exact types of a list's
+# elements or an object's values (None for a scalar), what the types ask
+# for, and the default of an optional field.
 _ROW_FIELDS = (
-    ("table_id", lambda v: type(v) is str, "a string", _MISSING),
-    ("rho", lambda v: type(v) is int, "an integer", _MISSING),
-    ("kx3", lambda v: type(v) is int, "an integer", _MISSING),
-    ("primitive", lambda v: type(v) is bool, "a boolean", _MISSING),
-    ("ray_types", _strings, "a list of strings", _MISSING),
-    ("invariants", _lists, "an object whose values are lists", {}),
-    ("descriptions", _strings, "a list of strings", []),
+    ("table_id", str, None, "a string", _MISSING),
+    ("rho", int, None, "an integer", _MISSING),
+    ("kx3", int, None, "an integer", _MISSING),
+    ("primitive", bool, None, "a boolean", _MISSING),
+    ("ray_types", list, _STRINGS, "a list of strings", _MISSING),
+    ("invariants", dict, _LISTS, "an object whose values are lists", {}),
+    ("descriptions", list, _STRINGS, "a list of strings", []),
 )
 
 
@@ -174,12 +186,15 @@ def _parse_row(index: int, item) -> TableRow:
     if type(item) is not dict:
         raise ConstraintError(f"ground truth row {index} is not an object")
     values = []
-    for name, valid, kind, default in _ROW_FIELDS:
+    for name, kind, elements, what, default in _ROW_FIELDS:
         value = item.get(name, default)
         if value is _MISSING:
             raise ConstraintError(f"ground truth row {index} lacks the field {name!r}")
-        if not valid(value):
-            raise ConstraintError(f"ground truth row {index}: {name} must be {kind}")
+        if type(value) is not kind or (
+            elements is not None
+            and not elements.issuperset(map(type, value.values() if kind is dict else value))
+        ):
+            raise ConstraintError(f"ground truth row {index}: {name} must be {what}")
         values.append(value)
     table_id, rho, kx3, primitive, ray_types, invariants, descriptions = values
     for tag in ray_types:

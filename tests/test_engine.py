@@ -6,6 +6,7 @@ captured from the hand-eliminated solvers the engine replaced, and equal the
 """
 
 import hashlib
+from collections import Counter
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -128,6 +129,64 @@ def test_exactly_the_36_known_side_pairs_give_records(pairings, side_pairs):
     )
 
 
+def _system(side1, side2):
+    """The rows (a, b, c), a u1 + b u2 + c = 0, of a side pair, re-derived.
+
+    ``_solve_sides`` writes the two (-K)^2.H_i rows P1 + P2 + Q_i = 0 and,
+    for a contracted side, M_i - q^3 (K1 + K2) - w = 0; here each term is an
+    affine function of (u1, u2), and the rows are their sums.
+    """
+    n1, n2 = side2.mu, side1.mu
+    _, P1, Q1, K1, M1 = ((k, 0, c) for c, k in side1.terms[n1])
+    _, P2, Q2, K2, M2 = ((0, k, c) for c, k in side2.terms[n2])
+
+    def add(*terms):
+        return tuple(map(sum, zip(*terms)))
+
+    rows = [add(P1, P2, Q1), add(P1, P2, Q2)]
+    for contracted, M in ((side1.contracted, M1), (side2.contracted, M2)):
+        if contracted:
+            q3, w = contracted
+            rows.append(add(M, [-q3 * x for x in add(K1, K2)], (0, 0, -w)))
+    return rows
+
+
+def _in_domain(side, u):
+    return side.low <= u and (side.high is None or u <= side.high)
+
+
+def _exit(side1, side2):
+    """Which exit of ``_solve_sides`` a side pair takes, checked against its rows."""
+    record = enumerator._solve_sides(side1, side2)
+    solution = _reference_integer_solution(_system(side1, side2))
+    if record is not None:
+        assert solution == (record.rays[0][side1.slot], record.rays[1][side2.slot])
+        return "record"
+    if solution is None:
+        return "no integer solution"
+    assert not (_in_domain(side1, solution[0]) and _in_domain(side2, solution[1]))
+    return "unknown outside its domain"
+
+
+@pytest.mark.parametrize(
+    "pairings,exits",
+    [
+        (tuple(combinations_with_replacement(RayType, 2)), (36, 262, 53)),
+        (enumerator._RANK2_PAIRINGS, (36, 118, 44)),
+    ],
+    ids=["all-45-pairings", "rank2-pairings"],
+)
+def test_every_side_pair_exits_by_a_record_no_solution_or_its_domain(pairings, exits):
+    # Every side pair's system pins both unknowns (the reference raises on
+    # one that leaves an unknown free), and the engine takes the exit its
+    # rows imply: a record at the integer solution, None without one, and
+    # None when the solution lies outside a side's domain.
+    counts = Counter(_exit(side1, side2) for *_, side1, side2 in _side_pairs(pairings))
+    assert counts == dict(
+        zip(("record", "no integer solution", "unknown outside its domain"), exits)
+    )
+
+
 def _moved(side, term, part, quarters):
     """``side`` with the constant (part 0) or slope (part 1) of a term moved."""
     terms = {}
@@ -207,6 +266,17 @@ def test_integer_solution_is_exact():
         solve([(1, 1, -5), (2, 2, -10)])
     with pytest.raises(InconsistencyError):
         solve([(0, 1, -2)])
+    # one row: 0 = 1 has no solution, u1 + u2 = 5 leaves an unknown free
+    assert solve([(0, 0, 1)]) is None
+    with pytest.raises(InconsistencyError):
+        solve([(1, 1, -5)])
+    # the first two rows are dependent, and the third decides: a solution,
+    # none (u1 = u2 = 5/2; u1 + u2 = 4 contradicts), or an unknown free
+    assert solve([(1, 1, -5), (2, 2, -10), (1, -1, -1)]) == (3, 2)
+    assert solve([(1, 1, -5), (2, 2, -10), (2, 0, -5)]) is None
+    assert solve([(1, 1, -5), (2, 2, -10), (1, 1, -4)]) is None
+    with pytest.raises(InconsistencyError):
+        solve([(1, 1, -5), (2, 2, -10), (3, 3, -15)])
 
 
 def _reference_integer_solution(rows):

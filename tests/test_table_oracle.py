@@ -4,6 +4,7 @@ import json
 import pickle
 import types
 from collections import Counter
+from copy import deepcopy
 from pathlib import Path
 
 import pytest
@@ -168,8 +169,7 @@ def _record_2_34():
 
 
 # value, repr, _fields, _field_defaults, a bad _replace and the error it
-# raises.  A labelled row holds a dict: a parsed one's read-only mapping does
-# not pickle.
+# raises.  A labelled row holds a dict, a parsed one a read-only mapping.
 NAMED_TUPLES = {
     "record": (
         _record_2_34,
@@ -188,6 +188,16 @@ NAMED_TUPLES = {
         lambda: record_to_row(_record_2_34()),
         "TableRow(table_id='2-34', rho=2, kx3=54, primitive=True, ray_types=('C2', 'D3'),"
         " invariants={'deg_delta': (0, None), 'd2': (None, 9)},"
+        " descriptions=('P^2 x P^1',))",
+        ("table_id", "rho", "kx3", "primitive", "ray_types", "invariants", "descriptions"),
+        {},
+        {"rank": 2},
+        ValueError,
+    ),
+    "parsed-row": (
+        lambda: next(row for row in ground_truth(2) if row.table_id == "2-34"),
+        "TableRow(table_id='2-34', rho=2, kx3=54, primitive=True, ray_types=('C2', 'D3'),"
+        " invariants=mappingproxy({'d2': (None, 9), 'deg_delta': (0, None)}),"
         " descriptions=('P^2 x P^1',))",
         ("table_id", "rho", "kx3", "primitive", "ray_types", "invariants", "descriptions"),
         {},
@@ -223,6 +233,17 @@ def test_records_rows_and_reports_keep_their_named_tuple_behaviour(name):
     assert type(value)._fields == fields and type(value)._field_defaults == defaults
     with pytest.raises(error):
         value._replace(**bad)
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_a_parsed_row_pickles_and_copies_with_a_read_only_mapping(protocol):
+    row = ground_truth(3)[0]
+    for copy in (pickle.loads(pickle.dumps(row, protocol)), deepcopy(row)):
+        assert copy == row and type(copy) is TableRow
+        assert type(copy.invariants) is types.MappingProxyType
+        assert copy.invariants is not row.invariants
+        with pytest.raises(TypeError):
+            copy.invariants["r"] = (1,)
 
 
 # The four full tables: truth and computed rows of both ranks.  Rank 3 holds
