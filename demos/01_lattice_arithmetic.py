@@ -38,8 +38,7 @@ assert triple_product(form, D, D, minus_k) == triple_product(
 )
 print("D = 3H1 - H2 gives D^2 . (-K) =", triple_product(form, D, D, minus_k))
 
-# Relabelling the basis transposes the form consistently: after the swap
-# the fibre class sits in slot 1, so the first cube entry vanishes.
-swapped = form.transposed((2, 1))
-print("after swapping the basis: H1^3 =", swapped.value(1, 1, 1),
-      " H1^2 . H2 =", swapped.value(1, 1, 2))
+# Relabelling the basis permutes the entries: after the swap the fibre
+# class H2 sits in slot 1, so the first cube entry, H2^3, vanishes.
+print("after swapping the basis: H1^3 =", triple_product(form, H2, H2, H2),
+      " H1^2 . H2 =", triple_product(form, H2, H2, H1))

@@ -233,24 +233,6 @@ class TrilinearForm(ValueObject):
         # entries is a dict, in the same key order on equal forms
         return hash((self.rho, tuple(self.entries.items())))
 
-    def value(self, i: int, j: int, k: int) -> int:
-        """The form on basis vectors e_i, e_j, e_k (any index order)."""
-        return self.entries[_SORTED_KEY[i, j, k]]
-
-    def transposed(self, permutation: tuple[int, ...]) -> "TrilinearForm":
-        """The same form in a permuted basis; ``permutation[new-1] = old``."""
-        if sorted(permutation) != list(range(1, self.rho + 1)):
-            raise DimensionMismatchError(
-                f"{permutation} is not a permutation of 1..{self.rho}"
-            )
-        return TrilinearForm(
-            self.rho,
-            {
-                key: self.value(*(permutation[i - 1] for i in key))
-                for key in _MULTISET_KEYS[self.rho]
-            },
-        )
-
 
 def triple_product(
     form: TrilinearForm, x: DivisorClass, y: DivisorClass, z: DivisorClass

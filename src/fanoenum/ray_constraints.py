@@ -14,7 +14,11 @@ target), and four facts about the pullback H of the ample generator on the
 target, each affine in u: H^3, (-K).H^2, (-K)^2.H and c_2(X).H.  A divisor
 contracted to a point adds its cube.  The engine of
 :mod:`fanoenum.enumerator` compiles its sides from every fact but c2.H, and
-:func:`mu_of`, :class:`RaySpec` and :func:`c2_dot_H` look values up in it.
+:func:`mu_of`, :class:`RaySpec` and :func:`c2_dot_H` look values up in it:
+RaySpec checks the unknown of every type against its domain by one rule.
+The (-K)^2.H fact of a conic bundle is
+:func:`~fanoenum.chern_calculus.conic_bundle_ksq_dot_pullback` on a line
+of the base P^2.
 
 The c2 values satisfy one global relation, the 24-balance -K.c2 = 24
 (24 = mu2 c2.H1 + mu1 c2.H2 when the two pullbacks form a basis).  The
@@ -31,7 +35,7 @@ import enum
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .chern_calculus import FANO_TARGETS
+from .chern_calculus import FANO_TARGETS, conic_bundle_ksq_dot_pullback
 from .errors import ConstraintError, IncompleteSpecError
 from .picard_lattice import INTEGER, ValueObject
 
@@ -41,7 +45,6 @@ __all__ = [
     "mu_of",
     "c2_dot_H",
     "balance_check",
-    "degB_upper_bound",
 ]
 
 
@@ -114,8 +117,12 @@ def _quarters(*facts: tuple[int, int]) -> tuple[tuple[int, int], ...]:
     return tuple((4 * c, 4 * k) for c, k in facts)
 
 
-# C: H^3 = 0, (-K).H^2 = 2, (-K)^2.H = 12 - deg Delta, c2.H = 6 + deg Delta.
-_CONIC = (((), _quarters((0, 0), (2, 0), (12, -1), (6, 1))),)
+# C: H^3 = 0, (-K).H^2 = 2, c2.H = 6 + deg Delta, and (-K)^2.H = K^2 . f^*D
+# for a line D of the base P^2 (K_S.D = -3, Delta.D = deg Delta).
+_KSQ_H = conic_bundle_ksq_dot_pullback(-3, 0)
+_CONIC = (((), _quarters(
+    (0, 0), (2, 0), (_KSQ_H, conic_bundle_ksq_dot_pullback(-3, 1) - _KSQ_H), (6, 1),
+)),)
 # D: H^2 = 0, (-K)^2.H = d2, c2.H = 12 - d2.
 _DEL_PEZZO = (((), _quarters((0, 0), (0, 0), (0, 1), (12, -1))),)
 # The index r of a point contraction's target divides 24 (E2, E3/E4) or 45
@@ -207,10 +214,11 @@ class RaySpec(_RayFields):
 
     The fields are checked on construction, and ``_make``, ``_replace`` and
     unpickling construct.  Every set field is an ``int`` (a bool is not),
-    ``delta_bidegree`` a pair of them; against :data:`TYPE_FACTS` the
-    unknown of the type (deg_delta of a conic bundle, d2 of a del Pezzo
-    fibration), the index r of a divisorial ray's target and the L3 of an E1
-    target, which needs its index r.
+    ``delta_bidegree`` a pair of them.  Against :data:`TYPE_FACTS`: the
+    unknown of the type (deg_delta, d2, degB or the L3 of a point
+    contraction) by one rule, ``low <= u <= high``, and a bidegree's sum by
+    the same domain; the index r of a divisorial ray's target, and the L3
+    of an E1 target, which needs its index r.
     """
 
     __slots__ = ()
@@ -232,11 +240,12 @@ class RaySpec(_RayFields):
                 if type(value) not in _INT_OR_NONE:
                     raise ConstraintError(f"{name} must be an integer, got {value!r}")
         try:
-            uncarried = _UNCARRIED.get(ray_type)
+            checks = _CHECKS.get(ray_type)
         except TypeError:  # an unhashable ray_type is no type either
-            uncarried = None
-        if uncarried is None:
+            checks = None
+        if checks is None:
             raise ConstraintError(f"{ray_type!r} is not an extremal-ray type")
+        uncarried, unknown, low, high = checks
         for index in uncarried:
             if self[index] is not None:
                 name = _RayFields._fields[index]
@@ -244,10 +253,12 @@ class RaySpec(_RayFields):
                     f"{ray_type.display} rays carry no {name}, got {name}={self[index]!r}"
                 )
         # a set field is now one the type carries
-        if deg_delta is not None and not TYPE_FACTS[ray_type].admits(deg_delta):
-            raise ConstraintError(
-                f"a {ray_type.value} conic bundle has no deg_delta={deg_delta}"
-            )
+        u = self[unknown]
+        if u is not None and (u < low or high is not None and u > high):
+            name = _RayFields._fields[unknown]
+            domain = (f"= {low}" if low == high
+                      else f">= {low}" if high is None else f"in {low}..{high}")
+            raise ConstraintError(f"{ray_type.display} rays have {name} {domain}, got {name}={u}")
         if delta_bidegree is not None:  # over P^1 x P^1, deg Delta is a + b
             if deg_delta is not None:
                 raise ConstraintError(
@@ -259,8 +270,6 @@ class RaySpec(_RayFields):
                 raise ConstraintError(
                     f"a {ray_type.value} conic bundle has no delta_bidegree={delta_bidegree}"
                 )
-        if d2 is not None and not TYPE_FACTS[ray_type].admits(d2):
-            raise ConstraintError(f"a {ray_type.value} del Pezzo fibration has no d2={d2}")
         if r is not None:
             targets = _TARGETS[ray_type]
             if r not in targets:
@@ -278,10 +287,6 @@ class RaySpec(_RayFields):
             raise ConstraintError(
                 f"the twist of an {ray_type.display} ray is e={TWIST[ray_type]}, got e={e}"
             )
-        if degB is not None and degB < 1:
-            raise ConstraintError(f"degB must be >= 1, got {degB}")
-        if L3 is not None and L3 < 1:
-            raise ConstraintError(f"L3 must be >= 1, got {L3}")
         if genus is not None and genus < 0:
             raise ConstraintError(f"genus must be >= 0, got {genus}")
         return self
@@ -297,7 +302,8 @@ class RaySpec(_RayFields):
 
 
 # The fields each type carries, as the RaySpec docstring lists them, and
-# from them, once, the positions of the fields each type must leave None.
+# from them, once, what RaySpec checks per type: the positions of the fields
+# the type must leave None, and the position of its unknown with the domain.
 _CARRIED = {
     **dict.fromkeys(C_TYPES, ("deg_delta", "delta_bidegree")),
     **dict.fromkeys(D_TYPES, ("d2",)),
@@ -305,8 +311,13 @@ _CARRIED = {
     **dict.fromkeys(POINT_TYPES, ("r", "L3")),
     **{t: ("r", "L3", "e") for t in TWIST},
 }
-_UNCARRIED = {
-    t: tuple(i for i, name in enumerate(RaySpec._fields) if i and name not in carried)
+_CHECKS = {
+    t: (
+        tuple(i for i, name in enumerate(RaySpec._fields) if i and name not in carried),
+        RaySpec._fields.index(TYPE_FACTS[t].unknown),
+        TYPE_FACTS[t].low,
+        TYPE_FACTS[t].high,
+    )
     for t, carried in _CARRIED.items()
 }
 
@@ -347,23 +358,16 @@ def balance_check(mu1: int, mu2: int, c2_h1: int, c2_h2: int) -> bool:
     return 24 == mu2 * c2_h1 + mu1 * c2_h2
 
 
-def degB_upper_bound(r1: int, mu2: int, a: int, L1_cubed: int) -> int:
-    """The floor of (r1 - mu2/a)^2 * L1^3, a bound on the degree of an E1 centre.
-
-    Derived from the nefness of the second ray's supporting divisor evaluated
-    on the blowup geometry; ``a`` is the candidate index of the sublattice
-    spanned by the two pullbacks.  deg B is an integer, so the floor bounds it.
-    """
-    return (r1 * a - mu2) ** 2 * L1_cubed // (a * a)
-
-
 def _value_set(ray_type: RayType, mu_other: int) -> frozenset[int]:
     """All values c2 . H can take for a ray of the given type.
 
     Each side of the type in :data:`TYPE_FACTS` gives c2.H affine in its
     unknown u over the domain of u.  An unbounded u is capped by
     (-K)^2 . H >= 1, as -K is ample and H is nef and nonzero: for C1 that is
-    deg Delta <= 11.  deg B is capped instead by degB_upper_bound.
+    deg Delta <= 11.  deg B on a target (r, L^3) is capped instead by
+    (r - mu_other)^2 L^3, from the nefness of the supporting divisor of the
+    other ray, of length mu_other, on the blowup, with the two pullbacks a
+    basis of Pic(X) (index 1).
     """
     facts = TYPE_FACTS[ray_type]
     values: set[int] = set()
@@ -373,7 +377,7 @@ def _value_set(ray_type: RayType, mu_other: int) -> frozenset[int]:
             high = facts.low
         elif ray_type is RayType.E1:
             fields = dict(fixed)
-            high = degB_upper_bound(fields["r"], mu_other, 1, fields["L3"])
+            high = (fields["r"] - mu_other) ** 2 * fields["L3"]
         elif high is None:
             high = (k0 - 4) // -k1  # k0 + k1 u >= 4 in quarters, k1 < 0
         values.update((c0 + c1 * u) // 4 for u in range(facts.low, high + 1))

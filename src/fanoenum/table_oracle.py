@@ -263,21 +263,25 @@ def _record_key(rho: int, kx3: int, tags: tuple, rays: tuple) -> tuple:
 def _parse_truth(payload: bytes) -> tuple[tuple[TableRow, ...], Mapping[tuple, str]]:
     """parse_rows of the last payload seen and its row ids by _row_key.
 
-    A table id names one row: a repeated one raises ConstraintError.  Keying
-    on content rather than on the path means a rewritten truth file is always
-    seen; one entry means the cache cannot grow.
+    A table id names one row, and a row key picks out one row: a repeated
+    one raises ConstraintError.  Keying on content rather than on the path
+    means a rewritten truth file is always seen; one entry means the cache
+    cannot grow.
     """
     rows = parse_rows(payload)
     first_rows: dict[str, int] = {}
+    ids: dict[tuple, str] = {}
     for index, row in enumerate(rows):
         if (first := first_rows.setdefault(row.table_id, index)) != index:
             raise ConstraintError(
                 f"ground truth rows {first} and {index} share the table_id {row.table_id!r}"
             )
-    ids = {
-        _row_key(row.rho, row.kx3, row.ray_types, row.invariants): row.table_id
-        for row in rows
-    }
+        key = _row_key(row.rho, row.kx3, row.ray_types, row.invariants)
+        if (first_id := ids.setdefault(key, row.table_id)) != row.table_id:
+            raise ConstraintError(
+                f"ground truth rows {first_rows[first_id]} and {index} ({first_id!r} and"
+                f" {row.table_id!r}) share the rank, cube and ray degree data"
+            )
     return rows, types.MappingProxyType(ids)
 
 

@@ -206,7 +206,7 @@ def test_criterion_6_structural_invariants(capsys):
             ):
                 problems.append((row.table_id, "balance"))
         elif all(ray.ray_type in (RayType.C1, RayType.C2) for ray in rec.rays):
-            d = rec.form.value(1, 2, 3)
+            d = rec.form.entries[1, 2, 3]
             if rec.kx3 * d * d != 48:
                 problems.append((row.table_id, "fibre-degree"))
     ok = len(records) == 40 and not problems

@@ -439,6 +439,15 @@ def test_a_repeated_table_id_is_one_error_line(tmp_path, monkeypatch, capsys, ar
     assert capsys.readouterr().err == (
         f"error: ground truth rows 0 and {len(rows)} share the table_id '2-1'\n"
     )
+    # a copy of a row under a new id repeats its record key: the id of a
+    # computed record would be the copy's, and the original row missing
+    assert rows[35]["table_id"] == "2-36"
+    path.write_text(json.dumps(rows + [dict(rows[35], table_id="2-99")]))
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: ground truth rows 35 and {len(rows)} ('2-36' and '2-99') share the rank,"
+        " cube and ray degree data\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,14 @@ captured from the hand-eliminated solvers the engine replaced, and equal the
 """
 
 import hashlib
+import json
+import os
+import re
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations, combinations_with_replacement
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,11 +24,12 @@ from fanoenum.chern_calculus import (
     antican_cube_divisor_in_p2_bundle,
     antican_cube_p1_bundle_over_surface,
 )
+from fanoenum.cli import run
 from fanoenum.enumerator import enumerate_all, solve_C_E_primitive
 from fanoenum.errors import (
     ConstraintError, FanoEngineError, InconsistencyError, ParityError
 )
-from fanoenum.picard_lattice import DivisorClass
+from fanoenum.picard_lattice import DivisorClass, TrilinearForm
 from fanoenum.ray_constraints import RayType
 from fanoenum.table_oracle import emit, label, record_to_row
 
@@ -40,6 +47,55 @@ EMIT_SHA256 = {
 def test_computed_tables_emit_the_golden_bytes(rho, fmt):
     rows = [record_to_row(rec) for rec in enumerate_all(rho, primitive_only=rho == 3)]
     assert hashlib.sha256(emit(rows, fmt)).hexdigest() == EMIT_SHA256[rho, fmt]
+
+
+# The goldens above and the verify text, from one fresh process of another
+# interpreter, which prints them as one JSON object.
+_BYTES_PROBE = """
+import contextlib, hashlib, io, json
+from fanoenum.cli import run
+from fanoenum.enumerator import enumerate_all
+from fanoenum.table_oracle import emit, record_to_row
+hashes = {}
+for rho in (2, 3):
+    rows = [record_to_row(rec) for rec in enumerate_all(rho, primitive_only=rho == 3)]
+    for fmt in ("json", "csv", "markdown"):
+        hashes[f"{rho} {fmt}"] = hashlib.sha256(emit(rows, fmt)).hexdigest()
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = run(["verify"])
+print(json.dumps({"emit": hashes, "verify": [code, out.getvalue()]}))
+"""
+
+
+def _other_interpreters():
+    """Each CPython >= 3.10 of another minor version installed beside this one.
+
+    Side-by-side installs (pyenv's, for one) keep each version in a sibling
+    directory named by it, with its own bin/python3.
+    """
+    found = []
+    for path in sorted(Path(sys.executable).resolve().parents[2].glob("*/bin/python3")):
+        version = re.fullmatch(r"3\.(\d+)\.\d+", path.parent.parent.name)
+        if version and 10 <= int(version[1]) != sys.version_info.minor:
+            found.append(pytest.param(path, id=f"3.{version[1]}"))
+    no_other = pytest.mark.skip(reason="no other CPython >= 3.10 is installed beside this one")
+    return found or [pytest.param(None, marks=no_other)]
+
+
+@pytest.mark.parametrize("python", _other_interpreters())
+def test_the_goldens_hold_under_every_other_installed_cpython(python, capsys):
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [str(python), "-c", _BYTES_PROBE],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert run(["verify"]) == 0
+    assert json.loads(proc.stdout) == {
+        "emit": {f"{rho} {fmt}": sha256 for (rho, fmt), sha256 in EMIT_SHA256.items()},
+        "verify": [0, capsys.readouterr().out],
+    }
 
 
 def test_engine_finds_the_36_families_and_nothing_off_the_24_pairings():
@@ -210,7 +266,7 @@ def _mirror(record):
     """The record of the same family with its two rays, and so its basis, swapped."""
     return enumerator.SolutionRecord(
         record.rays[::-1],
-        record.form.transposed((2, 1)),
+        TrilinearForm.rank2(*reversed(record.form.entries.values())),
         DivisorClass(record.minus_k.coords[::-1]),
         record.kx3,
     )

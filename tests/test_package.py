@@ -30,7 +30,6 @@ PUBLIC_NAMES = [
     "blowup_exceptional_cube",
     "c2_dot_H",
     "conic_bundle_ksq_dot_pullback",
-    "degB_upper_bound",
     "diff",
     "emit",
     "enumerate_all",

@@ -8,7 +8,6 @@ pairing by pairing, beside the c2.H value sets and the index bound that the
 """
 
 import pickle
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +26,6 @@ from fanoenum.ray_constraints import (
     _value_set,
     balance_check,
     c2_dot_H,
-    degB_upper_bound,
     mu_of,
 )
 
@@ -61,7 +59,7 @@ def test_rayspec_validations():
         RaySpec(RayType.C2, deg_delta=3)
     with pytest.raises(ConstraintError):
         RaySpec(RayType.E2, e=3)
-    with pytest.raises(ConstraintError, match="degB must be >= 1, got 0"):
+    with pytest.raises(ConstraintError, match=r"^E1 rays have degB >= 1, got degB=0$"):
         RaySpec(RayType.E1, r=2, L3=1, degB=0)
     with pytest.raises(ConstraintError, match="genus must be >= 0, got -1"):
         RaySpec(RayType.E1, r=2, L3=1, degB=1, genus=-1)
@@ -71,8 +69,8 @@ def test_rayspec_validations():
 @pytest.mark.parametrize(
     "ray_type,fields,message",
     [
-        (RayType.D2, {"d2": 5}, "a D2 del Pezzo fibration has no d2=5"),
-        (RayType.D1, {"d2": 8}, "a D1 del Pezzo fibration has no d2=8"),
+        (RayType.D2, {"d2": 5}, r"^D2 rays have d2 = 8, got d2=5$"),
+        (RayType.D1, {"d2": 8}, r"^D1 rays have d2 in 1\.\.7, got d2=8$"),
         (RayType.E2, {"r": 6}, r"an E2 target has an index in \(1, 2, 3, 4\), got r=6"),
         (RayType.E1, {"r": 2, "L3": 7}, "an E1 target of index 2 has L3 in .*, got L3=7"),
         (RayType.C1, {"deg_delta": 3, "r": 3, "L3": 2, "degB": 4}, "C1 rays carry no r, got r=3"),
@@ -221,20 +219,28 @@ def test_balance_check_examples():
     assert not balance_check(1, 1, 13, 12)
 
 
-def test_degB_upper_bound_exact_rationals():
-    assert degB_upper_bound(1, 1, 1, 4) == 0
-    assert degB_upper_bound(4, 2, 3, 1) == 11  # the floor of 100/9
-    assert degB_upper_bound(2, 1, 1, 5) == 5
-    with pytest.raises(ZeroDivisionError):
-        degB_upper_bound(4, 1, 0, 1)
-    # the floor of the exact bound (r - mu/a)^2 L^3 at every target and index
-    for r, cubes in FANO_TARGETS.items():
-        for L3 in cubes:
-            for mu in (1, 2, 3):
-                for a in range(1, 13):
-                    bound = degB_upper_bound(r, mu, a, L3)
-                    assert type(bound) is int
-                    assert bound <= (r - Fraction(mu, a)) ** 2 * L3 < bound + 1
+def test_the_E1_value_set_tops_out_at_the_index_1_degB_cap():
+    # c2.H = 24/r + deg B with 1 <= deg B <= (r - mu)^2 L^3 on each target
+    for mu in range(4):
+        tops = []
+        for r, cubes in FANO_TARGETS.items():
+            for L3 in cubes:
+                top = 24 // r + (r - mu) ** 2 * L3
+                if (r - mu) ** 2 * L3 >= 1:
+                    assert top in _value_set(RayType.E1, mu)
+                    tops.append(top)
+        assert max(_value_set(RayType.E1, mu)) == max(tops)
+
+
+@pytest.mark.parametrize("ray_type", list(RayType), ids=lambda t: t.value)
+def test_rayspec_admits_exactly_the_domain_of_the_unknown(ray_type):
+    facts = TYPE_FACTS[ray_type]
+    for u in range(facts.low - 3, (facts.high or facts.low) + 4):
+        if facts.admits(u):
+            assert getattr(RaySpec(ray_type, **{facts.unknown: u}), facts.unknown) == u
+        else:
+            with pytest.raises(ConstraintError):
+                RaySpec(ray_type, **{facts.unknown: u})
 
 
 # The nine configurations of the basis elimination: six with a C-type first
