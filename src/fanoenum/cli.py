@@ -1,20 +1,22 @@
 """Command-line interface: enumerate, verify, chern, emit.
 
 Each subcommand imports the engine modules it runs when it runs, so that
-``chern`` loads only the Chern calculus.
+``chern`` loads only the Chern calculus.  The grammar is written once, in
+``_GRAMMAR``: :func:`run` reads a well-formed argv by it without argparse,
+and :func:`build_parser` makes argparse's parsers from it for every other
+argv, for help, and for a usage error a handler finds.
 
 Exit codes: 0 success, 1 verification failure, engine error or unreadable
-file, 2 usage error (argparse).  All table output is byte-deterministic UTF-8
-with LF newlines.
+file, 2 usage error (argparse prints it; a well-formed argv never loads
+argparse).  All table output is byte-deterministic UTF-8 with LF newlines.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections.abc import Sequence
-from functools import partial
+from types import SimpleNamespace
 
 from .chern_calculus import (
     antican_cube_divisor_in_p2_bundle,
@@ -47,112 +49,43 @@ _CHERN_FORMULAS = {
     "genus-from-blowup": (genus_from_blowup, ("kx3", "ky3", "r", "degB")),
 }
 
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser, with every subcommand's parser or only ``command``'s.
-
-    A process runs one subcommand, so :func:`run` builds only the parser its
-    argv names.  That parser's metavar keeps the usage line of the full one;
-    the full one has none, so that argparse names the action ``command`` in
-    an invalid-choice error.
-    """
-    parser = argparse.ArgumentParser(
-        prog="fanoenum",
-        description=(
-            "Enumerate rank-2 and primitive rank-3 Fano threefold families by "
-            "exact integer arithmetic and compare against the embedded table."
-        ),
-    )
-    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
-    # with prog given, argparse builds no HelpFormatter to work it out
-    sub = parser.add_subparsers(
-        dest="command", required=True, metavar=metavar, prog=parser.prog
-    )
-    for name in _SUBCOMMANDS if command is None else (command,):
-        _SUBCOMMANDS[name](sub)
-    return parser
-
-
-def _add_enumerate(sub) -> None:
-    p_enum = sub.add_parser("enumerate", help="solve and print the families")
-    p_enum.add_argument("--rho", type=int, choices=(2, 3), default=2)
-    p_enum.add_argument(
-        "--pair",
-        help="restrict to one ray pairing, e.g. E1,C2 (E3/E4 spelled E3E4)",
-    )
-    p_enum.add_argument(
-        "--primitive",
-        action="store_true",
-        help="only families without an E1 blowup ray (rank 2)",
-    )
-    p_enum.add_argument(
-        "--format",
-        dest="fmt",
-        choices=_EMIT_CHOICES,
-        default="markdown",
-    )
-    p_enum.set_defaults(handler=partial(_run_enumerate, p_enum))
-
-
-def _add_verify(sub) -> None:
-    p_verify = sub.add_parser(
-        "verify", help="diff computed families against the embedded table"
-    )
-    p_verify.add_argument("--rho", type=int, choices=(2, 3))
-    p_verify.set_defaults(handler=_run_verify)
-
-
-def _add_chern(sub) -> None:
-    p_chern = sub.add_parser("chern", help="evaluate one Chern-class formula")
-    p_chern.add_argument("formula", choices=sorted(_CHERN_FORMULAS))
-    p_chern.add_argument("values", type=int, nargs="+")
-    p_chern.set_defaults(handler=partial(_run_chern, p_chern))
-
-
-def _add_emit(sub) -> None:
-    p_emit = sub.add_parser("emit", help="export a table to a file or stdout")
-    p_emit.add_argument("--rho", type=int, choices=(2, 3), default=2)
-    p_emit.add_argument("--format", dest="fmt", choices=_EMIT_CHOICES, default="json")
-    p_emit.add_argument("--source", choices=("truth", "computed"), default="truth")
-    p_emit.add_argument("--out", type=_path, help="output path (default: stdout)")
-    p_emit.set_defaults(handler=_run_emit)
-
-
-# Each subcommand and the function that adds its parser, in help order.
-_SUBCOMMANDS = {
-    "enumerate": _add_enumerate,
-    "verify": _add_verify,
-    "chern": _add_chern,
-    "emit": _add_emit,
-}
-
-
 _EMIT_CHOICES = ("markdown", "json", "csv")
 
 
-def _path(text: str) -> str:
+def _is_path(text: str) -> bool:
     # open() raises ValueError, not OSError, on a NUL byte or a lone surrogate,
     # and an empty path names no file
     try:
-        valid = text != "" and b"\0" not in os.fsencode(text)
+        return text != "" and b"\0" not in os.fsencode(text)
     except UnicodeEncodeError:
-        valid = False
-    if not valid:
+        return False
+
+
+def _path(text: str) -> str:
+    """argparse's type for ``--out``: ``text``, if it can name a file."""
+    if not _is_path(text):
+        import argparse  # already loaded: only argparse calls this
+
         raise argparse.ArgumentTypeError(f"{text!r} is not a path this system can open")
     return text
 
 
-def _parse_pair(parser: argparse.ArgumentParser, text: str, rho: int) -> tuple[str, ...]:
+def _usage_error(command: str, message: str):
+    """Exit 2 with ``command``'s usage and ``message``, as argparse's own errors do."""
+    _parsers(command)[1][command].error(message)
+
+
+def _parse_pair(text: str, rho: int) -> tuple[str, ...]:
     from .ray_constraints import RayType
 
     try:
         tags = tuple(RayType.parse(token).value for token in text.split(","))
     except FanoEngineError as exc:
-        parser.error(str(exc))
+        _usage_error("enumerate", str(exc))
     if len(tags) < 2:
-        parser.error("--pair needs at least two comma-separated ray types")
+        _usage_error("enumerate", "--pair needs at least two comma-separated ray types")
     if len(tags) > rho:
-        parser.error(f"--pair takes at most {rho} ray types at rank {rho}")
+        _usage_error("enumerate", f"--pair takes at most {rho} ray types at rank {rho}")
     return tuple(sorted(tags))
 
 
@@ -174,10 +107,10 @@ def _write_payload(payload: bytes, out: str | None) -> None:
     sys.stdout.buffer.flush()
 
 
-def _run_enumerate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _run_enumerate(args) -> int:
     from .table_oracle import emit
 
-    pair = _parse_pair(parser, args.pair, args.rho) if args.pair else None
+    pair = None if args.pair is None else _parse_pair(args.pair, args.rho)
     rows = _computed_rows(args.rho, args.primitive or args.rho == 3)
     if pair is not None:
         rows = tuple(r for r in rows if tuple(sorted(r.ray_types)) == pair)
@@ -185,7 +118,7 @@ def _run_enumerate(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     return 0
 
 
-def _run_verify(args: argparse.Namespace) -> int:
+def _run_verify(args) -> int:
     from .enumerator import enumerate_all
     from .table_oracle import diff, ground_truth
 
@@ -205,15 +138,15 @@ def _run_verify(args: argparse.Namespace) -> int:
     return status
 
 
-def _run_chern(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _run_chern(args) -> int:
     func, names = _CHERN_FORMULAS[args.formula]
     if len(args.values) != len(names):
-        parser.error(f"{args.formula} takes {len(names)} integers: {' '.join(names)}")
+        _usage_error("chern", f"{args.formula} takes {len(names)} integers: {' '.join(names)}")
     print(func(*args.values))
     return 0
 
 
-def _run_emit(args: argparse.Namespace) -> int:
+def _run_emit(args) -> int:
     from .table_oracle import emit, ground_truth
 
     primitive_only = args.rho == 3
@@ -225,12 +158,168 @@ def _run_emit(args: argparse.Namespace) -> int:
     return 0
 
 
+# The grammar, in help order: each subcommand's help, handler, options and
+# positionals.  An option is (flag, dest, type, choices, default, help), as
+# argparse takes them; type bool marks a flag (store_true).  A positional is
+# (dest, type, choices, nargs).
+_GRAMMAR = {
+    "enumerate": (
+        "solve and print the families",
+        _run_enumerate,
+        (
+            ("--rho", "rho", int, (2, 3), 2, None),
+            (
+                "--pair", "pair", None, None, None,
+                "restrict to one ray pairing, e.g. E1,C2 (E3/E4 spelled E3E4)",
+            ),
+            (
+                "--primitive", "primitive", bool, None, False,
+                "only families without an E1 blowup ray (rank 2)",
+            ),
+            ("--format", "fmt", None, _EMIT_CHOICES, "markdown", None),
+        ),
+        (),
+    ),
+    "verify": (
+        "diff computed families against the embedded table",
+        _run_verify,
+        (("--rho", "rho", int, (2, 3), None, None),),
+        (),
+    ),
+    "chern": (
+        "evaluate one Chern-class formula",
+        _run_chern,
+        (),
+        (
+            ("formula", None, tuple(sorted(_CHERN_FORMULAS)), None),
+            ("values", int, None, "+"),
+        ),
+    ),
+    "emit": (
+        "export a table to a file or stdout",
+        _run_emit,
+        (
+            ("--rho", "rho", int, (2, 3), 2, None),
+            ("--format", "fmt", None, _EMIT_CHOICES, "json", None),
+            ("--source", "source", None, ("truth", "computed"), "truth", None),
+            ("--out", "out", _path, None, None, "output path (default: stdout)"),
+        ),
+        (),
+    ),
+}
+
+
+def build_parser(command: str | None = None):
+    """The argparse parser, with every subcommand's parser or only ``command``'s.
+
+    :func:`run` builds it only for an argv its reader leaves to argparse, and
+    then only the parser its argv names.  That parser's metavar keeps the
+    usage line of the full one; the full one has none, so that argparse names
+    the action ``command`` in an invalid-choice error.
+    """
+    return _parsers(command)[0]
+
+
+def _parsers(command: str | None):
+    """The parser :func:`build_parser` returns, and its subcommands' parsers by name."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="fanoenum",
+        description=(
+            "Enumerate rank-2 and primitive rank-3 Fano threefold families by "
+            "exact integer arithmetic and compare against the embedded table."
+        ),
+    )
+    metavar = None if command is None else "{" + ",".join(_GRAMMAR) + "}"
+    # with prog given, argparse builds no HelpFormatter to work it out
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar=metavar, prog=parser.prog
+    )
+    for name in _GRAMMAR if command is None else (command,):
+        summary, handler, options, positionals = _GRAMMAR[name]
+        p = sub.add_parser(name, help=summary)
+        for flag, dest, type_, choices, default, help_text in options:
+            if type_ is bool:
+                p.add_argument(flag, dest=dest, action="store_true", help=help_text)
+            else:
+                p.add_argument(
+                    flag, dest=dest, type=type_, choices=choices, default=default,
+                    help=help_text,
+                )
+        for dest, type_, choices, nargs in positionals:
+            p.add_argument(dest, type=type_, choices=choices, nargs=nargs)
+        p.set_defaults(handler=handler)
+    return parser, sub.choices
+
+
+def _read(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The arguments argparse parses from ``argv``, or None to leave it to argparse.
+
+    The reader takes only exact shapes: the subcommand first, then exact
+    option names, each with its value in the next token, and the
+    positionals.  A value must be a choice as written, an ASCII decimal
+    integer (signed only where it is no option's value) or a path
+    :func:`_path` takes.  Anything else -- ``-h``, ``--``, ``--opt=value``, an
+    abbreviation, a value that is empty or starts with ``-``, an unknown
+    token -- is argparse's to accept or reject.
+    """
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    _, handler, options, positionals = _GRAMMAR[argv[0]]
+    values = {"command": argv[0], "handler": handler}
+    by_flag = {}
+    for flag, dest, type_, choices, default, _ in options:
+        values[dest] = default
+        by_flag[flag] = dest, type_, choices
+    rest = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in by_flag:
+            rest.append(token)
+            continue
+        dest, type_, choices = by_flag[token]
+        if type_ is bool:
+            values[dest] = True
+            continue
+        token = next(tokens, "")  # a missing value reads as an empty one
+        if token[:1] in ("", "-"):
+            return None
+        values[dest] = _value(token, type_, choices)
+        if values[dest] is None:
+            return None
+    for dest, type_, choices, nargs in positionals:
+        taken, rest = (rest, []) if nargs == "+" else (rest[:1], rest[1:])
+        read = [_value(token, type_, choices) for token in taken]
+        if not read or None in read:
+            return None
+        values[dest] = read if nargs == "+" else read[0]
+    return None if rest else SimpleNamespace(**values)
+
+
+def _value(token: str, type_, choices):
+    """``token`` as argparse converts it, or None where the reader defers."""
+    if type_ is int:
+        digits = token[1:] if token[:1] == "-" else token
+        if not (digits.isascii() and digits.isdigit()):
+            return None
+        try:
+            token = int(token)
+        except ValueError:  # more digits than int() converts
+            return None
+    elif type_ is _path and not _is_path(token):
+        return None
+    return token if choices is None or token in choices else None
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse arguments and execute; returns the process exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
-    args = parser.parse_args(argv)
+    args = _read(argv)
+    if args is None:
+        command = argv[0] if argv and argv[0] in _GRAMMAR else None
+        args = build_parser(command).parse_args(argv)
     try:
         return args.handler(args)
     except (FanoEngineError, OSError) as exc:

@@ -1,6 +1,7 @@
 """The command-line surface: flags, exit codes, output bytes."""
 
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -13,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fanoenum import table_oracle
-from fanoenum.cli import _CHERN_FORMULAS, run
+from fanoenum.cli import _CHERN_FORMULAS, _GRAMMAR, run
 from fanoenum.table_oracle import emit, ground_truth
+from test_engine import _other_interpreters
 
 
 def test_verify_both_ranks(capsys):
@@ -106,6 +108,18 @@ def test_pair_longer_than_the_rank_is_a_usage_error(capsys):
     assert "at most 2 ray types" in err
     assert run(["enumerate", "--rho", "3", "--pair", "C1,E1"]) == 0
     assert "| 3-2 |" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("pair", ["", ","], ids=repr)
+def test_an_empty_pair_is_a_usage_error(capsys, pair):
+    # an empty --pair names no ray type: it does not mean every pairing
+    with pytest.raises(SystemExit) as excinfo:
+        run(["enumerate", "--format", "csv", "--pair", pair])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: fanoenum enumerate")
+    assert captured.err.endswith("error: unknown extremal-ray type ''\n")
 
 
 def test_chern_arity_is_a_usage_error_of_the_chern_subcommand(capsys):
@@ -214,6 +228,8 @@ def test_cli_start_imports_no_heavy_stdlib_module():
     added = _modules_loaded_by("import fanoenum.cli") - _modules_loaded_by("pass")
     assert "fanoenum.cli" in added
     heavy = {"dataclasses", "inspect", "ast", "fractions", "decimal", "csv", "_csv"}
+    # argparse brings gettext, whose first translation lookup imports locale
+    heavy |= {"argparse", "gettext", "locale"}
     assert sorted(added & heavy) == []
 
 
@@ -261,6 +277,30 @@ def test_cli_start_and_chern_load_no_engine_module(statement):
     added = _modules_loaded_by(statement) - _modules_loaded_by("pass")
     assert "fanoenum.chern_calculus" in added
     assert sorted(added & ENGINE_MODULES) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--rho", "3"],
+        ["enumerate", "--rho", "3", "--format", "csv"],
+        ["emit", "--rho", "3", "--source", "computed", "--format", "json"],
+        ["chern", "conic-ksq-pullback", "-3", "5"],
+    ],
+    ids=" ".join,
+)
+def test_a_well_formed_run_loads_no_argparse(argv):
+    statement = (
+        "import runpy, sys\n"
+        f"sys.argv = ['fanoenum', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('fanoenum', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code"
+    )
+    added = _modules_loaded_by(statement) - _modules_loaded_by("pass")
+    assert "fanoenum.cli" in added
+    assert sorted(added & {"argparse", "gettext", "locale"}) == []
 
 
 def test_importing_one_submodule_loads_only_its_imports():
@@ -555,6 +595,144 @@ def test_any_argv_exits_zero_one_or_two_without_a_traceback(argv):
             os.chdir(cwd)
     assert code in (0, 1, 2)
     assert "Traceback" not in stderr.getvalue()
+
+
+def _parsed(argv):
+    """The arguments argparse parses from ``argv``, or the exit code of its error."""
+    import contextlib
+    import io
+
+    from fanoenum.cli import _GRAMMAR, build_parser
+
+    parser = build_parser(argv[0] if argv and argv[0] in _GRAMMAR else None)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+def _verdict(argv):
+    """None where the reader of ``run`` leaves ``argv`` to argparse, else whether they agree.
+
+    This and ``_parsed`` import what they use, so that a probe of another
+    interpreter can run their source.
+    """
+    from fanoenum.cli import _read
+
+    read = _read(argv)
+    return None if read is None else vars(read) == _parsed(argv)
+
+
+# Every argv of the benchmark's cli_mix workload: the reader must take each.
+BENCH_ARGVS = [
+    key.split(" ")
+    for key in json.loads(
+        (Path(__file__).resolve().parents[1] / "bench" / "golden.json").read_text()
+    )["cli_stdout_sha256"]
+]
+
+# Argvs at the edge of the reader's shapes, each with the reader's verdict.
+EDGE_ARGVS = [
+    (["verify", "--rho", "2", "--rho", "3"], True),  # the last one counts
+    (["verify", "--rho", "02"], True),
+    (["enumerate", "--primitive", "--primitive"], True),
+    (["chern", "xi-square", "-9"], True),
+    (["chern", "xi-square", "-0"], True),
+    (["chern", "xi-square", "1", "2"], True),  # the handler rejects the arity
+    (["enumerate", "--pair", "E1,E1,E1"], True),  # and the handler the pair
+    (["emit", "--out", "table.json"], True),
+    (["enumerate", "--rho=2"], None),
+    (["enumerate", "--prim"], None),
+    (["verify", "--"], None),
+    (["chern", "xi-square", "--", "-3"], None),
+    (["verify", "--rho", " 2"], None),
+    (["verify", "--rho", "٢"], None),  # ARABIC-INDIC DIGIT TWO
+    (["chern", "xi-square", "٢"], None),
+    (["verify", "--rho", "+2"], None),
+    (["chern", "xi-square", "+2"], None),
+    (["verify", "--rho", "-2"], None),
+    (["verify", "--rho"], None),
+    (["chern", "xi-square"], None),
+    (["chern", "xi-square", "1" * 5000], None),  # more digits than int() converts
+    (["enumerate", "--pair", ""], None),
+    (["enumerate", "--pair", "-x"], None),
+    (["emit", "--out", "-"], None),
+    (["emit", "--out", "table\0.json"], None),
+    (["enumerate", "-h"], None),
+    (["enumerate", "--pair", "E1,C2", "E1"], None),
+    (["verify", "--pair", "E1,C2"], None),
+    (["verify", "--rho", "4"], None),
+    (["emit", "--format", "pdf"], None),
+    (["chern", "no-such-formula", "1"], None),
+    (["frobnicate"], None),
+    ([], None),
+]
+
+
+@pytest.mark.parametrize("argv", BENCH_ARGVS, ids=" ".join)
+def test_the_reader_takes_every_benchmarked_argv(argv):
+    assert _verdict(argv) is True
+
+
+@pytest.mark.parametrize("argv,verdict", EDGE_ARGVS)
+def test_the_reader_at_the_edge_of_its_shapes(argv, verdict):
+    assert _verdict(argv) is verdict
+
+
+ARGV_VALUES = st.sampled_from(ARGV_TOKENS) | JUNK_TOKENS | st.integers(-99, 99).map(str)
+
+
+def _values(type_, choices):
+    """Tokens for one value: often one that its type and choices take."""
+    if choices:
+        fitting = st.sampled_from([str(choice) for choice in choices])
+    else:
+        fitting = st.integers(-99, 99).map(str) if type_ is int else st.sampled_from(ARGV_TOKENS)
+    return st.one_of(fitting, ARGV_VALUES)
+
+
+def _near_well_formed(command):
+    """``command``, its options in any order, then its positionals, valued by ``_values``."""
+    _, _, options, positionals = _GRAMMAR[command]
+    option = st.one_of([
+        st.tuples(st.just(flag), *([] if type_ is bool else [_values(type_, choices)]))
+        for flag, _, type_, choices, _, _ in options
+    ])
+    return st.tuples(
+        st.lists(option, max_size=4) if options else st.just([]),
+        st.tuples(*(
+            st.lists(_values(type_, choices), min_size=1, max_size=1 if nargs is None else 7)
+            for _, type_, choices, nargs in positionals
+        )),
+    ).map(lambda parts: [command, *(token for group in parts for part in group for token in part)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(ARGV_TOKENS) | JUNK_TOKENS, max_size=8)
+    | st.sampled_from(list(_GRAMMAR)).flatmap(_near_well_formed)
+)
+def test_the_reader_reads_what_argparse_parses_or_defers(argv):
+    assert _verdict(argv) is not False
+
+
+@pytest.mark.parametrize("python", _other_interpreters())
+def test_the_reader_and_argparse_agree_under_every_other_installed_cpython(python):
+    # argparse's rules for negative numbers and abbreviations differ by version
+    probe = inspect.getsource(_parsed) + inspect.getsource(_verdict) + (
+        "import json, sys\n"
+        "print(json.dumps([_verdict(argv) for argv in json.load(sys.stdin)]))\n"
+    )
+    proc = subprocess.run(
+        [str(python), "-c", probe],
+        input=json.dumps(BENCH_ARGVS + [argv for argv, _ in EDGE_ARGVS]),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    verdicts = [True] * len(BENCH_ARGVS) + [verdict for _, verdict in EDGE_ARGVS]
+    assert json.loads(proc.stdout) == verdicts
 
 
 if __name__ == "__main__":
