@@ -97,7 +97,8 @@ def _computed_rows(rho: int, primitive_only: bool):
 
 
 def _write_payload(payload: bytes, out: str | None) -> None:
-    if out is not None:
+    """Write ``payload`` to the file ``out``, or to stdout when it is None or "-"."""
+    if out is not None and out != "-":
         with open(out, "wb") as file:
             file.write(payload)
         return
@@ -141,7 +142,8 @@ def _run_verify(args) -> int:
 def _run_chern(args) -> int:
     func, names = _CHERN_FORMULAS[args.formula]
     if len(args.values) != len(names):
-        _usage_error("chern", f"{args.formula} takes {len(names)} integers: {' '.join(names)}")
+        noun = "integer" if len(names) == 1 else "integers"
+        _usage_error("chern", f"{args.formula} takes {len(names)} {noun}: {' '.join(names)}")
     print(func(*args.values))
     return 0
 

@@ -11,20 +11,26 @@ does: it compares the record in place, reading its rays' fields by
 position.  All comparisons are exact on integers; descriptions are
 compared as multisets after a normalization that forgets case and
 punctuation.
+
+The truth is read and JSON is written with CPython's ``_json`` accelerator
+alone: its C scanner parses the truth, and its ``encode_basestring_ascii``
+writes strings.  Importing ``json`` costs more than parsing the truth,
+because ``json.decoder``, ``json.scanner`` and ``json.encoder`` compile
+regular expressions at import.  It is imported only to raise
+``json.loads``'s own error for a text the scanner does not take whole, to
+write a value no row holds, or where ``_json`` is missing.
 """
 
 from __future__ import annotations
 
 import functools
 import io
-import json
 import operator
 import os
 import re
 import types
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
-from json.encoder import encode_basestring_ascii
 
 from .errors import ConstraintError, UnsupportedScopeError
 from .ray_constraints import RaySpec, RayType
@@ -51,6 +57,46 @@ _KEY_DEGREES = ("degB", "d2", "deg_delta")
 _KEY_DATA = operator.itemgetter(*map(RaySpec._fields.index, _KEY_DEGREES))
 
 _EMIT_FORMATS = ("json", "csv", "markdown")
+
+try:
+    from _json import encode_basestring_ascii, make_scanner
+except ImportError:  # no C accelerator: json's pure-Python code does the same
+    from json import loads as _loads
+    from json.encoder import encode_basestring_ascii
+else:
+    # The context json.loads's decoder hands the scanner: strict, no hooks,
+    # and its values for NaN, Infinity and -Infinity.
+    _scan = make_scanner(
+        types.SimpleNamespace(
+            strict=True,
+            object_hook=None,
+            object_pairs_hook=None,
+            parse_float=float,
+            parse_int=int,
+            parse_constant={
+                "NaN": float("nan"), "Infinity": float("inf"), "-Infinity": float("-inf")
+            }.__getitem__,
+        )
+    )
+
+    def _loads(text: str):
+        """json.loads(text): by the scanner alone when it takes the whole text.
+
+        Any other outcome (no value, an error, extra data, a BOM) is left to
+        json.loads, so a malformed text raises exactly what json raises.
+        """
+        start = len(text) - len(text.lstrip(" \t\n\r"))
+        try:
+            value, end = _scan(text, start)
+        except (StopIteration, ValueError):
+            pass
+        else:
+            if not text[end:].strip(" \t\n\r"):
+                return value
+        import json
+
+        return json.loads(text)
+
 
 # The display name of each ray-type tag a row may hold.
 _RAY_DISPLAY = {ray_type.value: ray_type.display for ray_type in RayType}
@@ -223,7 +269,7 @@ def parse_rows(data: bytes) -> tuple[TableRow, ...]:
     and, for a missing or wrong-typed value, the field.
     """
     try:
-        raw = json.loads(data.decode("utf-8"))
+        raw = _loads(data.decode("utf-8"))
     except ValueError as exc:
         raise ConstraintError(f"ground truth is not UTF-8 JSON: {exc}") from exc
     except RecursionError as exc:
@@ -440,6 +486,8 @@ def _json(value, indent: str) -> str:
     if write is not None:
         return write(value)
     if not isinstance(value, (list, tuple)):
+        import json
+
         return json.dumps(value)  # no other value occurs in a row
     if not value:
         return "[]"

@@ -128,7 +128,12 @@ def test_chern_arity_is_a_usage_error_of_the_chern_subcommand(capsys):
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: fanoenum chern")
-    assert err.endswith("error: xi-square takes 1 integers: deg_E\n")
+    assert err.endswith("error: xi-square takes 1 integer: deg_E\n")
+    with pytest.raises(SystemExit):
+        run(["chern", "conic-ksq-pullback", "1"])
+    assert capsys.readouterr().err.endswith(
+        "error: conic-ksq-pullback takes 2 integers: Ks.D Delta.D\n"
+    )
 
 
 def test_emit_to_file_is_deterministic(tmp_path):
@@ -138,6 +143,15 @@ def test_emit_to_file_is_deterministic(tmp_path):
     assert first == emit(ground_truth(3), "csv")
     assert run(["emit", "--rho", "3", "--format", "csv", "--out", str(target)]) == 0
     assert target.read_bytes() == first
+
+
+def test_emit_to_a_dash_writes_stdout(tmp_path, monkeypatch, capsysbinary):
+    monkeypatch.chdir(tmp_path)
+    assert run(["emit", "--rho", "3"]) == 0
+    plain = capsysbinary.readouterr().out
+    assert run(["emit", "--rho", "3", "--out", "-"]) == 0
+    assert capsysbinary.readouterr().out == plain
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_emit_computed_agrees_with_truth(capsysbinary):
@@ -279,6 +293,21 @@ def test_cli_start_and_chern_load_no_engine_module(statement):
     assert sorted(added & ENGINE_MODULES) == []
 
 
+def _modules_added_by_a_run(argv):
+    """The modules a fresh ``python -m fanoenum *argv`` adds to a bare interpreter's."""
+    statement = (
+        "import runpy, sys\n"
+        f"sys.argv = ['fanoenum', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('fanoenum', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code"
+    )
+    added = _modules_loaded_by(statement) - _modules_loaded_by("pass")
+    assert "fanoenum.cli" in added
+    return added
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -290,17 +319,25 @@ def test_cli_start_and_chern_load_no_engine_module(statement):
     ids=" ".join,
 )
 def test_a_well_formed_run_loads_no_argparse(argv):
-    statement = (
-        "import runpy, sys\n"
-        f"sys.argv = ['fanoenum', *{argv!r}]\n"
-        "try:\n"
-        "    runpy.run_module('fanoenum', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as exc:\n"
-        "    assert exc.code == 0, exc.code"
-    )
-    added = _modules_loaded_by(statement) - _modules_loaded_by("pass")
-    assert "fanoenum.cli" in added
+    added = _modules_added_by_a_run(argv)
     assert sorted(added & {"argparse", "gettext", "locale"}) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify"],
+        ["enumerate", "--rho", "2"],
+        ["emit", "--rho", "2", "--source", "truth"],
+        ["emit", "--rho", "3", "--source", "computed"],
+    ],
+    ids=" ".join,
+)
+def test_a_run_that_reads_the_truth_loads_no_json(argv):
+    # the C scanner of _json reads the truth; json compiles six patterns at import
+    added = _modules_added_by_a_run(argv)
+    assert "fanoenum.table_oracle" in added
+    assert sorted(added & {"json", "json.decoder", "json.scanner", "json.encoder"}) == []
 
 
 def test_importing_one_submodule_loads_only_its_imports():

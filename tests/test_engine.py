@@ -12,25 +12,28 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fanoenum import enumerator
 from fanoenum.chern_calculus import (
+    antican_cube_by_index,
     antican_cube_divisor_in_p2_bundle,
     antican_cube_p1_bundle_over_surface,
+    genus_from_blowup,
 )
 from fanoenum.cli import run
 from fanoenum.enumerator import enumerate_all, solve_C_E_primitive
 from fanoenum.errors import (
     ConstraintError, FanoEngineError, InconsistencyError, ParityError
 )
-from fanoenum.picard_lattice import DivisorClass, TrilinearForm
-from fanoenum.ray_constraints import RayType
+from fanoenum.picard_lattice import DivisorClass, TrilinearForm, anticanonical_class
+from fanoenum.ray_constraints import C_TYPES, TWIST, RaySpec, RayType
 from fanoenum.table_oracle import emit, label, record_to_row
 
 EMIT_SHA256 = {
@@ -83,11 +86,11 @@ def _other_interpreters():
     return found or [pytest.param(None, marks=no_other)]
 
 
-@pytest.mark.parametrize("python", _other_interpreters())
-def test_the_goldens_hold_under_every_other_installed_cpython(python, capsys):
+def _assert_the_goldens_hold_in(python, capsys, prelude=""):
+    """``_BYTES_PROBE``, after ``prelude``, prints the goldens in a fresh ``python``."""
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
-        [str(python), "-c", _BYTES_PROBE],
+        [str(python), "-c", prelude + _BYTES_PROBE],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
@@ -96,6 +99,24 @@ def test_the_goldens_hold_under_every_other_installed_cpython(python, capsys):
         "emit": {f"{rho} {fmt}": sha256 for (rho, fmt), sha256 in EMIT_SHA256.items()},
         "verify": [0, capsys.readouterr().out],
     }
+
+
+@pytest.mark.parametrize("python", _other_interpreters())
+def test_the_goldens_hold_under_every_other_installed_cpython(python, capsys):
+    _assert_the_goldens_hold_in(python, capsys)
+
+
+def test_the_goldens_hold_without_the_c_json_accelerator(capsys):
+    # as in an interpreter built without _json: table_oracle falls back to json
+    prelude = (
+        "import sys\n"
+        "sys.modules['_json'] = None\n"
+        "from json import encoder, loads\n"
+        "from fanoenum import table_oracle\n"
+        "assert table_oracle._loads is loads\n"
+        "assert table_oracle.encode_basestring_ascii is encoder.py_encode_basestring_ascii\n"
+    )
+    _assert_the_goldens_hold_in(sys.executable, capsys, prelude)
 
 
 def test_engine_finds_the_36_families_and_nothing_off_the_24_pairings():
@@ -374,6 +395,92 @@ def test_integer_solution_agrees_with_its_reference(rows):
     assert _outcome(enumerator._integer_solution, rows) == _outcome(
         _reference_integer_solution, rows
     )
+
+
+def _fraction_outcome(side1, side2):
+    """A side pair's record, None or exception type, from its rows solved in Fractions.
+
+    For a pair whose two (-K)^2.H rows are independent: it eliminates u1
+    between them, checks every row at the one rational solution, and builds
+    the record from the terms at that solution with the public constructors.
+    """
+    rows = [[Fraction(x) for x in row] for row in _system(side1, side2)]
+    first, second = rows[:2]
+    if not first[0]:  # the rows are independent, so the other one holds u1
+        first, second = second, first
+    (a1, b1, c1), (a2, b2, c2) = first, second
+    u2 = -(c2 - a2 / a1 * c1) / (b2 - a2 / a1 * b1)
+    u1 = -(b1 * u2 + c1) / a1
+    if u1.denominator != 1 or u2.denominator != 1 or any(a * u1 + b * u2 + c for a, b, c in rows):
+        return None
+    if not (_in_domain(side1, u1) and _in_domain(side2, u2)):
+        return None
+    n1, n2 = side2.mu, side1.mu
+    (C1, P1, _, K1, _), (C2, P2, _, K2, _) = side1.terms[n1], side2.terms[n2]
+
+    def at(term, u, quarters):
+        return Fraction(term[0] + term[1] * u, quarters)
+
+    entries = (
+        at(C1, u1, 4), at(P1, u1, 4 * n1 * n1 * n2), at(P2, u2, 4 * n2 * n2 * n1), at(C2, u2, 4)
+    )
+    kx3 = at(K1, u1, 4) + at(K2, u2, 4)
+    if any(value.denominator != 1 for value in (*entries, kx3)):
+        return InconsistencyError
+    entries, kx3 = tuple(map(int, entries)), int(kx3)
+    fields = [dict(zip(RaySpec._fields, side.template)) for side in (side1, side2)]
+    for ray, side, u in zip(fields, (side1, side2), (u1, u2)):
+        ray[RaySpec._fields[side.slot]] = int(u)
+    try:
+        for ray in fields:
+            if ray["ray_type"] is RayType.E1:
+                cube = antican_cube_by_index(ray["r"], ray["L3"])
+                ray["genus"] = genus_from_blowup(kx3, cube, ray["r"], ray["degB"])
+        if side2.ray_type in TWIST and side1.ray_type in C_TYPES:  # X is P(O + O(e))
+            fields[1]["e"] = entries[2]
+        return enumerator.SolutionRecord(
+            tuple(RaySpec(**ray) for ray in fields),
+            TrilinearForm.rank2(*entries),
+            anticanonical_class(side1.mu, side2.mu),
+            kx3,
+        )
+    except FanoEngineError as exc:
+        return type(exc)
+
+
+_SIDE_PAIRS = list(_side_pairs(combinations_with_replacement(RayType, 2)))
+# Every side pair, and again those that give a record, so that about one
+# example in ten is a record.
+_SOME_SIDE_PAIRS = st.sampled_from([pair[4:] for pair in _SIDE_PAIRS]) | st.sampled_from([
+    (side1, side2)
+    for type1, i, type2, j, side1, side2 in _SIDE_PAIRS
+    if (type1.value, i, type2.value, j) in RECORD_SIDE_PAIRS
+])
+
+
+@st.composite
+def cramer_side_pairs(draw):
+    """A side pair of the 45 pairings with up to three of its terms moved.
+
+    Its two (-K)^2.H rows stay independent, so that ``_solve_sides`` takes
+    Cramer's rule.
+    """
+    sides = list(draw(_SOME_SIDE_PAIRS))
+    for _ in range(draw(st.integers(0, 3))):
+        which = draw(st.integers(0, 1))
+        sides[which] = _moved(
+            sides[which], draw(st.integers(0, 4)), draw(st.integers(0, 1)),
+            draw(st.integers(-12, 12)),
+        )
+    (a1, b1, _), (a2, b2, _) = _system(*sides)[:2]
+    assume(a1 * b2 != a2 * b1)
+    return sides
+
+
+@settings(max_examples=500, deadline=None)
+@given(cramer_side_pairs())
+def test_cramer_rule_agrees_with_a_fraction_solve_of_random_side_terms(sides):
+    assert _solve_or_error(*sides) == _fraction_outcome(*sides)
 
 
 _C, _K = 0, 3  # positions of the H^3 and (-K)^3 terms among a side's C, P, Q, K, M

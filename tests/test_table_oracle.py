@@ -1,7 +1,9 @@
 """Embedded classification tables, the diff machinery, and serialization."""
 
+import inspect
 import json
 import pickle
+import subprocess
 import types
 from collections import Counter
 from copy import deepcopy
@@ -26,6 +28,7 @@ from fanoenum.table_oracle import (
     parse_rows,
     record_to_row,
 )
+from test_engine import EMIT_SHA256, _other_interpreters
 
 EXPECTED_CUBES = [
     4, 6, 8, 10, 12, 12, 14, 14, 16, 16, 18, 20, 20, 20, 22, 22, 24, 24,
@@ -680,6 +683,90 @@ JSON_VALUES = st.recursive(
 )
 
 PACKAGED_TRUTH = Path(table_oracle._PACKAGED_TRUTH).read_text()
+
+
+def _outcomes(text):
+    """What ``table_oracle._loads`` and ``json.loads`` make of ``text``, in that order.
+
+    Each is a value's repr or the exception's type and message.  This imports
+    what it uses, so that a probe of another interpreter can run its source.
+    """
+    import json
+
+    from fanoenum.table_oracle import _loads
+
+    def outcome(loads):
+        try:
+            return ["value", repr(loads(text))]
+        except (ValueError, RecursionError) as exc:
+            return [type(exc).__name__, str(exc)]
+
+    return [outcome(_loads), outcome(json.loads)]
+
+
+# Texts at the edge of what json.loads takes: no value, a byte order mark,
+# extra data, a trailing comma, the three constants, a float out of range, a
+# raw tab in a string, a repeated key, the four JSON whitespace characters,
+# a form feed (not one of them), too many digits for int(), and nesting
+# within and beyond the recursion limit.
+EDGE_TEXTS = [
+    "", "\ufeff[]", " \ufeff[]", "[] x", "[1] [2]", "[1,]",
+    "NaN", "Infinity", "-Infinity", "[NaN, Infinity, -Infinity]", "1e400",
+    '"a\tb"', '{"a": 1, "a": 2}', " \t\n\r[1] \t\n\r", "\x0c[]", "[]\x0c",
+    "1" * 5000, "[" * 50 + "]" * 50, "[" * 100_000 + "]" * 100_000,
+]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        PACKAGED_TRUTH,
+        *(
+            emit(map(record_to_row, enumerate_all(rho, primitive_only=rho == 3)), fmt).decode()
+            for rho, fmt in sorted(EMIT_SHA256)
+        ),
+    ],
+    ids=["packaged-truth", *(f"emit-{rho}-{fmt}" for rho, fmt in sorted(EMIT_SHA256))],
+)
+def test_loads_reads_the_truth_and_the_golden_payloads_as_json_does(text):
+    loaded, expected = _outcomes(text)
+    assert loaded == expected
+
+
+@pytest.mark.parametrize("text", EDGE_TEXTS, ids=lambda text: repr(text[:12]))
+def test_loads_at_the_edge_of_json_is_json(text):
+    loaded, expected = _outcomes(text)
+    assert loaded == expected
+
+
+_WHITESPACE = st.text(" \t\n\r\x0c", max_size=3)
+# Texts made of JSON's own characters, and JSON values with whitespace
+# around them and sometimes a character after them.
+JSON_ISH_TEXTS = st.text(' \t\n\r\x0c\ufeff[]{}:,"\\0123456789.-+eEaflnrstuINy', max_size=20) | st.tuples(
+    _WHITESPACE, JSON_VALUES.map(json.dumps), _WHITESPACE, st.sampled_from(["", "x", ",", "]"])
+).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_ISH_TEXTS)
+def test_loads_of_any_json_ish_text_is_json(text):
+    loaded, expected = _outcomes(text)
+    assert loaded == expected
+
+
+@pytest.mark.parametrize("python", _other_interpreters())
+def test_loads_at_the_edge_of_json_is_json_under_every_other_installed_cpython(python):
+    # _json is private to CPython: its scanner's context may change by version
+    probe = inspect.getsource(_outcomes) + (
+        "import json, sys\n"
+        "print(json.dumps([_outcomes(text) for text in json.load(sys.stdin)]))\n"
+    )
+    proc = subprocess.run(
+        [str(python), "-c", probe], input=json.dumps(EDGE_TEXTS), capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    for text, (loaded, expected) in zip(EDGE_TEXTS, json.loads(proc.stdout), strict=True):
+        assert loaded == expected, text[:12]
 
 
 def test_the_packaged_truth_is_in_the_layout_emit_writes():
