@@ -3,8 +3,9 @@
 Each subcommand imports the engine modules it runs when it runs, so that
 ``chern`` loads only the Chern calculus.  The grammar is written once, in
 ``_GRAMMAR``: :func:`run` reads a well-formed argv by it without argparse,
-and :func:`build_parser` makes argparse's parsers from it for every other
-argv, for help, and for a usage error a handler finds.
+and :func:`build_parser` makes argparse's one full parser from it for every
+other argv (help, a usage error, a form the reader leaves to argparse) and
+for a usage error a handler finds.
 
 Exit codes: 0 success, 1 verification failure, engine error or unreadable
 file, 2 usage error (argparse prints it; a well-formed argv never loads
@@ -72,7 +73,7 @@ def _path(text: str) -> str:
 
 def _usage_error(command: str, message: str):
     """Exit 2 with ``command``'s usage and ``message``, as argparse's own errors do."""
-    _parsers(command)[1][command].error(message)
+    _parsers()[1][command].error(message)
 
 
 def _parse_pair(text: str, rho: int) -> tuple[str, ...]:
@@ -144,7 +145,13 @@ def _run_chern(args) -> int:
     if len(args.values) != len(names):
         noun = "integer" if len(names) == 1 else "integers"
         _usage_error("chern", f"{args.formula} takes {len(names)} {noun}: {' '.join(names)}")
-    print(func(*args.values))
+    result = func(*args.values)
+    try:
+        text = str(result)
+    except ValueError:  # more digits than the interpreter converts to text
+        limit = sys.get_int_max_str_digits()
+        raise FanoEngineError(f"the result has more than {limit} digits, the most Python prints")
+    print(text)
     return 0
 
 
@@ -211,18 +218,12 @@ _GRAMMAR = {
 }
 
 
-def build_parser(command: str | None = None):
-    """The argparse parser, with every subcommand's parser or only ``command``'s.
-
-    :func:`run` builds it only for an argv its reader leaves to argparse, and
-    then only the parser its argv names.  That parser's metavar keeps the
-    usage line of the full one; the full one has none, so that argparse names
-    the action ``command`` in an invalid-choice error.
-    """
-    return _parsers(command)[0]
+def build_parser():
+    """argparse's parser of every subcommand: :func:`run` builds it only when its reader defers."""
+    return _parsers()[0]
 
 
-def _parsers(command: str | None):
+def _parsers():
     """The parser :func:`build_parser` returns, and its subcommands' parsers by name."""
     import argparse
 
@@ -233,13 +234,8 @@ def _parsers(command: str | None):
             "exact integer arithmetic and compare against the embedded table."
         ),
     )
-    metavar = None if command is None else "{" + ",".join(_GRAMMAR) + "}"
-    # with prog given, argparse builds no HelpFormatter to work it out
-    sub = parser.add_subparsers(
-        dest="command", required=True, metavar=metavar, prog=parser.prog
-    )
-    for name in _GRAMMAR if command is None else (command,):
-        summary, handler, options, positionals = _GRAMMAR[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, handler, options, positionals) in _GRAMMAR.items():
         p = sub.add_parser(name, help=summary)
         for flag, dest, type_, choices, default, help_text in options:
             if type_ is bool:
@@ -263,8 +259,8 @@ def _read(argv: Sequence[str]) -> SimpleNamespace | None:
     positionals.  A value must be a choice as written, an ASCII decimal
     integer (signed only where it is no option's value) or a path
     :func:`_path` takes.  Anything else -- ``-h``, ``--``, ``--opt=value``, an
-    abbreviation, a value that is empty or starts with ``-``, an unknown
-    token -- is argparse's to accept or reject.
+    abbreviation, a value that is empty or starts with ``-`` (a lone ``-``
+    aside), an unknown token -- is argparse's to accept or reject.
     """
     if not argv or argv[0] not in _GRAMMAR:
         return None
@@ -285,7 +281,7 @@ def _read(argv: Sequence[str]) -> SimpleNamespace | None:
             values[dest] = True
             continue
         token = next(tokens, "")  # a missing value reads as an empty one
-        if token[:1] in ("", "-"):
+        if token[:1] in ("", "-") and token != "-":  # argparse takes a lone "-" as a value
             return None
         values[dest] = _value(token, type_, choices)
         if values[dest] is None:
@@ -320,8 +316,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _read(argv)
     if args is None:
-        command = argv[0] if argv and argv[0] in _GRAMMAR else None
-        args = build_parser(command).parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (FanoEngineError, OSError) as exc:

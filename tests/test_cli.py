@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from fanoenum import table_oracle
 from fanoenum.cli import _CHERN_FORMULAS, _GRAMMAR, run
 from fanoenum.table_oracle import emit, ground_truth
-from test_engine import _other_interpreters
+from test_engine import BENCH_GOLDEN, _other_interpreters
 
 
 def test_verify_both_ranks(capsys):
@@ -62,6 +62,11 @@ def test_chern_engine_errors_exit_one(capsys):
     assert run(["chern", "antican-sq-dot-exceptional", "-5", "0"]) == 1
     assert capsys.readouterr().err == (
         "error: -K_Y . C must be >= 1 on a Fano target, got -5\n"
+    )
+    # int() takes 4300 digits, and 2 * (10**4300 - 1) has one more
+    assert run(["chern", "antican-cube-p1-bundle", "9" * 4300, "0", "0"]) == 1
+    assert capsys.readouterr().err == (
+        "error: the result has more than 4300 digits, the most Python prints\n"
     )
 
 
@@ -314,6 +319,7 @@ def _modules_added_by_a_run(argv):
         ["verify", "--rho", "3"],
         ["enumerate", "--rho", "3", "--format", "csv"],
         ["emit", "--rho", "3", "--source", "computed", "--format", "json"],
+        ["emit", "--rho", "3", "--format", "csv", "--out", "-"],
         ["chern", "conic-ksq-pullback", "-3", "5"],
     ],
     ids=" ".join,
@@ -598,25 +604,25 @@ def test_emit_to_an_empty_path_is_a_usage_error(capsys):
     )
 
 
+# Integers of as many digits as int() converts, and of one more.
+BIG_INTEGERS = ("9" * 4300, "-" + "9" * 4300, "1" * 4301)
 # Tokens of real argvs: subcommands, options, their values and formula names.
 ARGV_TOKENS = (
     "enumerate", "verify", "chern", "emit",
     "--rho", "--pair", "--primitive", "--format", "--source", "--out", "-h",
-    "2", "3", "1", "0", "-1", "7", "64", "json", "csv", "markdown", "pdf",
-    "truth", "computed", "E1,C2", "c1,e3e4", "E1,E1,E1", "E1", "E1,F7", ",",
-    "table.json", "absent/table.json", ".", "",
+    "2", "3", "1", "0", "-1", "7", "64", *BIG_INTEGERS,
+    "json", "csv", "markdown", "pdf", "truth", "computed",
+    "E1,C2", "c1,e3e4", "E1,E1,E1", "E1", "E1,F7", ",",
+    "table.json", "absent/table.json", ".", "", "-",
     *_CHERN_FORMULAS,
 )
 # Junk holds no path separator, so that a path it names stays in the working
-# directory, which the test makes a temporary one.
+# directory, which each run makes a fresh temporary one.
 JUNK_TOKENS = st.text(st.characters(exclude_characters="/\\"), max_size=6)
 
 
-@settings(max_examples=200, deadline=None)
-@example(["emit", "--out", "table\0.json"])  # a NUL byte, which no path can hold
-@example(["emit", "--out", "table\ud800.json"])  # a lone surrogate, which no path can hold
-@given(st.lists(st.sampled_from(ARGV_TOKENS) | JUNK_TOKENS, max_size=8))
-def test_any_argv_exits_zero_one_or_two_without_a_traceback(argv):
+def _assert_the_run_ends_in_an_exit_code(argv):
+    """``run(argv)`` returns 0 or 1 or exits 0 or 2, and an exit 1 is one ``error:`` line."""
     stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     stderr = io.StringIO()
     cwd = os.getcwd()
@@ -625,13 +631,24 @@ def test_any_argv_exits_zero_one_or_two_without_a_traceback(argv):
         try:
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 try:
-                    code = run(argv)
+                    codes, code = (0, 1), run(argv)
                 except SystemExit as exc:
-                    code = exc.code
+                    codes, code = (0, 2), exc.code
         finally:
             os.chdir(cwd)
-    assert code in (0, 1, 2)
+    assert code in codes
     assert "Traceback" not in stderr.getvalue()
+    if code == 1:
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@settings(max_examples=200, deadline=None)
+@example(["emit", "--out", "table\0.json"])  # a NUL byte, which no path can hold
+@example(["emit", "--out", "table\ud800.json"])  # a lone surrogate, which no path can hold
+@given(st.lists(st.sampled_from(ARGV_TOKENS) | JUNK_TOKENS, max_size=8))
+def test_any_argv_exits_zero_one_or_two_without_a_traceback(argv):
+    _assert_the_run_ends_in_an_exit_code(argv)
 
 
 def _parsed(argv):
@@ -639,9 +656,9 @@ def _parsed(argv):
     import contextlib
     import io
 
-    from fanoenum.cli import _GRAMMAR, build_parser
+    from fanoenum.cli import build_parser
 
-    parser = build_parser(argv[0] if argv and argv[0] in _GRAMMAR else None)
+    parser = build_parser()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             return vars(parser.parse_args(argv))
@@ -662,12 +679,7 @@ def _verdict(argv):
 
 
 # Every argv of the benchmark's cli_mix workload: the reader must take each.
-BENCH_ARGVS = [
-    key.split(" ")
-    for key in json.loads(
-        (Path(__file__).resolve().parents[1] / "bench" / "golden.json").read_text()
-    )["cli_stdout_sha256"]
-]
+BENCH_ARGVS = [key.split(" ") for key in BENCH_GOLDEN["cli_stdout_sha256"]]
 
 # Argvs at the edge of the reader's shapes, each with the reader's verdict.
 EDGE_ARGVS = [
@@ -694,7 +706,7 @@ EDGE_ARGVS = [
     (["chern", "xi-square", "1" * 5000], None),  # more digits than int() converts
     (["enumerate", "--pair", ""], None),
     (["enumerate", "--pair", "-x"], None),
-    (["emit", "--out", "-"], None),
+    (["emit", "--out", "-"], True),  # a lone "-" is a value, as to argparse
     (["emit", "--out", "table\0.json"], None),
     (["enumerate", "-h"], None),
     (["enumerate", "--pair", "E1,C2", "E1"], None),
@@ -704,6 +716,10 @@ EDGE_ARGVS = [
     (["chern", "no-such-formula", "1"], None),
     (["frobnicate"], None),
     ([], None),
+    (["enumerate", "--pair", "-"], True),  # the handler rejects the pair
+    (["verify", "--rho", "-"], None),
+    (["enumerate", "--format", "-"], None),
+    (["chern", "-"], None),
 ]
 
 
@@ -717,7 +733,8 @@ def test_the_reader_at_the_edge_of_its_shapes(argv, verdict):
     assert _verdict(argv) is verdict
 
 
-ARGV_VALUES = st.sampled_from(ARGV_TOKENS) | JUNK_TOKENS | st.integers(-99, 99).map(str)
+INTEGERS = st.integers(-99, 99).map(str) | st.sampled_from(BIG_INTEGERS)
+ARGV_VALUES = st.sampled_from(ARGV_TOKENS) | JUNK_TOKENS | INTEGERS
 
 
 def _values(type_, choices):
@@ -725,7 +742,7 @@ def _values(type_, choices):
     if choices:
         fitting = st.sampled_from([str(choice) for choice in choices])
     else:
-        fitting = st.integers(-99, 99).map(str) if type_ is int else st.sampled_from(ARGV_TOKENS)
+        fitting = INTEGERS if type_ is int else st.sampled_from(ARGV_TOKENS)
     return st.one_of(fitting, ARGV_VALUES)
 
 
@@ -752,6 +769,14 @@ def _near_well_formed(command):
 )
 def test_the_reader_reads_what_argparse_parses_or_defers(argv):
     assert _verdict(argv) is not False
+
+
+@settings(max_examples=150, deadline=None)
+@example(["chern", "antican-cube-p1-bundle", "9" * 4300, "0", "0"])  # a result too long to print
+@given(st.sampled_from(list(_GRAMMAR)).flatmap(_near_well_formed))
+def test_a_run_of_a_grammar_built_argv_ends_in_an_exit_code(argv):
+    # the handler runs: a reader-vs-argparse check only parses
+    _assert_the_run_ends_in_an_exit_code(argv)
 
 
 @pytest.mark.parametrize("python", _other_interpreters())
