@@ -19,8 +19,6 @@ and generator cubes L^3.  Parity and sign conditions are checked, never
 rounded away.
 """
 
-from __future__ import annotations
-
 from .errors import (
     ConstraintError,
     IncompleteSpecError,

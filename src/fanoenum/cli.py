@@ -7,12 +7,10 @@ and :func:`build_parser` makes argparse's one full parser from it for every
 other argv (help, a usage error, a form the reader leaves to argparse) and
 for a usage error a handler finds.
 
-Exit codes: 0 success, 1 verification failure, engine error or unreadable
-file, 2 usage error (argparse prints it; a well-formed argv never loads
-argparse).  All table output is byte-deterministic UTF-8 with LF newlines.
+Exit codes: 0 success, 1 verification failure, engine error or failed read
+or write (of help too), 2 usage error (argparse prints it; a well-formed argv
+never loads argparse).  All table output is byte-deterministic UTF-8 with LF newlines.
 """
-
-from __future__ import annotations
 
 import os
 import sys
@@ -106,7 +104,6 @@ def _write_payload(payload: bytes, out: str | None) -> None:
     sys.stdout.buffer.write(payload)
     if not payload.endswith(b"\n"):
         sys.stdout.buffer.write(b"\n")
-    sys.stdout.buffer.flush()
 
 
 def _run_enumerate(args) -> int:
@@ -310,17 +307,36 @@ def _value(token: str, type_, choices):
     return token if choices is None or token in choices else None
 
 
+def _parse(argv: Sequence[str]) -> SimpleNamespace:
+    """argparse's reading of ``argv``; help is written here, as 3.11+ ignores a failed write."""
+    import contextlib
+    import io
+
+    help_text = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(help_text):
+            return build_parser().parse_args(argv)
+    finally:  # argparse exits 0 after help, 2 after a usage error
+        if help_text.getvalue():  # even an empty write fails on an unbuffered full stdout
+            sys.stdout.write(help_text.getvalue())
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse arguments and execute; returns the process exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    args = _read(argv)
-    if args is None:
-        args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        try:
+            args = _read(argv) or _parse(argv)
+            return args.handler(args)
+        finally:  # a failed write ends in an error line, not in a failed flush at exit
+            sys.stdout.flush()
     except (FanoEngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:  # drop what stdout cannot take, or the exit flush fails again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -25,8 +25,6 @@ solver reads the classification table: :mod:`fanoenum.table_oracle` labels
 records with its row ids when they are projected onto rows.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from collections.abc import Iterable
 from itertools import combinations_with_replacement

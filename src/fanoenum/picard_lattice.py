@@ -11,8 +11,6 @@ tuple repetition and concatenation cannot pass for lattice arithmetic
 (``3 * x`` scales, ``x * 3`` is a TypeError).
 """
 
-from __future__ import annotations
-
 import itertools
 from collections.abc import Mapping
 
@@ -103,9 +101,7 @@ class DivisorClass(ValueObject):
     __slots__ = ("coords",)
 
     def __init__(self, coords: tuple[int, ...]) -> None:
-        if type(coords) is list:
-            coords = tuple(coords)
-        elif type(coords) is not tuple:  # a dict or set would give its keys, in its order
+        if type(coords) is not tuple:  # a dict or set would give its keys, in its order
             raise ConstraintError(f"coordinates must be a tuple of integers, got {coords!r}")
         if len(coords) not in (2, 3):
             raise DimensionMismatchError(
@@ -144,9 +140,9 @@ _SORTED_KEY = {
 }
 
 
-# Each rank -> its index multisets 1 <= i <= j <= k <= rho, the support of a form.
+# Each rank -> its index multisets 1 <= i <= j <= k <= rho, in order: a form's keys.
 _MULTISET_KEYS = {
-    rho: tuple(itertools.combinations_with_replacement(range(1, rho + 1), 3))
+    rho: dict.fromkeys(itertools.combinations_with_replacement(range(1, rho + 1), 3))
     for rho in (2, 3)
 }
 
@@ -168,10 +164,10 @@ class TrilinearForm(ValueObject):
     """A symmetric trilinear form on Z^rho given by its values on basis triples.
 
     ``entries`` maps each sorted index triple (i, j, k), 1-based with
-    i <= j <= k <= rho, to the integer H_i . H_j . H_k.  Every multiset must be
-    present -- a missing entry is an error, not an implicit zero -- so that a
-    form is unambiguous data.  ``entries`` holds them in the order of the
-    sorted triples, so equal forms list equal entries in the same order.
+    i <= j <= k <= rho, to the integer H_i . H_j . H_k, and no other key.
+    Every multiset must be present -- a missing entry is an error, not an
+    implicit zero -- so that a form is unambiguous data.  ``entries`` holds
+    them in the order of the sorted triples, so equal forms list them alike.
     Use :meth:`from_nonzero` when writing down sparse forms by hand.
     """
 
@@ -182,37 +178,26 @@ class TrilinearForm(ValueObject):
             raise DimensionMismatchError(f"rank must be 2 or 3, got {rho}")
         _check_values(entries.values())
         _check_keys(entries)
-        normalized: dict[tuple[int, int, int], int] = {}
-        for key, value in entries.items():
-            sorted_key = _SORTED_KEY.get(key)  # None: an index outside 1..3
-            if sorted_key is None or sorted_key[2] > rho:
-                raise DimensionMismatchError(
-                    f"index triple {key} out of range for rank {rho}"
-                )
-            if sorted_key in normalized and normalized[sorted_key] != value:
-                raise ConstraintError(
-                    f"conflicting values for basis triple {sorted_key}"
-                )
-            normalized[sorted_key] = value
         required = _MULTISET_KEYS[rho]
-        # every key in range is one of the required multisets
-        if len(normalized) < len(required):
-            missing = [k for k in required if k not in normalized]
-            raise ConstraintError(
-                f"trilinear form on rank {rho} is missing entries {missing}"
-            )
+        unknown = [key for key in entries if key not in required]
+        for key in unknown:  # an index out of range is the first error, sorted or not
+            if min(key) < 1 or max(key) > rho:
+                raise DimensionMismatchError(f"index triple {key} out of range for rank {rho}")
+        if unknown:
+            raise ConstraintError(f"index triple {unknown[0]} is not sorted")
+        if len(entries) < len(required):
+            missing = [k for k in required if k not in entries]
+            raise ConstraintError(f"trilinear form on rank {rho} is missing entries {missing}")
         set_field(self, "rho", rho)
-        set_field(self, "entries", {k: normalized[k] for k in required})
+        set_field(self, "entries", {k: entries[k] for k in required})
 
     @classmethod
     def from_nonzero(
         cls, rho: int, nonzero: Mapping[tuple[int, int, int], int]
     ) -> "TrilinearForm":
         """Build a form from its nonzero entries, filling the rest with 0."""
-        _check_keys(nonzero)  # first: (1, 1, True) would cover (1, 1, 1)
-        covered = {_SORTED_KEY.get(key) for key in nonzero}
-        # cls checks rho, and normalises the given keys, conflicts included
-        entries = {key: 0 for key in _MULTISET_KEYS.get(rho, ()) if key not in covered}
+        _check_keys(nonzero)  # first: the key (1, 1, True) would set the entry (1, 1, 1)
+        entries = dict.fromkeys(_MULTISET_KEYS.get(rho, ()), 0)  # cls checks rho
         entries.update(nonzero)
         return cls(rho, entries)
 

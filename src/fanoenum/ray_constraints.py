@@ -29,8 +29,6 @@ the Picard lattice (index 1) is proved outside the package:
 balance fails on every solution above index 1 (acceptance criterion 4).
 """
 
-from __future__ import annotations
-
 import enum
 from collections import namedtuple
 from collections.abc import Iterable
@@ -177,7 +175,7 @@ _TARGETS = {
     **{t: dict.fromkeys(TYPE_FACTS[t].indices()) for t in POINT_TYPES},
 }
 
-_INT_OR_NONE = INTEGER | {type(None)}  # an optional integer field's types
+INT_OR_NONE = INTEGER | {type(None)}  # an optional integer field's types
 
 
 def mu_of(ray_type: RayType) -> int:
@@ -226,18 +224,15 @@ class RaySpec(_RayFields):
     def __new__(cls, ray_type, r=None, L3=None, degB=None, deg_delta=None, d2=None, e=None,
                 genus=None, delta_bidegree=None) -> "RaySpec":
         numbers = (r, L3, degB, deg_delta, d2, e, genus)
-        if delta_bidegree is not None:
-            if type(delta_bidegree) is list:
-                delta_bidegree = tuple(delta_bidegree)
-            if (type(delta_bidegree) is not tuple or len(delta_bidegree) != 2
-                    or not INTEGER.issuperset(map(type, delta_bidegree))):
-                raise ConstraintError(
-                    f"delta_bidegree must be two integers, got {delta_bidegree!r}"
-                )
+        if delta_bidegree is not None and (
+            type(delta_bidegree) is not tuple or len(delta_bidegree) != 2
+            or not INTEGER.issuperset(map(type, delta_bidegree))
+        ):
+            raise ConstraintError(f"delta_bidegree must be two integers, got {delta_bidegree!r}")
         self = tuple.__new__(cls, (ray_type, *numbers, delta_bidegree))
-        if not _INT_OR_NONE.issuperset(map(type, numbers)):
+        if not INT_OR_NONE.issuperset(map(type, numbers)):
             for name, value in zip(cls._fields[1:], numbers):
-                if type(value) not in _INT_OR_NONE:
+                if type(value) not in INT_OR_NONE:
                     raise ConstraintError(f"{name} must be an integer, got {value!r}")
         try:
             checks = _CHECKS.get(ray_type)

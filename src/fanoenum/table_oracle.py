@@ -21,8 +21,6 @@ regular expressions at import.  It is imported only to raise
 write a value no row holds, or where ``_json`` is missing.
 """
 
-from __future__ import annotations
-
 import functools
 import io
 import operator
@@ -33,7 +31,8 @@ from collections import namedtuple
 from collections.abc import Iterable, Mapping
 
 from .errors import ConstraintError, UnsupportedScopeError
-from .ray_constraints import RaySpec, RayType
+from .picard_lattice import INTEGER
+from .ray_constraints import INT_OR_NONE, RaySpec, RayType
 
 __all__ = [
     "TableRow",
@@ -65,7 +64,7 @@ except ImportError:  # no C accelerator: json's pure-Python code does the same
     from json.encoder import encode_basestring_ascii
 else:
     # The context json.loads's decoder hands the scanner: strict, no hooks,
-    # and its values for NaN, Infinity and -Infinity.
+    # and its values for NaN, Infinity and -Infinity, which float returns.
     _scan = make_scanner(
         types.SimpleNamespace(
             strict=True,
@@ -73,9 +72,7 @@ else:
             object_pairs_hook=None,
             parse_float=float,
             parse_int=int,
-            parse_constant={
-                "NaN": float("nan"), "Infinity": float("inf"), "-Infinity": float("-inf")
-            }.__getitem__,
+            parse_constant=float,
         )
     )
 
@@ -176,16 +173,9 @@ class DiffReport(_ReportFields):
         return "\n".join(lines)
 
 
-# The types of an integer or a null; bool is a subclass of int, and not one.
-_INTEGER_OR_NULL = frozenset({int, type(None)})
-
-
 def _pair_or_null(value) -> bool:
     return value is None or (
-        type(value) is list
-        and len(value) == 2
-        and type(value[0]) is int
-        and type(value[1]) is int
+        type(value) is list and len(value) == 2 and INTEGER.issuperset(map(type, value))
     )
 
 
@@ -200,7 +190,7 @@ def _freeze(index: int, name: str, values: list, length: int) -> tuple:
         if valid:
             values = [None if value is None else tuple(value) for value in values]
     else:
-        valid = _INTEGER_OR_NULL.issuperset(map(type, values))
+        valid = INT_OR_NONE.issuperset(map(type, values))
     if not valid or len(values) != length:
         kind = "integer pairs" if name == "delta_bidegree" else "integers"
         raise ConstraintError(

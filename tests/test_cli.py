@@ -16,7 +16,9 @@ from hypothesis import example, given, settings, strategies as st
 from fanoenum import table_oracle
 from fanoenum.cli import _CHERN_FORMULAS, _GRAMMAR, run
 from fanoenum.table_oracle import emit, ground_truth
-from test_engine import BENCH_GOLDEN, _other_interpreters
+from test_engine import (
+    BENCH_GOLDEN, _assert_one_error_line_into_a_full_stdout, _other_interpreters
+)
 
 
 def test_verify_both_ranks(capsys):
@@ -326,7 +328,7 @@ def _modules_added_by_a_run(argv):
 )
 def test_a_well_formed_run_loads_no_argparse(argv):
     added = _modules_added_by_a_run(argv)
-    assert sorted(added & {"argparse", "gettext", "locale"}) == []
+    assert sorted(added & {"argparse", "gettext", "locale", "__future__"}) == []
 
 
 @pytest.mark.parametrize(
@@ -581,6 +583,24 @@ def test_emit_into_missing_directory_is_an_error(tmp_path, capsys):
     target = tmp_path / "absent" / "table.json"
     assert run(["emit", "--out", str(target)]) == 1
     _assert_one_error_line(capsys)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write into")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["emit", "--help"],
+        ["enumerate", "--rho", "3"],
+        ["verify", "--rho", "3"],
+        ["emit", "--rho", "3", "--out", "-"],
+        ["chern", "xi-square", "-3"],
+    ],
+    ids=" ".join,
+)
+def test_a_run_into_a_full_stdout_is_one_error_line(argv):
+    # buffered or not: a failed write of help or output is an error, not exit 0 or 120
+    _assert_one_error_line_into_a_full_stdout(sys.executable, argv)
 
 
 def test_emit_to_a_path_ending_in_a_slash_writes_nothing(tmp_path, capsys):

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fanoenum
 from fanoenum import enumerator
 from fanoenum.chern_calculus import (
     antican_cube_by_index,
@@ -56,6 +57,7 @@ def test_computed_tables_emit_the_golden_bytes(rho, fmt):
 # interpreter, which prints them as one JSON object.
 _BYTES_PROBE = """
 import contextlib, hashlib, io, json
+import fanoenum
 from fanoenum.cli import run
 from fanoenum.enumerator import enumerate_all
 from fanoenum.table_oracle import emit, record_to_row
@@ -67,7 +69,9 @@ for rho in (2, 3):
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = run(["verify"])
-print(json.dumps({"emit": hashes, "verify": [code, out.getvalue()]}))
+# __all__ loads every module of the package, which evaluates its annotations
+names = len(fanoenum.__all__)
+print(json.dumps({"emit": hashes, "verify": [code, out.getvalue()], "names": names}))
 """
 
 
@@ -86,19 +90,43 @@ def _other_interpreters():
     return found or [pytest.param(None, marks=no_other)]
 
 
-def _assert_the_goldens_hold_in(python, capsys, prelude=""):
-    """``_BYTES_PROBE``, after ``prelude``, prints the goldens in a fresh ``python``."""
+def _package_env(**variables):
+    """This environment with the package's source on the path and ``variables`` set."""
     src = Path(__file__).resolve().parent.parent / "src"
+    return {**os.environ, "PYTHONPATH": str(src), **variables}
+
+
+def _assert_one_error_line_into_a_full_stdout(python, argv):
+    """``python -m fanoenum *argv`` into /dev/full: one error line and exit 1, buffered or not."""
+    for unbuffered in ("1", ""):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [str(python), "-m", "fanoenum", *argv], stdout=full, stderr=subprocess.PIPE,
+                text=True, env=_package_env(PYTHONUNBUFFERED=unbuffered),
+            )
+        err = proc.stderr
+        assert proc.returncode == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def _assert_the_goldens_hold_in(python, capsys, prelude=""):
+    """``_BYTES_PROBE``, after ``prelude``, prints the goldens in a fresh ``python``.
+
+    Where /dev/full exists, ``--help`` into it must end in one error line:
+    argparse raises a failed write in Python 3.10 and ignores it since 3.11.
+    """
     proc = subprocess.run(
         [str(python), "-c", prelude + _BYTES_PROBE],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, env=_package_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert run(["verify"]) == 0
     assert json.loads(proc.stdout) == {
         "emit": {f"{rho} {fmt}": sha256 for (rho, fmt), sha256 in EMIT_SHA256.items()},
         "verify": [0, capsys.readouterr().out],
+        "names": len(fanoenum.__all__),
     }
+    if os.path.exists("/dev/full"):
+        _assert_one_error_line_into_a_full_stdout(python, ["--help"])
 
 
 @pytest.mark.parametrize("python", _other_interpreters())

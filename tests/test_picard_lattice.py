@@ -1,6 +1,7 @@
 """Known values and algebraic properties of the lattice arithmetic."""
 
 import itertools
+import math
 import pickle
 
 import pytest
@@ -119,28 +120,34 @@ def test_trilinear_form_takes_only_int_indices(keys):
 
 
 def test_conflicting_entries_are_an_error():
-    with pytest.raises(ConstraintError, match="conflicting values"):
-        TrilinearForm(2, {(1, 1, 1): 0, (1, 1, 2): 4, (2, 1, 1): 5, (1, 2, 2): 0, (2, 2, 2): 0})
+    # an unsorted duplicate is an error as unsorted, whether or not its value agrees
+    for value in (5, 4):
+        entries = {(1, 1, 1): 0, (1, 1, 2): 4, (2, 1, 1): value, (1, 2, 2): 0, (2, 2, 2): 0}
+        with pytest.raises(ConstraintError, match=r"index triple \(2, 1, 1\) is not sorted"):
+            TrilinearForm(2, entries)
 
 
 def test_from_nonzero_rejects_conflicting_entries_as_the_constructor_does():
-    with pytest.raises(ConstraintError, match=r"conflicting values for basis triple \(1, 1, 2\)"):
-        TrilinearForm.from_nonzero(2, {(1, 1, 2): 1, (1, 2, 1): 2})
-    agreeing = TrilinearForm.from_nonzero(2, {(1, 1, 2): 1, (1, 2, 1): 1})
-    assert agreeing == TrilinearForm.rank2(0, 1, 0, 0)
+    for nonzero in ({(1, 1, 2): 1, (1, 2, 1): 2}, {(1, 1, 2): 1, (1, 2, 1): 1}):
+        full = {(1, 1, 1): 0, (1, 2, 2): 0, (2, 2, 2): 0, **nonzero}
+        for build, entries in ((TrilinearForm.from_nonzero, nonzero), (TrilinearForm, full)):
+            with pytest.raises(ConstraintError, match=r"index triple \(1, 2, 1\) is not sorted"):
+                build(2, entries)
 
 
-def test_unsorted_keys_are_normalized():
-    form = TrilinearForm(
-        2, {(1, 1, 1): 0, (2, 1, 1): 4, (2, 2, 1): 5, (2, 2, 2): 0}
-    )
-    assert form.entries[1, 1, 2] == 4
-    assert form.entries[1, 2, 2] == 5
+def test_unsorted_keys_are_an_error():
+    entries = {(1, 1, 1): 0, (2, 1, 1): 4, (2, 2, 1): 5, (2, 2, 2): 0}
+    for build in (TrilinearForm, TrilinearForm.from_nonzero):
+        with pytest.raises(ConstraintError, match=r"index triple \(2, 1, 1\) is not sorted"):
+            build(2, entries)
+    # an index out of range is a dimension error, before any unsorted key
+    with pytest.raises(DimensionMismatchError, match=r"\(3, 1, 1\) out of range for rank 2"):
+        TrilinearForm.from_nonzero(2, {(2, 1, 1): 1, (3, 1, 1): 1})
 
 
 def test_equal_forms_hash_equal():
     form = TrilinearForm.rank2(1, 2, 3, 4)
-    same = TrilinearForm(2, {(2, 2, 2): 4, (2, 1, 2): 3, (1, 2, 1): 2, (1, 1, 1): 1})
+    same = TrilinearForm(2, {(2, 2, 2): 4, (1, 2, 2): 3, (1, 1, 2): 2, (1, 1, 1): 1})
     assert same == form and hash(same) == hash(form)
     assert len({form, same, TrilinearForm.from_nonzero(2, {(1, 1, 1): 1})}) == 2
 
@@ -152,11 +159,40 @@ def test_divisor_class_takes_only_ints():
             DivisorClass(coords)
     with pytest.raises(ConstraintError, match="coordinates must be integers"):
         2.5 * DivisorClass((1, 2))
-    # a list is read in order; a dict would give its keys, a set its own order
-    assert DivisorClass([3, 1]).coords == (3, 1)
-    for coords in [{1: 0, 2: 0}, {3, 1, 2}, iter((1, 2))]:
+    # only a tuple: a list is not converted, a dict would give its keys, a set its own order
+    for coords in [[3, 1], {1: 0, 2: 0}, {3, 1, 2}, iter((1, 2))]:
         with pytest.raises(ConstraintError, match="coordinates must be a tuple of integers"):
             DivisorClass(coords)
+
+
+def _first_error(rho, entries):
+    """The error class a form on ``entries`` raises, by the constructor's contract."""
+    if any(not 1 <= index <= rho for key in entries for index in key):
+        return DimensionMismatchError
+    if any(list(key) != sorted(key) for key in entries):
+        return ConstraintError
+    if len(entries) < math.comb(rho + 2, 3):  # the number of sorted triples
+        return ConstraintError
+    return None
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_a_form_takes_exactly_the_sorted_triples_of_its_rank(data):
+    rho = data.draw(st.sampled_from((2, 3)))
+    support = list(itertools.combinations_with_replacement(range(1, rho + 1), 3))
+    entries = data.draw(st.fixed_dictionaries(dict.fromkeys(support, st.integers(-9, 9))))
+    for key in data.draw(st.sets(st.sampled_from(support), max_size=2)):
+        del entries[key]
+    triples = st.tuples(*[st.integers(0, 4)] * 3)
+    entries.update(data.draw(st.dictionaries(triples, st.integers(-9, 9), max_size=3)))
+    error = _first_error(rho, entries)
+    if error is None:
+        form = TrilinearForm(rho, entries)
+        assert form.entries == entries and list(form.entries) == support
+    else:
+        with pytest.raises(error):
+            TrilinearForm(rho, entries)
 
 
 @pytest.mark.parametrize(

@@ -129,7 +129,9 @@ def test_rayspec_takes_only_int_fields(fields, message):
 def test_rayspec_int_check_names_the_field():
     with pytest.raises(ConstraintError, match="genus must be an integer, got 1.0"):
         RaySpec(RayType.E1, r=2, L3=1, degB=1, genus=1.0)
-    assert RaySpec(RayType.C1, delta_bidegree=[2, 5]).delta_bidegree == (2, 5)
+    assert RaySpec(RayType.C1, delta_bidegree=(2, 5)).delta_bidegree == (2, 5)
+    with pytest.raises(ConstraintError, match=r"must be two integers, got \[2, 5\]"):
+        RaySpec(RayType.C1, delta_bidegree=[2, 5])
 
 
 def test_rayspec_is_a_tuple_of_its_fields():
