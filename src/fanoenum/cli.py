@@ -340,5 +340,35 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 1
 
 
+class _ClosedStdout:
+    """``sys.stdout`` where fd 1 was closed at start-up: a write fails as one to fd 1 would."""
+
+    def write(self, data):
+        import errno
+
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+    def flush(self):
+        pass
+
+    @property
+    def buffer(self):
+        return self
+
+
 def main() -> None:
+    """The process entry point of ``python -m fanoenum`` and the ``fanoenum`` script.
+
+    It freezes the collector first: every object alive then moves to the
+    permanent generation, so the collections the interpreter runs at exit
+    skip them.  The exit stays the normal one (atexit handlers run, stdio is
+    flushed) with :func:`run`'s code, or argparse's on help or a usage
+    error.  Library callers use :func:`run`, which leaves the collector and
+    ``sys.stdout`` as it finds them.
+    """
+    import gc
+
+    gc.freeze()
+    if sys.stdout is None:  # the interpreter found fd 1 closed
+        sys.stdout = _ClosedStdout()
     sys.exit(run())

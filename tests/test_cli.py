@@ -1,6 +1,7 @@
 """The command-line surface: flags, exit codes, output bytes."""
 
 import contextlib
+import gc
 import inspect
 import io
 import json
@@ -17,7 +18,8 @@ from fanoenum import table_oracle
 from fanoenum.cli import _CHERN_FORMULAS, _GRAMMAR, run
 from fanoenum.table_oracle import emit, ground_truth
 from test_engine import (
-    BENCH_GOLDEN, _assert_one_error_line_into_a_full_stdout, _other_interpreters
+    BENCH_GOLDEN, _assert_one_error_line_into_a_full_stdout, _other_interpreters, _package_env,
+    _runs_into,
 )
 
 
@@ -585,22 +587,81 @@ def test_emit_into_missing_directory_is_an_error(tmp_path, capsys):
     _assert_one_error_line(capsys)
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write into")
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["--help"],
-        ["emit", "--help"],
-        ["enumerate", "--rho", "3"],
-        ["verify", "--rho", "3"],
-        ["emit", "--rho", "3", "--out", "-"],
-        ["chern", "xi-square", "-3"],
-    ],
-    ids=" ".join,
+# Runs that have something for stdout: help or output.
+STDOUT_ARGVS = (
+    ["--help"],
+    ["emit", "--help"],
+    ["enumerate", "--rho", "3"],
+    ["verify", "--rho", "3"],
+    ["emit", "--rho", "3", "--out", "-"],
+    ["chern", "xi-square", "-3"],
 )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write into")
+@pytest.mark.parametrize("argv", STDOUT_ARGVS, ids=" ".join)
 def test_a_run_into_a_full_stdout_is_one_error_line(argv):
     # buffered or not: a failed write of help or output is an error, not exit 0 or 120
     _assert_one_error_line_into_a_full_stdout(sys.executable, argv)
+
+
+@pytest.mark.parametrize("argv", STDOUT_ARGVS, ids=" ".join)
+def test_a_run_with_stdout_closed_is_one_error_line(argv):
+    # the interpreter sets sys.stdout to None: a write is an error, not an AttributeError
+    _assert_one_error_line_into_a_full_stdout(sys.executable, argv, stdout=None)
+
+
+def test_emit_to_a_file_with_stdout_closed_writes_it(tmp_path):
+    argv = ["emit", "--rho", "3", "--format", "csv", "--out", "table.csv"]
+    for proc in _runs_into(None, sys.executable, argv, cwd=tmp_path):
+        assert (proc.returncode, proc.stderr) == (0, "")
+        table = tmp_path / "table.csv"
+        assert table.read_bytes() == emit(ground_truth(3, primitive_only=True), "csv")
+        table.unlink()
+
+
+@pytest.mark.parametrize(
+    "argv", [["enumerate", "--pair", "E1"], ["verify", "--rho", "4"]], ids=" ".join
+)
+def test_a_usage_error_with_stdout_closed_exits_two(argv):
+    for proc in _runs_into(None, sys.executable, argv):
+        assert proc.returncode == 2 and proc.stderr.startswith("usage: fanoenum "), proc.stderr
+
+
+# ``python -m fanoenum``, run as ``-m`` runs it, writes at exit whether the
+# collector is frozen: a fresh interpreter starts with nothing frozen.
+_FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+assert gc.get_freeze_count() == 0
+atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))
+runpy.run_module("fanoenum", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["verify", "--rho", "3"], 0),
+        (["chern", "genus-from-blowup", "15", "64", "4", "7"], 1),  # an engine error
+        (["enumerate", "--pair", "E1,F7"], 2),  # a usage error a handler finds
+        (["--help"], 0),
+    ],
+    ids=["verify --rho 3", "chern engine error", "bad --pair", "--help"],
+)
+def test_a_process_run_reaches_its_exit_with_the_collector_frozen(argv, code):
+    proc = subprocess.run(
+        [sys.executable, "-c", _FREEZE_PROBE, *argv],
+        capture_output=True, text=True, env=_package_env(),
+    )
+    assert proc.returncode == code
+    assert proc.stderr.splitlines()[-1] == "True", proc.stderr
+
+
+def test_run_leaves_the_collector_as_it_finds_it(capsys):
+    # only main(), the process entry point, freezes it
+    found = gc.get_freeze_count(), gc.isenabled()
+    assert run(["verify", "--rho", "3"]) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == found
 
 
 def test_emit_to_a_path_ending_in_a_slash_writes_nothing(tmp_path, capsys):

@@ -96,14 +96,23 @@ def _package_env(**variables):
     return {**os.environ, "PYTHONPATH": str(src), **variables}
 
 
-def _assert_one_error_line_into_a_full_stdout(python, argv):
-    """``python -m fanoenum *argv`` into /dev/full: one error line and exit 1, buffered or not."""
+def _runs_into(stdout, python, argv, cwd=None):
+    """``python -m fanoenum *argv`` unbuffered, then buffered, with fd 1 on the file ``stdout``.
+
+    With ``stdout`` None fd 1 is closed, so the interpreter sets ``sys.stdout`` to None.
+    """
     for unbuffered in ("1", ""):
-        with open("/dev/full", "w") as full:
-            proc = subprocess.run(
-                [str(python), "-m", "fanoenum", *argv], stdout=full, stderr=subprocess.PIPE,
-                text=True, env=_package_env(PYTHONUNBUFFERED=unbuffered),
+        with open(stdout or os.devnull, "w") as out:
+            yield subprocess.run(
+                [str(python), "-m", "fanoenum", *argv], stdout=out, stderr=subprocess.PIPE,
+                text=True, env=_package_env(PYTHONUNBUFFERED=unbuffered), cwd=cwd,
+                preexec_fn=None if stdout else lambda: os.close(1),
             )
+
+
+def _assert_one_error_line_into_a_full_stdout(python, argv, stdout="/dev/full"):
+    """``python -m fanoenum *argv`` into ``stdout``: one error line and exit 1, buffered or not."""
+    for proc in _runs_into(stdout, python, argv):
         err = proc.stderr
         assert proc.returncode == 1 and err.startswith("error: ") and err.count("\n") == 1, err
 
@@ -132,6 +141,27 @@ def _assert_the_goldens_hold_in(python, capsys, prelude=""):
 @pytest.mark.parametrize("python", _other_interpreters())
 def test_the_goldens_hold_under_every_other_installed_cpython(python, capsys):
     _assert_the_goldens_hold_in(python, capsys)
+
+
+@pytest.mark.parametrize("python", _other_interpreters())
+def test_the_process_entry_point_holds_the_goldens_under_every_other_installed_cpython(
+    python, tmp_path, capsys
+):
+    # _BYTES_PROBE calls run(); a process run goes through main() and its frozen exit
+    verify = subprocess.run(
+        [str(python), "-m", "fanoenum", "verify"],
+        capture_output=True, text=True, env=_package_env(),
+    )
+    assert run(["verify"]) == 0
+    assert (verify.returncode, verify.stdout, verify.stderr) == (0, capsys.readouterr().out, "")
+    table = tmp_path / "table.json"
+    export = subprocess.run(
+        [str(python), "-m", "fanoenum", "emit", "--rho", "2", "--source", "computed",
+         "--format", "json", "--out", str(table)],
+        capture_output=True, text=True, env=_package_env(),
+    )
+    assert (export.returncode, export.stdout, export.stderr) == (0, "", "")
+    assert hashlib.sha256(table.read_bytes()).hexdigest() == EMIT_SHA256[2, "json"]
 
 
 def test_the_goldens_hold_without_the_c_json_accelerator(capsys):
