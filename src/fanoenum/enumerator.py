@@ -27,8 +27,8 @@ records with its row ids when they are projected onto rows.
 
 from collections import namedtuple
 from collections.abc import Iterable
-from itertools import combinations_with_replacement
-from math import isqrt
+from itertools import combinations, combinations_with_replacement
+from math import gcd, isqrt
 
 from .chern_calculus import (
     antican_cube_by_index,
@@ -313,36 +313,23 @@ _MINUS_K = {(m1, m2): anticanonical_class(m1, m2) for m1 in (1, 2, 3) for m2 in 
 # ------------------------------------------------------------------ engine --
 
 
-def _integer_solution(rows) -> tuple[int, int] | None:
-    """Integers (u1, u2) with a u1 + b u2 + c = 0 for every row (a, b, c).
+def _independent_rows(rows):
+    """The first two rows (a, b, c) that pin both unknowns, and their determinant.
 
-    None when there are none, even where the rows would also leave an
-    unknown free; otherwise rows that leave an unknown free raise
-    InconsistencyError, because the engine would have to sweep it.
-    :func:`_solve_sides` calls it only on a system whose first two rows are
-    dependent: it solves the others by Cramer's rule.
+    None when two rows contradict before such a pair turns up, or when every
+    row is a multiple of one a u1 + b u2 + c = 0 and gcd(a, b) does not
+    divide c (0 = c != 0 included): there is no integer solution.  Else an
+    unknown is left free, and it raises.
     """
-    a = e2 = u2 = 0  # a and e2 stay 0 when no row pivots on u1 or u2
-    for row in rows:
-        if row[0]:
-            a, b, c = row
-            rest = [(a * e - d * b, a * f - d * c) for d, e, f in rows]
-            break
-    else:
-        rest = [(e, f) for _, e, f in rows]
-    for e2, f2 in rest:
-        if e2:
-            u2, remainder = divmod(-f2, e2)
-            if remainder:
-                return None
-            break
-    for e, f in rest:
-        if e * u2 + f:
+    for (a, b, c), (d, e, f) in combinations(rows, 2):
+        if det := a * e - b * d:
+            return (a, b, c), (d, e, f), det
+        if a * f != c * d or b * f != c * e:
             return None
-    if not a or not e2:
-        raise InconsistencyError("the facts of a pairing leave an unknown free")
-    u1, remainder = divmod(-(b * u2 + c), a)
-    return None if remainder else (u1, u2)
+    a, b, c = next((row for row in rows if any(row)), (0, 0, 0))
+    if (c % gcd(a, b) if a or b else c):
+        return None
+    raise InconsistencyError("the facts of a pairing leave an unknown free")
 
 
 def _solve_sides(side1: _Side, side2: _Side) -> SolutionRecord | None:
@@ -357,11 +344,10 @@ def _solve_sides(side1: _Side, side2: _Side) -> SolutionRecord | None:
       D_i^3:        M_i - q^3 (K1 + K2) = w,  K = n B,
                     M = p^3 C - 3 p^2 q A + 3 p q^2 B
 
-    Every term is in quarters, as the facts are.  When the two (-K)^2.H
-    rows are independent (180 of the 198 rank-2 side pairs), Cramer's rule
-    on them gives the one rational solution, and each D^3 row only checks
-    it.  Otherwise :func:`_integer_solution` eliminates over every row, and
-    it alone decides between no solution and an unknown left free.  None
+    Every term is in quarters, as the facts are.  Cramer's rule on two
+    independent rows gives the one rational solution, and the other rows
+    check it.  The two (-K)^2.H rows are independent in 180 of the 198
+    rank-2 side pairs; :func:`_independent_rows` settles the other 18.  None
     means one of two exits: the system has no integer solution, or an
     unknown lies outside its domain.  The system implies the rest, so a
     fractional form entry raises here, and an odd cube or a negative genus
@@ -373,27 +359,26 @@ def _solve_sides(side1: _Side, side2: _Side) -> SolutionRecord | None:
     C2, P2, Q2, K2, M2 = side2.terms[n2]
     a1, b1, c1 = P1[1] + Q1[1], P2[1], P1[0] + Q1[0] + P2[0]
     a2, b2, c2 = P1[1], P2[1] + Q2[1], P1[0] + P2[0] + Q2[0]
-    cubes = []
+    checks = []
     if side1.contracted:
         q3, w = side1.contracted
-        cubes.append((M1[1] - q3 * K1[1], -q3 * K2[1], M1[0] - q3 * (K1[0] + K2[0]) - w))
+        checks.append((M1[1] - q3 * K1[1], -q3 * K2[1], M1[0] - q3 * (K1[0] + K2[0]) - w))
     if side2.contracted:
         q3, w = side2.contracted
-        cubes.append((-q3 * K1[1], M2[1] - q3 * K2[1], M2[0] - q3 * (K1[0] + K2[0]) - w))
+        checks.append((-q3 * K1[1], M2[1] - q3 * K2[1], M2[0] - q3 * (K1[0] + K2[0]) - w))
     det = a1 * b2 - a2 * b1
-    if det:
-        u1, r1 = divmod(b1 * c2 - b2 * c1, det)
-        u2, r2 = divmod(a2 * c1 - a1 * c2, det)
-        if r1 or r2:
+    if not det:
+        checks = [(a1, b1, c1), (a2, b2, c2), *checks]
+        if (pair := _independent_rows(checks)) is None:
             return None
-        for a, b, c in cubes:
-            if a * u1 + b * u2 + c:
-                return None
-    else:
-        solution = _integer_solution([(a1, b1, c1), (a2, b2, c2), *cubes])
-        if solution is None:
+        (a1, b1, c1), (a2, b2, c2), det = pair
+    u1, r1 = divmod(b1 * c2 - b2 * c1, det)
+    u2, r2 = divmod(a2 * c1 - a1 * c2, det)
+    if r1 or r2:
+        return None
+    for a, b, c in checks:
+        if a * u1 + b * u2 + c:
             return None
-        u1, u2 = solution
     high = side1.high
     if u1 < side1.low or (high is not None and u1 > high):
         return None

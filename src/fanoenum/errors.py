@@ -47,11 +47,11 @@ class UnsupportedIndexError(FanoEngineError):
 
 
 class InconsistencyError(FanoEngineError):
-    """The engine derived something impossible (or the pairing cannot occur).
+    """The engine's facts or a record contradict what they must satisfy.
 
-    Raised when a constraint system that must admit a solution admits none --
-    either the configuration can never arise on an actual variety, or there is
-    an encoding bug.
+    Raised when the facts of a pairing leave an unknown free or give a
+    fractional form entry, and on a record whose stored (-K)^3 disagrees
+    with its form or whose rays are out of canonical order.
     """
 
 

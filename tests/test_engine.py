@@ -14,10 +14,11 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fanoenum
@@ -293,7 +294,7 @@ def _in_domain(side, u):
 def _exit(side1, side2):
     """Which exit of ``_solve_sides`` a side pair takes, checked against its rows."""
     record = enumerator._solve_sides(side1, side2)
-    solution = _reference_integer_solution(_system(side1, side2))
+    solution = _fraction_solution(_system(side1, side2))
     if record is not None:
         assert solution == (record.rays[0][side1.slot], record.rays[1][side2.slot])
         return "record"
@@ -320,6 +321,53 @@ def test_every_side_pair_exits_by_a_record_no_solution_or_its_domain(pairings, e
     assert counts == dict(
         zip(("record", "no integer solution", "unknown outside its domain"), exits)
     )
+
+
+def _pins(row1, row2):
+    """Whether two rows (a, b, c) are independent, and so pin both unknowns."""
+    return row1[0] * row2[1] != row1[1] * row2[0]
+
+
+def _route(side1, side2):
+    """Which rows settle a side pair, read off the rows of its system.
+
+    The two (-K)^2.H rows when they are independent, else another
+    independent pair of rows.  Without one, the rows either contradict or
+    are multiples of one equation.
+    """
+    rows = _system(side1, side2)
+    if _pins(*rows[:2]):
+        return "the (-K)^2.H rows"
+    pairs = list(combinations(rows, 2))
+    if any(_pins(*pair) for pair in pairs):
+        return "another pair of rows"
+    if any(a * f != c * d or b * f != c * e for (a, b, c), (d, e, f) in pairs):
+        return "rows that contradict"
+    return "one equation"
+
+
+@pytest.mark.parametrize(
+    "pairings,routes",
+    [
+        (tuple(combinations_with_replacement(RayType, 2)), (36, 259, 27, 29)),
+        (enumerator._RANK2_PAIRINGS, (36, 144, 0, 18)),
+    ],
+    ids=["all-45-pairings", "rank2-pairings"],
+)
+def test_every_side_pair_is_settled_by_the_rows_its_system_allows(pairings, routes):
+    # The counts the _solve_sides docstring, README and ROADMAP quote: no
+    # system leaves one equation, and only the two (-K)^2.H rows give records.
+    counts = Counter(
+        (_route(side1, side2), enumerator._solve_sides(side1, side2) is not None)
+        for *_, side1, side2 in _side_pairs(pairings)
+    )
+    expected = {
+        ("the (-K)^2.H rows", True): routes[0],
+        ("the (-K)^2.H rows", False): routes[1],
+        ("another pair of rows", False): routes[2],
+        ("rows that contradict", False): routes[3],
+    }
+    assert counts == {route: count for route, count in expected.items() if count}
 
 
 def _moved(side, term, part, quarters):
@@ -389,59 +437,102 @@ def test_the_other_order_of_two_sides_of_one_type_gives_the_mirror_record(mutant
     assert records == 4 or mutants and records > 4
 
 
-def test_integer_solution_is_exact():
-    solve = enumerator._integer_solution
-    # u1 + u2 = 5, u1 - u2 = 1
-    assert solve([(1, 1, -5), (1, -1, -1)]) == (3, 2)
-    # 2 u1 = 3 has no integer solution; u1 = 1 and u1 = 2 contradict
-    assert solve([(2, 0, -3), (0, 1, 0)]) is None
-    assert solve([(1, 0, -1), (1, 0, -2), (0, 1, 0)]) is None
-    # rows that leave an unknown free would need a sweep
-    with pytest.raises(InconsistencyError):
-        solve([(1, 1, -5), (2, 2, -10)])
-    with pytest.raises(InconsistencyError):
-        solve([(0, 1, -2)])
-    # one row: 0 = 1 has no solution, u1 + u2 = 5 leaves an unknown free
-    assert solve([(0, 0, 1)]) is None
-    with pytest.raises(InconsistencyError):
-        solve([(1, 1, -5)])
-    # the first two rows are dependent, and the third decides: a solution,
-    # none (u1 = u2 = 5/2; u1 + u2 = 4 contradicts), or an unknown free
-    assert solve([(1, 1, -5), (2, 2, -10), (1, -1, -1)]) == (3, 2)
-    assert solve([(1, 1, -5), (2, 2, -10), (2, 0, -5)]) is None
-    assert solve([(1, 1, -5), (2, 2, -10), (1, 1, -4)]) is None
-    with pytest.raises(InconsistencyError):
-        solve([(1, 1, -5), (2, 2, -10), (3, 3, -15)])
+def _fraction_solution(rows):
+    """Integers (u1, u2) with a u1 + b u2 + c = 0 on every row (a, b, c), solved in Fractions.
 
-
-def _reference_integer_solution(rows):
-    """The elimination ``_integer_solution`` once was, kept as its oracle."""
+    Rows of rank 2 have one rational solution: eliminate u1 with a row that
+    holds it, take u2 from a reduced row that holds it, then check that both
+    are integers and satisfy every row.  Rows of rank 1 or 0 are multiples
+    of one equation a u1 + b u2 + c = 0, or contradict: None when some row is
+    not a multiple of it or gcd(a, b) does not divide c, else
+    InconsistencyError, for an unknown left free.
+    """
+    rows = [[Fraction(x) for x in row] for row in rows]
     pivot = next((row for row in rows if row[0]), None)
-    if pivot is None:
-        rest = [row[1:] for row in rows]
-    else:
-        a, b, c = pivot
-        rest = [(a * e - d * b, a * f - d * c) for d, e, f in rows]
-    u2 = 0
-    pivot2 = next((row for row in rest if row[0]), None)
-    if pivot2 is not None:
-        u2, remainder = divmod(-pivot2[1], pivot2[0])
-        if remainder:
-            return None
-    for e, f in rest:
-        if e * u2 + f:
-            return None
-    if pivot is None or pivot2 is None:
-        raise InconsistencyError("the facts of a pairing leave an unknown free")
-    u1, remainder = divmod(-(b * u2 + c), a)
-    return None if remainder else (u1, u2)
+    if pivot is not None:
+        a1, b1, c1 = pivot
+        reduced = [(e - d / a1 * b1, f - d / a1 * c1) for d, e, f in rows]
+        pivot2 = next((row for row in reduced if row[0]), None)
+        if pivot2 is not None:
+            u2 = -pivot2[1] / pivot2[0]
+            u1 = -(b1 * u2 + c1) / a1
+            if u1.denominator != 1 or u2.denominator != 1:
+                return None
+            if any(a * u1 + b * u2 + c for a, b, c in rows):
+                return None
+            return int(u1), int(u2)
+    base = next((row for row in rows if any(row)), None)
+    if base is None:
+        raise InconsistencyError("0 = 0 leaves both unknowns free")
+    i = next(i for i, x in enumerate(base) if x)
+    if any(row != [row[i] / base[i] * x for x in base] for row in rows):
+        return None
+    a, b, c = map(int, base)
+    if not (a or b) or c % gcd(a, b):
+        return None
+    raise InconsistencyError("one equation in two unknowns leaves one free")
 
 
-def _outcome(solve, rows):
+def _row_outcome(rows):
+    """``rows`` as ``_solve_sides`` settles them: a solution, None or InconsistencyError.
+
+    ``_independent_rows`` picks the pair of rows to solve, or decides
+    without one; the pair's one solution must then satisfy every row.
+    """
     try:
-        return solve(rows)
+        pair = enumerator._independent_rows(rows)
     except InconsistencyError:
         return InconsistencyError
+    if pair is None:
+        return None
+    *pair, det = pair
+    assert det == pair[0][0] * pair[1][1] - pair[0][1] * pair[1][0] != 0
+    assert set(pair) <= set(rows)
+    solution = _fraction_solution(pair)
+    if solution is None or any(a * solution[0] + b * solution[1] + c for a, b, c in rows):
+        return None
+    return solution
+
+
+def _reference_outcome(rows):
+    try:
+        return _fraction_solution(rows)
+    except InconsistencyError:
+        return InconsistencyError
+
+
+# Row systems and what they give: a solution, None, or an unknown left free.
+_ROW_CASES = [
+    # u1 + u2 = 5, u1 - u2 = 1
+    ([(1, 1, -5), (1, -1, -1)], (3, 2)),
+    # 2 u1 = 3 has no integer solution; u1 = 1 and u1 = 2 contradict
+    ([(2, 0, -3), (0, 1, 0)], None),
+    ([(1, 0, -1), (1, 0, -2), (0, 1, 0)], None),
+    # rows that leave an unknown free would need a sweep
+    ([(1, 1, -5), (2, 2, -10)], InconsistencyError),
+    ([(0, 1, -2)], InconsistencyError),
+    # one row: 0 = 1 has no solution, u1 + u2 = 5 leaves an unknown free
+    ([(0, 0, 1)], None),
+    ([(1, 1, -5)], InconsistencyError),
+    # the first two rows are dependent, and the third decides: a solution,
+    # none (u1 = u2 = 5/2; u1 + u2 = 4 contradicts), or an unknown free
+    ([(1, 1, -5), (2, 2, -10), (1, -1, -1)], (3, 2)),
+    ([(1, 1, -5), (2, 2, -10), (2, 0, -5)], None),
+    ([(1, 1, -5), (2, 2, -10), (1, 1, -4)], None),
+    ([(1, 1, -5), (2, 2, -10), (3, 3, -15)], InconsistencyError),
+    # 0 = 0 pins nothing, and the other two rows pin both unknowns
+    ([(0, 0, 0), (1, 0, -1), (0, 1, -2)], (1, 2)),
+    # 2 u = 3 has no integer solution, whichever unknown u is
+    ([(0, 2, -3)], None),
+    ([(2, 0, -3)], None),
+    ([(0, 2, -3), (0, 4, -6)], None),
+    ([(2, 0, -3), (4, 0, -6)], None),
+]
+
+
+def test_integer_solution_is_exact():
+    for rows, outcome in _ROW_CASES:
+        assert (_row_outcome(rows), _reference_outcome(rows)) == (outcome, outcome), rows
 
 
 _ENTRY = st.integers(-6, 6)
@@ -449,28 +540,20 @@ _ENTRY = st.integers(-6, 6)
 
 @settings(max_examples=500)
 @given(st.lists(st.tuples(_ENTRY, _ENTRY, _ENTRY), min_size=1, max_size=4))
-def test_integer_solution_agrees_with_its_reference(rows):
-    assert _outcome(enumerator._integer_solution, rows) == _outcome(
-        _reference_integer_solution, rows
-    )
+def test_the_rows_get_the_verdict_of_their_fraction_solve(rows):
+    assert _row_outcome(rows) == _reference_outcome(rows)
 
 
 def _fraction_outcome(side1, side2):
     """A side pair's record, None or exception type, from its rows solved in Fractions.
 
-    For a pair whose two (-K)^2.H rows are independent: it eliminates u1
-    between them, checks every row at the one rational solution, and builds
-    the record from the terms at that solution with the public constructors.
+    It builds the record from the terms at the solution of
+    :func:`_fraction_solution` with the public constructors.
     """
-    rows = [[Fraction(x) for x in row] for row in _system(side1, side2)]
-    first, second = rows[:2]
-    if not first[0]:  # the rows are independent, so the other one holds u1
-        first, second = second, first
-    (a1, b1, c1), (a2, b2, c2) = first, second
-    u2 = -(c2 - a2 / a1 * c1) / (b2 - a2 / a1 * b1)
-    u1 = -(b1 * u2 + c1) / a1
-    if u1.denominator != 1 or u2.denominator != 1 or any(a * u1 + b * u2 + c for a, b, c in rows):
-        return None
+    solution = _reference_outcome(_system(side1, side2))
+    if solution is None or solution is InconsistencyError:
+        return solution
+    u1, u2 = solution
     if not (_in_domain(side1, u1) and _in_domain(side2, u2)):
         return None
     n1, n2 = side2.mu, side1.mu
@@ -488,7 +571,7 @@ def _fraction_outcome(side1, side2):
     entries, kx3 = tuple(map(int, entries)), int(kx3)
     fields = [dict(zip(RaySpec._fields, side.template)) for side in (side1, side2)]
     for ray, side, u in zip(fields, (side1, side2), (u1, u2)):
-        ray[RaySpec._fields[side.slot]] = int(u)
+        ray[RaySpec._fields[side.slot]] = u
     try:
         for ray in fields:
             if ray["ray_type"] is RayType.E1:
@@ -517,11 +600,11 @@ _SOME_SIDE_PAIRS = st.sampled_from([pair[4:] for pair in _SIDE_PAIRS]) | st.samp
 
 
 @st.composite
-def cramer_side_pairs(draw):
+def moved_side_pairs(draw):
     """A side pair of the 45 pairings with up to three of its terms moved.
 
-    Its two (-K)^2.H rows stay independent, so that ``_solve_sides`` takes
-    Cramer's rule.
+    Its two (-K)^2.H rows may be dependent (56 of the 351 as compiled),
+    which sends ``_solve_sides`` to ``_independent_rows``.
     """
     sides = list(draw(_SOME_SIDE_PAIRS))
     for _ in range(draw(st.integers(0, 3))):
@@ -530,13 +613,11 @@ def cramer_side_pairs(draw):
             sides[which], draw(st.integers(0, 4)), draw(st.integers(0, 1)),
             draw(st.integers(-12, 12)),
         )
-    (a1, b1, _), (a2, b2, _) = _system(*sides)[:2]
-    assume(a1 * b2 != a2 * b1)
     return sides
 
 
 @settings(max_examples=500, deadline=None)
-@given(cramer_side_pairs())
+@given(moved_side_pairs())
 def test_cramer_rule_agrees_with_a_fraction_solve_of_random_side_terms(sides):
     assert _solve_or_error(*sides) == _fraction_outcome(*sides)
 
