@@ -9,12 +9,15 @@ reads as a checklist:
   3. the recorded Chern-formula evaluations reproduce exactly;
   4. the lattice index is 1 in all nine basis-elimination configurations,
      by the index oracle of ``test_index_oracle``;
-  5. every solver agrees with an independent brute-force sweep, <10s;
+  5. the engine finds exactly the records of a search over intersection
+     forms in rank 2 (``test_form_oracle``), and solve_rho3_CCC those of
+     an independent sweep, <10s;
   6. structural invariants hold for every emitted record.
 """
 
 import time
 
+import test_form_oracle as form_oracle
 import test_index_oracle as index_oracle
 import test_solver_oracles as oracles
 
@@ -158,22 +161,13 @@ def _in_configuration(type1, type2, configuration):
     )
 
 
+def _form_search_finds_the_engine_records():
+    form_oracle.test_the_form_search_visits_a_fixed_simplex_and_finds_forty_records()
+    assert not form_oracle.disagreements()
+
+
 def test_criterion_5_solver_oracle_equivalence(capsys):
-    sweeps = [
-        oracles.test_oracle_E1_C1,
-        oracles.test_oracle_E1_C2,
-        oracles.test_oracle_E1_D1,
-        oracles.test_oracle_E1_D2,
-        oracles.test_oracle_E1_D3,
-        oracles.test_oracle_E1_E1,
-        oracles.test_oracle_E1_E2,
-        oracles.test_oracle_E1_E34,
-        oracles.test_oracle_E1_E5,
-        oracles.test_oracle_C_C,
-        oracles.test_oracle_C_D,
-        oracles.test_oracle_C_E_primitive,
-        oracles.test_oracle_rho3_CCC,
-    ]
+    sweeps = [_form_search_finds_the_engine_records, oracles.test_oracle_rho3_CCC]
     start = time.perf_counter()
     failures = []
     for sweep in sweeps:
@@ -184,8 +178,8 @@ def test_criterion_5_solver_oracle_equivalence(capsys):
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 10.0
     with capsys.disabled():
-        _report("criterion 5: solvers equal independent brute-force sweeps "
-                "in every case system (%.2fs)" % elapsed, ok)
+        _report("criterion 5: the engine equals a form-first search in rank 2 "
+                "and solve_rho3_CCC its brute-force sweep (%.2fs)" % elapsed, ok)
 
 
 def test_criterion_6_structural_invariants(capsys):

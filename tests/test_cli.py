@@ -629,11 +629,12 @@ def test_a_usage_error_with_stdout_closed_exits_two(argv):
 
 
 # ``python -m fanoenum``, run as ``-m`` runs it, writes at exit whether the
-# collector is frozen: a fresh interpreter starts with nothing frozen.
+# collector froze more objects than it held frozen at start.  A fresh 3.12.1
+# interpreter already holds some frozen; other versions start with none.
 _FREEZE_PROBE = """
 import atexit, gc, runpy, sys
-assert gc.get_freeze_count() == 0
-atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))
+frozen = gc.get_freeze_count()
+atexit.register(lambda: print(gc.get_freeze_count() > frozen, file=sys.stderr))
 runpy.run_module("fanoenum", run_name="__main__", alter_sys=True)
 """
 

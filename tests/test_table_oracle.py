@@ -29,6 +29,7 @@ from fanoenum.table_oracle import (
     record_to_row,
 )
 from test_engine import EMIT_SHA256, _other_interpreters
+from test_enumerator import UNKNOWN_FIELD_ERROR
 
 EXPECTED_CUBES = [
     4, 6, 8, 10, 12, 12, 14, 14, 16, 16, 18, 20, 20, 20, 22, 22, 24, 24,
@@ -195,7 +196,7 @@ NAMED_TUPLES = {
         ("table_id", "rho", "kx3", "primitive", "ray_types", "invariants", "descriptions"),
         {},
         {"rank": 2},
-        ValueError,
+        UNKNOWN_FIELD_ERROR,
     ),
     "parsed-row": (
         lambda: next(row for row in ground_truth(2) if row.table_id == "2-34"),
@@ -205,7 +206,7 @@ NAMED_TUPLES = {
         ("table_id", "rho", "kx3", "primitive", "ray_types", "invariants", "descriptions"),
         {},
         {"rank": 2},
-        ValueError,
+        UNKNOWN_FIELD_ERROR,
     ),
     "empty-report": (
         DiffReport,
@@ -213,7 +214,7 @@ NAMED_TUPLES = {
         ("missing", "extra", "mismatched"),
         {"missing": (), "extra": (), "mismatched": ()},
         {"missed": ()},
-        ValueError,
+        UNKNOWN_FIELD_ERROR,
     ),
     "report": (
         lambda: DiffReport(("2-1",), ("x",), (("2-2", "kx3", 6, 8),)),
@@ -221,7 +222,7 @@ NAMED_TUPLES = {
         ("missing", "extra", "mismatched"),
         {"missing": (), "extra": (), "mismatched": ()},
         {"missed": ()},
-        ValueError,
+        UNKNOWN_FIELD_ERROR,
     ),
 }
 
