@@ -51,7 +51,7 @@ from .picard_lattice import (
     triple_product,
 )
 from .ray_constraints import (
-    _RAY_ORDER, C_TYPES, D_TYPES, POINT_TYPES, TWIST, TYPE_FACTS, RaySpec, RayType, mu_of
+    _RAY_ORDER, C_TYPES, D_TYPES, POINT_TYPES, TWIST, TYPE_FACTS, RaySpec, RayType
 )
 
 __all__ = [
@@ -78,7 +78,9 @@ class SolutionRecord(_RecordFields):
     The fields are checked on construction, and ``_replace`` constructs:
     ``rays`` are RaySpecs in canonical order (C types before D types before
     E types); ``form`` and ``minus_k`` are written in the matching basis of
-    pullbacks, and ``kx3`` is an ``int`` equal to the cube of ``minus_k``.
+    pullbacks, and ``kx3`` is an even ``int`` in (0, 64] equal to the cube
+    of ``minus_k``.  Two rank-2 rays of lengths mu1, mu2 fix ``minus_k`` as
+    mu2 H1 + mu1 H2 (:func:`~fanoenum.picard_lattice.anticanonical_class`).
     The rest is derived when read, so it cannot disagree with the fields:
     ``rho`` is the rank of the form, ``genus`` the genus of the blowup centre
     of the first E1 ray (None without one), ``descriptions`` the known
@@ -102,8 +104,8 @@ class SolutionRecord(_RecordFields):
             raise ConstraintError(f"rays must be a tuple of RaySpecs, got {rays!r}")
         if kx3 % 2 != 0:
             raise ParityError(f"(-K)^3 must be even, got {kx3}")
-        if not 0 < kx3 <= 72:
-            raise ConstraintError(f"(-K)^3 must lie in (0, 72], got {kx3}")
+        if not 0 < kx3 <= 64:  # P^3 has the largest cube (Iskovskikh-Prokhorov)
+            raise ConstraintError(f"(-K)^3 must lie in (0, 64], got {kx3}")
         if triple_product(form, minus_k, minus_k, minus_k) != kx3:
             raise InconsistencyError(
                 f"stored (-K)^3 = {kx3} disagrees with the intersection form"
@@ -111,6 +113,11 @@ class SolutionRecord(_RecordFields):
         orders = [_RAY_ORDER[spec.ray_type] for spec in rays]
         if orders != sorted(orders):
             raise InconsistencyError("rays are not in canonical order")
+        if form.rho == 2 and len(rays) == 2:
+            mu1, mu2 = TYPE_FACTS[rays[0].ray_type].mu, TYPE_FACTS[rays[1].ray_type].mu
+            expected, got = _MINUS_K[mu1, mu2].coords, minus_k.coords
+            if got != expected:
+                raise InconsistencyError(f"-K must be {expected} for these rays, got {got}")
         return tuple.__new__(cls, (rays, form, minus_k, kx3))
 
     @classmethod
@@ -297,7 +304,7 @@ def _compile(ray_type: RayType) -> tuple[_Side, ...]:
             terms[n] = tuple(zip(*per_part))
         cube = (q**3, 4 * w) if t.contracted else None
         sides.append(_Side(
-            ray_type, mu_of(ray_type), tuple(template.values()),
+            ray_type, t.mu, tuple(template.values()),
             RaySpec._fields.index(t.unknown), t.low, t.high, terms, cube,
         ))
     return tuple(sides)
@@ -305,7 +312,6 @@ def _compile(ray_type: RayType) -> tuple[_Side, ...]:
 
 _SIDES = {ray_type: _compile(ray_type) for ray_type in RayType}
 _GENUS, _E = RaySpec._fields.index("genus"), RaySpec._fields.index("e")
-_CONIC_TYPES = frozenset(C_TYPES)
 # -K of each pair of ray lengths, in the basis of the two pullbacks
 _MINUS_K = {(m1, m2): anticanonical_class(m1, m2) for m1 in (1, 2, 3) for m2 in (1, 2, 3)}
 
@@ -402,7 +408,7 @@ def _solve_sides(side1: _Side, side2: _Side) -> SolutionRecord | None:
     if type2 is _E1:
         _, r, L3, degB = fields2[:4]
         fields2[_GENUS] = genus_from_blowup(kx3, antican_cube_by_index(r, L3), r, degB)
-    elif type2 in TWIST and type1 in _CONIC_TYPES:  # X is P(O + O(e))
+    elif type2 in TWIST and type1 in C_TYPES:  # X is P(O + O(e))
         fields2[_E] = h122
     return SolutionRecord(
         (RaySpec(*fields1), RaySpec(*fields2)),

@@ -50,8 +50,8 @@ class InconsistencyError(FanoEngineError):
     """The engine's facts or a record contradict what they must satisfy.
 
     Raised when the facts of a pairing leave an unknown free or give a
-    fractional form entry, and on a record whose stored (-K)^3 disagrees
-    with its form or whose rays are out of canonical order.
+    fractional form entry, and on a record whose (-K)^3 disagrees with its
+    form, whose rays are out of canonical order or whose -K they do not fix.
     """
 
 

@@ -14,7 +14,7 @@ target), and four facts about the pullback H of the ample generator on the
 target, each affine in u: H^3, (-K).H^2, (-K)^2.H and c_2(X).H.  A divisor
 contracted to a point adds its cube.  The engine of
 :mod:`fanoenum.enumerator` compiles its sides from every fact but c2.H, and
-:func:`mu_of`, :class:`RaySpec` and :func:`c2_dot_H` look values up in it:
+:class:`RaySpec` (its ``mu`` too) and :func:`c2_dot_H` look values up in it:
 RaySpec checks the unknown of every type against its domain by one rule.
 The (-K)^2.H fact of a conic bundle is
 :func:`~fanoenum.chern_calculus.conic_bundle_ksq_dot_pullback` on a line
@@ -40,7 +40,6 @@ from .picard_lattice import INTEGER, ValueObject
 __all__ = [
     "RayType",
     "RaySpec",
-    "mu_of",
     "c2_dot_H",
     "balance_check",
 ]
@@ -176,13 +175,6 @@ _TARGETS = {
 }
 
 INT_OR_NONE = INTEGER | {type(None)}  # an optional integer field's types
-
-
-def mu_of(ray_type: RayType) -> int:
-    """The length of an extremal ray of the given type."""
-    if not isinstance(ray_type, RayType):
-        raise ConstraintError(f"{ray_type!r} is not an extremal-ray type")
-    return TYPE_FACTS[ray_type].mu
 
 
 # A RayType, then int | None for each field but delta_bidegree, a

@@ -55,8 +55,6 @@ _FIELD = {name: operator.itemgetter(RaySpec._fields.index(name)) for name in _IN
 _KEY_DEGREES = ("degB", "d2", "deg_delta")
 _KEY_DATA = operator.itemgetter(*map(RaySpec._fields.index, _KEY_DEGREES))
 
-_EMIT_FORMATS = ("json", "csv", "markdown")
-
 try:
     from _json import encode_basestring_ascii, make_scanner
 except ImportError:  # no C accelerator: json's pure-Python code does the same
@@ -437,9 +435,9 @@ def diff(records, rows: Iterable[TableRow]) -> DiffReport:
             else:
                 field = _FIELD.get(key)
                 actual_values = None if field is None else tuple(map(field, rays))
-                # equal columns hold no mismatch: only unequal ones need the walk
-                if actual_values == expected_values:
-                    continue
+            # equal columns hold no mismatch: only unequal ones need the walk
+            if actual_values == expected_values:
+                continue
             for i, expected in enumerate(expected_values):
                 if expected is None:
                     continue
@@ -551,15 +549,14 @@ def _emit_markdown(rows: tuple[TableRow, ...]) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+_WRITERS = {"json": _emit_json, "csv": _emit_csv, "markdown": _emit_markdown}
+
+
 def emit(rows: Iterable[TableRow], fmt: str = "json") -> bytes:
     """Serialize rows deterministically as UTF-8 bytes with LF newlines."""
     rows = tuple(rows)
-    if fmt == "json":
-        return _emit_json(rows)
-    if fmt == "csv":
-        return _emit_csv(rows)
-    if fmt == "markdown":
-        return _emit_markdown(rows)
-    raise ConstraintError(
-        f"unknown output format {fmt!r}; expected one of {', '.join(_EMIT_FORMATS)}"
-    )
+    if not (isinstance(fmt, str) and fmt in _WRITERS):  # `in` raises on a list
+        raise ConstraintError(
+            f"unknown output format {fmt!r}; expected one of {', '.join(_WRITERS)}"
+        )
+    return _WRITERS[fmt](rows)

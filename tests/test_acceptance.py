@@ -20,6 +20,7 @@ import time
 import test_form_oracle as form_oracle
 import test_index_oracle as index_oracle
 import test_solver_oracles as oracles
+from test_ray_constraints import NINE_CONFIGURATIONS
 
 from fanoenum.chern_calculus import (
     antican_cube_divisor_in_p2_bundle,
@@ -31,10 +32,10 @@ from fanoenum.cli import run
 from fanoenum.enumerator import enumerate_all
 from fanoenum.picard_lattice import triple_product
 from fanoenum.ray_constraints import (
+    TYPE_FACTS,
     RayType,
     balance_check,
     c2_dot_H,
-    mu_of,
 )
 from fanoenum.table_oracle import diff, ground_truth, label
 
@@ -119,23 +120,12 @@ def test_criterion_4_lattice_index_elimination(capsys):
     # The index oracle solves every pairing at every index up to 8.  In each
     # configuration (mu1, mu2, first type, second type or None for every
     # type of length mu2), every solution above index 1 fails the balance.
-    configurations = [
-        (1, 1, RayType.C1, None),
-        (1, 2, RayType.C1, None),
-        (1, 3, RayType.C1, RayType.D3),
-        (2, 1, RayType.C2, None),
-        (2, 2, RayType.C2, None),
-        (2, 3, RayType.C2, RayType.D3),
-        (1, 1, RayType.E1, None),
-        (1, 2, RayType.E1, None),
-        (1, 3, RayType.E1, RayType.D3),
-    ]
     larger = {
         config: [
             key for key in index_oracle.SOLUTIONS
             if key[4] > 1 and _in_configuration(key[0], key[2], config)
         ]
-        for config in configurations
+        for config in NINE_CONFIGURATIONS
     }
     unbalanced = all(
         not index_oracle.balances(*key) for keys in larger.values() for key in keys
@@ -144,7 +134,7 @@ def test_criterion_4_lattice_index_elimination(capsys):
     with_larger = [config for config, keys in larger.items() if keys]
     ok = (
         unbalanced
-        and with_larger == configurations[6:]
+        and with_larger == NINE_CONFIGURATIONS[6:]
         and sum(map(len, larger.values())) == 8
     )
     with capsys.disabled():
@@ -156,7 +146,7 @@ def _in_configuration(type1, type2, configuration):
     """Whether the pairing of type1 and type2, in either order, fits the configuration."""
     _, mu2, first, second = configuration
     return any(
-        t1 is first and mu_of(t2) == mu2 and second in (None, t2)
+        t1 is first and TYPE_FACTS[t2].mu == mu2 and second in (None, t2)
         for t1, t2 in ((type1, type2), (type2, type1))
     )
 

@@ -23,8 +23,14 @@ from fanoenum.errors import (
     ParityError,
     UnsupportedScopeError,
 )
-from fanoenum.picard_lattice import anticanonical_class, triple_product
+from fanoenum.picard_lattice import (
+    DivisorClass,
+    TrilinearForm,
+    anticanonical_class,
+    triple_product,
+)
 from fanoenum.ray_constraints import (
+    RaySpec,
     RayType,
     balance_check,
     c2_dot_H,
@@ -370,3 +376,26 @@ def test_record_scalars_are_exact(changes, error, message):
     assert record.genus == 1
     with pytest.raises(error, match=message):
         record._replace(**changes)
+
+
+def test_a_record_cube_is_at_most_that_of_p3():
+    # (-K)^3 <= 64, the cube of P^3 (Iskovskikh-Prokhorov): 64 is a cube a
+    # record may store, and 66 on an otherwise consistent record is not
+    conics = (RaySpec(RayType.C2),) * 2
+    assert SolutionRecord(conics, TrilinearForm.rank2(1, 1, 1, 1), DivisorClass((2, 2)), 64)
+    with pytest.raises(ConstraintError, match=r"must lie in \(0, 64\], got 66$"):
+        SolutionRecord(
+            (RaySpec(RayType.C1),) * 2, TrilinearForm.rank2(0, 11, 11, 0), DivisorClass((1, 1)), 66
+        )
+
+
+def test_a_rank2_record_minus_k_is_the_class_its_rays_fix():
+    # two rays of lengths mu1, mu2 fix -K = mu2 H1 + mu1 H2: 2-1's rays have
+    # length 1, and -K = H1 - 2 H2 has the same cube 4 on its form
+    record = _by_id(enumerate_all(2))["2-1"]
+    doctored = DivisorClass((1, -2))
+    assert triple_product(record.form, *(doctored,) * 3) == record.kx3 == 4
+    with pytest.raises(
+        InconsistencyError, match=r"^-K must be \(1, 1\) for these rays, got \(1, -2\)$"
+    ):
+        record._replace(minus_k=doctored)

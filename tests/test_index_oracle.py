@@ -245,7 +245,7 @@ ENGINE_REFUSALS = (
     (ParityError, "must be even"),
     (ConstraintError, "genus computed as"),
     (ConstraintError, "the twist of an"),
-    (ConstraintError, "must lie in (0, 72]"),
+    (ConstraintError, "must lie in (0, 64]"),
     (InconsistencyError, "leave an unknown free"),
     (InconsistencyError, "fractional form entry"),
 )

@@ -36,7 +36,6 @@ PUBLIC_NAMES = [
     "genus_from_blowup",
     "ground_truth",
     "label",
-    "mu_of",
     "parse_rows",
     "record_to_row",
     "solve_C_C",

@@ -26,20 +26,14 @@ from fanoenum.ray_constraints import (
     _value_set,
     balance_check,
     c2_dot_H,
-    mu_of,
 )
 
 
 def test_ray_lengths():
-    assert mu_of(RayType.C1) == 1
-    assert mu_of(RayType.C2) == 2
-    assert mu_of(RayType.D1) == 1
-    assert mu_of(RayType.D2) == 2
-    assert mu_of(RayType.D3) == 3
-    assert mu_of(RayType.E1) == 1
-    assert mu_of(RayType.E2) == 2
-    assert mu_of(RayType.E34) == 1
-    assert mu_of(RayType.E5) == 1
+    lengths = {t.value: TYPE_FACTS[t].mu for t in RayType}
+    assert lengths == {
+        "C1": 1, "C2": 2, "D1": 1, "D2": 2, "D3": 3, "E1": 1, "E2": 2, "E34": 1, "E5": 1
+    }
 
 
 def test_ray_type_parsing():
@@ -263,7 +257,7 @@ NINE_CONFIGURATIONS = [
 
 
 def _second_types(mu2, type2):
-    return [t for t in RayType if mu_of(t) == mu2] if type2 is None else [type2]
+    return [t for t in RayType if TYPE_FACTS[t].mu == mu2] if type2 is None else [type2]
 
 
 def _oracle_keys(type1, second_types):
@@ -299,7 +293,7 @@ def _balance_survivors(mu1, mu2, type1, second_types, top=199):
 def test_lattice_index_is_always_one(mu1, mu2, t1, t2):
     # every oracle solution in the configuration that meets the balance has
     # index 1; C1 + D3 has no solution at any index
-    assert mu_of(t1) == mu1
+    assert TYPE_FACTS[t1].mu == mu1
     expected = set() if (t1, t2) == (RayType.C1, RayType.D3) else {1}
     assert _balanced_indices(t1, _second_types(mu2, t2)) == expected
 
@@ -333,7 +327,7 @@ def test_lattice_index_impossible_pairing():
 
 @pytest.mark.parametrize(
     "mu1,mu2,type1,type2",
-    [(mu_of(t1), mu_of(t2), t1, t2) for t1 in RayType for t2 in RayType]
+    [(TYPE_FACTS[t1].mu, TYPE_FACTS[t2].mu, t1, t2) for t1 in RayType for t2 in RayType]
     + [config for config in NINE_CONFIGURATIONS if config[3] is None],
     ids=lambda value: getattr(value, "value", str(value)),
 )
@@ -366,17 +360,10 @@ def test_lattice_index_is_symmetric_in_a_conic_and_a_del_pezzo_ray(c_type, d_typ
                 d_first = index_oracle._oracle_solve(d_type, j, c_type, i, a)
                 mirror = d_first and (d_first[0][::-1], d_first[1], d_first[3], d_first[2])
                 assert c_first == mirror, (i, j, a)
-    mu_c, mu_d = mu_of(c_type), mu_of(d_type)
+    mu_c, mu_d = TYPE_FACTS[c_type].mu, TYPE_FACTS[d_type].mu
     assert _balance_survivors(mu_d, mu_c, d_type, [c_type]) == _balance_survivors(
         mu_c, mu_d, c_type, [d_type]
     )
-
-
-def test_a_ray_type_is_checked_wherever_one_is_read():
-    with pytest.raises(ConstraintError, match="'C1' is not an extremal-ray type"):
-        mu_of("C1")
-    with pytest.raises(ConstraintError, match="None is not an extremal-ray type"):
-        mu_of(None)
 
 
 # st.builds draws every field of a named tuple, optional ones too; through

@@ -3,6 +3,7 @@
 import inspect
 import json
 import pickle
+import re
 import subprocess
 import types
 from collections import Counter
@@ -360,8 +361,11 @@ def test_emit_markdown_writes_ray_types_by_display_name():
 
 
 def test_emit_rejects_unknown_format():
-    with pytest.raises(ConstraintError):
+    expected = "unknown output format 'yaml'; expected one of json, csv, markdown"
+    with pytest.raises(ConstraintError, match=f"^{re.escape(expected)}$"):
         emit(ground_truth(2), "yaml")
+    with pytest.raises(ConstraintError, match=r"^unknown output format \['json'\];"):
+        emit(ground_truth(2), ["json"])
 
 
 def test_truth_source_override(tmp_path, monkeypatch):
