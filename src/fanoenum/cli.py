@@ -3,7 +3,7 @@
 Each subcommand imports the engine modules it runs when it runs, so that
 ``chern`` loads only the Chern calculus.  The grammar is written once, in
 ``_GRAMMAR``: :func:`run` reads a well-formed argv by it without argparse,
-and :func:`build_parser` makes argparse's one full parser from it for every
+and :func:`_parsers` makes argparse's one full parser from it for every
 other argv (help, a usage error, a form the reader leaves to argparse) and
 for a usage error a handler finds.
 
@@ -215,13 +215,8 @@ _GRAMMAR = {
 }
 
 
-def build_parser():
-    """argparse's parser of every subcommand: :func:`run` builds it only when its reader defers."""
-    return _parsers()[0]
-
-
 def _parsers():
-    """The parser :func:`build_parser` returns, and its subcommands' parsers by name."""
+    """argparse's parser of every subcommand, and those subcommands' parsers by name."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -315,7 +310,7 @@ def _parse(argv: Sequence[str]) -> SimpleNamespace:
     help_text = io.StringIO()
     try:
         with contextlib.redirect_stdout(help_text):
-            return build_parser().parse_args(argv)
+            return _parsers()[0].parse_args(argv)
     finally:  # argparse exits 0 after help, 2 after a usage error
         if help_text.getvalue():  # even an empty write fails on an unbuffered full stdout
             sys.stdout.write(help_text.getvalue())

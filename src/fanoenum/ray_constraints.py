@@ -14,8 +14,8 @@ target), and four facts about the pullback H of the ample generator on the
 target, each affine in u: H^3, (-K).H^2, (-K)^2.H and c_2(X).H.  A divisor
 contracted to a point adds its cube.  The engine of
 :mod:`fanoenum.enumerator` compiles its sides from every fact but c2.H, and
-:class:`RaySpec` (its ``mu`` too) and :func:`c2_dot_H` look values up in it:
-RaySpec checks the unknown of every type against its domain by one rule.
+:class:`RaySpec` and :func:`c2_dot_H` look values up in it: RaySpec tests
+the unknown of every type, and a bidegree's sum, by :meth:`TypeFacts.admits`.
 The (-K)^2.H fact of a conic bundle is
 :func:`~fanoenum.chern_calculus.conic_bundle_ksq_dot_pullback` on a line
 of the base P^2.
@@ -103,10 +103,6 @@ class TypeFacts(ValueObject):
     def admits(self, u: int) -> bool:
         return self.low <= u and (self.high is None or u <= self.high)
 
-    def indices(self) -> tuple[int, ...]:
-        """The target indices r the sides fix, without repeats."""
-        return tuple(dict.fromkeys(dict(fixed)["r"] for fixed, _ in self.sides))
-
 
 # Facts are kept in quarters, so that the E5 multiples of r/2 and (r/2)^2
 # are integers like every other side's.
@@ -167,12 +163,6 @@ POINT_TYPES = tuple(t for t in RayType if TYPE_FACTS[t].contracted)  # a divisor
 # An E2 or E5 divisor is a P^2 with normal bundle O(-e), the negative section
 # of P(O + O(e)) over P^2; an E3/E4 divisor is a quadric, never such a section.
 TWIST = {RayType.E2: 1, RayType.E5: 2}
-# Once, as RaySpec checks every ray: each divisorial type's target indices r,
-# each with the cubes L^3 an E1 target of index r has (None: any L^3 >= 1).
-_TARGETS = {
-    RayType.E1: FANO_TARGETS,
-    **{t: dict.fromkeys(TYPE_FACTS[t].indices()) for t in POINT_TYPES},
-}
 
 INT_OR_NONE = INTEGER | {type(None)}  # an optional integer field's types
 
@@ -206,9 +196,9 @@ class RaySpec(_RayFields):
     unpickling construct.  Every set field is an ``int`` (a bool is not),
     ``delta_bidegree`` a pair of them.  Against :data:`TYPE_FACTS`: the
     unknown of the type (deg_delta, d2, degB or the L3 of a point
-    contraction) by one rule, ``low <= u <= high``, and a bidegree's sum by
-    the same domain; the index r of a divisorial ray's target, and the L3
-    of an E1 target, which needs its index r.
+    contraction) and a bidegree's sum by :meth:`TypeFacts.admits`; the
+    index r of a divisorial ray's target, and the L3 of an E1 target, which
+    needs its index r.
     """
 
     __slots__ = ()
@@ -232,7 +222,7 @@ class RaySpec(_RayFields):
             checks = None
         if checks is None:
             raise ConstraintError(f"{ray_type!r} is not an extremal-ray type")
-        uncarried, unknown, low, high = checks
+        uncarried, unknown, facts, targets = checks
         for index in uncarried:
             if self[index] is not None:
                 name = _RayFields._fields[index]
@@ -241,8 +231,9 @@ class RaySpec(_RayFields):
                 )
         # a set field is now one the type carries
         u = self[unknown]
-        if u is not None and (u < low or high is not None and u > high):
+        if u is not None and not facts.admits(u):
             name = _RayFields._fields[unknown]
+            low, high = facts.low, facts.high
             domain = (f"= {low}" if low == high
                       else f">= {low}" if high is None else f"in {low}..{high}")
             raise ConstraintError(f"{ray_type.display} rays have {name} {domain}, got {name}={u}")
@@ -253,12 +244,11 @@ class RaySpec(_RayFields):
                     f"deg_delta={deg_delta}, delta_bidegree={delta_bidegree}"
                 )
             a, b = delta_bidegree
-            if min(a, b) < 0 or not TYPE_FACTS[ray_type].admits(a + b):
+            if min(a, b) < 0 or not facts.admits(a + b):
                 raise ConstraintError(
                     f"a {ray_type.value} conic bundle has no delta_bidegree={delta_bidegree}"
                 )
         if r is not None:
-            targets = _TARGETS[ray_type]
             if r not in targets:
                 raise ConstraintError(
                     f"an {ray_type.display} target has an index in {tuple(targets)}, got r={r}"
@@ -282,15 +272,12 @@ class RaySpec(_RayFields):
     def _make(cls, iterable: Iterable) -> "RaySpec":
         return cls(*iterable)
 
-    @property
-    def mu(self) -> int:
-        """The length of the ray, fixed by its type."""
-        return TYPE_FACTS[self.ray_type].mu
-
 
 # The fields each type carries, as the RaySpec docstring lists them, and
-# from them, once, what RaySpec checks per type: the positions of the fields
-# the type must leave None, and the position of its unknown with the domain.
+# from them, once, all that RaySpec checks per type: the positions of the
+# fields the type must leave None, the position of its unknown, its facts,
+# and the index r of each target of a divisorial type, with the cubes L^3
+# an E1 target of index r has (None: any L^3 >= 1).
 _CARRIED = {
     **dict.fromkeys(C_TYPES, ("deg_delta", "delta_bidegree")),
     **dict.fromkeys(D_TYPES, ("d2",)),
@@ -302,8 +289,9 @@ _CHECKS = {
     t: (
         tuple(i for i, name in enumerate(RaySpec._fields) if i and name not in carried),
         RaySpec._fields.index(TYPE_FACTS[t].unknown),
-        TYPE_FACTS[t].low,
-        TYPE_FACTS[t].high,
+        TYPE_FACTS[t],
+        FANO_TARGETS if t is RayType.E1
+        else dict.fromkeys(dict(fixed)["r"] for fixed, _ in TYPE_FACTS[t].sides if fixed),
     )
     for t, carried in _CARRIED.items()
 }

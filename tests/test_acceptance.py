@@ -186,7 +186,8 @@ def test_criterion_6_structural_invariants(capsys):
         if rec.rho == 2:
             first, second = rec.rays
             if not balance_check(
-                first.mu, second.mu, c2_dot_H(first), c2_dot_H(second)
+                TYPE_FACTS[first.ray_type].mu, TYPE_FACTS[second.ray_type].mu,
+                c2_dot_H(first), c2_dot_H(second),
             ):
                 problems.append((row.table_id, "balance"))
         elif all(ray.ray_type in (RayType.C1, RayType.C2) for ray in rec.rays):

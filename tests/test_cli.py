@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fanoenum import table_oracle
+from fanoenum import cli, table_oracle
 from fanoenum.cli import _CHERN_FORMULAS, _GRAMMAR, run
 from fanoenum.table_oracle import emit, ground_truth
 from test_engine import (
@@ -146,6 +146,8 @@ def test_chern_arity_is_a_usage_error_of_the_chern_subcommand(capsys):
 
 
 def test_emit_to_file_is_deterministic(tmp_path):
+    # --format offers emit's formats, listed apart so that reading argv loads no table_oracle
+    assert set(cli._EMIT_CHOICES) == set(table_oracle._WRITERS)
     target = tmp_path / "table.csv"
     assert run(["emit", "--rho", "3", "--format", "csv", "--out", str(target)]) == 0
     first = target.read_bytes()
@@ -738,9 +740,9 @@ def _parsed(argv):
     import contextlib
     import io
 
-    from fanoenum.cli import build_parser
+    from fanoenum.cli import _parsers
 
-    parser = build_parser()
+    parser = _parsers()[0]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             return vars(parser.parse_args(argv))

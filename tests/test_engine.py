@@ -35,7 +35,7 @@ from fanoenum.errors import (
     ConstraintError, FanoEngineError, InconsistencyError, ParityError
 )
 from fanoenum.picard_lattice import DivisorClass, TrilinearForm, anticanonical_class
-from fanoenum.ray_constraints import C_TYPES, TWIST, RaySpec, RayType
+from fanoenum.ray_constraints import C_TYPES, TWIST, TYPE_FACTS, RaySpec, RayType
 from fanoenum.table_oracle import emit, label, record_to_row
 
 BENCH_GOLDEN = json.loads(
@@ -288,7 +288,7 @@ def _system(side1, side2):
 
 
 def _in_domain(side, u):
-    return side.low <= u and (side.high is None or u <= side.high)
+    return TYPE_FACTS[side.ray_type].admits(u)
 
 
 def _exit(side1, side2):

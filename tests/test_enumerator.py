@@ -30,6 +30,7 @@ from fanoenum.picard_lattice import (
     triple_product,
 )
 from fanoenum.ray_constraints import (
+    TYPE_FACTS,
     RaySpec,
     RayType,
     balance_check,
@@ -285,7 +286,7 @@ def test_rays_are_canonically_ordered():
 
 def test_anticanonical_class_convention():
     for rec in enumerate_all(2):
-        mu1, mu2 = rec.rays[0].mu, rec.rays[1].mu
+        mu1, mu2 = (TYPE_FACTS[ray.ray_type].mu for ray in rec.rays)
         assert rec.minus_k == anticanonical_class(mu1, mu2)
         assert rec.minus_k.coords == (mu2, mu1)
 
@@ -300,13 +301,14 @@ def test_c2_balance_over_the_full_table():
     for rec in enumerate_all(2):
         first, second = rec.rays
         assert balance_check(
-            first.mu, second.mu, c2_dot_H(first), c2_dot_H(second)
+            TYPE_FACTS[first.ray_type].mu, TYPE_FACTS[second.ray_type].mu,
+            c2_dot_H(first), c2_dot_H(second),
         ), record_to_row(rec).table_id
 
 
 def test_blowup_centers_respect_degree_bound():
     for rec in enumerate_all(2):
-        mus = [ray.mu for ray in rec.rays]
+        mus = [TYPE_FACTS[ray.ray_type].mu for ray in rec.rays]
         for i, ray in enumerate(rec.rays):
             if ray.ray_type is RayType.E1:
                 bound = (ray.r - mus[1 - i]) ** 2 * ray.L3  # at index 1

@@ -76,7 +76,7 @@ def _cramer(rows):
 
 
 def _in_domain(facts, u):
-    return u.denominator == 1 and facts.low <= u and (facts.high is None or u <= facts.high)
+    return u.denominator == 1 and facts.admits(u)
 
 
 def _oracle_solve(type1, i, type2, j, a):

@@ -30,9 +30,18 @@ from fanoenum.ray_constraints import (
 
 
 def test_ray_lengths():
-    lengths = {t.value: TYPE_FACTS[t].mu for t in RayType}
-    assert lengths == {
-        "C1": 1, "C2": 2, "D1": 1, "D2": 2, "D3": 3, "E1": 1, "E2": 2, "E34": 1, "E5": 1
+    """Each type's length mu, its unknown and the domain low..high of it (None: unbounded)."""
+    facts = {t.value: (f.mu, f.unknown, f.low, f.high) for t, f in TYPE_FACTS.items()}
+    assert facts == {
+        "C1": (1, "deg_delta", 1, None),
+        "C2": (2, "deg_delta", 0, 0),
+        "D1": (1, "d2", 1, 7),
+        "D2": (2, "d2", 8, 8),
+        "D3": (3, "d2", 9, 9),
+        "E1": (1, "degB", 1, None),
+        "E2": (2, "L3", 1, None),
+        "E34": (1, "L3", 1, None),
+        "E5": (1, "L3", 1, None),
     }
 
 
@@ -57,7 +66,6 @@ def test_rayspec_validations():
         RaySpec(RayType.E1, r=2, L3=1, degB=0)
     with pytest.raises(ConstraintError, match="genus must be >= 0, got -1"):
         RaySpec(RayType.E1, r=2, L3=1, degB=1, genus=-1)
-    assert RaySpec(RayType.D3).mu == 3
 
 
 @pytest.mark.parametrize(
@@ -131,7 +139,7 @@ def test_rayspec_int_check_names_the_field():
 def test_rayspec_is_a_tuple_of_its_fields():
     spec = RaySpec(RayType.E1, r=3, L3=2, degB=4, genus=0)
     assert spec == (RayType.E1, 3, 2, 4, None, None, None, 0, None)
-    assert RaySpec._make(spec) == spec and spec.mu == 1
+    assert RaySpec._make(spec) == spec
     assert RaySpec._fields == (
         "ray_type", "r", "L3", "degB", "deg_delta", "d2", "e", "genus", "delta_bidegree"
     )

@@ -19,6 +19,7 @@ import json
 from pathlib import Path
 
 from fanoenum.enumerator import enumerate_all
+from fanoenum.ray_constraints import TYPE_FACTS
 from fanoenum.table_oracle import record_to_row
 
 GOLDEN = Path(__file__).with_name("data") / "records_golden.jsonl"
@@ -27,7 +28,7 @@ RAY_FIELDS = ("r", "L3", "degB", "deg_delta", "d2", "e", "genus", "delta_bidegre
 
 
 def _ray(spec) -> dict:
-    fields = {"ray_type": spec.ray_type.value, "mu": spec.mu}
+    fields = {"ray_type": spec.ray_type.value, "mu": TYPE_FACTS[spec.ray_type].mu}
     for name in RAY_FIELDS:
         value = getattr(spec, name)
         # a tuple is kept apart from a list in the text

@@ -61,7 +61,9 @@ def test_only_the_balance_sees_a_shifted_c2_fact(ray_type, index, monkeypatch, t
     assert records == expected
     unbalanced = [
         rec for rec in records
-        if not balance_check(rec.rays[0].mu, rec.rays[1].mu, *map(c2_dot_H, rec.rays))
+        if not balance_check(
+            *(TYPE_FACTS[ray.ray_type].mu for ray in rec.rays), *map(c2_dot_H, rec.rays)
+        )
     ]
     assert bool(unbalanced) == ((ray_type, dict(fixed).get("r")) not in EMPTY_SIDES)
 
@@ -69,7 +71,8 @@ def test_only_the_balance_sees_a_shifted_c2_fact(ray_type, index, monkeypatch, t
 def test_every_computed_ray_lies_in_its_lattice_value_set():
     for record in enumerate_all(2):
         for ray, other in (record.rays, record.rays[::-1]):
-            assert c2_dot_H(ray) in _value_set(ray.ray_type, other.mu), record_to_row(record).table_id
+            mu_other = TYPE_FACTS[other.ray_type].mu
+            assert c2_dot_H(ray) in _value_set(ray.ray_type, mu_other), record_to_row(record).table_id
 
 
 @pytest.mark.parametrize("ray_type", list(RayType), ids=lambda t: t.value)
