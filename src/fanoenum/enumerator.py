@@ -25,6 +25,7 @@ solver reads the classification table: :mod:`fanoenum.table_oracle` labels
 records with its row ids when they are projected onto rows.
 """
 
+import functools
 from collections import namedtuple
 from collections.abc import Iterable
 from itertools import combinations, combinations_with_replacement
@@ -242,6 +243,11 @@ _CHAR_NOTES = {
 }
 
 
+# SolutionRecord.descriptions reads this on every call, and a verify formats
+# the same E1 texts again each time: the rays tuple is immutable, so it keys
+# a memo.  The bound (above the 27 rank-2 records with an E1 ray) keeps
+# records built by hand from growing it without end.
+@functools.lru_cache(maxsize=128)
 def _descriptions(rays: tuple[RaySpec, ...]) -> tuple[str, ...]:
     """One text per E1 ray, plus the point blowup for an E2 ray opposite one.
 
@@ -573,16 +579,19 @@ def enumerate_all(rho: int, primitive_only: bool = False) -> tuple[SolutionRecor
     records of one call tie.  ``primitive_only`` restricts rank 2 to
     families without an E1 ray.  The rank-3 enumeration covers only the
     primitive families, so it must be called with ``primitive_only=True``.
+    ``rho`` must be the int 2 or 3 and ``primitive_only`` a bool.
     """
+    if type(rho) is not int or rho not in (2, 3):
+        raise UnsupportedScopeError(f"no enumeration for Picard rank {rho!r}")
+    if type(primitive_only) is not bool:
+        raise ConstraintError(f"primitive_only must be a bool, got {primitive_only!r}")
     if rho == 2:
         records = _solve(_PRIMITIVE_PAIRINGS if primitive_only else _RANK2_PAIRINGS)
-    elif rho == 3:
-        if not primitive_only:
-            raise UnsupportedScopeError(
-                "rank-3 enumeration covers only the primitive families; "
-                "pass primitive_only=True"
-            )
+    elif primitive_only:
         records = solve_rho3_CCC() + solve_rho3_CE()
     else:
-        raise UnsupportedScopeError(f"no enumeration for Picard rank {rho}")
+        raise UnsupportedScopeError(
+            "rank-3 enumeration covers only the primitive families; "
+            "pass primitive_only=True"
+        )
     return tuple(sorted(records, key=_classification_order))

@@ -134,12 +134,6 @@ class DivisorClass(ValueObject):
         return DivisorClass(tuple(n * a for a in self.coords))
 
 
-# Every ordered index triple over 1..3 -> its sorted form, the key of a form entry.
-_SORTED_KEY = {
-    key: tuple(sorted(key)) for key in itertools.product(range(1, 4), repeat=3)
-}
-
-
 # Each rank -> its index multisets 1 <= i <= j <= k <= rho, in order: a form's keys.
 _MULTISET_KEYS = {
     rho: dict.fromkeys(itertools.combinations_with_replacement(range(1, rho + 1), 3))
@@ -224,10 +218,12 @@ def triple_product(
 ) -> int:
     """Evaluate x . y . z under ``form`` by full multilinear expansion.
 
-    The sum runs over all 27 ordered index triples on rank 3; symmetry of the
-    stored form makes the result independent of argument order.  On rank 2
-    the eight triples are written out over the four entries, which the form
-    holds in canonical key order; every record's cube is checked this way.
+    Each entry of the form is multiplied by the sum over the distinct
+    orderings of its index triple: eight ordered triples over the four
+    entries on rank 2, and 27 over the ten entries on rank 3, written out
+    and read in the canonical key order the form holds its entries in.
+    Symmetry of the stored form makes the result independent of argument
+    order; every record's cube is checked this way.
     """
     xc, yc, zc = x.coords, y.coords, z.coords
     rho = form.rho
@@ -247,9 +243,22 @@ def triple_product(
             + (x1 * y2 * z2 + x2 * y1 * z2 + x2 * y2 * z1) * h122
             + x2 * y2 * z2 * h222
         )
-    return sum(
-        xc[i - 1] * yc[j - 1] * zc[k - 1] * entries[key]
-        for (i, j, k), key in _SORTED_KEY.items()
+    (x1, x2, x3), (y1, y2, y3), (z1, z2, z3) = xc, yc, zc
+    h111, h112, h113, h122, h123, h133, h222, h223, h233, h333 = entries.values()
+    return (
+        x1 * y1 * z1 * h111
+        + (x1 * y1 * z2 + x1 * y2 * z1 + x2 * y1 * z1) * h112
+        + (x1 * y1 * z3 + x1 * y3 * z1 + x3 * y1 * z1) * h113
+        + (x1 * y2 * z2 + x2 * y1 * z2 + x2 * y2 * z1) * h122
+        + (
+            x1 * y2 * z3 + x1 * y3 * z2 + x2 * y1 * z3
+            + x2 * y3 * z1 + x3 * y1 * z2 + x3 * y2 * z1
+        ) * h123
+        + (x1 * y3 * z3 + x3 * y1 * z3 + x3 * y3 * z1) * h133
+        + x2 * y2 * z2 * h222
+        + (x2 * y2 * z3 + x2 * y3 * z2 + x3 * y2 * z2) * h223
+        + (x2 * y3 * z3 + x3 * y2 * z3 + x3 * y3 * z2) * h233
+        + x3 * y3 * z3 * h333
     )
 
 

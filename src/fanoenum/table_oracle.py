@@ -21,7 +21,6 @@ regular expressions at import.  It is imported only to raise
 write a value no row holds, or where ``_json`` is missing.
 """
 
-import functools
 import io
 import operator
 import os
@@ -293,14 +292,12 @@ def _record_key(rho: int, kx3: int, tags: tuple, rays: tuple) -> tuple:
     return (rho, kx3, tuple(sorted(per_ray)))
 
 
-@functools.lru_cache(maxsize=1)
 def _parse_truth(payload: bytes) -> tuple[tuple[TableRow, ...], Mapping[tuple, str]]:
-    """parse_rows of the last payload seen and its row ids by _row_key.
+    """parse_rows of a truth payload and its row ids by _row_key.
 
     A table id names one row, and a row key picks out one row: a repeated
-    one raises ConstraintError.  Keying on content rather than on the path
-    means a rewritten truth file is always seen; one entry means the cache
-    cannot grow.
+    one raises ConstraintError.  :func:`_load_truth` calls it only for a
+    payload that differs from the last one it parsed.
     """
     rows = parse_rows(payload)
     first_rows: dict[str, int] = {}
@@ -325,16 +322,37 @@ def _parse_truth(payload: bytes) -> tuple[tuple[TableRow, ...], Mapping[tuple, s
 _PACKAGED_TRUTH = os.path.join(os.path.dirname(__file__), "data", "ground_truth.json")
 
 
+# The last truth payload parsed and its parse: one entry, so it cannot grow.
+_last_truth = (None, None)
+
+
 def _load_truth() -> tuple[tuple[TableRow, ...], Mapping[tuple, str]]:
-    with open(os.environ.get("FANO_GROUND_TRUTH") or _PACKAGED_TRUTH, "rb") as file:
+    """:func:`_parse_truth` of the truth file's bytes, read on every call.
+
+    The bytes are compared with the last payload parsed, byte for byte, and
+    parsed again only when they differ.  Keying on content rather than on
+    the path or its mtime means a rewritten truth file is always seen; the
+    read is unbuffered, since it takes the whole file at once.
+    """
+    global _last_truth
+    with open(os.environ.get("FANO_GROUND_TRUTH") or _PACKAGED_TRUTH, "rb", buffering=0) as file:
         payload = file.read()
-    return _parse_truth(payload)
+    last_payload, parsed = _last_truth
+    if payload != last_payload:
+        parsed = _parse_truth(payload)
+        _last_truth = payload, parsed
+    return parsed
 
 
 def ground_truth(rho: int, primitive_only: bool = False) -> tuple[TableRow, ...]:
-    """The embedded table rows of the given Picard rank, in file order."""
-    if rho not in (2, 3):
-        raise UnsupportedScopeError(f"no table for Picard rank {rho}")
+    """The embedded table rows of the given Picard rank, in file order.
+
+    ``rho`` must be the int 2 or 3 and ``primitive_only`` a bool.
+    """
+    if type(rho) is not int or rho not in (2, 3):
+        raise UnsupportedScopeError(f"no table for Picard rank {rho!r}")
+    if type(primitive_only) is not bool:
+        raise ConstraintError(f"primitive_only must be a bool, got {primitive_only!r}")
     rows = tuple(row for row in _load_truth()[0] if row.rho == rho)
     if primitive_only:
         rows = tuple(row for row in rows if row.primitive)

@@ -274,8 +274,48 @@ def test_enumeration_scope():
         solve_E1_E("E2")
 
 
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        ((2.0,), UnsupportedScopeError, "no enumeration for Picard rank 2.0"),
+        (("2",), UnsupportedScopeError, "no enumeration for Picard rank '2'"),
+        ((True,), UnsupportedScopeError, "no enumeration for Picard rank True"),
+        ((2, "no"), ConstraintError, "primitive_only must be a bool, got 'no'"),
+        ((2, 1), ConstraintError, "primitive_only must be a bool, got 1"),
+        ((3, None), ConstraintError, "primitive_only must be a bool, got None"),
+    ],
+)
+def test_enumeration_takes_an_int_rank_and_a_bool_flag(args, error, message):
+    with pytest.raises(error) as caught:
+        enumerate_all(*args)
+    assert str(caught.value) == message
+
+
 def all_records():
     return list(enumerate_all(2)) + list(enumerate_all(3, primitive_only=True))
+
+
+def test_descriptions_memo_gives_the_texts_of_each_records_own_rays():
+    uncached = enumerator._descriptions.__wrapped__
+    assert type(enumerator._descriptions.cache_info().maxsize) is int
+    e1_records = 0
+    for record in all_records():
+        texts = enumerator._TEXTS.get((record.rho, record.ray_types))
+        assert record.descriptions == (texts or uncached(record.rays))
+        if texts is not None or record.genus is None:
+            continue
+        e1_records += 1
+        # read after the record's own texts are memoized: a memo hit must
+        # not hand the rebuilt record the texts of the original
+        for field in ("genus", "degB"):
+            rays = tuple(
+                spec._replace(**{field: getattr(spec, field) + 1})
+                if spec.ray_type is RayType.E1 else spec
+                for spec in record.rays
+            )
+            rebuilt = record._replace(rays=rays)
+            assert rebuilt.descriptions == uncached(rays) != record.descriptions
+    assert e1_records == 27
 
 
 def test_rays_are_canonically_ordered():

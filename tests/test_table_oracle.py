@@ -52,6 +52,22 @@ def test_scope_is_limited_to_rank_two_and_three():
         ground_truth(4)
 
 
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        ((2.0,), UnsupportedScopeError, "no table for Picard rank 2.0"),
+        (("3",), UnsupportedScopeError, "no table for Picard rank '3'"),
+        ((True,), UnsupportedScopeError, "no table for Picard rank True"),
+        ((2, "yes"), ConstraintError, "primitive_only must be a bool, got 'yes'"),
+        ((3, 0), ConstraintError, "primitive_only must be a bool, got 0"),
+    ],
+)
+def test_truth_takes_an_int_rank_and_a_bool_flag(args, error, message):
+    with pytest.raises(error) as caught:
+        ground_truth(*args)
+    assert str(caught.value) == message
+
+
 def test_cube_multiset_matches_the_table():
     assert sorted(row.kx3 for row in ground_truth(2)) == EXPECTED_CUBES
     assert sorted(row.kx3 for row in ground_truth(3)) == [12, 14, 48, 52]
@@ -399,7 +415,7 @@ def test_truth_is_parsed_once_per_payload(tmp_path, monkeypatch):
     path = tmp_path / "truth.json"
     _write_truth(path)
     monkeypatch.setenv("FANO_GROUND_TRUTH", str(path))
-    table_oracle._parse_truth.cache_clear()
+    monkeypatch.setattr(table_oracle, "_last_truth", (None, None))
     calls = []
     real_parse = table_oracle.parse_rows
 
@@ -412,6 +428,18 @@ def test_truth_is_parsed_once_per_payload(tmp_path, monkeypatch):
     assert len(ground_truth(2, True)) == 9
     assert len(ground_truth(3, True)) == 4
     assert len(calls) == 1
+    # the same bytes written again compare equal: nothing more is parsed
+    payload = path.read_bytes()
+    path.write_bytes(payload)
+    assert len(ground_truth(2)) == 36
+    assert len(calls) == 1
+    # one byte changed: parsed once more, and only once
+    changed = payload.replace(b'"kx3": 4,', b'"kx3": 6,', 1)
+    assert sum(a != b for a, b in zip(payload, changed)) == 1
+    path.write_bytes(changed)
+    assert ground_truth(2)[0].kx3 == 6
+    assert ground_truth(2)[0].kx3 == 6
+    assert calls == [payload, changed]
 
 
 def test_rewritten_truth_file_is_seen(tmp_path, monkeypatch):
