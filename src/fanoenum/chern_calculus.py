@@ -160,7 +160,7 @@ def antican_cube_by_index(r: int, L3: int | None = None) -> int:
         (L3,) = cubes
     if L3 is None:
         raise IncompleteSpecError(f"index-{r} targets need L3 = L^3")
-    if L3 not in cubes:
+    if type(L3) is not int or L3 not in cubes:  # True in (1,) holds
         raise ConstraintError(
             f"an index-{r} target has L3 in {cubes[0]}..{cubes[-1]}, got {L3}"
         )

@@ -103,6 +103,10 @@ class SolutionRecord(_RecordFields):
             raise ConstraintError(f"(-K)^3 values must be integers, got {kx3!r}")
         if type(rays) is not tuple or not {RaySpec}.issuperset(map(type, rays)):
             raise ConstraintError(f"rays must be a tuple of RaySpecs, got {rays!r}")
+        if type(form) is not TrilinearForm or type(minus_k) is not DivisorClass:
+            raise ConstraintError(
+                f"a record needs a TrilinearForm and a DivisorClass, got {form!r} and {minus_k!r}"
+            )
         if kx3 % 2 != 0:
             raise ParityError(f"(-K)^3 must be even, got {kx3}")
         if not 0 < kx3 <= 64:  # P^3 has the largest cube (Iskovskikh-Prokhorov)

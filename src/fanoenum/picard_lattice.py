@@ -13,6 +13,7 @@ tuple repetition and concatenation cannot pass for lattice arithmetic
 
 import itertools
 from collections.abc import Mapping
+from types import MappingProxyType
 
 from .errors import ConstraintError, DimensionMismatchError
 
@@ -50,7 +51,9 @@ class ValueObject:
     field, in that order, and checks none; DivisorClass and TrilinearForm
     write their own, which check theirs and set each field with
     ``set_field``.  Equality, hash, repr, pickling and ``_replace`` follow
-    the fields; ``_replace`` goes through the constructor, so its checks hold.
+    the fields, and no subclass overrides them, so each field must hold the
+    one canonical, immutable shape of its value: a tuple, not a mapping.
+    Pickling and ``_replace`` go through the constructor, so its checks hold.
     """
 
     __slots__ = ()
@@ -131,86 +134,82 @@ class DivisorClass(ValueObject):
         return DivisorClass(tuple(-a for a in self.coords))
 
     def __rmul__(self, n: int) -> "DivisorClass":
+        if type(n) is not int:  # True * x would be x, 2.0 * x float coordinates
+            raise ConstraintError(f"coordinates must be integers, got the scalar {n!r}")
         return DivisorClass(tuple(n * a for a in self.coords))
 
 
-# Each rank -> its index multisets 1 <= i <= j <= k <= rho, in order: a form's keys.
-_MULTISET_KEYS = {
-    rho: dict.fromkeys(itertools.combinations_with_replacement(range(1, rho + 1), 3))
+# Each rank -> its index multisets 1 <= i <= j <= k <= rho, in order: the
+# triples a form's values are listed by.
+_TRIPLES = {
+    rho: tuple(itertools.combinations_with_replacement(range(1, rho + 1), 3))
     for rho in (2, 3)
 }
 
 
-def _check_values(values) -> None:
-    if not INTEGER.issuperset(map(type, values)):
-        raise ConstraintError(f"form entries must be integers, got {tuple(values)!r}")
-
-
-def _check_keys(keys) -> None:
-    if not all(
-        type(key) is tuple and len(key) == 3 and INTEGER.issuperset(map(type, key))
-        for key in keys
-    ):
-        raise ConstraintError(f"form indices must be integers, got {tuple(keys)!r}")
+def _triples(rho: int) -> tuple[tuple[int, int, int], ...]:
+    if rho not in (2, 3):
+        raise DimensionMismatchError(f"rank must be 2 or 3, got {rho}")
+    return _TRIPLES[rho]
 
 
 class TrilinearForm(ValueObject):
     """A symmetric trilinear form on Z^rho given by its values on basis triples.
 
-    ``entries`` maps each sorted index triple (i, j, k), 1-based with
-    i <= j <= k <= rho, to the integer H_i . H_j . H_k, and no other key.
-    Every multiset must be present -- a missing entry is an error, not an
-    implicit zero -- so that a form is unambiguous data.  ``entries`` holds
-    them in the order of the sorted triples, so equal forms list them alike.
-    Use :meth:`from_nonzero` when writing down sparse forms by hand.
+    ``values`` is the tuple of the integers H_i . H_j . H_k over the sorted
+    index triples (i, j, k), 1-based with i <= j <= k <= rho, in
+    lexicographic order: (h111, h112, h122, h222) on rank 2 and the ten
+    values from h111 to h333 on rank 3.  The constructor takes exactly that
+    tuple, so a form is unambiguous data and equal forms hold equal tuples.
+    ``entries`` is a read-only view of the same values keyed by their
+    triples.  :meth:`from_nonzero` is the way in from such a mapping.
     """
 
-    __slots__ = ("rho", "entries")
+    __slots__ = ("rho", "values")
 
-    def __init__(self, rho: int, entries: Mapping[tuple[int, int, int], int]) -> None:
-        if rho not in (2, 3):
-            raise DimensionMismatchError(f"rank must be 2 or 3, got {rho}")
-        _check_values(entries.values())
-        _check_keys(entries)
-        required = _MULTISET_KEYS[rho]
-        unknown = [key for key in entries if key not in required]
-        for key in unknown:  # an index out of range is the first error, sorted or not
-            if min(key) < 1 or max(key) > rho:
-                raise DimensionMismatchError(f"index triple {key} out of range for rank {rho}")
-        if unknown:
-            raise ConstraintError(f"index triple {unknown[0]} is not sorted")
-        if len(entries) < len(required):
-            missing = [k for k in required if k not in entries]
-            raise ConstraintError(f"trilinear form on rank {rho} is missing entries {missing}")
+    def __init__(self, rho: int, values: tuple[int, ...]) -> None:
+        size = len(_triples(rho))
+        if type(values) is not tuple:  # a dict or set would give its keys, in its order
+            raise ConstraintError(f"form values must be a tuple of integers, got {values!r}")
+        if len(values) != size:
+            raise DimensionMismatchError(f"a rank-{rho} form has {size} values, got {len(values)}")
+        if not INTEGER.issuperset(map(type, values)):
+            raise ConstraintError(f"form entries must be integers, got {values!r}")
         set_field(self, "rho", rho)
-        set_field(self, "entries", {k: entries[k] for k in required})
+        set_field(self, "values", values)
+
+    @property
+    def entries(self) -> Mapping[tuple[int, int, int], int]:
+        """The values keyed by their sorted index triples, read-only."""
+        return MappingProxyType(dict(zip(_TRIPLES[self.rho], self.values)))
 
     @classmethod
     def from_nonzero(
         cls, rho: int, nonzero: Mapping[tuple[int, int, int], int]
     ) -> "TrilinearForm":
-        """Build a form from its nonzero entries, filling the rest with 0."""
-        _check_keys(nonzero)  # first: the key (1, 1, True) would set the entry (1, 1, 1)
-        entries = dict.fromkeys(_MULTISET_KEYS.get(rho, ()), 0)  # cls checks rho
-        entries.update(nonzero)
-        return cls(rho, entries)
+        """Build a form from a mapping of sorted index triples to values.
+
+        A triple the mapping leaves out has the value 0.  Every key must be
+        a triple of ints (not bools), each in 1..rho, in sorted order.
+        """
+        if not all(
+            type(key) is tuple and len(key) == 3 and INTEGER.issuperset(map(type, key))
+            for key in nonzero
+        ):  # first: the key (1, 1, True) would find the triple (1, 1, 1)
+            raise ConstraintError(f"form indices must be integers, got {tuple(nonzero)!r}")
+        triples = _triples(rho)
+        unknown = [key for key in nonzero if key not in triples]
+        for key in unknown:  # an index out of range is the first error, sorted or not
+            if min(key) < 1 or max(key) > rho:
+                raise DimensionMismatchError(f"index triple {key} out of range for rank {rho}")
+        if unknown:
+            raise ConstraintError(f"index triple {unknown[0]} is not sorted")
+        return cls(rho, tuple([nonzero.get(key, 0) for key in triples]))
 
     @classmethod
     def rank2(cls, h111: int, h112: int, h122: int, h222: int) -> "TrilinearForm":
-        """Convenience constructor for rank 2: the four cubes in order.
-
-        The keys are the canonical ones, so only the values are checked.
-        """
-        entries = {(1, 1, 1): h111, (1, 1, 2): h112, (1, 2, 2): h122, (2, 2, 2): h222}
-        _check_values(entries.values())
-        form = object.__new__(cls)
-        set_field(form, "rho", 2)
-        set_field(form, "entries", entries)
-        return form
-
-    def __hash__(self) -> int:
-        # entries is a dict, in the same key order on equal forms
-        return hash((self.rho, tuple(self.entries.items())))
+        """Convenience constructor for rank 2: the four cubes in order."""
+        return cls(2, (h111, h112, h122, h222))
 
 
 def triple_product(
@@ -218,10 +217,10 @@ def triple_product(
 ) -> int:
     """Evaluate x . y . z under ``form`` by full multilinear expansion.
 
-    Each entry of the form is multiplied by the sum over the distinct
+    Each value of the form is multiplied by the sum over the distinct
     orderings of its index triple: eight ordered triples over the four
-    entries on rank 2, and 27 over the ten entries on rank 3, written out
-    and read in the canonical key order the form holds its entries in.
+    values on rank 2, and 27 over the ten values on rank 3, written out and
+    unpacked from ``form.values`` in its sorted-triple order.
     Symmetry of the stored form makes the result independent of argument
     order; every record's cube is checked this way.
     """
@@ -233,10 +232,9 @@ def triple_product(
                 raise DimensionMismatchError(
                     f"class of rank {cls_.rho} fed to a rank-{rho} form"
                 )
-    entries = form.entries
     if rho == 2:
         (x1, x2), (y1, y2), (z1, z2) = xc, yc, zc
-        h111, h112, h122, h222 = entries.values()
+        h111, h112, h122, h222 = form.values
         return (
             x1 * y1 * z1 * h111
             + (x1 * y1 * z2 + x1 * y2 * z1 + x2 * y1 * z1) * h112
@@ -244,7 +242,7 @@ def triple_product(
             + x2 * y2 * z2 * h222
         )
     (x1, x2, x3), (y1, y2, y3), (z1, z2, z3) = xc, yc, zc
-    h111, h112, h113, h122, h123, h133, h222, h223, h233, h333 = entries.values()
+    h111, h112, h113, h122, h123, h133, h222, h223, h233, h333 = form.values
     return (
         x1 * y1 * z1 * h111
         + (x1 * y1 * z2 + x1 * y2 * z1 + x2 * y1 * z1) * h112

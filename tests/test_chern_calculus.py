@@ -119,7 +119,7 @@ def test_antican_cube_by_index():
     assert antican_cube_by_index(3) == 54
     assert antican_cube_by_index(4, 1) == 64
     assert antican_cube_by_index(3, 2) == 54
-    for r, L3 in ((4, 7), (3, 99)):
+    for r, L3 in ((4, 7), (3, 99), (4, True), (3, 2.0)):  # True in (1,) and 2.0 in (2,) hold
         with pytest.raises(ConstraintError, match=f"index-{r} target has L3 in .*, got {L3}"):
             antican_cube_by_index(r, L3)
     for L3 in range(1, 6):
@@ -130,7 +130,7 @@ def test_antican_cube_by_index():
         antican_cube_by_index(5)
 
 
-@pytest.mark.parametrize("L3", [0, -3, 6])
+@pytest.mark.parametrize("L3", [0, -3, 6, True])
 def test_antican_cube_by_index_needs_an_index2_degree(L3):
     with pytest.raises(ConstraintError, match=f"L3 in 1..5, got {L3}"):
         antican_cube_by_index(2, L3)

@@ -359,6 +359,27 @@ def test_records_are_hashable():
     assert len(set(enumerate_all(2))) == 36
 
 
+def test_an_engine_records_form_cannot_be_changed_in_place():
+    # enumerate_all hands out the same records on every call: a form whose
+    # entries could be popped and put back would change its cube and hash
+    for call, cube in (((3, True), 12), ((2,), 4)):
+        record = enumerate_all(*call)[0]
+        entries, key = record.form.entries, next(iter(record.form.entries))
+        with pytest.raises((AttributeError, TypeError)):
+            entries.pop(key)
+        with pytest.raises(TypeError):
+            entries[key] = entries[key]
+        again = enumerate_all(*call)[0]
+        assert triple_product(again.form, *(again.minus_k,) * 3) == again.kx3 == cube
+        assert type(again.form.values) is tuple
+    form = TrilinearForm.rank2(0, 2, 2, 0)
+    for same in (
+        TrilinearForm.from_nonzero(2, {(1, 1, 2): 2, (1, 2, 2): 2}),
+        TrilinearForm(2, (0, 2, 2, 0)),
+    ):
+        assert same == form and hash(same) == hash(form)
+
+
 def test_genus_is_recorded_exactly_for_blowdowns():
     for rec in all_records():
         has_e1 = rec.rho == 2 and RayType.E1 in rec.ray_types
@@ -410,8 +431,10 @@ def test_a_record_derives_what_its_fields_imply():
     "changes,error,message",
     [
         ({"kx3": 4.0}, ConstraintError, "must be integers"),
+        ({"form": {}}, ConstraintError, "needs a TrilinearForm and a DivisorClass, got {}"),
+        ({"minus_k": (1, 1)}, ConstraintError, r"a DivisorClass, got .* and \(1, 1\)$"),
     ],
-    ids=["float-kx3"],
+    ids=["float-kx3", "dict-form", "tuple-minus-k"],
 )
 def test_record_scalars_are_exact(changes, error, message):
     record = enumerate_all(2)[0]

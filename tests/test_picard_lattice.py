@@ -73,12 +73,33 @@ def test_rank_mismatch_is_an_error():
     with pytest.raises(DimensionMismatchError, match="got 1 coordinates"):
         DivisorClass((1,))
     with pytest.raises(DimensionMismatchError, match="rank must be 2 or 3, got 4"):
-        TrilinearForm(4, {})
+        TrilinearForm(4, ())
+    with pytest.raises(DimensionMismatchError, match="rank must be 2 or 3, got 4"):
+        TrilinearForm.from_nonzero(4, {(1, 2, 3): 1})
 
 
 def test_missing_entries_are_an_error():
-    with pytest.raises(ConstraintError):
-        TrilinearForm(2, {(1, 1, 1): 0, (2, 2, 2): 0})
+    # the tuple constructor takes every value; from_nonzero reads a missing triple as 0
+    with pytest.raises(DimensionMismatchError, match="a rank-2 form has 4 values, got 2"):
+        TrilinearForm(2, (0, 0))
+    sparse = TrilinearForm.from_nonzero(2, {(1, 1, 1): 0, (2, 2, 2): 0})
+    assert sparse.values == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "rho,values,error,message",
+    [
+        (2, [1, 3, 2, 0], ConstraintError, "must be a tuple of integers"),
+        (2, {(1, 1, 1): 1}, ConstraintError, "must be a tuple of integers"),
+        (3, (1, 3, 2, 0), DimensionMismatchError, "a rank-3 form has 10 values, got 4"),
+    ],
+    ids=["list", "dict", "wrong-length"],
+)
+def test_the_constructor_takes_one_tuple_of_its_rank(rho, values, error, message):
+    # a list is not converted and a dict would give its keys: only the tuple is
+    # a form (test_trilinear_form_takes_only_int_entries covers its values)
+    with pytest.raises(error, match=message):
+        TrilinearForm(rho, values)
 
 
 @pytest.mark.parametrize(
@@ -92,7 +113,7 @@ def test_missing_entries_are_an_error():
 )
 def test_out_of_range_entries_are_an_error(entries):
     with pytest.raises(DimensionMismatchError, match="out of range for rank 2"):
-        TrilinearForm(2, entries)
+        TrilinearForm.from_nonzero(2, entries)
 
 
 @pytest.mark.parametrize(
@@ -113,10 +134,8 @@ def test_out_of_range_entries_are_an_error(entries):
 def test_trilinear_form_takes_only_int_indices(keys):
     # int() would read ('1', '1', '1') as (1, 1, 1) and (1.9, 1, 2) as (1, 1, 2),
     # and a dict finds the entry (1, 1, 1) under the key (1, 1, True)
-    entries = dict(zip(keys, (0, 4, 0, 0)))
-    for build in (TrilinearForm, TrilinearForm.from_nonzero):
-        with pytest.raises(ConstraintError, match="form indices must be integers"):
-            build(2, entries)
+    with pytest.raises(ConstraintError, match="form indices must be integers"):
+        TrilinearForm.from_nonzero(2, dict(zip(keys, (0, 4, 0, 0))))
 
 
 def test_conflicting_entries_are_an_error():
@@ -124,22 +143,22 @@ def test_conflicting_entries_are_an_error():
     for value in (5, 4):
         entries = {(1, 1, 1): 0, (1, 1, 2): 4, (2, 1, 1): value, (1, 2, 2): 0, (2, 2, 2): 0}
         with pytest.raises(ConstraintError, match=r"index triple \(2, 1, 1\) is not sorted"):
-            TrilinearForm(2, entries)
+            TrilinearForm.from_nonzero(2, entries)
 
 
 def test_from_nonzero_rejects_conflicting_entries_as_the_constructor_does():
+    # the check is the same on a sparse mapping and on one with every triple
     for nonzero in ({(1, 1, 2): 1, (1, 2, 1): 2}, {(1, 1, 2): 1, (1, 2, 1): 1}):
         full = {(1, 1, 1): 0, (1, 2, 2): 0, (2, 2, 2): 0, **nonzero}
-        for build, entries in ((TrilinearForm.from_nonzero, nonzero), (TrilinearForm, full)):
+        for entries in (nonzero, full):
             with pytest.raises(ConstraintError, match=r"index triple \(1, 2, 1\) is not sorted"):
-                build(2, entries)
+                TrilinearForm.from_nonzero(2, entries)
 
 
 def test_unsorted_keys_are_an_error():
     entries = {(1, 1, 1): 0, (2, 1, 1): 4, (2, 2, 1): 5, (2, 2, 2): 0}
-    for build in (TrilinearForm, TrilinearForm.from_nonzero):
-        with pytest.raises(ConstraintError, match=r"index triple \(2, 1, 1\) is not sorted"):
-            build(2, entries)
+    with pytest.raises(ConstraintError, match=r"index triple \(2, 1, 1\) is not sorted"):
+        TrilinearForm.from_nonzero(2, entries)
     # an index out of range is a dimension error, before any unsorted key
     with pytest.raises(DimensionMismatchError, match=r"\(3, 1, 1\) out of range for rank 2"):
         TrilinearForm.from_nonzero(2, {(2, 1, 1): 1, (3, 1, 1): 1})
@@ -147,8 +166,9 @@ def test_unsorted_keys_are_an_error():
 
 def test_equal_forms_hash_equal():
     form = TrilinearForm.rank2(1, 2, 3, 4)
-    same = TrilinearForm(2, {(2, 2, 2): 4, (1, 2, 2): 3, (1, 1, 2): 2, (1, 1, 1): 1})
-    assert same == form and hash(same) == hash(form)
+    same = TrilinearForm.from_nonzero(2, {(2, 2, 2): 4, (1, 2, 2): 3, (1, 1, 2): 2, (1, 1, 1): 1})
+    assert same == form == TrilinearForm(2, (1, 2, 3, 4))
+    assert hash(same) == hash(form) == hash(TrilinearForm(2, (1, 2, 3, 4)))
     assert len({form, same, TrilinearForm.from_nonzero(2, {(1, 1, 1): 1})}) == 2
 
 
@@ -159,6 +179,9 @@ def test_divisor_class_takes_only_ints():
             DivisorClass(coords)
     with pytest.raises(ConstraintError, match="coordinates must be integers"):
         2.5 * DivisorClass((1, 2))
+    # True * x would be x: a scalar is an int, not a bool
+    with pytest.raises(ConstraintError, match="coordinates must be integers, got the scalar True"):
+        True * DivisorClass((1, 0))
     # only a tuple: a list is not converted, a dict would give its keys, a set its own order
     for coords in [[3, 1], {1: 0, 2: 0}, {3, 1, 2}, iter((1, 2))]:
         with pytest.raises(ConstraintError, match="coordinates must be a tuple of integers"):
@@ -166,12 +189,10 @@ def test_divisor_class_takes_only_ints():
 
 
 def _first_error(rho, entries):
-    """The error class a form on ``entries`` raises, by the constructor's contract."""
+    """The error class ``from_nonzero`` raises on ``entries``, by its contract."""
     if any(not 1 <= index <= rho for key in entries for index in key):
         return DimensionMismatchError
     if any(list(key) != sorted(key) for key in entries):
-        return ConstraintError
-    if len(entries) < math.comb(rho + 2, 3):  # the number of sorted triples
         return ConstraintError
     return None
 
@@ -188,11 +209,16 @@ def test_a_form_takes_exactly_the_sorted_triples_of_its_rank(data):
     entries.update(data.draw(st.dictionaries(triples, st.integers(-9, 9), max_size=3)))
     error = _first_error(rho, entries)
     if error is None:
-        form = TrilinearForm(rho, entries)
-        assert form.entries == entries and list(form.entries) == support
+        form = TrilinearForm.from_nonzero(rho, entries)
+        assert form.entries == {**dict.fromkeys(support, 0), **entries}
+        assert list(form.entries) == support and len(form.values) == math.comb(rho + 2, 3)
+        same = TrilinearForm(rho, form.values)
+        assert same == form and hash(same) == hash(form)
+        copy = pickle.loads(pickle.dumps(form))
+        assert copy == form and copy.values == form.values
     else:
         with pytest.raises(error):
-            TrilinearForm(rho, entries)
+            TrilinearForm.from_nonzero(rho, entries)
 
 
 @pytest.mark.parametrize(
@@ -203,15 +229,18 @@ def test_trilinear_form_takes_only_int_entries(values):
         TrilinearForm.rank2(*values)
     keys = ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2))
     with pytest.raises(ConstraintError, match="form entries must be integers"):
-        TrilinearForm(2, dict(zip(keys, values)))
+        TrilinearForm(2, values)
     with pytest.raises(ConstraintError, match="form entries must be integers"):
         TrilinearForm.from_nonzero(2, dict(zip(keys, values)))
 
 
 def test_rank2_stores_the_canonical_keys():
     form = TrilinearForm.rank2(1, 2, 3, 4)
+    assert form.values == (1, 2, 3, 4)
     assert list(form.entries) == [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2)]
-    assert form == TrilinearForm(2, {(2, 2, 2): 4, (1, 2, 2): 3, (1, 1, 2): 2, (1, 1, 1): 1})
+    assert form == TrilinearForm.from_nonzero(
+        2, {(2, 2, 2): 4, (1, 2, 2): 3, (1, 1, 2): 2, (1, 1, 1): 1}
+    )
 
 
 def test_anticanonical_rank2():
@@ -233,9 +262,8 @@ def test_anticanonical_rank2():
         ),
         (
             TrilinearForm.rank2(1, 3, 2, 0),
-            "TrilinearForm(rho=2, entries={(1, 1, 1): 1, (1, 1, 2): 3, (1, 2, 2): 2, "
-            "(2, 2, 2): 0})",
-            {"entries": {(1, 1, 1): 1, (1, 1, 2): 3, (1, 2, 2): 2, (2, 2, 2): 5}},
+            "TrilinearForm(rho=2, values=(1, 3, 2, 0))",
+            {"values": (1, 3, 2, 5)},
             {"rho": 4},
             DimensionMismatchError,
         ),
@@ -260,18 +288,9 @@ def test_value_objects_follow_their_fields(value, text, good, bad, error):
     assert anticanonical_class(1, 1).coords == (1, 1)
 
 
-entries2 = st.fixed_dictionaries(
-    {
-        (1, 1, 1): st.integers(-20, 20),
-        (1, 1, 2): st.integers(-20, 20),
-        (1, 2, 2): st.integers(-20, 20),
-        (2, 2, 2): st.integers(-20, 20),
-    }
-)
+values2 = st.tuples(*[st.integers(-20, 20)] * 4)
 coords2 = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
-entries3 = st.fixed_dictionaries(
-    {key: st.integers(-20, 20) for key in itertools.combinations_with_replacement((1, 2, 3), 3)}
-)
+values3 = st.tuples(*[st.integers(-20, 20)] * 10)
 coords3 = st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9))
 
 
@@ -300,25 +319,25 @@ def _reference_triple_product(form, x, y, z):
 
 
 @settings(max_examples=300)
-@given(entries2, coords2, coords2, coords2)
-def test_triple_product_agrees_with_the_multilinear_sum(entries, xc, yc, zc):
-    form = TrilinearForm(2, entries)
+@given(values2, coords2, coords2, coords2)
+def test_triple_product_agrees_with_the_multilinear_sum(values, xc, yc, zc):
+    form = TrilinearForm(2, values)
     x, y, z = DivisorClass(xc), DivisorClass(yc), DivisorClass(zc)
     assert triple_product(form, x, y, z) == _reference_triple_product(form, x, y, z)
 
 
 @settings(max_examples=300)
-@given(entries3, coords3, coords3, coords3)
-def test_triple_product_agrees_with_the_multilinear_sum_on_rank_3(entries, xc, yc, zc):
-    form = TrilinearForm(3, entries)
+@given(values3, coords3, coords3, coords3)
+def test_triple_product_agrees_with_the_multilinear_sum_on_rank_3(values, xc, yc, zc):
+    form = TrilinearForm(3, values)
     x, y, z = DivisorClass(xc), DivisorClass(yc), DivisorClass(zc)
     assert triple_product(form, x, y, z) == _reference_triple_product(form, x, y, z)
 
 
 @settings(max_examples=100)
-@given(entries2, coords2, coords2, coords2)
-def test_triple_product_symmetric(entries, xc, yc, zc):
-    form = TrilinearForm(2, entries)
+@given(values2, coords2, coords2, coords2)
+def test_triple_product_symmetric(values, xc, yc, zc):
+    form = TrilinearForm(2, values)
     x, y, z = DivisorClass(xc), DivisorClass(yc), DivisorClass(zc)
     base = triple_product(form, x, y, z)
     assert triple_product(form, x, z, y) == base
@@ -329,9 +348,9 @@ def test_triple_product_symmetric(entries, xc, yc, zc):
 
 
 @settings(max_examples=100)
-@given(entries2, coords2, coords2, coords2, coords2)
-def test_triple_product_linear_in_first_slot(entries, xc, xc2, yc, zc):
-    form = TrilinearForm(2, entries)
+@given(values2, coords2, coords2, coords2, coords2)
+def test_triple_product_linear_in_first_slot(values, xc, xc2, yc, zc):
+    form = TrilinearForm(2, values)
     x, x2 = DivisorClass(xc), DivisorClass(xc2)
     y, z = DivisorClass(yc), DivisorClass(zc)
     assert triple_product(form, x + x2, y, z) == triple_product(
@@ -340,8 +359,8 @@ def test_triple_product_linear_in_first_slot(entries, xc, xc2, yc, zc):
 
 
 @settings(max_examples=100)
-@given(entries2, coords2, coords2, coords2, st.integers(-5, 5))
-def test_triple_product_respects_scaling(entries, xc, yc, zc, n):
-    form = TrilinearForm(2, entries)
+@given(values2, coords2, coords2, coords2, st.integers(-5, 5))
+def test_triple_product_respects_scaling(values, xc, yc, zc, n):
+    form = TrilinearForm(2, values)
     x, y, z = DivisorClass(xc), DivisorClass(yc), DivisorClass(zc)
     assert triple_product(form, n * x, y, z) == n * triple_product(form, x, y, z)

@@ -198,8 +198,8 @@ NAMED_TUPLES = {
         " degB=None, deg_delta=0, d2=None, e=None, genus=None, delta_bidegree=None),"
         " RaySpec(ray_type=<RayType.D3: 'D3'>, r=None, L3=None, degB=None,"
         " deg_delta=None, d2=9, e=None, genus=None, delta_bidegree=None)),"
-        " form=TrilinearForm(rho=2, entries={(1, 1, 1): 0, (1, 1, 2): 1, (1, 2, 2): 0,"
-        " (2, 2, 2): 0}), minus_k=DivisorClass(coords=(3, 2)), kx3=54)",
+        " form=TrilinearForm(rho=2, values=(0, 1, 0, 0)), minus_k=DivisorClass(coords=(3, 2)),"
+        " kx3=54)",
         ("rays", "form", "minus_k", "kx3"),
         {},
         {"kx3": 55},
