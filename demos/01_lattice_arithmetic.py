@@ -14,7 +14,7 @@ from fanoenum import DivisorClass, TrilinearForm, anticanonical_class, triple_pr
 # the quadric threefold Q along a genus-2 curve of degree 6: H1 is the
 # pullback of O_Q(1) under the blowdown, H2 the pullback of O(1) under
 # the conic-bundle map to P^2 (a fibre class, hence H2^3 = 0).
-form = TrilinearForm.rank2(2, 4, 2, 0)
+form = TrilinearForm(2, (2, 4, 2, 0))
 
 H1 = DivisorClass((1, 0))
 H2 = DivisorClass((0, 1))

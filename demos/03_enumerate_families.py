@@ -35,7 +35,7 @@ for rec, row in zip(records, label(records)):
 (rec,) = solve_E1_D(RayType.D3)
 print(
     "\nthe one E1 + D3 family:", record_to_row(rec).table_id,
-    "with description:", rec.description,
+    "with description:", ", or ".join(rec.descriptions),
 )
 
 # The full table: 36 families, sorted by degree like the classification.
@@ -47,11 +47,11 @@ print("degrees:", [rec.kx3 for rec in records])
 primitive = enumerate_all(2, primitive_only=True)
 print("\nprimitive rank 2 families:")
 for rec, row in zip(primitive, label(primitive)):
-    print("  %-4s  (-K)^3=%2d  %s" % (row.table_id, rec.kx3, rec.description))
+    print("  %-4s  (-K)^3=%2d  %s" % (row.table_id, rec.kx3, ", or ".join(rec.descriptions)))
 
 # ...and rank 3 adds the four primitive families there.
 print("\nprimitive rank 3 families:")
 rank3 = enumerate_all(3, primitive_only=True)
 for rec, row in zip(rank3, label(rank3)):
     rays = " + ".join(ray.ray_type.display for ray in rec.rays)
-    print("  %-4s  (-K)^3=%2d  rays %-12s  %s" % (row.table_id, rec.kx3, rays, rec.description))
+    print("  %-4s  (-K)^3=%2d  rays %-12s  %s" % (row.table_id, rec.kx3, rays, ", or ".join(rec.descriptions)))

@@ -1,7 +1,8 @@
 """Closed-form Chern-number evaluators for the standard fibration geometries.
 
 Each function evaluates one anticanonical-degree or curve-genus formula that
-the rank-2/3 classification consumes, from plain integers to a plain integer:
+the rank-2/3 classification consumes, from plain integers to a plain integer;
+an argument that is not an int (a float or a bool) raises ConstraintError:
 
 * ``antican_cube_p1_bundle_over_surface(c1_sq, c2, Ky_sq)``
 * ``xi_square_on_curve(deg_E)``
@@ -20,6 +21,7 @@ rounded away.
 """
 
 from .errors import (
+    INTEGER,
     ConstraintError,
     IncompleteSpecError,
     ParityError,
@@ -51,12 +53,17 @@ def antican_cube_p1_bundle_over_surface(c1_sq: int, c2: int, Ky_sq: int) -> int:
     obtained by cubing -K_X = 2 xi + pi^*(c_1(E) - K_Y) with the relation
     xi^2 = xi . pi^* c_1(E) - pi^* c_2(E).
     """
+    values = (c1_sq, c2, Ky_sq)
+    if not INTEGER.issuperset(map(type, values)):
+        raise ConstraintError(f"antican_cube_p1_bundle_over_surface takes integers, got {values}")
     return 2 * c1_sq - 8 * c2 + 6 * Ky_sq
 
 
 def xi_square_on_curve(deg_E: int) -> int:
     """xi^2 for the tautological class of P(E) over a curve: deg E itself."""
-    return int(deg_E)
+    if type(deg_E) is not int:
+        raise ConstraintError(f"xi_square_on_curve takes an integer, got {deg_E!r}")
+    return deg_E
 
 
 def antican_cube_divisor_in_p2_bundle(
@@ -77,6 +84,9 @@ def antican_cube_divisor_in_p2_bundle(
 
     with c1 = c_1(E), F the twisting bundle on Y.
     """
+    values = (c1_sq, c2, Ky_sq, c1_dot_F, c1_dot_Ky, F_dot_Ky, F_sq)
+    if not INTEGER.issuperset(map(type, values)):
+        raise ConstraintError(f"antican_cube_divisor_in_p2_bundle takes integers, got {values}")
     return (
         2 * c1_sq
         - 2 * c2
@@ -93,7 +103,9 @@ def blowup_exceptional_cube(deg_conormal: int) -> int:
 
     D = P(N*) over the centre, and D^3 = deg N* (the conormal degree).
     """
-    return int(deg_conormal)
+    if type(deg_conormal) is not int:
+        raise ConstraintError(f"blowup_exceptional_cube takes an integer, got {deg_conormal!r}")
+    return deg_conormal
 
 
 def antican_sq_dot_exceptional(ky_dot_C: int, genus: int) -> int:
@@ -102,6 +114,9 @@ def antican_sq_dot_exceptional(ky_dot_C: int, genus: int) -> int:
     Pushing down gives -K_Y . C + 2 - 2g.  A negative genus is rejected, and
     so is -K_Y . C <= 0: -K_Y is ample on the Fano target Y.
     """
+    values = (ky_dot_C, genus)
+    if not INTEGER.issuperset(map(type, values)):
+        raise ConstraintError(f"antican_sq_dot_exceptional takes integers, got {values}")
     if genus < 0:
         raise ConstraintError(f"genus must be >= 0, got {genus}")
     if ky_dot_C < 1:
@@ -114,6 +129,9 @@ def conic_bundle_ksq_dot_pullback(ks_dot_d: int, delta_dot_d: int) -> int:
 
     Equals -4 K_S . D - Delta . D for any divisor D on the base S.
     """
+    values = (ks_dot_d, delta_dot_d)
+    if not INTEGER.issuperset(map(type, values)):
+        raise ConstraintError(f"conic_bundle_ksq_dot_pullback takes integers, got {values}")
     return -4 * ks_dot_d - delta_dot_d
 
 
@@ -129,6 +147,9 @@ def genus_from_blowup(kx3: int, ky3: int, r: int, degB: int) -> int:
     (deg B >= 1), both cubes must be even, and a negative result violates
     g >= 0 and is rejected.
     """
+    values = (kx3, ky3, r, degB)
+    if not INTEGER.issuperset(map(type, values)):
+        raise ConstraintError(f"genus_from_blowup takes integers, got {values}")
     if r not in FANO_TARGETS:
         raise UnsupportedIndexError(f"no smooth Fano threefold has index {r} >= 2")
     if degB < 1:
@@ -153,6 +174,8 @@ def antican_cube_by_index(r: int, L3: int | None = None) -> int:
     A given L3 must be one of its index's :data:`FANO_TARGETS`, whatever the
     index.
     """
+    if type(r) is not int:  # 2.0 and True would find the targets of 2 and 1
+        raise ConstraintError(f"antican_cube_by_index takes an integer index, got {r!r}")
     cubes = FANO_TARGETS.get(r)
     if cubes is None:
         raise UnsupportedIndexError(f"no smooth Fano threefold has index {r} >= 2")

@@ -149,10 +149,6 @@ class SolutionRecord(_RecordFields):
     def char_note(self) -> str | None:
         return _CHAR_NOTES.get(self.ray_types)
 
-    @property
-    def description(self) -> str:
-        return ", or ".join(self.descriptions)
-
 
 # Read once: on Python 3.11 each RayType.X read goes through EnumType's
 # __getattr__ hook and costs several times a module global.
@@ -422,7 +418,7 @@ def _solve_sides(side1: _Side, side2: _Side) -> SolutionRecord | None:
         fields2[_E] = h122
     return SolutionRecord(
         (RaySpec(*fields1), RaySpec(*fields2)),
-        TrilinearForm.rank2(h111, h112, h122, h222),
+        TrilinearForm(2, (h111, h112, h122, h222)),
         _MINUS_K[n2, n1],
         kx3,
     )

@@ -1,4 +1,4 @@
-"""Exception types shared across the engine.
+"""Exception types shared across the engine, and the one integer type.
 
 Everything derives from :class:`FanoEngineError` so callers can catch the whole
 family at once, and from ``ValueError`` so sloppy call sites still fail loudly.
@@ -7,7 +7,8 @@ its domain, and the constructors' checks assert invariants.  So each one is
 misuse or bad data (:class:`ConstraintError`, :class:`ParityError`,
 :class:`DimensionMismatchError`, :class:`IncompleteSpecError`,
 :class:`UnsupportedIndexError`, :class:`UnsupportedScopeError`) or internal
-breakage (:class:`InconsistencyError`).
+breakage (:class:`InconsistencyError`).  :data:`INTEGER` is what every
+module takes for an integer value.
 """
 
 __all__ = [
@@ -20,6 +21,12 @@ __all__ = [
     "InconsistencyError",
     "UnsupportedScopeError",
 ]
+
+# The one type an integer value may have: int, and not its subclass bool.
+# A check tests all its values with one superset test of their types.  It
+# lives in the module every other one imports, so that chern_calculus, all
+# that the CLI loads for `chern`, reads it without the lattice module.
+INTEGER = frozenset({int})
 
 
 class FanoEngineError(ValueError):

@@ -13,9 +13,8 @@ tuple repetition and concatenation cannot pass for lattice arithmetic
 
 import itertools
 from collections.abc import Mapping
-from types import MappingProxyType
 
-from .errors import ConstraintError, DimensionMismatchError
+from .errors import INTEGER, ConstraintError, DimensionMismatchError
 
 __all__ = [
     "DivisorClass",
@@ -24,10 +23,6 @@ __all__ = [
     "anticanonical_class",
 ]
 
-
-# The one type an integer value may have: int, and not its subclass bool.
-# A constructor checks all its values with one superset test of their types.
-INTEGER = frozenset({int})
 
 # How a ValueObject constructor sets its fields: one call per field through
 # this module-level name measured faster than a frozen dataclass or a fresh
@@ -148,8 +143,8 @@ _TRIPLES = {
 
 
 def _triples(rho: int) -> tuple[tuple[int, int, int], ...]:
-    if rho not in (2, 3):
-        raise DimensionMismatchError(f"rank must be 2 or 3, got {rho}")
+    if type(rho) is not int or rho not in _TRIPLES:  # 2.0 == 2 would find rank 2's triples
+        raise DimensionMismatchError(f"rank must be 2 or 3, got {rho!r}")
     return _TRIPLES[rho]
 
 
@@ -161,8 +156,7 @@ class TrilinearForm(ValueObject):
     lexicographic order: (h111, h112, h122, h222) on rank 2 and the ten
     values from h111 to h333 on rank 3.  The constructor takes exactly that
     tuple, so a form is unambiguous data and equal forms hold equal tuples.
-    ``entries`` is a read-only view of the same values keyed by their
-    triples.  :meth:`from_nonzero` is the way in from such a mapping.
+    :meth:`from_nonzero` is the way in from a mapping of triples to values.
     """
 
     __slots__ = ("rho", "values")
@@ -177,11 +171,6 @@ class TrilinearForm(ValueObject):
             raise ConstraintError(f"form entries must be integers, got {values!r}")
         set_field(self, "rho", rho)
         set_field(self, "values", values)
-
-    @property
-    def entries(self) -> Mapping[tuple[int, int, int], int]:
-        """The values keyed by their sorted index triples, read-only."""
-        return MappingProxyType(dict(zip(_TRIPLES[self.rho], self.values)))
 
     @classmethod
     def from_nonzero(
@@ -205,11 +194,6 @@ class TrilinearForm(ValueObject):
         if unknown:
             raise ConstraintError(f"index triple {unknown[0]} is not sorted")
         return cls(rho, tuple([nonzero.get(key, 0) for key in triples]))
-
-    @classmethod
-    def rank2(cls, h111: int, h112: int, h122: int, h222: int) -> "TrilinearForm":
-        """Convenience constructor for rank 2: the four cubes in order."""
-        return cls(2, (h111, h112, h122, h222))
 
 
 def triple_product(

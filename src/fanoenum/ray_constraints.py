@@ -34,8 +34,8 @@ from collections import namedtuple
 from collections.abc import Iterable
 
 from .chern_calculus import FANO_TARGETS, conic_bundle_ksq_dot_pullback
-from .errors import ConstraintError, IncompleteSpecError
-from .picard_lattice import INTEGER, ValueObject
+from .errors import INTEGER, ConstraintError, IncompleteSpecError
+from .picard_lattice import ValueObject
 
 __all__ = [
     "RayType",

@@ -17,8 +17,8 @@ alone: its C scanner parses the truth, and its ``encode_basestring_ascii``
 writes strings.  Importing ``json`` costs more than parsing the truth,
 because ``json.decoder``, ``json.scanner`` and ``json.encoder`` compile
 regular expressions at import.  It is imported only to raise
-``json.loads``'s own error for a text the scanner does not take whole, to
-write a value no row holds, or where ``_json`` is missing.
+``json.loads``'s own error for a text the scanner does not take whole, or
+where ``_json`` is missing.
 """
 
 import io
@@ -29,8 +29,7 @@ import types
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
 
-from .errors import ConstraintError, UnsupportedScopeError
-from .picard_lattice import INTEGER
+from .errors import INTEGER, ConstraintError, UnsupportedScopeError
 from .ray_constraints import INT_OR_NONE, RaySpec, RayType
 
 __all__ = [
@@ -44,7 +43,8 @@ __all__ = [
     "parse_rows",
 ]
 
-# Per-ray integer data a row may carry, in emission order.
+# Per-ray integer data a row may carry: the order of the mapping label
+# builds (emit writes its keys sorted).
 _INVARIANT_FIELDS = ("deg_delta", "d2", "r", "L3", "degB", "genus", "e", "delta_bidegree")
 # A ray's values of those fields, read from the RaySpec tuple in one call.
 _RAY_DATA = operator.itemgetter(*map(RaySpec._fields.index, _INVARIANT_FIELDS))
@@ -147,15 +147,11 @@ class DiffReport(_ReportFields):
 
     __slots__ = ()
 
-    @property
-    def is_empty(self) -> bool:
-        return not (self.missing or self.extra or self.mismatched)
-
     def __bool__(self) -> bool:
-        return not self.is_empty
+        return bool(self.missing or self.extra or self.mismatched)
 
     def render(self) -> str:
-        if self.is_empty:
+        if not self:
             return "no differences"
         lines = []
         for table_id in self.missing:
@@ -487,14 +483,18 @@ _JSON_SCALARS = {
 
 
 def _json(value, indent: str) -> str:
-    """``value`` as json.dumps(..., indent=2) writes it ``indent`` deep."""
+    """``value`` as json.dumps(..., indent=2) writes it ``indent`` deep.
+
+    A row holds None, bools, ints, strs and lists or tuples of them: any
+    other value raises ConstraintError.
+    """
     write = _JSON_SCALARS.get(type(value))
     if write is not None:
         return write(value)
     if not isinstance(value, (list, tuple)):
-        import json
-
-        return json.dumps(value)  # no other value occurs in a row
+        raise ConstraintError(
+            f"a row value must be null, a bool, an int, a str or a list, not {type(value).__name__}"
+        )
     if not value:
         return "[]"
     inner = indent + "  "

@@ -134,3 +134,29 @@ def test_antican_cube_by_index():
 def test_antican_cube_by_index_needs_an_index2_degree(L3):
     with pytest.raises(ConstraintError, match=f"L3 in 1..5, got {L3}"):
         antican_cube_by_index(2, L3)
+
+
+# Each formula with integer arguments it accepts.
+FORMULA_CALLS = (
+    (antican_cube_p1_bundle_over_surface, (2, 0, 8)),
+    (xi_square_on_curve, (2,)),
+    (antican_cube_divisor_in_p2_bundle, (8, 2, 8, -10, 8, -10, 12)),
+    (blowup_exceptional_cube, (2,)),
+    (antican_sq_dot_exceptional, (36, 10)),
+    (conic_bundle_ksq_dot_pullback, (-3, 4)),
+    (genus_from_blowup, (16, 64, 4, 7)),
+    (antican_cube_by_index, (2, 1)),
+)
+
+
+@pytest.mark.parametrize(
+    "formula,args", FORMULA_CALLS, ids=[formula.__name__ for formula, _ in FORMULA_CALLS]
+)
+def test_every_formula_takes_only_ints(formula, args):
+    # int(1.7) would be 1 and 2.0 * 4 the float 8.0: nothing is rounded or floated
+    assert type(formula(*args)) is int
+    for position in range(len(args)):
+        for bad in (1.5, True):
+            changed = args[:position] + (bad,) + args[position + 1:]
+            with pytest.raises(ConstraintError):
+                formula(*changed)

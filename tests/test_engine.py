@@ -393,7 +393,7 @@ def _mirror(record):
     """The record of the same family with its two rays, and so its basis, swapped."""
     return enumerator.SolutionRecord(
         record.rays[::-1],
-        TrilinearForm.rank2(*reversed(record.form.entries.values())),
+        TrilinearForm(2, record.form.values[::-1]),
         DivisorClass(record.minus_k.coords[::-1]),
         record.kx3,
     )
@@ -581,7 +581,7 @@ def _fraction_outcome(side1, side2):
             fields[1]["e"] = entries[2]
         return enumerator.SolutionRecord(
             tuple(RaySpec(**ray) for ray in fields),
-            TrilinearForm.rank2(*entries),
+            TrilinearForm(2, entries),
             anticanonical_class(side1.mu, side2.mu),
             kx3,
         )

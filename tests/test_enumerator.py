@@ -36,7 +36,7 @@ from fanoenum.ray_constraints import (
     balance_check,
     c2_dot_H,
 )
-from fanoenum.table_oracle import label, record_to_row
+from fanoenum.table_oracle import emit, label, record_to_row
 
 FULL_CUBE_MULTISET = [
     4, 6, 8, 10, 12, 12, 14, 14, 16, 16, 18, 20, 20, 20, 22, 22, 24, 24,
@@ -165,7 +165,7 @@ def test_rank3_conic_bundles():
     records = solve_rho3_CCC()
     assert set(_ids(records)) == {"3-1", "3-27"}
     for rec in records:
-        d = rec.form.entries[1, 2, 3]
+        d = rec.form.values[4]  # H1.H2.H3
         assert rec.kx3 * d * d == 48
         assert all(ray.delta_bidegree == rec.rays[0].delta_bidegree for ray in rec.rays)
     by_id = _by_id(records)
@@ -361,18 +361,17 @@ def test_records_are_hashable():
 
 def test_an_engine_records_form_cannot_be_changed_in_place():
     # enumerate_all hands out the same records on every call: a form whose
-    # entries could be popped and put back would change its cube and hash
+    # values could be changed would change its cube and hash
     for call, cube in (((3, True), 12), ((2,), 4)):
         record = enumerate_all(*call)[0]
-        entries, key = record.form.entries, next(iter(record.form.entries))
-        with pytest.raises((AttributeError, TypeError)):
-            entries.pop(key)
+        with pytest.raises(AttributeError, match="cannot assign"):
+            record.form.values = record.form.values
         with pytest.raises(TypeError):
-            entries[key] = entries[key]
+            record.form.values[0] = record.form.values[0]
         again = enumerate_all(*call)[0]
         assert triple_product(again.form, *(again.minus_k,) * 3) == again.kx3 == cube
         assert type(again.form.values) is tuple
-    form = TrilinearForm.rank2(0, 2, 2, 0)
+    form = TrilinearForm(2, (0, 2, 2, 0))
     for same in (
         TrilinearForm.from_nonzero(2, {(1, 1, 2): 2, (1, 2, 2): 2}),
         TrilinearForm(2, (0, 2, 2, 0)),
@@ -391,9 +390,10 @@ def test_genus_is_recorded_exactly_for_blowdowns():
 def test_description_joins_alternatives():
     by_id = _by_id(enumerate_all(2))
     rec = by_id["2-6"]
-    assert rec.description == ", or ".join(rec.descriptions)
-    assert ", or " in rec.description
-    assert by_id["2-34"].description == "P^2 x P^1"
+    # the one place a family's alternatives are joined is its Markdown cell
+    assert len(rec.descriptions) > 1
+    assert f"| {', or '.join(rec.descriptions)} |" in emit(label([rec]), "markdown").decode()
+    assert by_id["2-34"].descriptions == ("P^2 x P^1",)
 
 
 def test_record_validation_rejects_corruption():
@@ -447,10 +447,10 @@ def test_a_record_cube_is_at_most_that_of_p3():
     # (-K)^3 <= 64, the cube of P^3 (Iskovskikh-Prokhorov): 64 is a cube a
     # record may store, and 66 on an otherwise consistent record is not
     conics = (RaySpec(RayType.C2),) * 2
-    assert SolutionRecord(conics, TrilinearForm.rank2(1, 1, 1, 1), DivisorClass((2, 2)), 64)
+    assert SolutionRecord(conics, TrilinearForm(2, (1, 1, 1, 1)), DivisorClass((2, 2)), 64)
     with pytest.raises(ConstraintError, match=r"must lie in \(0, 64\], got 66$"):
         SolutionRecord(
-            (RaySpec(RayType.C1),) * 2, TrilinearForm.rank2(0, 11, 11, 0), DivisorClass((1, 1)), 66
+            (RaySpec(RayType.C1),) * 2, TrilinearForm(2, (0, 11, 11, 0)), DivisorClass((1, 1)), 66
         )
 
 

@@ -159,10 +159,9 @@ def _engine_records():
         ):
             record = enumerator._solve_sides(side1, side2)
             if record is not None:
-                entries = record.form.entries
-                form = tuple(entries[key] for key in ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2)))
                 records[type1.value, i, type2.value, j] = (
-                    tuple(map(tuple, record.rays)), form, record.minus_k.coords, record.kx3,
+                    tuple(map(tuple, record.rays)), record.form.values, record.minus_k.coords,
+                    record.kx3,
                 )
     return records
 

@@ -19,13 +19,13 @@ from fanoenum.picard_lattice import (
 
 def test_product_of_ones_on_conic_conic_form():
     # (H1 + H2)^3 = 0 + 3*2 + 3*2 + 0 on the degree-12 conic-bundle pair
-    form = TrilinearForm.rank2(0, 2, 2, 0)
+    form = TrilinearForm(2, (0, 2, 2, 0))
     one = DivisorClass((1, 1))
     assert triple_product(form, one, one, one) == 12
 
 
 def test_zero_class_kills_the_product():
-    form = TrilinearForm.rank2(5, -3, 7, 11)
+    form = TrilinearForm(2, (5, -3, 7, 11))
     zero = DivisorClass((0, 0))
     one = DivisorClass((1, 1))
     assert triple_product(form, zero, one, one) == 0
@@ -41,11 +41,15 @@ def test_module_operations():
     assert (2 * x).coords == (6, -2)
     with pytest.raises(DimensionMismatchError):
         x - DivisorClass((1, 1, 1))
+    # a class adds only to a class: an int operand is no class, not a shift
+    for operate in (lambda: x + 1, lambda: x - 1, lambda: 1 + x):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            operate()
 
 
 def test_blowup_of_p3_form_cubes_to_16():
     # 1 + 3*3 + 3*2 + 0 = 16, the anticanonical cube of a genus-5 blowup of P^3
-    form = TrilinearForm.rank2(1, 3, 2, 0)
+    form = TrilinearForm(2, (1, 3, 2, 0))
     one = DivisorClass((1, 1))
     assert triple_product(form, one, one, one) == 16
 
@@ -60,7 +64,7 @@ def test_rank3_product():
 @pytest.mark.parametrize("slot", [0, 1, 2])
 def test_a_class_of_the_other_rank_is_an_error_in_every_slot(slot):
     for form, good, bad in (
-        (TrilinearForm.rank2(0, 1, 1, 0), (1, 1), (1, 1, 1)),
+        (TrilinearForm(2, (0, 1, 1, 0)), (1, 1), (1, 1, 1)),
         (TrilinearForm.from_nonzero(3, {(1, 2, 3): 1}), (1, 1, 1), (1, 1)),
     ):
         classes = [DivisorClass(good)] * 3
@@ -76,6 +80,12 @@ def test_rank_mismatch_is_an_error():
         TrilinearForm(4, ())
     with pytest.raises(DimensionMismatchError, match="rank must be 2 or 3, got 4"):
         TrilinearForm.from_nonzero(4, {(1, 2, 3): 1})
+    # 2.0 == 2 and True == 1: the rank is the int itself, as for enumerate_all
+    for rho in (2.0, True):
+        with pytest.raises(DimensionMismatchError, match=f"rank must be 2 or 3, got {rho}"):
+            TrilinearForm(rho, (0, 1, 1, 0))
+        with pytest.raises(DimensionMismatchError, match=f"rank must be 2 or 3, got {rho}"):
+            TrilinearForm.from_nonzero(rho, {(1, 1, 2): 1})
 
 
 def test_missing_entries_are_an_error():
@@ -165,7 +175,7 @@ def test_unsorted_keys_are_an_error():
 
 
 def test_equal_forms_hash_equal():
-    form = TrilinearForm.rank2(1, 2, 3, 4)
+    form = TrilinearForm(2, (1, 2, 3, 4))
     same = TrilinearForm.from_nonzero(2, {(2, 2, 2): 4, (1, 2, 2): 3, (1, 1, 2): 2, (1, 1, 1): 1})
     assert same == form == TrilinearForm(2, (1, 2, 3, 4))
     assert hash(same) == hash(form) == hash(TrilinearForm(2, (1, 2, 3, 4)))
@@ -210,8 +220,8 @@ def test_a_form_takes_exactly_the_sorted_triples_of_its_rank(data):
     error = _first_error(rho, entries)
     if error is None:
         form = TrilinearForm.from_nonzero(rho, entries)
-        assert form.entries == {**dict.fromkeys(support, 0), **entries}
-        assert list(form.entries) == support and len(form.values) == math.comb(rho + 2, 3)
+        assert dict(zip(support, form.values)) == {**dict.fromkeys(support, 0), **entries}
+        assert len(form.values) == math.comb(rho + 2, 3)
         same = TrilinearForm(rho, form.values)
         assert same == form and hash(same) == hash(form)
         copy = pickle.loads(pickle.dumps(form))
@@ -225,8 +235,6 @@ def test_a_form_takes_exactly_the_sorted_triples_of_its_rank(data):
     "values", [(0.9, 1, 2, 3), (0, 1, 2, "3"), (0, True, 2, 3)], ids=["float", "str", "bool"]
 )
 def test_trilinear_form_takes_only_int_entries(values):
-    with pytest.raises(ConstraintError, match="form entries must be integers"):
-        TrilinearForm.rank2(*values)
     keys = ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2))
     with pytest.raises(ConstraintError, match="form entries must be integers"):
         TrilinearForm(2, values)
@@ -235,9 +243,8 @@ def test_trilinear_form_takes_only_int_entries(values):
 
 
 def test_rank2_stores_the_canonical_keys():
-    form = TrilinearForm.rank2(1, 2, 3, 4)
+    form = TrilinearForm(2, (1, 2, 3, 4))
     assert form.values == (1, 2, 3, 4)
-    assert list(form.entries) == [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2)]
     assert form == TrilinearForm.from_nonzero(
         2, {(2, 2, 2): 4, (1, 2, 2): 3, (1, 1, 2): 2, (1, 1, 1): 1}
     )
@@ -261,7 +268,7 @@ def test_anticanonical_rank2():
             ConstraintError,
         ),
         (
-            TrilinearForm.rank2(1, 3, 2, 0),
+            TrilinearForm(2, (1, 3, 2, 0)),
             "TrilinearForm(rho=2, values=(1, 3, 2, 0))",
             {"values": (1, 3, 2, 5)},
             {"rho": 4},
@@ -279,6 +286,8 @@ def test_value_objects_follow_their_fields(value, text, good, bad, error):
     assert [getattr(changed, name) for name in good] == list(good.values())
     with pytest.raises(error):
         value._replace(**bad)
+    with pytest.raises(TypeError, match="has no field 'size'"):
+        value._replace(size=2)
     name = value.__slots__[0]
     with pytest.raises(AttributeError, match="cannot assign"):
         setattr(value, name, None)
@@ -301,6 +310,7 @@ def _reference_triple_product(form, x, y, z):
     the closed-form rank-2 path and of the rank-3 sum.
     """
     indices = range(1, form.rho + 1)
+    values = dict(zip(itertools.combinations_with_replacement(indices, 3), form.values))
     total = 0
     for i in indices:
         xi = x.coords[i - 1]
@@ -314,7 +324,7 @@ def _reference_triple_product(form, x, y, z):
                 zk = z.coords[k - 1]
                 if zk == 0:
                     continue
-                total += xi * yj * zk * form.entries[tuple(sorted((i, j, k)))]
+                total += xi * yj * zk * values[tuple(sorted((i, j, k)))]
     return total
 
 

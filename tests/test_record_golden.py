@@ -16,6 +16,7 @@ Rewrite the file only from a commit whose records are known to be right:
 """
 
 import json
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 from fanoenum.enumerator import enumerate_all
@@ -38,12 +39,14 @@ def _ray(spec) -> dict:
 
 def _line(call, index, record) -> str:
     form = record.form
+    # each value beside its sorted index triple, as the golden has always listed them
+    keys = combinations_with_replacement(range(1, form.rho + 1), 3)
     return json.dumps({
         "call": list(call),
         "index": index,
         "rho": record.rho,
         "rays": [_ray(spec) for spec in record.rays],
-        "form": {"rho": form.rho, "entries": [[*key, value] for key, value in form.entries.items()]},
+        "form": {"rho": form.rho, "entries": [[*key, value] for key, value in zip(keys, form.values)]},
         "minus_k": {"tuple": list(record.minus_k.coords)},
         "kx3": record.kx3,
         "genus": record.genus,

@@ -29,6 +29,6 @@ def test_oracle_rho3_CCC():
     assert expected == {(1, 48), (2, 12)}
     computed = set()
     for rec in solve_rho3_CCC():
-        d = rec.form.entries[1, 2, 3]
+        d = rec.form.values[4]  # H1.H2.H3
         computed.add((d, rec.kx3))
     assert expected == computed

@@ -96,13 +96,13 @@ def test_spot_rows():
 
 
 def test_computed_tables_match_the_truth():
-    assert diff(enumerate_all(2), ground_truth(2)).is_empty
-    assert diff(
+    assert not diff(enumerate_all(2), ground_truth(2))
+    assert not diff(
         enumerate_all(3, primitive_only=True), ground_truth(3, primitive_only=True)
-    ).is_empty
-    assert diff(
+    )
+    assert not diff(
         enumerate_all(2, primitive_only=True), ground_truth(2, primitive_only=True)
-    ).is_empty
+    )
 
 
 def computed_rows(rho=2, primitive_only=False):
@@ -115,7 +115,7 @@ def test_diff_reports_a_perturbed_cube():
     rows = computed_rows()
     rows[0] = rows[0]._replace(kx3=rows[0].kx3 + 2)
     report = diff(rows, ground_truth(2))
-    assert not report.is_empty
+    assert report
     assert report.mismatched == (("2-1", "kx3", 4, 6),)
     assert "mismatch at 2-1.kx3" in report.render()
 
@@ -176,7 +176,7 @@ def test_diff_normalizes_descriptions():
     rows = computed_rows(3, primitive_only=True)
     shouted = tuple(d.upper() + "." for d in rows[0].descriptions)
     rows[0] = rows[0]._replace(descriptions=shouted)
-    assert diff(rows, ground_truth(3)).is_empty
+    assert not diff(rows, ground_truth(3))
 
 
 def test_empty_report_renders_quietly():
@@ -353,6 +353,18 @@ def test_emit_json_matches_the_indenting_json_dumps(rows):
     assert emit(rows, "json") == _reference_emit_json(rows)
 
 
+@pytest.mark.parametrize(
+    "change,kind",
+    [({"invariants": {"r": {"b": 1, "a": [1, 2]}}}, "dict"), ({"kx3": 16.0}, "float")],
+    ids=["dict-cell", "float-kx3"],
+)
+def test_emit_json_rejects_a_value_no_row_holds(change, kind):
+    # json.dumps would write the dict on one line with its keys unsorted
+    row = ground_truth(2)[0]._replace(**change)
+    with pytest.raises(ConstraintError, match=f"must be null, a bool, an int, a str or a list, not {kind}$"):
+        emit([row], "json")
+
+
 def test_emit_csv_shape():
     lines = emit(ground_truth(2), "csv").decode().splitlines()
     assert len(lines) == 37
@@ -395,7 +407,7 @@ def test_truth_source_override(tmp_path, monkeypatch):
     assert len(doctored) == 36
     assert doctored[0].kx3 == 6
     report = diff(computed_rows(), doctored)
-    assert not report.is_empty
+    assert report
 
 
 def test_truth_rows_are_read_only():
@@ -460,7 +472,7 @@ def test_labels_follow_a_truth_file_rewritten_in_place(tmp_path, monkeypatch):
     rows[0]["table_id"] = "2-1x"
     path.write_text(json.dumps(rows))
     assert ground_truth(2)[0].table_id == "2-1x"
-    assert diff(enumerate_all(2), ground_truth(2)).is_empty
+    assert not diff(enumerate_all(2), ground_truth(2))
 
 
 def _reference_table_id(record):
@@ -676,7 +688,7 @@ def test_diff_projects_no_record(monkeypatch):
 
     monkeypatch.setattr(table_oracle, "_project", counting_project)
     records = enumerate_all(2)
-    assert diff(records, ground_truth(2)).is_empty
+    assert not diff(records, ground_truth(2))
     assert projected == []
     alien = records[0]._replace(rays=())
     added_and_labels = (
