@@ -21,7 +21,6 @@ rounded away.
 """
 
 from .errors import (
-    INTEGER,
     ConstraintError,
     IncompleteSpecError,
     ParityError,
@@ -53,9 +52,10 @@ def antican_cube_p1_bundle_over_surface(c1_sq: int, c2: int, Ky_sq: int) -> int:
     obtained by cubing -K_X = 2 xi + pi^*(c_1(E) - K_Y) with the relation
     xi^2 = xi . pi^* c_1(E) - pi^* c_2(E).
     """
-    values = (c1_sq, c2, Ky_sq)
-    if not INTEGER.issuperset(map(type, values)):
-        raise ConstraintError(f"antican_cube_p1_bundle_over_surface takes integers, got {values}")
+    if not type(c1_sq) is type(c2) is type(Ky_sq) is int:
+        raise ConstraintError(
+            f"antican_cube_p1_bundle_over_surface takes integers, got {(c1_sq, c2, Ky_sq)}"
+        )
     return 2 * c1_sq - 8 * c2 + 6 * Ky_sq
 
 
@@ -84,8 +84,11 @@ def antican_cube_divisor_in_p2_bundle(
 
     with c1 = c_1(E), F the twisting bundle on Y.
     """
-    values = (c1_sq, c2, Ky_sq, c1_dot_F, c1_dot_Ky, F_dot_Ky, F_sq)
-    if not INTEGER.issuperset(map(type, values)):
+    if not (
+        type(c1_sq) is type(c2) is type(Ky_sq) is type(c1_dot_F)
+        is type(c1_dot_Ky) is type(F_dot_Ky) is type(F_sq) is int
+    ):
+        values = (c1_sq, c2, Ky_sq, c1_dot_F, c1_dot_Ky, F_dot_Ky, F_sq)
         raise ConstraintError(f"antican_cube_divisor_in_p2_bundle takes integers, got {values}")
     return (
         2 * c1_sq
@@ -114,9 +117,8 @@ def antican_sq_dot_exceptional(ky_dot_C: int, genus: int) -> int:
     Pushing down gives -K_Y . C + 2 - 2g.  A negative genus is rejected, and
     so is -K_Y . C <= 0: -K_Y is ample on the Fano target Y.
     """
-    values = (ky_dot_C, genus)
-    if not INTEGER.issuperset(map(type, values)):
-        raise ConstraintError(f"antican_sq_dot_exceptional takes integers, got {values}")
+    if not type(ky_dot_C) is type(genus) is int:
+        raise ConstraintError(f"antican_sq_dot_exceptional takes integers, got {(ky_dot_C, genus)}")
     if genus < 0:
         raise ConstraintError(f"genus must be >= 0, got {genus}")
     if ky_dot_C < 1:
@@ -129,9 +131,10 @@ def conic_bundle_ksq_dot_pullback(ks_dot_d: int, delta_dot_d: int) -> int:
 
     Equals -4 K_S . D - Delta . D for any divisor D on the base S.
     """
-    values = (ks_dot_d, delta_dot_d)
-    if not INTEGER.issuperset(map(type, values)):
-        raise ConstraintError(f"conic_bundle_ksq_dot_pullback takes integers, got {values}")
+    if not type(ks_dot_d) is type(delta_dot_d) is int:
+        raise ConstraintError(
+            f"conic_bundle_ksq_dot_pullback takes integers, got {(ks_dot_d, delta_dot_d)}"
+        )
     return -4 * ks_dot_d - delta_dot_d
 
 
@@ -147,9 +150,8 @@ def genus_from_blowup(kx3: int, ky3: int, r: int, degB: int) -> int:
     (deg B >= 1), both cubes must be even, and a negative result violates
     g >= 0 and is rejected.
     """
-    values = (kx3, ky3, r, degB)
-    if not INTEGER.issuperset(map(type, values)):
-        raise ConstraintError(f"genus_from_blowup takes integers, got {values}")
+    if not type(kx3) is type(ky3) is type(r) is type(degB) is int:
+        raise ConstraintError(f"genus_from_blowup takes integers, got {(kx3, ky3, r, degB)}")
     if r not in FANO_TARGETS:
         raise UnsupportedIndexError(f"no smooth Fano threefold has index {r} >= 2")
     if degB < 1:

@@ -510,7 +510,7 @@ def solve_rho3_CCC() -> tuple[SolutionRecord, ...]:
     for d in (1, 2):  # the divisors of 2, as 2/d is the coefficient of each H_i
         genus_section = 24 // (d * d) + 1
         kx3 = 2 * genus_section - 2
-        form = TrilinearForm.from_nonzero(3, {(1, 2, 3): d})
+        form = TrilinearForm(3, (0, 0, 0, 0, d, 0, 0, 0, 0, 0))
         minus_k = DivisorClass((2 // d,) * 3)
         # discriminant bidegree on each P^1 x P^1 factor, from
         # K^2 . H_1 = -4 K_S . D - Delta . D on a ruling D (K_S . D = -2)
@@ -533,17 +533,13 @@ def solve_rho3_CE() -> tuple[SolutionRecord, ...]:
     """
     bundle = SolutionRecord(
         rays=(RaySpec(RayType.C2, delta_bidegree=(0, 0)), RaySpec(RayType.E1)),
-        form=TrilinearForm.from_nonzero(
-            3, {(1, 1, 1): 2, (1, 1, 2): 1, (1, 1, 3): 1, (1, 2, 3): 1}
-        ),
+        form=TrilinearForm(3, (2, 1, 1, 0, 1, 0, 0, 0, 0, 0)),
         minus_k=DivisorClass((2, 1, 1)),
         kx3=antican_cube_p1_bundle_over_surface(c1_sq=2, c2=0, Ky_sq=8),
     )
     divisor = SolutionRecord(
         rays=(RaySpec(RayType.C1, delta_bidegree=(2, 5)), RaySpec(RayType.E1)),
-        form=TrilinearForm.from_nonzero(
-            3, {(1, 1, 1): 2, (1, 1, 2): -1, (1, 1, 3): -2, (1, 2, 3): 2}
-        ),
+        form=TrilinearForm(3, (2, -1, -2, 0, 2, 0, 0, 0, 0, 0)),
         minus_k=DivisorClass((1, 2, 1)),
         kx3=antican_cube_divisor_in_p2_bundle(
             c1_sq=8,

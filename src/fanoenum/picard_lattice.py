@@ -11,9 +11,6 @@ tuple repetition and concatenation cannot pass for lattice arithmetic
 (``3 * x`` scales, ``x * 3`` is a TypeError).
 """
 
-import itertools
-from collections.abc import Mapping
-
 from .errors import INTEGER, ConstraintError, DimensionMismatchError
 
 __all__ = [
@@ -134,18 +131,9 @@ class DivisorClass(ValueObject):
         return DivisorClass(tuple(n * a for a in self.coords))
 
 
-# Each rank -> its index multisets 1 <= i <= j <= k <= rho, in order: the
-# triples a form's values are listed by.
-_TRIPLES = {
-    rho: tuple(itertools.combinations_with_replacement(range(1, rho + 1), 3))
-    for rho in (2, 3)
-}
-
-
-def _triples(rho: int) -> tuple[tuple[int, int, int], ...]:
-    if type(rho) is not int or rho not in _TRIPLES:  # 2.0 == 2 would find rank 2's triples
-        raise DimensionMismatchError(f"rank must be 2 or 3, got {rho!r}")
-    return _TRIPLES[rho]
+# Each rank -> the number of its index triples 1 <= i <= j <= k <= rho: the
+# length of a form's values.
+_SIZES = {2: 4, 3: 10}
 
 
 class TrilinearForm(ValueObject):
@@ -153,16 +141,18 @@ class TrilinearForm(ValueObject):
 
     ``values`` is the tuple of the integers H_i . H_j . H_k over the sorted
     index triples (i, j, k), 1-based with i <= j <= k <= rho, in
-    lexicographic order: (h111, h112, h122, h222) on rank 2 and the ten
-    values from h111 to h333 on rank 3.  The constructor takes exactly that
-    tuple, so a form is unambiguous data and equal forms hold equal tuples.
-    :meth:`from_nonzero` is the way in from a mapping of triples to values.
+    lexicographic order: (h111, h112, h122, h222) on rank 2, and (h111,
+    h112, h113, h122, h123, h133, h222, h223, h233, h333) on rank 3.  The
+    constructor takes exactly that tuple, and is the one way to build a
+    form, so a form is unambiguous data and equal forms hold equal tuples.
     """
 
     __slots__ = ("rho", "values")
 
     def __init__(self, rho: int, values: tuple[int, ...]) -> None:
-        size = len(_triples(rho))
+        if type(rho) is not int or rho not in _SIZES:  # 2.0 == 2 would find rank 2's size
+            raise DimensionMismatchError(f"rank must be 2 or 3, got {rho!r}")
+        size = _SIZES[rho]
         if type(values) is not tuple:  # a dict or set would give its keys, in its order
             raise ConstraintError(f"form values must be a tuple of integers, got {values!r}")
         if len(values) != size:
@@ -171,29 +161,6 @@ class TrilinearForm(ValueObject):
             raise ConstraintError(f"form entries must be integers, got {values!r}")
         set_field(self, "rho", rho)
         set_field(self, "values", values)
-
-    @classmethod
-    def from_nonzero(
-        cls, rho: int, nonzero: Mapping[tuple[int, int, int], int]
-    ) -> "TrilinearForm":
-        """Build a form from a mapping of sorted index triples to values.
-
-        A triple the mapping leaves out has the value 0.  Every key must be
-        a triple of ints (not bools), each in 1..rho, in sorted order.
-        """
-        if not all(
-            type(key) is tuple and len(key) == 3 and INTEGER.issuperset(map(type, key))
-            for key in nonzero
-        ):  # first: the key (1, 1, True) would find the triple (1, 1, 1)
-            raise ConstraintError(f"form indices must be integers, got {tuple(nonzero)!r}")
-        triples = _triples(rho)
-        unknown = [key for key in nonzero if key not in triples]
-        for key in unknown:  # an index out of range is the first error, sorted or not
-            if min(key) < 1 or max(key) > rho:
-                raise DimensionMismatchError(f"index triple {key} out of range for rank {rho}")
-        if unknown:
-            raise ConstraintError(f"index triple {unknown[0]} is not sorted")
-        return cls(rho, tuple([nonzero.get(key, 0) for key in triples]))
 
 
 def triple_product(
@@ -253,6 +220,6 @@ def anticanonical_class(mu1: int, mu2: int) -> DivisorClass:
     -K = mu2*H_1 + mu1*H_2, so the coordinates are (mu2, mu1).
     """
     for mu in (mu1, mu2):
-        if mu not in (1, 2, 3):
+        if type(mu) is not int or mu not in (1, 2, 3):  # True == 1 and 2.0 == 2
             raise ConstraintError(f"ray length must be 1, 2 or 3, got {mu}")
     return DivisorClass((mu2, mu1))

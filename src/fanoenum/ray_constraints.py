@@ -328,8 +328,10 @@ def balance_check(mu1: int, mu2: int, c2_h1: int, c2_h2: int) -> bool:
     """Whether 24 = mu2 * (c2 . H1) + mu1 * (c2 . H2).
 
     This is -K . c_2 = 24 (Riemann-Roch with chi(O_X) = 1) written out in the
-    basis (H1, H2) with -K = mu2 H1 + mu1 H2.
+    basis (H1, H2) with -K = mu2 H1 + mu1 H2.  Each argument must be an int.
     """
+    if not type(mu1) is type(mu2) is type(c2_h1) is type(c2_h2) is int:
+        raise ConstraintError(f"balance_check takes integers, got {(mu1, mu2, c2_h1, c2_h2)}")
     return 24 == mu2 * c2_h1 + mu1 * c2_h2
 
 

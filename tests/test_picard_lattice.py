@@ -55,7 +55,7 @@ def test_blowup_of_p3_form_cubes_to_16():
 
 
 def test_rank3_product():
-    form = TrilinearForm.from_nonzero(3, {(1, 2, 3): 2})
+    form = TrilinearForm(3, (0, 0, 0, 0, 2, 0, 0, 0, 0, 0))
     h = DivisorClass((1, 1, 1))
     # 3! orderings of the mixed term
     assert triple_product(form, h, h, h) == 12
@@ -65,7 +65,7 @@ def test_rank3_product():
 def test_a_class_of_the_other_rank_is_an_error_in_every_slot(slot):
     for form, good, bad in (
         (TrilinearForm(2, (0, 1, 1, 0)), (1, 1), (1, 1, 1)),
-        (TrilinearForm.from_nonzero(3, {(1, 2, 3): 1}), (1, 1, 1), (1, 1)),
+        (TrilinearForm(3, (0, 0, 0, 0, 1, 0, 0, 0, 0, 0)), (1, 1, 1), (1, 1)),
     ):
         classes = [DivisorClass(good)] * 3
         classes[slot] = DivisorClass(bad)
@@ -79,21 +79,19 @@ def test_rank_mismatch_is_an_error():
     with pytest.raises(DimensionMismatchError, match="rank must be 2 or 3, got 4"):
         TrilinearForm(4, ())
     with pytest.raises(DimensionMismatchError, match="rank must be 2 or 3, got 4"):
-        TrilinearForm.from_nonzero(4, {(1, 2, 3): 1})
+        TrilinearForm(4, (0,) * 20)  # the 20 values of a rank-4 form
     # 2.0 == 2 and True == 1: the rank is the int itself, as for enumerate_all
-    for rho in (2.0, True):
+    for rho, values in ((2.0, (0, 1, 1, 0)), (True, (0, 1, 1, 0)), (3.0, (0,) * 10)):
         with pytest.raises(DimensionMismatchError, match=f"rank must be 2 or 3, got {rho}"):
-            TrilinearForm(rho, (0, 1, 1, 0))
-        with pytest.raises(DimensionMismatchError, match=f"rank must be 2 or 3, got {rho}"):
-            TrilinearForm.from_nonzero(rho, {(1, 1, 2): 1})
+            TrilinearForm(rho, values)
 
 
 def test_missing_entries_are_an_error():
-    # the tuple constructor takes every value; from_nonzero reads a missing triple as 0
+    # the constructor takes every value: a missing one is not read as 0
     with pytest.raises(DimensionMismatchError, match="a rank-2 form has 4 values, got 2"):
         TrilinearForm(2, (0, 0))
-    sparse = TrilinearForm.from_nonzero(2, {(1, 1, 1): 0, (2, 2, 2): 0})
-    assert sparse.values == (0, 0, 0, 0)
+    with pytest.raises(DimensionMismatchError, match="a rank-3 form has 10 values, got 9"):
+        TrilinearForm(3, (0,) * 9)
 
 
 @pytest.mark.parametrize(
@@ -112,74 +110,16 @@ def test_the_constructor_takes_one_tuple_of_its_rank(rho, values, error, message
         TrilinearForm(rho, values)
 
 
-@pytest.mark.parametrize(
-    "entries",
-    [
-        {(1, 1, 1): 0, (1, 1, 2): 0, (1, 2, 2): 0, (2, 2, 2): 0, (1, 1, 3): 0},
-        {(1, 1, 1): 0, (1, 1, 2): 0, (1, 2, 2): 0, (2, 2, 2): 0, (0, 1, 1): 0},
-        {(1, 1, 1): 0, (1, 1, 2): 0, (1, 2, 2): 0, (2, 2, 2): 0, (2, 2, 4): 0},
-    ],
-    ids=["index-3", "index-0", "index-4"],
-)
-def test_out_of_range_entries_are_an_error(entries):
-    with pytest.raises(DimensionMismatchError, match="out of range for rank 2"):
-        TrilinearForm.from_nonzero(2, entries)
-
-
-@pytest.mark.parametrize(
-    "keys",
-    [
-        [("1", "1", "1"), (1.9, 1, 2), (1, 2, 2), (2, 2, 2)],
-        [(1.0, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2)],
-        [(1, 1, 1), (1, 1, 2), (2, True, 2), (2, 2, 2)],
-        [(1, 1, 1), (1, 2), (1, 2, 2), (2, 2, 2)],
-        [(1, 1, 1), (1, 1, 1, 1), (1, 2, 2), (2, 2, 2)],
-        [(1, 1, 1), 5, (1, 2, 2), (2, 2, 2)],
-        [(1, 1, 1), (1, 1, "2"), (1, 2, 2), (2, 2, 2)],
-        [(1, 1, True), (1, 1, 2), (1, 2, 2), (2, 2, 2)],
-    ],
-    ids=["str-and-float", "integral-float", "bool", "pair", "quadruple", "int", "str",
-         "bool-last"],
-)
-def test_trilinear_form_takes_only_int_indices(keys):
-    # int() would read ('1', '1', '1') as (1, 1, 1) and (1.9, 1, 2) as (1, 1, 2),
-    # and a dict finds the entry (1, 1, 1) under the key (1, 1, True)
-    with pytest.raises(ConstraintError, match="form indices must be integers"):
-        TrilinearForm.from_nonzero(2, dict(zip(keys, (0, 4, 0, 0))))
-
-
-def test_conflicting_entries_are_an_error():
-    # an unsorted duplicate is an error as unsorted, whether or not its value agrees
-    for value in (5, 4):
-        entries = {(1, 1, 1): 0, (1, 1, 2): 4, (2, 1, 1): value, (1, 2, 2): 0, (2, 2, 2): 0}
-        with pytest.raises(ConstraintError, match=r"index triple \(2, 1, 1\) is not sorted"):
-            TrilinearForm.from_nonzero(2, entries)
-
-
-def test_from_nonzero_rejects_conflicting_entries_as_the_constructor_does():
-    # the check is the same on a sparse mapping and on one with every triple
-    for nonzero in ({(1, 1, 2): 1, (1, 2, 1): 2}, {(1, 1, 2): 1, (1, 2, 1): 1}):
-        full = {(1, 1, 1): 0, (1, 2, 2): 0, (2, 2, 2): 0, **nonzero}
-        for entries in (nonzero, full):
-            with pytest.raises(ConstraintError, match=r"index triple \(1, 2, 1\) is not sorted"):
-                TrilinearForm.from_nonzero(2, entries)
-
-
-def test_unsorted_keys_are_an_error():
-    entries = {(1, 1, 1): 0, (2, 1, 1): 4, (2, 2, 1): 5, (2, 2, 2): 0}
-    with pytest.raises(ConstraintError, match=r"index triple \(2, 1, 1\) is not sorted"):
-        TrilinearForm.from_nonzero(2, entries)
-    # an index out of range is a dimension error, before any unsorted key
-    with pytest.raises(DimensionMismatchError, match=r"\(3, 1, 1\) out of range for rank 2"):
-        TrilinearForm.from_nonzero(2, {(2, 1, 1): 1, (3, 1, 1): 1})
-
-
 def test_equal_forms_hash_equal():
     form = TrilinearForm(2, (1, 2, 3, 4))
-    same = TrilinearForm.from_nonzero(2, {(2, 2, 2): 4, (1, 2, 2): 3, (1, 1, 2): 2, (1, 1, 1): 1})
+    same = TrilinearForm(2, tuple(range(1, 5)))  # an equal tuple, built apart
+    assert same.values is not form.values
     assert same == form == TrilinearForm(2, (1, 2, 3, 4))
     assert hash(same) == hash(form) == hash(TrilinearForm(2, (1, 2, 3, 4)))
-    assert len({form, same, TrilinearForm.from_nonzero(2, {(1, 1, 1): 1})}) == 2
+    assert len({form, same, TrilinearForm(2, (1, 0, 0, 0))}) == 2
+    # a rank-3 form whose values start with the same four is another form
+    rank3 = TrilinearForm(3, (1, 2, 3, 4, 0, 0, 0, 0, 0, 0))
+    assert rank3 != form and len({form, rank3}) == 2
 
 
 def test_divisor_class_takes_only_ints():
@@ -198,56 +138,44 @@ def test_divisor_class_takes_only_ints():
             DivisorClass(coords)
 
 
-def _first_error(rho, entries):
-    """The error class ``from_nonzero`` raises on ``entries``, by its contract."""
-    if any(not 1 <= index <= rho for key in entries for index in key):
-        return DimensionMismatchError
-    if any(list(key) != sorted(key) for key in entries):
-        return ConstraintError
-    return None
-
-
 @settings(max_examples=300)
-@given(st.data())
-def test_a_form_takes_exactly_the_sorted_triples_of_its_rank(data):
-    rho = data.draw(st.sampled_from((2, 3)))
-    support = list(itertools.combinations_with_replacement(range(1, rho + 1), 3))
-    entries = data.draw(st.fixed_dictionaries(dict.fromkeys(support, st.integers(-9, 9))))
-    for key in data.draw(st.sets(st.sampled_from(support), max_size=2)):
-        del entries[key]
-    triples = st.tuples(*[st.integers(0, 4)] * 3)
-    entries.update(data.draw(st.dictionaries(triples, st.integers(-9, 9), max_size=3)))
-    error = _first_error(rho, entries)
-    if error is None:
-        form = TrilinearForm.from_nonzero(rho, entries)
-        assert dict(zip(support, form.values)) == {**dict.fromkeys(support, 0), **entries}
-        assert len(form.values) == math.comb(rho + 2, 3)
-        same = TrilinearForm(rho, form.values)
-        assert same == form and hash(same) == hash(form)
-        copy = pickle.loads(pickle.dumps(form))
-        assert copy == form and copy.values == form.values
-    else:
-        with pytest.raises(error):
-            TrilinearForm.from_nonzero(rho, entries)
+@given(st.sampled_from((2, 3)), st.data())
+def test_a_form_takes_exactly_the_sorted_triples_of_its_rank(rho, data):
+    # one int value per sorted index triple: 4 on rank 2, 10 on rank 3
+    size = math.comb(rho + 2, 3)
+    length = data.draw(st.just(size) | st.integers(0, 12))
+    values = data.draw(st.tuples(*[st.integers(-(2**70), 2**70)] * length))
+    if length != size:
+        with pytest.raises(DimensionMismatchError, match=f"has {size} values, got {len(values)}"):
+            TrilinearForm(rho, values)
+        return
+    form = TrilinearForm(rho, values)
+    assert form.rho == rho and form.values == values and type(form.values) is tuple
+    same = TrilinearForm(rho, form.values)
+    assert same == form and hash(same) == hash(form)
+    copy = pickle.loads(pickle.dumps(form))
+    assert copy == form and copy.values == form.values and hash(copy) == hash(form)
 
 
 @pytest.mark.parametrize(
     "values", [(0.9, 1, 2, 3), (0, 1, 2, "3"), (0, True, 2, 3)], ids=["float", "str", "bool"]
 )
 def test_trilinear_form_takes_only_int_entries(values):
-    keys = ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2))
     with pytest.raises(ConstraintError, match="form entries must be integers"):
         TrilinearForm(2, values)
     with pytest.raises(ConstraintError, match="form entries must be integers"):
-        TrilinearForm.from_nonzero(2, dict(zip(keys, values)))
+        TrilinearForm(3, (0,) * 6 + values)
 
 
 def test_rank2_stores_the_canonical_keys():
-    form = TrilinearForm(2, (1, 2, 3, 4))
-    assert form.values == (1, 2, 3, 4)
-    assert form == TrilinearForm.from_nonzero(
-        2, {(2, 2, 2): 4, (1, 2, 2): 3, (1, 1, 2): 2, (1, 1, 1): 1}
-    )
+    # value n sits at the n-th sorted index triple (i, j, k): it is H_i . H_j . H_k
+    for rho in (2, 3):
+        triples = list(itertools.combinations_with_replacement(range(rho), 3))
+        form = TrilinearForm(rho, tuple(range(1, len(triples) + 1)))
+        assert form.values == tuple(range(1, len(triples) + 1))
+        basis = [DivisorClass(tuple(int(i == j) for j in range(rho))) for i in range(rho)]
+        products = [triple_product(form, *(basis[i] for i in key)) for key in triples]
+        assert products == list(form.values)
 
 
 def test_anticanonical_rank2():
@@ -255,6 +183,11 @@ def test_anticanonical_rank2():
     assert anticanonical_class(2, 2).coords == (2, 2)
     with pytest.raises(ConstraintError, match="ray length must be 1, 2 or 3, got 4"):
         anticanonical_class(4, 1)
+    # True == 1 and 2.0 == 2: a length is the int itself, in either slot
+    for mu in (True, 2.0):
+        for args in ((mu, 2), (2, mu)):
+            with pytest.raises(ConstraintError, match=f"ray length must be 1, 2 or 3, got {mu}"):
+                anticanonical_class(*args)
 
 
 @pytest.mark.parametrize(

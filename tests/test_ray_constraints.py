@@ -223,6 +223,17 @@ def test_balance_check_examples():
     assert not balance_check(1, 1, 13, 12)
 
 
+@pytest.mark.parametrize("bad", [1.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("position", range(4))
+def test_balance_check_takes_only_ints(position, bad):
+    # 12.0 == 12 and True == 1 would balance: an argument is the int itself
+    args = [1, 1, 12, 12]
+    assert balance_check(*args)
+    args[position] = bad
+    with pytest.raises(ConstraintError, match=r"balance_check takes integers, got \("):
+        balance_check(*args)
+
+
 def test_the_E1_value_set_tops_out_at_the_index_1_degB_cap():
     # c2.H = 24/r + deg B with 1 <= deg B <= (r - mu)^2 L^3 on each target
     for mu in range(4):
