@@ -25,7 +25,7 @@ for rec, row in zip(records, label(records)):
             blowup_ray.r,
             blowup_ray.L3,
             blowup_ray.degB,
-            rec.genus,
+            blowup_ray.genus,
             conic_ray.deg_delta,
         )
     )

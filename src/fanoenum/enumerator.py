@@ -16,8 +16,8 @@ c2.H fact, so the 24-balance -K.c2 = 24
 (:func:`fanoenum.ray_constraints.balance_check`) is a check on its records
 that shares no row with it.  Each solution becomes a
 :class:`SolutionRecord` of the rays, the full intersection
-form, the anticanonical class and its cube; the record derives the rank,
-genus, descriptions and characteristic note from these.  The ``solve_*``
+form, the anticanonical class and its cube; the record derives its
+descriptions and characteristic note from these.  The ``solve_*``
 entry points select among the 24 of the 45 pairings with a conic bundle or
 an E1 ray: ``tests/test_index_oracle.py`` solves all 45 at every lattice
 index without the engine, and finds no solution outside them.  No
@@ -82,11 +82,11 @@ class SolutionRecord(_RecordFields):
     pullbacks, and ``kx3`` is an even ``int`` in (0, 64] equal to the cube
     of ``minus_k``.  Two rank-2 rays of lengths mu1, mu2 fix ``minus_k`` as
     mu2 H1 + mu1 H2 (:func:`~fanoenum.picard_lattice.anticanonical_class`).
-    The rest is derived when read, so it cannot disagree with the fields:
-    ``rho`` is the rank of the form, ``genus`` the genus of the blowup centre
-    of the first E1 ray (None without one), ``descriptions`` the known
-    constructions of the family and ``char_note`` a positive-characteristic
-    caveat, never part of table comparisons.  A record carries no table id:
+    The rank is ``form.rho``, and each E1 ray carries the genus of its
+    centre.  The rest is derived when read, so it cannot disagree with the
+    fields: ``descriptions`` the known constructions of the family and
+    ``char_note`` a positive-characteristic caveat, never part of table
+    comparisons.  A record carries no table id:
     :func:`fanoenum.table_oracle.label` names it by its table row.
     """
 
@@ -130,24 +130,12 @@ class SolutionRecord(_RecordFields):
         return cls(*iterable)
 
     @property
-    def rho(self) -> int:
-        return self.form.rho
-
-    @property
-    def ray_types(self) -> tuple[RayType, ...]:
-        return tuple([spec.ray_type for spec in self.rays])
-
-    @property
-    def genus(self) -> int | None:
-        return next((s.genus for s in self.rays if s.ray_type is _E1), None)
-
-    @property
     def descriptions(self) -> tuple[str, ...]:
-        return _TEXTS.get((self.form.rho, self.ray_types)) or _descriptions(self.rays)
+        return _descriptions(self.form.rho, self.rays)
 
     @property
     def char_note(self) -> str | None:
-        return _CHAR_NOTES.get(self.ray_types)
+        return _CHAR_NOTES.get(tuple([spec.ray_type for spec in self.rays]))
 
 
 # Read once: on Python 3.11 each RayType.X read goes through EnumType's
@@ -243,17 +231,21 @@ _CHAR_NOTES = {
 }
 
 
-# SolutionRecord.descriptions reads this on every call, and a verify formats
-# the same E1 texts again each time: the rays tuple is immutable, so it keys
-# a memo.  The bound (above the 27 rank-2 records with an E1 ray) keeps
-# records built by hand from growing it without end.
+# SolutionRecord.descriptions reads this on every call, and a verify asks
+# for the same records' texts again each time: the rank and the rays tuple
+# are immutable, so they key a memo.  The bound (above the 40 records the
+# engine finds) keeps records built by hand from growing it without end.
 @functools.lru_cache(maxsize=128)
-def _descriptions(rays: tuple[RaySpec, ...]) -> tuple[str, ...]:
-    """One text per E1 ray, plus the point blowup for an E2 ray opposite one.
+def _descriptions(rho: int, rays: tuple[RaySpec, ...]) -> tuple[str, ...]:
+    """The texts of ``_TEXTS`` for these ray types, or else those of the rays.
 
-    The complete-intersection clause appears only opposite a del Pezzo
-    fibration, whose pencil cuts out the centre; identical texts collapse.
+    Those are one text per E1 ray, plus the point blowup for an E2 ray
+    opposite one.  The complete-intersection clause appears only opposite a
+    del Pezzo fibration, whose pencil cuts out the centre; identical texts
+    collapse.
     """
+    if texts := _TEXTS.get((rho, tuple([spec.ray_type for spec in rays]))):
+        return texts
     texts = []
     for spec, other in zip(rays, rays[::-1]):
         ray_type = spec.ray_type
@@ -324,6 +316,10 @@ _MINUS_K = {(m1, m2): anticanonical_class(m1, m2) for m1 in (1, 2, 3) for m2 in 
 
 # ------------------------------------------------------------------ engine --
 
+# The five ways _solve_sides ends without a record, one constant each
+_CONTRADICTION, _REMAINDER, _FAILED_ROW = "contradicting rows", "a Cramer remainder", "a failed row"
+_U1_OUTSIDE, _U2_OUTSIDE = "u1 outside its domain", "u2 outside its domain"
+
 
 def _independent_rows(rows):
     """The first two rows (a, b, c) that pin both unknowns, and their determinant.
@@ -344,7 +340,7 @@ def _independent_rows(rows):
     raise InconsistencyError("the facts of a pairing leave an unknown free")
 
 
-def _solve_sides(side1: _Side, side2: _Side) -> SolutionRecord | None:
+def _solve_sides(side1: _Side, side2: _Side) -> SolutionRecord | str:
     """The record of one pair of sides, in the basis of their pullbacks.
 
     With -K = n1 H1 + n2 H2 (n1 = mu2, n2 = mu1) and C, A, B the facts H^3,
@@ -359,12 +355,13 @@ def _solve_sides(side1: _Side, side2: _Side) -> SolutionRecord | None:
     Every term is in quarters, as the facts are.  Cramer's rule on two
     independent rows gives the one rational solution, and the other rows
     check it.  The two (-K)^2.H rows are independent in 180 of the 198
-    rank-2 side pairs; :func:`_independent_rows` settles the other 18.  None
-    means one of two exits: the system has no integer solution, or an
-    unknown lies outside its domain.  The system implies the rest, so a
-    fractional form entry raises here, and an odd cube or a negative genus
-    in the constructors.  It runs once per side pair of every pairing, most
-    of which give no record, so it is written in straight lines.
+    rank-2 side pairs; :func:`_independent_rows` settles the other 18.
+    Without a record it returns its exit: the rows contradict, Cramer's
+    rule leaves a remainder, the solution fails a row, or u1 or u2 lies
+    outside its domain.  The system implies the rest, so a fractional form
+    entry raises here, and an odd cube or a negative genus in the
+    constructors.  It runs once per side pair of every pairing, most of
+    which give no record, so it is written in straight lines.
     """
     n1, n2 = side2.mu, side1.mu
     C1, P1, Q1, K1, M1 = side1.terms[n1]
@@ -382,21 +379,21 @@ def _solve_sides(side1: _Side, side2: _Side) -> SolutionRecord | None:
     if not det:
         checks = [(a1, b1, c1), (a2, b2, c2), *checks]
         if (pair := _independent_rows(checks)) is None:
-            return None
+            return _CONTRADICTION
         (a1, b1, c1), (a2, b2, c2), det = pair
     u1, r1 = divmod(b1 * c2 - b2 * c1, det)
     u2, r2 = divmod(a2 * c1 - a1 * c2, det)
     if r1 or r2:
-        return None
+        return _REMAINDER
     for a, b, c in checks:
         if a * u1 + b * u2 + c:
-            return None
+            return _FAILED_ROW
     high = side1.high
     if u1 < side1.low or (high is not None and u1 > high):
-        return None
+        return _U1_OUTSIDE
     high = side2.high
     if u2 < side2.low or (high is not None and u2 > high):
-        return None
+        return _U2_OUTSIDE
     h111, r111 = divmod(C1[0] + C1[1] * u1, 4)
     h112, r112 = divmod(P1[0] + P1[1] * u1, 4 * n1 * n1 * n2)
     h122, r122 = divmod(P2[0] + P2[1] * u2, 4 * n2 * n2 * n1)
@@ -429,15 +426,15 @@ def _solve(pairings) -> tuple[SolutionRecord, ...]:
 
     A pairing of a type with itself visits each unordered pair of its sides
     once, the side of higher index first: the other order gives the mirror
-    record, rays and basis swapped, or None when this one is None.  The E1
-    sides go by target index r, so an E1+E1 record lists the larger r first.
+    record, rays and basis swapped, or none when this one gives none.  The
+    E1 sides go by target index r, so an E1+E1 record lists the larger r first.
     """
     return tuple(
         record
         for type1, type2 in pairings
         for i, side1 in enumerate(_SIDES[type1])
         for side2 in (_SIDES[type2][: i + 1] if type1 is type2 else _SIDES[type2])
-        if (record := _solve_sides(side1, side2)) is not None
+        if type(record := _solve_sides(side1, side2)) is SolutionRecord
     )
 
 

@@ -88,7 +88,7 @@ class ValueObject:
 class DivisorClass(ValueObject):
     r"""A divisor class in a fixed basis of Pic(X) \cong Z^rho, rho in {2, 3}.
 
-    ``coords`` are the integer coordinates; the lattice rank is ``rho``.
+    ``coords`` are the integer coordinates; the lattice rank is their number.
     Addition, negation and integer scaling are provided so linearity statements
     can be written down directly.
     """
@@ -106,16 +106,12 @@ class DivisorClass(ValueObject):
             raise ConstraintError(f"coordinates must be integers, got {coords!r}")
         set_field(self, "coords", coords)
 
-    @property
-    def rho(self) -> int:
-        return len(self.coords)
-
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if not isinstance(other, DivisorClass):
             return NotImplemented
-        if self.rho != other.rho:
+        if len(self.coords) != len(other.coords):
             raise DimensionMismatchError(
-                f"cannot add classes of rank {self.rho} and {other.rho}"
+                f"cannot add classes of rank {len(self.coords)} and {len(other.coords)}"
             )
         return DivisorClass(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
@@ -173,19 +169,25 @@ def triple_product(
     values on rank 2, and 27 over the ten values on rank 3, written out and
     unpacked from ``form.values`` in its sorted-triple order.
     Symmetry of the stored form makes the result independent of argument
-    order; every record's cube is checked this way.
+    order; every record's cube is checked this way.  An argument that is
+    not a lattice value of its slot raises ConstraintError.
     """
-    xc, yc, zc = x.coords, y.coords, z.coords
-    rho = form.rho
+    try:
+        xc, yc, zc, rho, values = x.coords, y.coords, z.coords, form.rho, form.values
+    except AttributeError:  # caught, not tested for: the hot path stays as it is
+        raise ConstraintError(
+            "triple_product takes a TrilinearForm and three DivisorClasses,"
+            f" got {form!r}, {x!r}, {y!r} and {z!r}"
+        ) from None
     if not len(xc) == len(yc) == len(zc) == rho:
-        for cls_ in (x, y, z):
-            if cls_.rho != rho:
+        for coords in (xc, yc, zc):
+            if len(coords) != rho:
                 raise DimensionMismatchError(
-                    f"class of rank {cls_.rho} fed to a rank-{rho} form"
+                    f"class of rank {len(coords)} fed to a rank-{rho} form"
                 )
     if rho == 2:
         (x1, x2), (y1, y2), (z1, z2) = xc, yc, zc
-        h111, h112, h122, h222 = form.values
+        h111, h112, h122, h222 = values
         return (
             x1 * y1 * z1 * h111
             + (x1 * y1 * z2 + x1 * y2 * z1 + x2 * y1 * z1) * h112
@@ -193,7 +195,7 @@ def triple_product(
             + x2 * y2 * z2 * h222
         )
     (x1, x2, x3), (y1, y2, y3), (z1, z2, z3) = xc, yc, zc
-    h111, h112, h113, h122, h123, h133, h222, h223, h233, h333 = form.values
+    h111, h112, h113, h122, h123, h133, h222, h223, h233, h333 = values
     return (
         x1 * y1 * z1 * h111
         + (x1 * y1 * z2 + x1 * y2 * z1 + x2 * y1 * z1) * h112

@@ -75,13 +75,14 @@ def test_criterion_2_primitive_rank3_reproduction(capsys):
     records = enumerate_all(3, primitive_only=True)
     report = diff(records, ground_truth(3, primitive_only=True))
     by_id = {row.table_id: rec for rec, row in zip(records, label(records))}
+    types = {table_id: tuple(ray.ray_type for ray in rec.rays) for table_id, rec in by_id.items()}
     shape_ok = (
         sorted(rec.kx3 for rec in records) == [12, 14, 48, 52]
-        and by_id["3-1"].ray_types == (RayType.C1,) * 3
+        and types["3-1"] == (RayType.C1,) * 3
         and all(ray.delta_bidegree == (4, 4) for ray in by_id["3-1"].rays)
-        and by_id["3-27"].ray_types == (RayType.C2,) * 3
-        and by_id["3-2"].ray_types == (RayType.C1, RayType.E1)
-        and by_id["3-31"].ray_types == (RayType.C2, RayType.E1)
+        and types["3-27"] == (RayType.C2,) * 3
+        and types["3-2"] == (RayType.C1, RayType.E1)
+        and types["3-31"] == (RayType.C2, RayType.E1)
     )
     ok = exit_code == 0 and not report and shape_ok and elapsed < 1.0
     capsys.readouterr()
@@ -181,9 +182,9 @@ def test_criterion_6_structural_invariants(capsys):
             problems.append((row.table_id, "cube"))
         if rec.kx3 % 2 != 0:
             problems.append((row.table_id, "parity"))
-        if rec.genus is not None and rec.genus < 0:
+        if any(ray.genus is not None and ray.genus < 0 for ray in rec.rays):
             problems.append((row.table_id, "genus"))
-        if rec.rho == 2:
+        if rec.form.rho == 2:
             first, second = rec.rays
             if not balance_check(
                 TYPE_FACTS[first.ray_type].mu, TYPE_FACTS[second.ray_type].mu,

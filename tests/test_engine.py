@@ -234,6 +234,20 @@ def _side_pairs(pairings):
                 yield type1, i, type2, j, side1, side2
 
 
+# The five ways _solve_sides ends without a record: the first three are
+# systems with no integer solution, the other two an unknown outside its domain.
+NO_SOLUTION = (enumerator._REMAINDER, enumerator._FAILED_ROW, enumerator._CONTRADICTION)
+EXITS = NO_SOLUTION + (enumerator._U1_OUTSIDE, enumerator._U2_OUTSIDE)
+
+
+def _is_record(result):
+    """Whether ``_solve_sides`` gave a record, as ``_solve`` reads it; else one of ``EXITS``."""
+    if type(result) is enumerator.SolutionRecord:
+        return True
+    assert result in EXITS, result
+    return False
+
+
 def _side_pair_outcomes(pairings):
     """How many side pairs ``_solve`` visits, and the labels of their records.
 
@@ -243,7 +257,7 @@ def _side_pair_outcomes(pairings):
     for type1, i, type2, j, side1, side2 in _side_pairs(pairings):
         visited += 1
         record = enumerator._solve_sides(side1, side2)
-        if record is not None:
+        if _is_record(record):
             records[type1.value, i, type2.value, j] = record
     return visited, dict(zip(records, (row.table_id for row in label(records.values()))))
 
@@ -261,7 +275,7 @@ def test_exactly_the_36_known_side_pairs_give_records(pairings, side_pairs):
     assert enumerator._solve(pairings) == tuple(
         record
         for *_, side1, side2 in _side_pairs(pairings)
-        if (record := enumerator._solve_sides(side1, side2)) is not None
+        if _is_record(record := enumerator._solve_sides(side1, side2))
     )
 
 
@@ -293,34 +307,36 @@ def _in_domain(side, u):
 
 def _exit(side1, side2):
     """Which exit of ``_solve_sides`` a side pair takes, checked against its rows."""
-    record = enumerator._solve_sides(side1, side2)
+    result = enumerator._solve_sides(side1, side2)
     solution = _fraction_solution(_system(side1, side2))
-    if record is not None:
-        assert solution == (record.rays[0][side1.slot], record.rays[1][side2.slot])
+    if _is_record(result):
+        assert solution == (result.rays[0][side1.slot], result.rays[1][side2.slot])
         return "record"
-    if solution is None:
-        return "no integer solution"
-    assert not (_in_domain(side1, solution[0]) and _in_domain(side2, solution[1]))
-    return "unknown outside its domain"
+    if result in NO_SOLUTION:
+        assert solution is None
+    elif result is enumerator._U1_OUTSIDE:
+        assert not _in_domain(side1, solution[0])
+    else:
+        assert _in_domain(side1, solution[0]) and not _in_domain(side2, solution[1])
+    return result
 
 
 @pytest.mark.parametrize(
     "pairings,exits",
     [
-        (tuple(combinations_with_replacement(RayType, 2)), (36, 262, 53)),
-        (enumerator._RANK2_PAIRINGS, (36, 118, 44)),
+        (tuple(combinations_with_replacement(RayType, 2)), (36, 54, 163, 45, 34, 19)),
+        (enumerator._RANK2_PAIRINGS, (36, 54, 46, 18, 25, 19)),
     ],
     ids=["all-45-pairings", "rank2-pairings"],
 )
 def test_every_side_pair_exits_by_a_record_no_solution_or_its_domain(pairings, exits):
     # Every side pair's system pins both unknowns (the reference raises on
     # one that leaves an unknown free), and the engine takes the exit its
-    # rows imply: a record at the integer solution, None without one, and
-    # None when the solution lies outside a side's domain.
+    # rows imply: a record at the integer solution; a Cramer remainder, a
+    # failed row or rows that contradict without one; u1, else u2, outside
+    # its domain when the solution lies outside a side's domain.
     counts = Counter(_exit(side1, side2) for *_, side1, side2 in _side_pairs(pairings))
-    assert counts == dict(
-        zip(("record", "no integer solution", "unknown outside its domain"), exits)
-    )
+    assert counts == dict(zip(("record", *EXITS), exits))
 
 
 def _pins(row1, row2):
@@ -358,7 +374,7 @@ def test_every_side_pair_is_settled_by_the_rows_its_system_allows(pairings, rout
     # The counts the _solve_sides docstring, README and ROADMAP quote: no
     # system leaves one equation, and only the two (-K)^2.H rows give records.
     counts = Counter(
-        (_route(side1, side2), enumerator._solve_sides(side1, side2) is not None)
+        (_route(side1, side2), _is_record(enumerator._solve_sides(side1, side2)))
         for *_, side1, side2 in _side_pairs(pairings)
     )
     expected = {
@@ -383,10 +399,12 @@ def _moved(side, term, part, quarters):
 
 
 def _solve_or_error(side1, side2):
+    """A side pair's record, None for any of its exits, or its exception type."""
     try:
-        return enumerator._solve_sides(side1, side2)
+        result = enumerator._solve_sides(side1, side2)
     except FanoEngineError as exc:
         return type(exc)
+    return result if _is_record(result) else None
 
 
 def _mirror(record):

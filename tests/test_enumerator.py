@@ -96,7 +96,7 @@ def test_E1_C2_excludes_index_two():
 
 def test_E1_C1_case_data():
     cases = {
-        (rec.rays[1].r, rec.rays[1].degB, rec.genus, rec.rays[0].deg_delta)
+        (rec.rays[1].r, rec.rays[1].degB, rec.rays[1].genus, rec.rays[0].deg_delta)
         for rec in solve_E1_C(RayType.C1)
     }
     assert cases == {(4, 7, 5, 5), (3, 6, 2, 4), (2, 1, 0, 5), (2, 2, 0, 4), (2, 3, 0, 3)}
@@ -107,7 +107,7 @@ def test_del_pezzo_centers_are_elliptic():
     for rec in solve_E1_D(RayType.D1):
         e_ray = rec.rays[1]
         if e_ray.r == 2:
-            assert rec.genus == 1
+            assert e_ray.genus == 1
             assert e_ray.degB == e_ray.L3
             assert rec.kx3 == 4 * e_ray.L3
 
@@ -116,9 +116,8 @@ def test_cubic_fibration_row():
     (rec,) = solve_E1_D(RayType.D3)
     assert _ids([rec]) == ["2-33"]
     assert rec.kx3 == 54
-    assert rec.genus == 0
     assert rec.rays[0].d2 == 9
-    assert (rec.rays[1].r, rec.rays[1].degB) == (4, 1)
+    assert (rec.rays[1].r, rec.rays[1].degB, rec.rays[1].genus) == (4, 1, 0)
 
 
 def test_conic_bundle_pairs():
@@ -194,7 +193,7 @@ def test_primitive_rank2_table():
     assert _ids(records) == [
         "2-2", "2-6", "2-8", "2-18", "2-24", "2-32", "2-34", "2-35", "2-36",
     ]
-    assert not any(RayType.E1 in rec.ray_types for rec in records)
+    assert not any(spec.ray_type is RayType.E1 for rec in records for spec in rec.rays)
 
 
 def test_primitive_rank3_table():
@@ -300,9 +299,10 @@ def test_descriptions_memo_gives_the_texts_of_each_records_own_rays():
     assert type(enumerator._descriptions.cache_info().maxsize) is int
     e1_records = 0
     for record in all_records():
-        texts = enumerator._TEXTS.get((record.rho, record.ray_types))
-        assert record.descriptions == (texts or uncached(record.rays))
-        if texts is not None or record.genus is None:
+        rho, types = record.form.rho, tuple(spec.ray_type for spec in record.rays)
+        texts = enumerator._TEXTS.get((rho, types))
+        assert record.descriptions == (texts or uncached(rho, record.rays))
+        if texts is not None or RayType.E1 not in types:
             continue
         e1_records += 1
         # read after the record's own texts are memoized: a memo hit must
@@ -314,7 +314,7 @@ def test_descriptions_memo_gives_the_texts_of_each_records_own_rays():
                 for spec in record.rays
             )
             rebuilt = record._replace(rays=rays)
-            assert rebuilt.descriptions == uncached(rays) != record.descriptions
+            assert rebuilt.descriptions == uncached(rho, rays) != record.descriptions
     assert e1_records == 27
 
 
@@ -377,11 +377,14 @@ def test_an_engine_records_form_cannot_be_changed_in_place():
 
 
 def test_genus_is_recorded_exactly_for_blowdowns():
+    # on every E1 ray of rank 2, 2-19's second centre (genus 0) included
     for rec in all_records():
-        has_e1 = rec.rho == 2 and RayType.E1 in rec.ray_types
-        assert (rec.genus is not None) == has_e1, record_to_row(rec).table_id
-        if rec.genus is not None:
-            assert rec.genus >= 0
+        for spec in rec.rays:
+            has_e1 = rec.form.rho == 2 and spec.ray_type is RayType.E1
+            assert (spec.genus is not None) == has_e1, record_to_row(rec).table_id
+            assert spec.genus is None or spec.genus >= 0
+    (blowup_pair,) = [rec for rec in enumerate_all(2) if record_to_row(rec).table_id == "2-19"]
+    assert [spec.genus for spec in blowup_pair.rays] == [2, 0]
 
 
 def test_description_joins_alternatives():
@@ -414,14 +417,19 @@ def test_a_record_derives_what_its_fields_imply():
     (e1,) = [i for i, spec in enumerate(rec.rays) if spec.ray_type is RayType.E1]
     rays = list(rec.rays)
     rays[e1] = rays[e1]._replace(genus=5)
-    assert rec.genus == 1 and rec._replace(rays=tuple(rays)).genus == 5
+    assert "elliptic curve" in rec.descriptions[0]
+    assert "genus 5" in rec._replace(rays=tuple(rays)).descriptions[0]
     for derived in ({"genus": 7}, {"descriptions": ("abc",)}, {"char_note": "x"}):
         with pytest.raises(UNKNOWN_FIELD_ERROR, match="unexpected field names"):
             rec._replace(**derived)
     assert SolutionRecord._fields == ("rays", "form", "minus_k", "kx3")
+    # what restates a stored field is not a reader of its own
+    for name in ("rho", "ray_types", "genus"):
+        assert not hasattr(rec, name) and not hasattr(SolutionRecord, name)
+    assert not hasattr(rec.minus_k, "rho") and not hasattr(DivisorClass, "rho")
     for call in ((2, False), (2, True), (3, True)):
         for record in enumerate_all(*call):
-            assert record.rho == record.form.rho == call[0]
+            assert record.form.rho == len(record.minus_k.coords) == call[0]
 
 
 @pytest.mark.parametrize(
@@ -435,7 +443,7 @@ def test_a_record_derives_what_its_fields_imply():
 )
 def test_record_scalars_are_exact(changes, error, message):
     record = enumerate_all(2)[0]
-    assert record.genus == 1
+    assert record.rays[1].genus == 1
     with pytest.raises(error, match=message):
         record._replace(**changes)
 

@@ -158,7 +158,7 @@ def _engine_records():
             enumerate(enumerator._SIDES[type1]), enumerate(enumerator._SIDES[type2])
         ):
             record = enumerator._solve_sides(side1, side2)
-            if record is not None:
+            if type(record) is enumerator.SolutionRecord:
                 records[type1.value, i, type2.value, j] = (
                     tuple(map(tuple, record.rays)), record.form.values, record.minus_k.coords,
                     record.kx3,

@@ -173,7 +173,7 @@ def test_at_index_one_the_oracle_finds_the_engine_records():
         for i, j in _side_pairs(type1, type2):
             side1, side2 = enumerator._SIDES[type1][i], enumerator._SIDES[type2][j]
             record = enumerator._solve_sides(side1, side2)
-            if record is not None:
+            if type(record) is enumerator.SolutionRecord:
                 engine[type1.value, i, type2.value, j] = record.form.values, record.kx3
     oracle = {
         _key(*key)[:4]: solution[:2] for key, solution in SOLUTIONS.items() if key[4] == 1
@@ -280,5 +280,8 @@ def test_the_engine_and_the_oracle_agree_on_a_mutant_fact_table(
                 ), exc
                 continue
             solution = _oracle_solve(type1, i, type2, j, 1)
-            engine = record and (record.form.values, record.kx3)
+            engine = (
+                (record.form.values, record.kx3)
+                if type(record) is enumerator.SolutionRecord else None
+            )
             assert engine == (solution and solution[:2]), _key(type1, i, type2, j, 1)

@@ -49,6 +49,6 @@ def test_the_rays_of_every_record_agree_on_h12():
         assert estimates and min(estimates) >= 0, (row.table_id, estimates)
         assert len(set(estimates)) == 1, (row.table_id, estimates)
         h12[row.table_id] = estimates[0]
-        two_ways += record.rho == 2 and len(estimates) == 2
+        two_ways += record.form.rho == 2 and len(estimates) == 2
     assert two_ways == 18
     assert [h12[table_id] for table_id in ("3-1", "3-2", "3-27", "3-31")] == [8, 3, 0, 0]

@@ -39,7 +39,7 @@ def test_module_operations():
     assert (x - y).coords == (2, -3)
     assert (-x).coords == (-3, 1)
     assert (2 * x).coords == (6, -2)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError, match="^cannot add classes of rank 2 and 3$"):
         x - DivisorClass((1, 1, 1))
     # a class adds only to a class: an int operand is no class, not a shift
     for operate in (lambda: x + 1, lambda: x - 1, lambda: 1 + x):
@@ -69,8 +69,25 @@ def test_a_class_of_the_other_rank_is_an_error_in_every_slot(slot):
     ):
         classes = [DivisorClass(good)] * 3
         classes[slot] = DivisorClass(bad)
-        with pytest.raises(DimensionMismatchError, match="fed to a rank-"):
+        message = f"^class of rank {len(bad)} fed to a rank-{form.rho} form$"
+        with pytest.raises(DimensionMismatchError, match=message):
             triple_product(form, *classes)
+
+
+@pytest.mark.parametrize("slot", range(4), ids=["form", "x", "y", "z"])
+def test_an_argument_that_is_no_lattice_value_is_an_error_in_every_slot(slot):
+    # a tuple of the right values, or a class in the form's slot and the form
+    # in a class's, is no lattice value: one ConstraintError naming the four
+    form, h = TrilinearForm(2, (0, 1, 1, 0)), DivisorClass((1, 1))
+    for stranger in ((1, 1), (0, 1, 1, 0), h if slot == 0 else form):
+        args = [form, h, h, h]
+        args[slot] = stranger
+        with pytest.raises(ConstraintError) as caught:
+            triple_product(*args)
+        assert str(caught.value) == (
+            "triple_product takes a TrilinearForm and three DivisorClasses, got "
+            f"{args[0]!r}, {args[1]!r}, {args[2]!r} and {args[3]!r}"
+        )
 
 
 def test_rank_mismatch_is_an_error():

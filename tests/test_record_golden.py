@@ -20,7 +20,7 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 
 from fanoenum.enumerator import enumerate_all
-from fanoenum.ray_constraints import TYPE_FACTS
+from fanoenum.ray_constraints import TYPE_FACTS, RayType
 from fanoenum.table_oracle import record_to_row
 
 GOLDEN = Path(__file__).with_name("data") / "records_golden.jsonl"
@@ -44,12 +44,13 @@ def _line(call, index, record) -> str:
     return json.dumps({
         "call": list(call),
         "index": index,
-        "rho": record.rho,
+        "rho": form.rho,
         "rays": [_ray(spec) for spec in record.rays],
         "form": {"rho": form.rho, "entries": [[*key, value] for key, value in zip(keys, form.values)]},
         "minus_k": {"tuple": list(record.minus_k.coords)},
         "kx3": record.kx3,
-        "genus": record.genus,
+        # the golden's record-level genus is that of the first E1 ray's centre
+        "genus": next((s.genus for s in record.rays if s.ray_type is RayType.E1), None),
         "table_id": record_to_row(record).table_id,
         "descriptions": {"tuple": list(record.descriptions)},
         "char_note": record.char_note,

@@ -482,7 +482,7 @@ def _reference_table_id(record):
     None where a field does not apply.
     """
     rays = Counter((s.ray_type.value, s.degB, s.d2, s.deg_delta) for s in record.rays)
-    for row in ground_truth(record.rho):
+    for row in ground_truth(record.form.rho):
         absent = (None,) * len(row.ray_types)
         columns = [row.invariants.get(name, absent) for name in ("degB", "d2", "deg_delta")]
         if row.kx3 == record.kx3 and Counter(zip(row.ray_types, *columns)) == rays:
@@ -497,13 +497,14 @@ def _reference_record_to_row(record):
         values = tuple(getattr(spec, name) for spec in record.rays)
         if any(v is not None for v in values):
             invariants[name] = values
-    primitive = record.rho == 3 or all(t is not RayType.E1 for t in record.ray_types)
+    types = tuple(spec.ray_type for spec in record.rays)
+    primitive = record.form.rho == 3 or RayType.E1 not in types
     return TableRow(
         table_id=_reference_table_id(record),
-        rho=record.rho,
+        rho=record.form.rho,
         kx3=record.kx3,
         primitive=primitive,
-        ray_types=tuple(t.value for t in record.ray_types),
+        ray_types=tuple(t.value for t in types),
         invariants=invariants,
         descriptions=tuple(record.descriptions),
     )
